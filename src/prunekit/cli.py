@@ -226,6 +226,7 @@ def cmd_eval(args) -> int:
            "pruned": str(args.pruned) if args.pruned else None,
            "full": args.full}
     t0 = time.perf_counter()
+    timing: dict = {}
     if args.costs and args.budget is not None:
         body = _eval_knapsack(args, obj, cfg)
     else:
@@ -242,8 +243,9 @@ def cmd_eval(args) -> int:
                                             reference=args.reference)
         body = {"kind": "cardinality", "report": report.to_dict(),
                 "algorithm": pruned.algorithm, "pruned_size": len(pruned.elements)}
+        timing = report.timing
     _dump_json(args.out, {"config": cfg,
-                          "timing": {"elapsed": time.perf_counter() - t0}}, body)
+                          "timing": {"elapsed": time.perf_counter() - t0, **timing}}, body)
     alphas = (body["report"]["alphas"] if "report" in body else body["alphas"])
     print(f"alpha per budget: {[round(a, 4) for a in alphas]} -> {args.out}")
     return EXIT_OK

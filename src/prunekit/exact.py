@@ -6,27 +6,51 @@ that would visit more than the guard's subset count is refused with
 :class:`GuardExceeded` so callers can fall back to a greedy reference.  The
 guard defaults to 10^8 subsets and can be overridden with the
 ``PRUNEKIT_GUARD`` environment variable or a keyword argument.
+
+:func:`opt_cardinality` and :func:`opt_knapsack` share one enumerator,
+:func:`subset_batches`.  It builds subsets as numpy ``(batch, width)`` id
+arrays, never as Python tuples, in size-ascending lexicographic order (the
+order of ``itertools.combinations``).  Rows shorter than the batch width are
+padded with the empty-slot id ``n``.
+
+Each batch is valued by one call to the objective's batched kernel,
+``Objective.eval_ids`` (contract in :mod:`prunekit.objectives`).  The
+kernel returns, bit for bit, what ``eval_membership`` returns for the same
+rows of one size.  Its arrays are built lazily on the first batched call.
+
+Whole size tables share one padded batch up to ``_GROUP_ROWS`` rows (or
+``chunk``, if smaller).  A larger table comes alone, and one larger than
+``chunk`` rows comes in batches of exactly ``chunk`` rows, counted from its
+first row.  Each size therefore occupies the same runs of rows as in a
+one-size-per-chunk enumeration.  That keeps matmul-based values, and with
+them the canonical argmaxes and ``ties_at_top``, independent of how sizes
+share a batch.  Enumerations that fit one batch are built once per
+(universe size, k) and reused.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .objectives import Objective, unwrap
 
 __all__ = ["GuardExceeded", "enumeration_guard", "cardinality_subset_count",
-           "OptProfile", "opt_cardinality", "opt_knapsack", "check_guard", "fits_guard"]
+           "OptProfile", "opt_cardinality", "opt_knapsack", "check_guard", "fits_guard",
+           "subset_batches"]
 
 DEFAULT_GUARD = 10**8
 GUARD_ENV = "PRUNEKIT_GUARD"
 
 _CHUNK = 1 << 17
+#: whole size tables share one padded batch up to this many rows, so that
+#: small enumerations cost one kernel call; larger tables come alone
+_GROUP_ROWS = 1 << 12
 
 
 class GuardExceeded(RuntimeError):
@@ -52,6 +76,7 @@ def enumeration_guard() -> int:
     return val
 
 
+@functools.lru_cache(maxsize=256)
 def cardinality_subset_count(universe_size: int, k: int) -> int:
     """Number of subsets of size <= k."""
     k = min(k, universe_size)
@@ -87,18 +112,139 @@ class OptProfile:
         }
 
 
-def _membership_chunks(universe: Sequence[int], size: int, n_cols: int, chunk: int):
-    """Yield (combos, membership matrix) chunks for all ``size``-subsets."""
-    combo_iter = itertools.combinations(universe, size)
-    while True:
-        block = list(itertools.islice(combo_iter, chunk))
-        if not block:
-            return
-        idx = np.asarray(block, dtype=np.int64)
-        M = np.zeros((len(block), n_cols), dtype=bool)
-        if size:
-            M[np.arange(len(block))[:, None], idx] = True
-        yield block, M
+def _lex_table(m: int, s: int) -> np.ndarray:
+    """All ``s``-subsets of ``range(m)`` as the rows of a ``(C(m, s), s)``
+    array, in lexicographic order.
+
+    Built along a diagonal of Pascal's triangle: the j-subsets of
+    ``range(mm)`` whose first id is ``a`` are ``a`` followed by 1 + the
+    (j-1)-subsets of ``range(mm - 1)`` whose first id is at least ``a``, and
+    those form a suffix of that table.  Every table built on the way is no
+    larger than the result.
+    """
+    if s == 0:
+        return np.empty((1, 0), dtype=np.intp)
+    table = np.arange(m - s + 1, dtype=np.intp)[:, None]
+    for j in range(2, s + 1):
+        mm = m - s + j
+        counts = [math.comb(mm - 1 - a, j - 1) for a in range(mm - j + 1)]
+        grown = np.empty((sum(counts), j), dtype=np.intp)
+        grown[:, 0] = np.repeat(np.arange(len(counts)), counts)
+        np.add(np.concatenate([table[len(table) - c:] for c in counts]), 1, out=grown[:, 1:])
+        table = grown
+    return table
+
+
+def _lex_pieces(m: int, s: int, chunk: int) -> Iterator[np.ndarray]:
+    """The ``s``-subsets of ``range(m)`` in lexicographic order, as
+    consecutive tables of at most ``chunk`` rows, split by leading id."""
+    if math.comb(m, s) <= chunk:
+        yield _lex_table(m, s)
+        return
+    # the subsets led by a are a, then 1 + the (s-1)-subsets of range(a, m - 1)
+    tail = _lex_table(m - 1, s - 1) if math.comb(m - 1, s - 1) <= chunk else None
+    for a in range(m - s + 1):
+        if tail is not None:  # those subsets are a suffix of the tail table
+            subs = [tail[len(tail) - math.comb(m - 1 - a, s - 1):]]
+        else:
+            subs = (sub + a for sub in _lex_pieces(m - a - 1, s - 1, chunk))
+        for sub in subs:
+            piece = np.empty((len(sub), s), dtype=np.intp)
+            piece[:, 0] = a
+            np.add(sub, 1, out=piece[:, 1:])
+            yield piece
+
+
+def _exact_chunks(pieces: Iterator[np.ndarray], chunk: int) -> Iterator[np.ndarray]:
+    """Regroup consecutive tables into blocks of exactly ``chunk`` rows (the
+    last one shorter)."""
+    buf: list[np.ndarray] = []
+    rows = 0
+    for piece in pieces:
+        buf.append(piece)
+        rows += len(piece)
+        while rows >= chunk:
+            block = np.concatenate(buf)
+            yield block[:chunk]
+            buf, rows = [block[chunk:]], rows - chunk
+    if rows:
+        yield np.concatenate(buf)
+
+
+def _padded(group: list[tuple[int, np.ndarray]], pad: int):
+    """Stack whole size tables into one batch padded with ``pad``."""
+    width = max(1, max(s for s, _ in group))
+    pos = np.full((sum(len(t) for _, t in group), width), pad, dtype=np.intp)
+    runs, row = [], 0
+    for s, table in group:
+        pos[row:row + len(table), :s] = table
+        runs.append((s, row, row + len(table)))
+        row += len(table)
+    return pos, tuple(runs)
+
+
+def _position_batches(u: int, k: int, chunk: int):
+    """Batches over the subsets of ``range(u)`` with at most ``k`` elements:
+    ``(positions, runs)`` with empty slot ``u`` and ``runs`` the
+    ``(size, start, stop)`` row range of each size in the batch."""
+    group: list[tuple[int, np.ndarray]] = []
+    rows, group_rows = 0, min(chunk, _GROUP_ROWS)
+    for s in range(k + 1):
+        count = math.comb(u, s)
+        if group and rows + count > group_rows:
+            yield _padded(group, u)
+            group, rows = [], 0
+        if count <= group_rows:
+            group.append((s, _lex_table(u, s)))
+            rows += count
+        elif count <= chunk:
+            yield _lex_table(u, s), ((s, 0, count),)
+        else:
+            for block in _exact_chunks(_lex_pieces(u, s, chunk), chunk):
+                yield block, ((s, 0, len(block)),)
+    if group:
+        yield _padded(group, u)
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_batch(u: int, k: int):
+    """The single batch of an enumeration of at most ``_GROUP_ROWS`` subsets."""
+    (pos, runs), = _position_batches(u, k, _GROUP_ROWS)
+    pos.flags.writeable = False
+    return pos, runs
+
+
+def subset_batches(universe: Sequence[int], n: int, k: int, chunk: int = _CHUNK):
+    """Every subset of ``universe`` with at most ``k`` elements, as id batches.
+
+    ``universe`` is a sorted list of distinct ids in ``0..n-1``.  Yields
+    ``(ids, runs)``: ``ids`` is a ``(batch, width)`` intp array whose rows
+    come in size-ascending lexicographic order, padded with the empty-slot
+    id ``n``; ``runs`` lists the ``(size, start, stop)`` row range of each
+    subset size in the batch.  The arrays may be shared with later calls and
+    must not be written to.
+    """
+    u = len(universe)
+    k = min(k, u)
+    if cardinality_subset_count(u, k) <= min(chunk, _GROUP_ROWS):
+        batches = iter([_cached_batch(u, k)])
+    else:
+        batches = _position_batches(u, k, chunk)
+    if u == n:  # the universe is range(n): positions are ids
+        yield from batches
+        return
+    to_id = np.array([*universe, n], dtype=np.intp)
+    for pos, runs in batches:
+        yield to_id[pos], runs
+
+
+def _sorted_universe(universe: Sequence[int], n: int) -> list[int]:
+    """Sorted distinct ids of ``universe``; rejects ids outside ``0..n-1``."""
+    ids = sorted(set(map(int, universe)))
+    if ids and (ids[0] < 0 or ids[-1] >= n):
+        bad = ids[0] if ids[0] < 0 else ids[-1]
+        raise IndexError(f"element id {bad} out of range [0, {n})")
+    return ids
 
 
 def check_guard(needed: int, guard: int | None = None) -> None:
@@ -123,38 +269,39 @@ def opt_cardinality(obj: Objective, universe: Sequence[int], k: int, *,
     optimal set at the top budget (up to ``tie_cap``), which lets callers
     test "any optimal set contained" without tie ambiguity.
     """
-    universe = sorted(set(int(e) for e in universe))
+    raw = unwrap(obj)
+    universe = _sorted_universe(universe, raw.n)
     u = len(universe)
     k = min(int(k), u)
     if k < 0:
         raise ValueError("k must be >= 0")
     total = cardinality_subset_count(u, k)
     check_guard(total, guard)
-    raw = unwrap(obj)
 
-    empty_val = float(raw.eval(()))
-    profile = [empty_val]
-    argmax: list[tuple[int, ...]] = [()]
-    best_val, best_set = empty_val, ()
-    per_size: list[list[tuple[float, tuple[int, ...]]]] = [[(empty_val, ())]]
+    # per size: its best value and its first optimal sets in enumeration order
+    per_size: list[tuple[float, list[tuple[int, ...]]] | None] = [None] * (k + 1)
+    for ids, runs in subset_batches(universe, raw.n, k, chunk):
+        vals = np.asarray(raw.eval_ids(ids), dtype=float)
+        for size, lo, hi in runs:
+            seg = vals[lo:hi]
+            first = int(seg.argmax())  # the first maximum in enumeration order
+            vmax = float(seg[first])
+            if per_size[size] is None or vmax > per_size[size][0]:
+                per_size[size] = (vmax, [])
+            size_best, size_sets = per_size[size]
+            if vmax != size_best:
+                continue
+            if collect_ties:
+                rows = lo + np.flatnonzero(seg == vmax)[:tie_cap - len(size_sets)]
+                size_sets.extend(tuple(row[:size]) for row in ids[rows].tolist())
+            elif not size_sets:
+                size_sets.append(tuple(ids[lo + first, :size].tolist()))
 
-    for size in range(1, k + 1):
-        size_best, size_sets = None, []
-        for block, M in _membership_chunks(universe, size, raw.n, chunk):
-            vals = np.asarray(raw.eval_membership(M), dtype=float)
-            vmax = float(vals.max())
-            if size_best is None or vmax > size_best:
-                size_best = vmax
-                size_sets = []
-            if vmax == size_best and collect_ties and len(size_sets) < tie_cap:
-                for i in np.flatnonzero(vals == size_best)[:tie_cap]:
-                    if len(size_sets) < tie_cap:
-                        size_sets.append(tuple(block[int(i)]))
-            if vmax == size_best and not collect_ties and not size_sets:
-                size_sets.append(tuple(block[int(np.argmax(vals))]))
-        per_size.append([(size_best, s) for s in size_sets])
-        cand = min(size_sets)
-        if size_best > best_val:
+    profile: list[float] = []
+    argmax: list[tuple[int, ...]] = []
+    for size_best, size_sets in per_size:
+        cand = size_sets[0]  # the lexicographically smallest optimum of this size
+        if not profile or size_best > best_val:
             best_val, best_set = size_best, cand
         elif size_best == best_val and cand < best_set:
             best_set = cand
@@ -163,8 +310,8 @@ def opt_cardinality(obj: Objective, universe: Sequence[int], k: int, *,
 
     ties = None
     if collect_ties:
-        ties = sorted(s for size_list in per_size
-                      for (v, s) in size_list if v == best_val)[:tie_cap]
+        ties = sorted(s for v, size_sets in per_size if v == best_val
+                      for s in size_sets)[:tie_cap]
     return OptProfile(list(range(k + 1)), profile, argmax, total, ties)
 
 
@@ -176,7 +323,8 @@ def opt_knapsack(obj: Objective, universe: Sequence[int], costs, budgets: Sequen
     The guard counts the full power set.  Argmax per budget is the first
     optimum in size-ascending lexicographic enumeration order.
     """
-    universe = sorted(set(int(e) for e in universe))
+    raw = unwrap(obj)
+    universe = _sorted_universe(universe, raw.n)
     u = len(universe)
     budgets = [float(b) for b in budgets]
     if not budgets:
@@ -184,25 +332,23 @@ def opt_knapsack(obj: Objective, universe: Sequence[int], costs, budgets: Sequen
     if min(budgets) <= 0:
         raise ValueError("budgets must be positive")
     check_guard(1 << u, guard)
-    raw = unwrap(obj)
-    cost_vec = np.zeros(raw.n)
+    cost_vec = np.zeros(raw.n + 1)  # the empty slot costs nothing
     for e in universe:
         cost_vec[e] = float(costs[e])
     if universe and cost_vec[universe].min() <= 0:
         raise ValueError("costs must be positive")
 
-    empty_val = float(raw.eval(()))
-    best = {b: (empty_val, ()) for b in budgets}
-    for size in range(1, u + 1):
-        for block, M in _membership_chunks(universe, size, raw.n, chunk):
-            vals = np.asarray(raw.eval_membership(M), dtype=float)
-            cvec = M @ cost_vec
-            for b in budgets:
-                feasible = cvec <= b
-                if not feasible.any():
-                    continue
-                i = int(np.flatnonzero(feasible)[np.argmax(vals[feasible])])
-                if vals[i] > best[b][0]:
-                    best[b] = (float(vals[i]), tuple(block[i]))
-    return OptProfile(budgets, [best[b][0] for b in budgets],
-                      [best[b][1] for b in budgets], 1 << u)
+    best_val = [-np.inf] * len(budgets)
+    best_set: list[tuple[int, ...]] = [()] * len(budgets)
+    for ids, _ in subset_batches(universe, raw.n, u, chunk):
+        vals = np.asarray(raw.eval_ids(ids), dtype=float)
+        cvec = cost_vec[ids[:, 0]]
+        for j in range(1, ids.shape[1]):
+            cvec += cost_vec[ids[:, j]]
+        for j, b in enumerate(budgets):
+            feasible = np.where(cvec <= b, vals, -np.inf)
+            i = int(feasible.argmax())  # first optimum in enumeration order
+            if feasible[i] > best_val[j]:
+                best_val[j] = float(feasible[i])
+                best_set[j] = tuple(e for e in ids[i].tolist() if e != raw.n)
+    return OptProfile(budgets, best_val, best_set, 1 << u)

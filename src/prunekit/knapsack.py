@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from . import exact
-from .objectives import Objective, OracleStats, counting_wrap
+from .objectives import REAL_TOL, Objective, OracleStats, counting_wrap
 from .prune import PruneParams
 from .selection import DensityRun, density_greedy
 
@@ -197,7 +197,7 @@ def _extract_many(pruned, obj, budgets, exhaustive_cap):
 
     out = []
     for b in budgets:
-        feasible = [(v, s) for v, s in candidates[b] if inst.cost(s) <= b + 1e-9]
+        feasible = [(v, s) for v, s in candidates[b] if inst.cost(s) <= b + REAL_TOL]
         val, sel = max(feasible, key=lambda t: t[0])
         out.append(sorted(sel))
     return out

@@ -1,11 +1,34 @@
 """Set-function value oracles for containment pruning.
 
 Elements of a ground set are dense integer ids ``0..n-1``.  Every objective
-exposes ``eval`` (value of a set), ``marginal`` (value gain of one element),
-and a vectorized ``eval_membership`` over a boolean membership matrix used by
-the exact enumeration engine.  Objectives are pure after construction and safe
-to evaluate from multiple threads; the :class:`CountingOracle` wrapper adds
+exposes ``eval`` (value of a set), ``marginal`` (value gain of one element)
+and two batched paths.  Objectives are pure after construction and safe to
+evaluate from multiple threads; the :class:`CountingOracle` wrapper adds
 memoization and query accounting with an internal lock.
+
+Batched evaluation:
+
+* ``eval_ids(ids)`` is the kernel the exact enumeration engine calls.
+  ``ids`` is a ``(batch, width)`` integer array; each row lists the distinct
+  ids of one selection, padded with the empty-slot id ``n``.  The result is
+  one float per row.
+* ``eval_membership(M)`` takes a ``(batch, n)`` boolean membership matrix.
+
+The two agree bit for bit on a batch of equal-size rows.  :class:`Cut`,
+:class:`Coverage` (both unweighted), :class:`FacilityLocation`,
+:class:`RestrictedFacilityLocation`, :class:`Proxy` and
+:class:`InterferenceCoverage` have index kernels, and their
+``eval_membership`` converts the matrix to id rows and calls the kernel.
+Kernel arrays (Cut's degrees, padded similarities, packed cover words) are
+built lazily on the first batched call, so objectives that are never
+enumerated pay nothing.  Cut's pair table spans only the ids a batch uses,
+so it grows with the enumerated universe, not with ``n``.
+The other families run the mask path: the base ``eval_ids`` converts each
+run of equal-size rows to a membership matrix and calls ``eval_membership``
+once per run.  That keeps each BLAS matmul on the same rows as a
+one-size-per-batch enumeration, because a matmul's row results can depend
+on the rows batched with them.  The interference penalty matmul runs per
+run for the same reason.
 
 Built-in families:
 
@@ -25,6 +48,7 @@ tests and property checkers.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -33,6 +57,10 @@ import numpy as np
 
 #: comparison tolerance for real-valued objectives; integer-valued ones compare exactly
 REAL_TOL = 1e-9
+
+#: most cells (rows x per-row width) a batched kernel gathers at once; small
+#: enough that its temporaries stay in cache
+_KERNEL_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -121,12 +149,27 @@ class Objective:
             raise ValueError(f"marginal: element {e} already in the set")
         return self.eval(s | {e}) - self.eval(s)
 
+    def eval_ids(self, ids: np.ndarray) -> np.ndarray:
+        """Values for a batch of selections given as padded id rows.
+
+        ``ids`` is a (batch, width) integer array of distinct ids per row,
+        padded with ``n``.  Families with an index kernel override this.  The
+        default is the mask path, one ``eval_membership`` call per run of
+        equal-size rows.
+        """
+        ids = np.asarray(ids)
+        out = np.empty(len(ids))
+        for lo, hi in _size_runs(ids, self.n):
+            out[lo:hi] = self.eval_membership(ids_to_mask(ids[lo:hi], self.n))
+        return out
+
     def eval_membership(self, M: np.ndarray) -> np.ndarray:
         """Vectorized values for a batch of selections.
 
         ``M`` is a (batch, n) boolean membership matrix.  The default loops
-        over rows; subclasses override with array arithmetic.  Must agree
-        with ``eval`` row by row.
+        over rows; subclasses override with array arithmetic or, with an
+        index kernel, route it through ``eval_ids``.  Agrees with ``eval`` row
+        by row up to rounding.
         """
         M = np.asarray(M, dtype=bool)
         return np.array([float(self.eval(np.flatnonzero(row))) for row in M])
@@ -136,6 +179,74 @@ class Objective:
 
     def to_dict(self) -> dict:
         raise NotImplementedError(f"{type(self).__name__} has no serial form")
+
+
+class _IndexKernelObjective(Objective):
+    """An objective whose batched path is its ``eval_ids`` kernel:
+    ``eval_membership`` converts the matrix to id rows and calls it."""
+
+    def eval_membership(self, M):
+        return self.eval_ids(mask_to_ids(np.asarray(M, dtype=bool), self.n))
+
+
+def ids_to_mask(ids: np.ndarray, n: int) -> np.ndarray:
+    """(batch, n) membership matrix of padded id rows."""
+    M = np.zeros((len(ids), n + 1), dtype=bool)
+    M[np.arange(len(ids))[:, None], ids] = True
+    return M[:, :n]
+
+
+def mask_to_ids(M: np.ndarray, n: int) -> np.ndarray:
+    """Padded id rows, ascending, of a (batch, n) membership matrix."""
+    counts = M.sum(axis=1)
+    ids = np.full((len(M), max(1, int(counts.max(initial=0)))), n, dtype=np.intp)
+    rows, cols = np.nonzero(M)
+    ids[rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)] = cols
+    return ids
+
+
+def _size_runs(ids: np.ndarray, n: int) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) of the runs of equal-size rows of an id batch."""
+    sizes = np.count_nonzero(ids < n, axis=1)
+    cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
+    bounds = [0, *cuts, len(ids)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _by_blocks(ids: np.ndarray, per_row: int, kernel) -> np.ndarray:
+    """``kernel(block)`` over row blocks of ``ids`` small enough that the
+    block gathers at most ``_KERNEL_CELLS`` cells."""
+    step = max(1, _KERNEL_CELLS // max(1, per_row))
+    if len(ids) <= step:
+        return kernel(ids)
+    out = np.empty(len(ids))
+    for lo in range(0, len(ids), step):
+        out[lo:lo + step] = kernel(ids[lo:lo + step])
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _pairs(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column pairs i <= j of an id batch of the given width."""
+    return np.triu_indices(width)
+
+
+def _cover_words(incidence: np.ndarray) -> np.ndarray:
+    """Covers packed into uint64 words, one row per element plus an all-zero
+    empty-slot row.  Only OR and bit counts are taken, so the bit order
+    inside a word does not matter."""
+    n, m = incidence.shape
+    bits = np.zeros((n + 1, 64 * max(1, -(-m // 64))), dtype=bool)
+    bits[:n, :m] = incidence
+    return np.packbits(bits, axis=1).view(np.uint64)
+
+
+def _covered_count(words: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Number of universe items covered by each id row, as floats."""
+    union = words[ids[:, 0]]
+    for j in range(1, ids.shape[1]):
+        union |= words[ids[:, j]]
+    return np.bitwise_count(union).sum(axis=1, dtype=np.int64).astype(float)
 
 
 def _cover_masks(covers: Sequence[Iterable[int]]) -> tuple[list[int], int]:
@@ -161,7 +272,7 @@ def _incidence_matrix(covers, n: int, m: int) -> np.ndarray:
     return inc
 
 
-class Coverage(Objective):
+class Coverage(_IndexKernelObjective):
     """Weighted coverage: f(S) = sum of weights of universe items covered by S.
 
     ``covers[e]`` lists the universe items element ``e`` covers; ``weights``
@@ -206,15 +317,24 @@ class Coverage(Objective):
             v += 1
         return total
 
+    @functools.cached_property
+    def _words(self) -> np.ndarray:
+        return _cover_words(self._incidence)
+
+    def eval_ids(self, ids):
+        if self.weights is not None:  # weighted: the mask path
+            return Objective.eval_ids(self, ids)
+        return _covered_count(self._words, np.asarray(ids))
+
     def eval_membership(self, M):
+        if self.weights is None:
+            return super().eval_membership(M)
         M = np.asarray(M, dtype=bool)
         out = np.zeros(M.shape[0])
         for v in range(self.m):
             covering = self._incidence[:, v]
-            if not covering.any():
-                continue
-            hit = M[:, covering].any(axis=1)
-            out += hit * (1.0 if self.weights is None else self.weights[v])
+            if covering.any():
+                out += M[:, covering].any(axis=1) * self.weights[v]
         return out
 
     def to_dict(self):
@@ -226,7 +346,7 @@ class Coverage(Objective):
         }
 
 
-class Cut(Objective):
+class Cut(_IndexKernelObjective):
     """Graph cut value: weight of edges with exactly one endpoint selected.
 
     Non-monotone (the full vertex set cuts nothing) but submodular.
@@ -259,6 +379,7 @@ class Cut(Objective):
                 raise ValueError("edge weights must be non-negative")
             self._ws = w
             self.integer_valued = bool(np.all(w == np.round(w)))
+        self._kept_table = None
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -274,14 +395,63 @@ class Cut(Objective):
             return int(np.count_nonzero(cut))
         return float(self._ws[cut].sum())
 
+    @functools.cached_property
+    def _degrees(self) -> np.ndarray:
+        """Vertex degrees, with a zero for the empty slot ``n``."""
+        side = self.n + 1
+        return np.bincount(self._us, minlength=side) + np.bincount(self._vs, minlength=side)
+
+    def eval_ids(self, ids):
+        """Unweighted cut of each row: its degree sum minus twice the edges
+        inside it, read from a pair table over the ids the batch uses."""
+        if self._ws is not None:  # weighted: the mask path
+            return Objective.eval_ids(self, ids)
+        ids = np.asarray(ids)
+        if ids.shape[1] == 1:  # no pairs: a single vertex cuts its degree
+            return self._degrees[ids[:, 0]].astype(float)
+        used = np.zeros(self.n + 1, dtype=bool)
+        used[ids.reshape(-1)] = True
+        rank, weights, side = self._pair_table(used, ids.size)
+        first, second = _pairs(ids.shape[1])
+
+        def block_values(block):
+            ranks = rank[block]
+            return weights[(ranks * side)[:, first] + ranks[:, second]].sum(axis=1, dtype=float)
+
+        return _by_blocks(ids, len(first), block_values)
+
+    def _pair_table(self, used: np.ndarray, batch_cells: int):
+        """``(rank, weights, side)`` for the ids marked in ``used``: ``rank``
+        maps an id to its rank among them, and ``weights`` is a flat
+        ``side x side`` table over the ranks with the degrees on the
+        diagonal and -2 times the edge counts off it.  The table grows with
+        the enumerated universe, not with ``n``.  The last table is kept
+        for the next batch over the same ids when it is no larger than the
+        batch itself."""
+        key = used.tobytes()
+        kept = self._kept_table
+        if kept is not None and kept[0] == key:
+            return kept[1]
+        ranked = np.flatnonzero(used)
+        rank = np.zeros(self.n + 1, dtype=np.intp)
+        rank[ranked] = np.arange(len(ranked))
+        side = len(ranked)
+        inside = used[self._us] & used[self._vs]
+        ru, rv = rank[self._us[inside]], rank[self._vs[inside]]
+        weights = -2 * np.bincount(np.concatenate([ru * side + rv, rv * side + ru]),
+                                   minlength=side * side)
+        weights[::side + 1] = self._degrees[ranked]
+        table = rank, weights, side
+        self._kept_table = (key, table) if weights.size <= batch_cells else None
+        return table
+
     def eval_membership(self, M):
+        if self._ws is None:
+            return super().eval_membership(M)
         M = np.asarray(M, dtype=bool)
         if not len(self._us):
             return np.zeros(M.shape[0])
-        cut = M[:, self._us] != M[:, self._vs]
-        if self._ws is None:
-            return cut.sum(axis=1).astype(float)
-        return cut @ self._ws
+        return (M[:, self._us] != M[:, self._vs]) @ self._ws
 
     def to_dict(self):
         return {
@@ -292,7 +462,7 @@ class Cut(Objective):
         }
 
 
-class FacilityLocation(Objective):
+class FacilityLocation(_IndexKernelObjective):
     """f(S) = sum over covered points v of max_{s in S} sim[v, s]; f({}) = 0.
 
     ``sim`` is an (m, n) non-negative similarity matrix: rows are covered
@@ -313,18 +483,32 @@ class FacilityLocation(Objective):
             return 0.0
         return float(self.sim[:, sorted(s)].max(axis=1).sum())
 
-    def eval_membership(self, M):
-        M = np.asarray(M, dtype=bool)
-        out = np.zeros(M.shape[0])
-        for v in range(self.m):
-            out += (M * self.sim[v]).max(axis=1)
-        return out
+    @functools.cached_property
+    def _padded_sim(self) -> np.ndarray:
+        """sim with an all-zero column for the empty slot."""
+        return np.hstack([self.sim, np.zeros((self.m, 1))])
+
+    def eval_ids(self, ids):
+        """Per covered point the best similarity in the row (a running
+        maximum over the row's columns), summed over the points in order
+        0..m-1, as the mask path adds them."""
+        return _by_blocks(np.asarray(ids), self.m, self._block_values)
+
+    def _block_values(self, block: np.ndarray) -> np.ndarray:
+        sim = self._padded_sim
+        best = sim[:, block[:, 0]]  # (m, rows)
+        for j in range(1, block.shape[1]):
+            np.maximum(best, sim[:, block[:, j]], out=best)
+        total = best[0].copy()
+        for point in best[1:]:
+            total += point
+        return total
 
     def to_dict(self):
         return {"variant": "facility_location", "sim": self.sim.tolist()}
 
 
-class RestrictedFacilityLocation(Objective):
+class RestrictedFacilityLocation(_IndexKernelObjective):
     """Facility location restricted to rows with relevance above a gate.
 
     f(S) = sum over rows v with rel[v] > tau of max_{s in S} sim[v, s].
@@ -346,17 +530,17 @@ class RestrictedFacilityLocation(Objective):
     def _value(self, s):
         return self._gated._value(s) if self._gated is not None else 0.0
 
-    def eval_membership(self, M):
+    def eval_ids(self, ids):
         if self._gated is not None:
-            return self._gated.eval_membership(M)
-        return np.zeros(np.asarray(M).shape[0])
+            return self._gated.eval_ids(ids)
+        return np.zeros(len(ids))
 
     def to_dict(self):
         return {"variant": "restricted_fl", "sim": self.sim.tolist(),
                 "rel": self.rel.tolist(), "tau": self.tau}
 
 
-class Proxy(Objective):
+class Proxy(_IndexKernelObjective):
     """Facility location minus a convex non-decreasing size penalty.
 
     ``f(S) = FL(S) - theta(|S|)`` is submodular but non-monotone.  Can dip
@@ -388,19 +572,19 @@ class Proxy(Objective):
 
     def _lower_bound(self) -> float:
         if self.n <= self.SHIFT_ENUM_LIMIT:
-            masks = np.arange(1 << self.n, dtype=np.int64)
-            M = ((masks[:, None] >> np.arange(self.n)) & 1).astype(bool)
-            vals = self.fl.eval_membership(M) - self.penalty.theta[M.sum(axis=1)]
-            return float(vals.min())
+            theta = self.penalty.theta
+            return min(float((vals - theta[np.count_nonzero(ids < self.n, axis=1)]).min())
+                       for ids, vals in _power_set(self.fl))
         return -self.penalty(self.n)
 
     def _value(self, s):
         val = self.fl._value(s) - self.penalty(len(s)) + self.shift
         return max(val, 0.0) if self.clamp else val
 
-    def eval_membership(self, M):
-        M = np.asarray(M, dtype=bool)
-        vals = self.fl.eval_membership(M) - self.penalty.theta[M.sum(axis=1)] + self.shift
+    def eval_ids(self, ids):
+        ids = np.asarray(ids)
+        sizes = np.count_nonzero(ids < self.n, axis=1)
+        vals = self.fl.eval_ids(ids) - self.penalty.theta[sizes] + self.shift
         return np.maximum(vals, 0.0) if self.clamp else vals
 
     def to_dict(self):
@@ -409,7 +593,7 @@ class Proxy(Objective):
                 "clamp": self.clamp}
 
 
-class InterferenceCoverage(Objective):
+class InterferenceCoverage(_IndexKernelObjective):
     """Coverage minus a weighted penalty on interfering pairs.
 
     f(S) = |union of covers| - lam * sum over selected pairs of intf(i, j).
@@ -459,16 +643,19 @@ class InterferenceCoverage(Objective):
                                   if i in s and j in s)
         return val
 
-    def eval_membership(self, M):
-        M = np.asarray(M, dtype=bool)
-        out = np.zeros(M.shape[0])
-        for v in range(self.m):
-            covering = self._incidence[:, v]
-            if covering.any():
-                out += M[:, covering].any(axis=1)
+    @functools.cached_property
+    def _words(self) -> np.ndarray:
+        return _cover_words(self._incidence)
+
+    def eval_ids(self, ids):
+        """Covered count minus the pair penalty; the penalty matmul runs once
+        per run of equal-size rows (see the module docstring)."""
+        ids = np.asarray(ids)
+        out = _covered_count(self._words, ids)
         if self.lam and len(self._pw):
-            both = M[:, self._pi] & M[:, self._pj]
-            out -= self.lam * (both @ self._pw)
+            for lo, hi in _size_runs(ids, self.n):
+                M = ids_to_mask(ids[lo:hi], self.n)
+                out[lo:hi] -= self.lam * ((M[:, self._pi] & M[:, self._pj]) @ self._pw)
         return out
 
     def to_dict(self):
@@ -610,14 +797,25 @@ def unwrap(oracle) -> Objective:
     return oracle
 
 
+def _power_set(obj: Objective):
+    """``(ids, values)`` batches over all 2^n subsets of ``obj``'s ground
+    set, from the exact engine's enumerator and the batched kernel."""
+    from .exact import subset_batches
+
+    for ids, _ in subset_batches(range(obj.n), obj.n, obj.n):
+        yield ids, np.asarray(obj.eval_ids(ids), dtype=float)
+
+
 def value_table(obj: Objective) -> np.ndarray:
     """Values for all 2^n subsets, indexed by bitmask.  Requires n <= 24."""
     n = obj.n
     if n > 24:
         raise ValueError(f"value table infeasible for n={n}")
-    masks = np.arange(1 << n, dtype=np.int64)
-    M = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-    return np.asarray(unwrap(obj).eval_membership(M), dtype=float)
+    bit = np.append(np.left_shift(1, np.arange(n, dtype=np.int64)), 0)
+    out = np.empty(1 << n)
+    for ids, vals in _power_set(unwrap(obj)):
+        out[bit[ids].sum(axis=1)] = vals
+    return out
 
 
 @dataclass

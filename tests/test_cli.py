@@ -78,6 +78,21 @@ class TestPruneEval:
         assert main(cmd + ["--out", str(b)]) == EXIT_OK
         assert body_text(a) == body_text(b)
 
+    def test_reproducible_eval_bodies(self, tmp_path, graph_file):
+        pruned = tmp_path / "p.json"
+        assert main(["prune", "--graph", str(graph_file), "--algo", "seq_disjoint",
+                     "--k", "3", "--ell", "2", "--out", str(pruned)]) == EXIT_OK
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        cmd = ["eval", "--graph", str(graph_file), "--pruned", str(pruned), "--k", "3",
+               "--reference", "exact"]
+        assert main(cmd + ["--out", str(a)]) == EXIT_OK
+        assert main(cmd + ["--out", str(b)]) == EXIT_OK
+        assert body_text(a) == body_text(b)
+        timing = read_doc(a)["header"]["timing"]
+        assert {"elapsed", "prune_elapsed", "eval_elapsed"} <= set(timing)
+        assert not any(key.endswith("_elapsed")
+                       for key in read_doc(a)["body"]["report"]["resources"])
+
     def test_config_echo(self, tmp_path, graph_file):
         out = tmp_path / "p.json"
         main(["prune", "--graph", str(graph_file), "--algo", "std_greedy",

@@ -1,9 +1,18 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from conftest import build_variants
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunekit import exact
-from prunekit.instances import gen_coverage, gen_interference
-from prunekit.objectives import Modular, counting_wrap
+from prunekit.instances import gen_coverage, gen_gnm, gen_interference
+from prunekit.objectives import (REAL_TOL, Coverage, Cut, FacilityLocation,
+                                 InterferenceCoverage, Modular, PenaltyCurve, Proxy,
+                                 RestrictedFacilityLocation, TableObjective,
+                                 counting_wrap, ids_to_mask, mask_to_ids)
 from prunekit.selection import greedy
 
 
@@ -119,3 +128,326 @@ class TestOptKnapsack:
         with pytest.raises(exact.GuardExceeded):
             exact.opt_knapsack(Modular(np.ones(12)), range(12), np.ones(12),
                                budgets=[3.0], guard=100)
+
+
+# --------------------------------------------------------------------------
+# engine against a brute-force reference
+
+def dyadic_families(n=7, seed=0):
+    """One instance of every family whose values are sums of small dyadic
+    numbers, so every summation order gives the same float and ties are
+    real ties: the reference below can then be compared exactly."""
+    rng = np.random.default_rng(seed)
+
+    def q(size):  # multiples of 1/4 in [0, 2]
+        return rng.integers(0, 9, size=size) / 4.0
+
+    covers = [rng.choice(2 * n, size=rng.integers(1, 4), replace=False).tolist()
+              for _ in range(n)]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+    sim = q((n + 2, n))
+    sim[:, 0] = 0.0  # a dud element: {0} falls below a linear penalty
+    full = float(sim.max(axis=1).sum())
+    theta = np.floor(16 * full / n) / 16 * np.arange(n + 1)
+    intf = {(i, j): float(rng.integers(1, 5)) / 2
+            for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+    rel = q(n + 2)
+    table = {}
+    for size in range(n + 1):
+        for combo in itertools.combinations(range(n), size):
+            table[frozenset(combo)] = float(rng.integers(0, 8)) / 2
+    return {
+        "cut": Cut(n, edges),
+        "weighted_cut": Cut(n, edges, weights=q(len(edges)) + 0.25),
+        "coverage": Coverage(covers, m=2 * n),
+        "weighted_coverage": Coverage(covers, m=2 * n, weights=q(2 * n)),
+        "facility_location": FacilityLocation(sim),
+        "restricted_fl": RestrictedFacilityLocation(sim, rel, tau=0.75),
+        "restricted_fl_ungated": RestrictedFacilityLocation(sim, rel, tau=10.0),
+        "proxy": Proxy(FacilityLocation(sim), PenaltyCurve(theta)),
+        "proxy_shift": Proxy(FacilityLocation(sim), PenaltyCurve(theta), shift=True),
+        "proxy_clamp": Proxy(FacilityLocation(sim), PenaltyCurve(theta), clamp=True),
+        "interference": InterferenceCoverage(covers, intf, lam=0.5, m=2 * n),
+        "modular": Modular(q(n) - 0.5),
+        "table": TableObjective(n, table),
+    }
+
+
+def reference_cardinality(obj, universe, k):
+    """opt, canonical argmax, sorted top ties and subset count by brute force."""
+    universe = sorted(set(universe))
+    k = min(k, len(universe))
+    per_size = []
+    for size in range(k + 1):
+        sets = list(itertools.combinations(universe, size))
+        vals = [float(obj.eval(c)) for c in sets]
+        top = max(vals)
+        per_size.append((top, [c for c, v in zip(sets, vals) if v == top]))
+    opt, argmax = [], []
+    for j in range(k + 1):
+        best = max(v for v, _ in per_size[:j + 1])
+        opt.append(best)
+        argmax.append(min(c for v, cs in per_size[:j + 1] if v == best for c in cs))
+    ties = sorted(c for v, cs in per_size if v == opt[-1] for c in cs)
+    count = sum(math.comb(len(universe), size) for size in range(k + 1))
+    return opt, argmax, ties, count
+
+
+def reference_knapsack(obj, universe, costs, budgets):
+    """opt and first optimum in size-ascending lex order per budget."""
+    universe = sorted(set(universe))
+    order = [c for size in range(len(universe) + 1)
+             for c in itertools.combinations(universe, size)]
+    vals = [float(obj.eval(c)) for c in order]
+    spent = [sum(costs[e] for e in c) for c in order]
+    opt, argmax = [], []
+    for b in budgets:
+        best = None
+        for i, c in enumerate(order):
+            if spent[i] <= b and (best is None or vals[i] > vals[best]):
+                best = i
+        opt.append(vals[best])
+        argmax.append(order[best])
+    return opt, argmax
+
+
+FAMILIES = sorted(dyadic_families())
+
+
+class TestEngineAgainstReference:
+    @pytest.mark.parametrize("name", FAMILIES)
+    @pytest.mark.parametrize("universe,k", [
+        (range(7), 3), (range(7), 7), (range(7), 0), ([1, 3, 4, 6], 2),
+        ([6, 0, 5, 2, 2], 9), ([4], 1), ([], 2)])
+    def test_cardinality(self, name, universe, k):
+        obj = dyadic_families(seed=3)[name]
+        opt, argmax, ties, count = reference_cardinality(obj, universe, k)
+        for chunk in (exact._CHUNK, 5, 1):
+            prof = exact.opt_cardinality(obj, universe, k, collect_ties=True, chunk=chunk)
+            assert prof.opt_by_budget == opt
+            assert prof.argmax_by_budget == argmax
+            assert prof.ties_at_top == ties
+            assert prof.enumerated_count == count
+            assert prof.budgets == list(range(len(opt)))
+        plain = exact.opt_cardinality(obj, universe, k)
+        assert plain.argmax_by_budget == argmax and plain.ties_at_top is None
+
+    def test_families_exercise_shift_clamp_and_gate(self):
+        fams = dyadic_families(seed=3)
+        assert fams["proxy_shift"].shift > 0
+        assert fams["proxy_clamp"].eval([0]) == 0.0
+        assert fams["restricted_fl_ungated"]._gated is None
+        assert fams["restricted_fl"]._gated is not None
+
+    def test_tie_cap_keeps_smallest_sets(self):
+        obj = Modular([1, 1, 1, 1, 1])
+        for chunk in (exact._CHUNK, 3):
+            prof = exact.opt_cardinality(obj, range(5), 2, collect_ties=True,
+                                         tie_cap=4, chunk=chunk)
+            assert prof.ties_at_top == [(0, 1), (0, 2), (0, 3), (0, 4)]
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    @pytest.mark.parametrize("universe", [range(7), [0, 2, 3, 6], []])
+    def test_knapsack(self, name, universe):
+        obj = dyadic_families(seed=5)[name]
+        costs = np.random.default_rng(1).integers(1, 5, size=obj.n) / 4.0
+        budgets = [0.25, 0.5, 1.0, 1.75, 100.0]
+        opt, argmax = reference_knapsack(obj, universe, costs, budgets)
+        for chunk in (exact._CHUNK, 4):
+            prof = exact.opt_knapsack(obj, universe, costs, budgets, chunk=chunk)
+            assert prof.opt_by_budget == opt
+            assert prof.argmax_by_budget == argmax
+            assert prof.enumerated_count == 1 << len(list(universe))
+
+    def test_knapsack_tie_goes_to_smaller_set_first(self):
+        # {2} and {0, 1} both reach 2 at cost 2: size-ascending order finds
+        # {2} first although (0, 1) is the lexicographically smaller tuple
+        obj = Modular([1, 1, 2])
+        prof = exact.opt_knapsack(obj, range(3), [1.0, 1.0, 2.0], budgets=[2.0, 1.0])
+        assert prof.argmax_by_budget == [(2,), (0,)]
+        assert prof.opt_by_budget == [2.0, 1.0]
+
+    def test_knapsack_equal_sets_tie_lexicographically(self):
+        prof = exact.opt_knapsack(Modular([1, 1, 1, 1]), [3, 1, 2, 0], [1.0] * 4,
+                                  budgets=[2.0, 3.5])
+        assert prof.argmax_by_budget == [(0, 1), (0, 1, 2)]
+
+    def test_real_valued_families_within_tolerance(self):
+        for name, obj in build_variants(n=8, seed=7).items():
+            opt, _, _, _ = reference_cardinality(obj, range(8), 4)
+            prof = exact.opt_cardinality(obj, range(8), 4)
+            assert prof.opt_by_budget == pytest.approx(opt, abs=REAL_TOL), name
+            for j, witness in enumerate(prof.argmax_by_budget):
+                assert len(witness) <= j
+                assert obj.eval(witness) == pytest.approx(opt[j], abs=REAL_TOL), name
+
+    def test_out_of_range_universe_rejected(self):
+        with pytest.raises(IndexError):
+            exact.opt_cardinality(Modular([1, 2]), [0, 2], 1)
+        with pytest.raises(IndexError):
+            exact.opt_knapsack(Modular([1, 2]), [-1, 0], [1.0, 1.0], budgets=[1.0])
+
+
+class TestSubsetBatches:
+    @pytest.mark.parametrize("m,s", [(0, 0), (5, 0), (5, 1), (6, 3), (9, 9), (12, 5)])
+    def test_lex_table_is_combinations_order(self, m, s):
+        table = exact._lex_table(m, s)
+        assert [tuple(r) for r in table.tolist()] == list(itertools.combinations(range(m), s))
+
+    @pytest.mark.parametrize("chunk", [1, 4, 10, 35, exact._CHUNK])
+    def test_batches_cover_subsets_in_order(self, chunk):
+        universe, n, k = [1, 2, 4, 7, 8, 9, 11], 12, 4
+        rows, sizes = [], []
+        for ids, runs in exact.subset_batches(universe, n, k, chunk):
+            assert len(ids) <= chunk
+            assert [lo for _, lo, _ in runs][0] == 0 and runs[-1][2] == len(ids)
+            for size, lo, hi in runs:
+                block = ids[lo:hi]
+                assert np.all(block[:, size:] == n) and np.all(block[:, :size] < n)
+                rows += [tuple(r[:size]) for r in block.tolist()]
+                sizes.append(size)
+        expected = [c for size in range(k + 1) for c in itertools.combinations(universe, size)]
+        assert rows == expected
+        assert sizes == sorted(sizes)
+
+    def test_large_size_tables_come_in_exact_chunks(self):
+        # every batch of one size holds exactly `chunk` rows except its last
+        lengths = [len(ids) for ids, runs in exact.subset_batches(range(12), 12, 6, 100)
+                   if runs[0][0] == 6]
+        assert sum(lengths) == math.comb(12, 6)
+        assert all(n == 100 for n in lengths[:-1])
+
+
+# --------------------------------------------------------------------------
+# batched kernels against the scalar path and the dense-mask arithmetic
+
+def _old_mask_values(obj, M):
+    """The dense-mask arithmetic the index kernels replace, kept as the
+    bit-for-bit reference (None for families that still run the mask path)."""
+    if isinstance(obj, Cut) and obj._ws is None:
+        return (M[:, obj._us] != M[:, obj._vs]).sum(axis=1).astype(float)
+    if isinstance(obj, Coverage) and obj.weights is None:
+        out = np.zeros(M.shape[0])
+        for v in range(obj.m):
+            covering = obj._incidence[:, v]
+            if covering.any():
+                out += M[:, covering].any(axis=1) * 1.0
+        return out
+    if isinstance(obj, FacilityLocation):
+        out = np.zeros(M.shape[0])
+        for v in range(obj.m):
+            out += (M * obj.sim[v]).max(axis=1)
+        return out
+    if isinstance(obj, InterferenceCoverage):
+        out = np.zeros(M.shape[0])
+        for v in range(obj.m):
+            covering = obj._incidence[:, v]
+            if covering.any():
+                out += M[:, covering].any(axis=1)
+        if obj.lam and len(obj._pw):
+            out -= obj.lam * ((M[:, obj._pi] & M[:, obj._pj]) @ obj._pw)
+        return out
+    return None
+
+
+class TestKernels:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(1, 30))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_agrees_with_eval_row_by_row(self, seed, n, rows):
+        rng = np.random.default_rng(seed)
+        for name, obj in build_variants(n=n, seed=seed % 1000).items():
+            width = int(rng.integers(1, n + 2))
+            ids = np.full((rows, width), n, dtype=np.intp)
+            for r in range(rows):
+                picked = rng.permutation(n)[:rng.integers(0, min(n, width) + 1)]
+                slots = rng.permutation(width)[:len(picked)]
+                ids[r, slots] = picked  # ids in any order, empty slots anywhere
+            vals = obj.eval_ids(ids)
+            for row, val in zip(ids, vals):
+                scalar = obj.eval(row[row < n])
+                if obj.integer_valued:
+                    assert val == scalar, name
+                else:
+                    assert val == pytest.approx(scalar, abs=REAL_TOL), name
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(0, 10))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_matches_mask_path_bit_for_bit(self, seed, n, size):
+        # one batch of equal-size rows, as the enumerator hands one size over
+        rng = np.random.default_rng(seed)
+        size = min(size, n)
+        rows = [np.sort(rng.permutation(n)[:size]) for _ in range(int(rng.integers(1, 40)))]
+        ids = np.full((len(rows), max(1, size)), n, dtype=np.intp)
+        for r, row in enumerate(rows):
+            ids[r, :size] = row
+        M = ids_to_mask(ids, n)
+        for name, obj in build_variants(n=n, seed=seed % 1000).items():
+            vals = obj.eval_ids(ids)
+            assert np.array_equal(vals, obj.eval_membership(M)), name
+            old = _old_mask_values(obj, M)
+            if old is not None:
+                assert np.array_equal(vals, old), name
+
+    def test_rows_do_not_depend_on_other_sizes_in_the_batch(self):
+        # a mixed-size batch gives each size the values it gets alone, so a
+        # BLAS matmul sees the same rows as a one-size-per-batch enumeration
+        objs = dict(build_variants(n=10, seed=8))
+        for seed in range(3):
+            objs[f"interference-{seed}"] = gen_interference(10, 30, seed=seed,
+                                                            interference_prob=0.8)
+            weights = np.random.default_rng(seed).uniform(0.5, 2.0, size=35)
+            objs[f"weighted_cut-{seed}"] = Cut(10, gen_gnm(10, 35, seed=seed), weights)
+        # sizes of 6 and 7 ids give runs whose lengths leave 2 or 3 rows over
+        # a multiple of 4, where a BLAS matmul changes its row kernel
+        for universe in (range(6), range(1, 8), range(10)):
+            for name, obj in objs.items():
+                for ids, runs in exact.subset_batches(universe, 10, 5):
+                    vals = obj.eval_ids(ids)
+                    for _, lo, hi in runs:
+                        assert np.array_equal(vals[lo:hi], obj.eval_ids(ids[lo:hi])), name
+
+    def test_mask_and_id_conversions_round_trip(self):
+        rng = np.random.default_rng(4)
+        M = rng.random((25, 9)) < 0.4
+        M[3] = False
+        ids = mask_to_ids(M, 9)
+        assert np.array_equal(ids_to_mask(ids, 9), M)
+        assert all(list(r[r < 9]) == list(np.flatnonzero(m)) for r, m in zip(ids, M))
+
+    def test_kernel_arrays_are_built_lazily(self):
+        obj = FacilityLocation(np.ones((3, 4)))
+        assert "_padded_sim" not in vars(obj)
+        obj.eval(range(2))
+        assert "_padded_sim" not in vars(obj)
+        obj.eval_ids(np.array([[0, 4]]))
+        assert "_padded_sim" in vars(obj)
+
+
+class TestCutPairTable:
+    def test_table_spans_the_universe_not_n(self):
+        n = 5000
+        obj = Cut(n, gen_gnm(n, 20000, seed=2))
+        universe = sorted(np.random.default_rng(3).choice(n, size=12, replace=False).tolist())
+        profile = exact.opt_cardinality(obj, universe, 4, collect_ties=True)
+        opt, argmax, ties, count = reference_cardinality(obj, universe, 4)
+        assert profile.opt_by_budget == opt
+        assert profile.argmax_by_budget == argmax
+        assert profile.ties_at_top == ties
+        _, (_, weights, side) = obj._kept_table
+        assert side == len(universe) + 1 and weights.size == side * side
+
+    def test_single_vertex_rows_read_degrees(self):
+        n = 3000
+        edges = gen_gnm(n, 9000, seed=5)
+        obj = Cut(n, edges)
+        degrees = np.bincount(np.ravel(edges), minlength=n)
+        profile = exact.opt_cardinality(obj, range(n), 1)
+        assert profile.opt_by_budget == [0.0, float(degrees.max())]
+        assert profile.argmax_by_budget[1] == (int(degrees.argmax()),)
+        assert obj._kept_table is None
+
+    def test_table_larger_than_the_batch_is_not_kept(self):
+        obj = Cut(40, gen_gnm(40, 100, seed=1))
+        ids = np.array([[0, 39], [1, 2]])
+        assert np.array_equal(obj.eval_ids(ids), [obj.eval([0, 39]), obj.eval([1, 2])])
+        assert obj._kept_table is None

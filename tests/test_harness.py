@@ -24,6 +24,14 @@ class TestContainmentReport:
         assert report.alphas == [1.0, 1.0, 1.0]
         assert report.reference == "exact"
 
+    def test_timing_kept_out_of_the_serial_form(self):
+        obj = gen_interference(10, 14, seed=1)
+        report = containment_report(obj, full_universe(10), 3)
+        assert set(report.timing) == {"prune_elapsed", "eval_elapsed"}
+        assert "timing" not in report.to_dict()
+        again = containment_report(obj, full_universe(10), 3)
+        assert again.to_dict() == report.to_dict()
+
     def test_zero_denominator_convention(self):
         obj = Modular([0.0, 0.0, 0.0])
         report = containment_report(obj, prune_random(3, 2, seed=0), 2)
