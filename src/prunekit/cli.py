@@ -56,7 +56,7 @@ def _dump_jsonl(path, header: dict, records) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _load_objective_payload(path) -> dict:
+def _load_json_body(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -69,7 +69,7 @@ def _resolve_objective(args) -> tuple[objectives.Objective, dict]:
     """Build the objective from source flags; returns (objective, config echo)."""
     cfg: dict = {}
     if getattr(args, "objective_file", None):
-        payload = _load_objective_payload(args.objective_file)
+        payload = _load_json_body(args.objective_file)
         obj = objectives.objective_from_dict(payload)
         cfg = {"source": str(args.objective_file), "variant": payload["variant"]}
     elif getattr(args, "gen_spec", None):
@@ -205,10 +205,13 @@ def cmd_prune(args) -> int:
     return EXIT_OK
 
 
-def _load_pruned_body(path, kind: str) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
-    body = doc["body"] if isinstance(doc, dict) and "body" in doc else doc
+def _load_pruned(path, kind: str, n: int):
+    """The pruned set in ``path``.  A body with missing or ill-typed keys is
+    an input parse error; element ids outside ``0..n-1`` are a config error,
+    as a costs file that misses elements is."""
+    body = _load_json_body(path)
+    if not isinstance(body, dict):
+        raise instances.InputFormatError(path, 1, "pruned-set body must be a JSON object")
     is_knapsack = body.get("algorithm") == "sdg_density"
     if kind == "knapsack" and not is_knapsack:
         raise ConfigError(f"{path} holds a cardinality pruned set; knapsack "
@@ -216,7 +219,25 @@ def _load_pruned_body(path, kind: str) -> dict:
     if kind == "cardinality" and is_knapsack:
         raise ConfigError(f"{path} holds a knapsack pruned set; pass --costs "
                           "and --budget to evaluate it")
-    return body
+    elements = body.get("elements")
+    if not (isinstance(elements, list)
+            and all(isinstance(e, int) and not isinstance(e, bool) for e in elements)):
+        raise instances.InputFormatError(path, 1, "'elements' must be a list of integer ids")
+    cls = knapsack.KnapsackPrunedSet if is_knapsack else prune.PrunedSet
+    try:
+        pruned = cls.from_dict(body)
+    except KeyError as exc:
+        raise instances.InputFormatError(path, 1, f"pruned-set body misses key {exc}")
+    except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise instances.InputFormatError(path, 1, f"malformed pruned-set body: {exc}")
+    outside = [e for e in pruned.elements if not 0 <= e < n]
+    if outside:
+        raise ConfigError(f"{path}: element ids {outside[:8]} lie outside the "
+                          f"ground set 0..{n - 1}")
+    if is_knapsack and pruned.instance.n != n:
+        raise ConfigError(f"{path}: pruned for {pruned.instance.n} elements, "
+                          f"the objective has n={n}")
+    return pruned
 
 
 def cmd_eval(args) -> int:
@@ -236,7 +257,7 @@ def cmd_eval(args) -> int:
             pruned = prune.PrunedSet("full_universe", {"n": n}, list(range(n)),
                                      {"kind": "flat"}, objectives.OracleStats())
         elif args.pruned:
-            pruned = prune.PrunedSet.from_dict(_load_pruned_body(args.pruned, "cardinality"))
+            pruned = _load_pruned(args.pruned, "cardinality", n)
         else:
             raise ConfigError("eval needs --pruned FILE or --full")
         report = harness.containment_report(obj, pruned, args.k,
@@ -263,7 +284,7 @@ def _cost_vector(path, n: int) -> list[float]:
 def _eval_knapsack(args, obj, cfg) -> dict:
     inst = knapsack.KnapsackInstance(_cost_vector(args.costs, obj.n), args.budget)
     if args.pruned:
-        pruned = knapsack.KnapsackPrunedSet.from_dict(_load_pruned_body(args.pruned, "knapsack"))
+        pruned = _load_pruned(args.pruned, "knapsack", obj.n)
     elif args.full:
         pruned = knapsack.KnapsackPrunedSet(
             params={"full": True, "B": inst.B, "n": obj.n}, instance=inst,

@@ -116,6 +116,9 @@ def prune_sdg_density(obj: Objective, instance: KnapsackInstance,
     ``ell`` (or ceil(1/epsilon)) passes over shrinking pools, each with
     stop cost 2B and keep cap 3B; dummy padding fills a pass whose pool runs
     out early.  The union costs at most 3*ell*B and serves every B' <= B.
+    Queries: per pass ``f(empty)`` plus one value per remaining candidate
+    at the start and after each acceptance; a skipped element costs no
+    rescan.
     """
     if instance.n != obj.n:
         raise ValueError(f"instance has {instance.n} costs, objective has n={obj.n}")

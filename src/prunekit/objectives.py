@@ -30,6 +30,20 @@ one-size-per-batch enumeration, because a matmul's row results can depend
 on the rows batched with them.  The interference penalty matmul runs per
 run for the same reason.
 
+Candidate scans:
+
+* ``scan()`` opens a :class:`CandidateScan`, the primitive every greedy
+  engine runs on.  Over a set ``S`` that starts empty and grows by
+  ``add(e)``, ``values(cands)`` returns ``f(S + e)`` for a whole array of
+  candidates, equal bit for bit to ``eval``.  Unweighted :class:`Cut` and
+  :class:`Coverage`, :class:`FacilityLocation`,
+  :class:`RestrictedFacilityLocation` and :class:`Proxy` keep a batched
+  state (edges into ``S``, the union's cover words, the best similarity per
+  point).  :class:`InterferenceCoverage` keeps ``S``'s union and inside
+  pairs and values candidates one by one, its penalty summed in pair order
+  as ``eval`` sums it.  The other families call ``eval(S + e)`` per
+  candidate.
+
 Built-in families:
 
 * :class:`Coverage` -- weighted set coverage over a universe of items.
@@ -82,7 +96,15 @@ class GroundSet:
 
 @dataclass(frozen=True)
 class OracleStats:
-    """Query accounting snapshot: distinct evaluations vs memo hits."""
+    """Query accounting snapshot.
+
+    ``queries`` counts set values computed: distinct sets evaluated through
+    :meth:`CountingOracle.eval`, plus every value a greedy engine's
+    :class:`CandidateScan` computes (one per candidate value ``f(S + e)``
+    and one per run for ``f(empty)``).  ``cache_hits`` counts memo hits of
+    ``CountingOracle.eval``; the engines bypass the memo, so on pruned sets
+    it is 0.
+    """
 
     queries: int = 0
     cache_hits: int = 0
@@ -174,6 +196,11 @@ class Objective:
         M = np.asarray(M, dtype=bool)
         return np.array([float(self.eval(np.flatnonzero(row))) for row in M])
 
+    def scan(self) -> "CandidateScan":
+        """A candidate scan at the empty set.  Families with a batched scan
+        state override this; the default calls ``eval`` per candidate."""
+        return CandidateScan(self)
+
     def _value(self, s: frozenset[int]):
         raise NotImplementedError
 
@@ -219,10 +246,7 @@ def _by_blocks(ids: np.ndarray, per_row: int, kernel) -> np.ndarray:
     step = max(1, _KERNEL_CELLS // max(1, per_row))
     if len(ids) <= step:
         return kernel(ids)
-    out = np.empty(len(ids))
-    for lo in range(0, len(ids), step):
-        out[lo:lo + step] = kernel(ids[lo:lo + step])
-    return out
+    return np.concatenate([kernel(ids[lo:lo + step]) for lo in range(0, len(ids), step)])
 
 
 @functools.lru_cache(maxsize=32)
@@ -326,6 +350,9 @@ class Coverage(_IndexKernelObjective):
             return Objective.eval_ids(self, ids)
         return _covered_count(self._words, np.asarray(ids))
 
+    def scan(self):
+        return _CoverageScan(self) if self.weights is None else CandidateScan(self)
+
     def eval_membership(self, M):
         if self.weights is None:
             return super().eval_membership(M)
@@ -400,6 +427,19 @@ class Cut(_IndexKernelObjective):
         """Vertex degrees, with a zero for the empty slot ``n``."""
         side = self.n + 1
         return np.bincount(self._us, minlength=side) + np.bincount(self._vs, minlength=side)
+
+    @functools.cached_property
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, nbrs)``: the neighbours of ``v`` are
+        ``nbrs[indptr[v]:indptr[v + 1]]``, one entry per edge."""
+        ends = np.concatenate([self._us, self._vs])
+        nbrs = np.concatenate([self._vs, self._us])[np.argsort(ends, kind="stable")]
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(ends, minlength=self.n), out=indptr[1:])
+        return indptr, nbrs
+
+    def scan(self):
+        return _CutScan(self) if self._ws is None else CandidateScan(self)
 
     def eval_ids(self, ids):
         """Unweighted cut of each row: its degree sum minus twice the edges
@@ -488,6 +528,14 @@ class FacilityLocation(_IndexKernelObjective):
         """sim with an all-zero column for the empty slot."""
         return np.hstack([self.sim, np.zeros((self.m, 1))])
 
+    @functools.cached_property
+    def _sim_t(self) -> np.ndarray:
+        """sim transposed into contiguous rows, one per element."""
+        return np.ascontiguousarray(self.sim.T)
+
+    def scan(self):
+        return _FacilityScan(self, self._sim_t)
+
     def eval_ids(self, ids):
         """Per covered point the best similarity in the row (a running
         maximum over the row's columns), summed over the points in order
@@ -534,6 +582,11 @@ class RestrictedFacilityLocation(_IndexKernelObjective):
         if self._gated is not None:
             return self._gated.eval_ids(ids)
         return np.zeros(len(ids))
+
+    def scan(self):
+        if self._gated is None:
+            return CandidateScan(self)
+        return _FacilityScan(self, self._gated._sim_t)
 
     def to_dict(self):
         return {"variant": "restricted_fl", "sim": self.sim.tolist(),
@@ -586,6 +639,9 @@ class Proxy(_IndexKernelObjective):
         sizes = np.count_nonzero(ids < self.n, axis=1)
         vals = self.fl.eval_ids(ids) - self.penalty.theta[sizes] + self.shift
         return np.maximum(vals, 0.0) if self.clamp else vals
+
+    def scan(self):
+        return _ProxyScan(self, self.fl._sim_t)
 
     def to_dict(self):
         return {"variant": "proxy", "sim": self.fl.sim.tolist(),
@@ -646,6 +702,18 @@ class InterferenceCoverage(_IndexKernelObjective):
     @functools.cached_property
     def _words(self) -> np.ndarray:
         return _cover_words(self._incidence)
+
+    @functools.cached_property
+    def _incident(self) -> list[list[tuple[int, int, float]]]:
+        """Per element its pairs as ``(position in intf, other end, weight)``."""
+        out: list[list[tuple[int, int, float]]] = [[] for _ in range(self.n)]
+        for k, ((i, j), w) in enumerate(self.intf.items()):
+            out[i].append((k, j, w))
+            out[j].append((k, i, w))
+        return out
+
+    def scan(self):
+        return _InterferenceScan(self)
 
     def eval_ids(self, ids):
         """Covered count minus the pair penalty; the penalty matmul runs once
@@ -713,6 +781,167 @@ class TableObjective(Objective):
         return self.table[s]
 
 
+class CandidateScan:
+    """The greedy engines' scan primitive: values ``f(S + e)`` for whole
+    arrays of candidates ``e``, over a set ``S`` that starts empty and grows
+    by :meth:`add`.
+
+    ``values(cands)`` takes ids in ``0..n-1`` outside ``S`` (unchecked: the
+    engines check their pool once) and returns one value per candidate,
+    equal bit for bit to ``eval(S + e)``.  A family state returns a numeric
+    array.  This default values each candidate the way ``eval`` does,
+    without a memo, and returns an object array that holds each result as
+    ``eval`` gives it, so gains computed from it keep ``eval``'s types.
+    With a ``counter`` (see :func:`open_scan`) every value computed,
+    ``f(empty)`` included, is recorded there as one query.
+    """
+
+    def __init__(self, obj: Objective):
+        self.obj = obj
+        self.members: frozenset[int] = frozenset()
+        self.counter: CountingOracle | None = None
+
+    def empty_value(self):
+        """``f(empty)``, as ``eval`` returns it."""
+        self._count(1)
+        return self.obj.eval(())
+
+    def values(self, cands) -> np.ndarray:
+        cands = np.asarray(cands, dtype=np.intp)
+        self._count(len(cands))
+        return self._values(cands)
+
+    def add(self, e: int) -> None:
+        """Add candidate ``e`` to ``S``."""
+        e = int(e)
+        self._grow(e)
+        self.members |= {e}
+
+    def _count(self, queries: int) -> None:
+        if self.counter is not None:
+            self.counter.record(queries)
+
+    def _values(self, cands: np.ndarray) -> np.ndarray:
+        # eval without its id checks: the engines check the pool once
+        value, members = self.obj._value, self.members
+        out = np.empty(len(cands), dtype=object)
+        out[:] = [value(members | {e}) for e in cands.tolist()]
+        return out
+
+    def _grow(self, e: int) -> None:
+        pass
+
+
+class _CutScan(CandidateScan):
+    """Unweighted cut: ``f(S + e) = f(S) + deg(e) - 2 * inside(e)``, where
+    ``inside`` counts each vertex's edges into ``S``."""
+
+    def __init__(self, obj: Cut):
+        super().__init__(obj)
+        self._cut = 0
+        self._inside = np.zeros(obj.n, dtype=np.int64)
+
+    def _values(self, cands):
+        return self._cut + self.obj._degrees[cands] - 2 * self._inside[cands]
+
+    def _grow(self, e):
+        self._cut += int(self.obj._degrees[e] - 2 * self._inside[e])
+        indptr, nbrs = self.obj._adjacency
+        np.add.at(self._inside, nbrs[indptr[e]:indptr[e + 1]], 1)
+
+
+class _CoverageScan(CandidateScan):
+    """Unweighted coverage: the covered count of the cover words of ``e``
+    OR the union of ``S``'s."""
+
+    def __init__(self, obj: Coverage):
+        super().__init__(obj)
+        self._union = np.zeros(obj._words.shape[1], dtype=np.uint64)
+
+    def _values(self, cands):
+        words, union = self.obj._words, self._union
+        return _by_blocks(cands, words.shape[1], lambda block: np.bitwise_count(
+            words[block] | union).sum(axis=1, dtype=np.int64))
+
+    def _grow(self, e):
+        self._union |= self.obj._words[e]
+
+
+class _InterferenceScan(CandidateScan):
+    """Interference coverage from ``S``'s cover union and the pairs inside
+    ``S``, kept in ``intf``'s order.  A candidate adds only its own pairs
+    into ``S``, so its penalty is the same ``sum`` over the same weights in
+    the same order as ``_value`` takes, at a cost that grows with ``S``
+    rather than with the number of pairs."""
+
+    def __init__(self, obj: InterferenceCoverage):
+        super().__init__(obj)
+        self._union = 0
+        self._inside: list[tuple[int, float]] = []  # (position in intf, weight)
+
+    def _joining(self, e: int) -> list[tuple[int, float]]:
+        """The pairs ``e`` forms with ``S``."""
+        members = self.members
+        return [(k, w) for k, other, w in self.obj._incident[e] if other in members]
+
+    def _values(self, cands):
+        obj = self.obj
+        penalized = obj.lam and self.members and len(obj._pw)  # |S + e| > 1
+        out = []
+        for e in cands.tolist():
+            val = float((self._union | obj._masks[e]).bit_count())
+            if penalized:
+                val -= obj.lam * sum(w for _, w in sorted(self._inside + self._joining(e)))
+            out.append(val)
+        return np.array(out, dtype=float)
+
+    def _grow(self, e):
+        self._union |= self.obj._masks[e]
+        self._inside = sorted(self._inside + self._joining(e))
+
+
+class _FacilityScan(CandidateScan):
+    """Facility location over ``sim_t`` (one contiguous row per element):
+    per point the best similarity in ``S``; a candidate's value is the sum
+    of ``max(best, its row)``.  Each row is summed pairwise over the points,
+    as ``eval`` sums them, so the values agree bit for bit."""
+
+    def __init__(self, obj: Objective, sim_t: np.ndarray):
+        super().__init__(obj)
+        self._sim_t = sim_t
+        self._best = None  # while S is empty
+        self._step = max(1, _KERNEL_CELLS // sim_t.shape[1])
+        self._rows = np.empty((min(self._step, len(sim_t)), sim_t.shape[1]))
+
+    def _values(self, cands):
+        # the gathered rows go to one reused block buffer: a fresh block per
+        # call costs more than the arithmetic on it
+        out = np.empty(len(cands))
+        for lo in range(0, len(cands), self._step):
+            block = cands[lo:lo + self._step]
+            rows = self._rows[:len(block)]
+            np.take(self._sim_t, block, axis=0, out=rows)
+            if self._best is not None:
+                np.maximum(self._best, rows, out=rows)
+            rows.sum(axis=1, out=out[lo:lo + len(block)])
+        return out
+
+    def _grow(self, e):
+        row = self._sim_t[e]
+        self._best = row.copy() if self._best is None else np.maximum(self._best, row)
+
+
+class _ProxyScan(_FacilityScan):
+    """Facility location minus the penalty at ``|S| + 1``, shifted and
+    clamped as ``Proxy`` does it."""
+
+    def _values(self, cands):
+        proxy = self.obj
+        vals = super()._values(cands) - proxy.penalty.theta[len(self.members) + 1] + proxy.shift
+        # max(val, 0.0) keeps val unless it is below zero, -0.0 included
+        return np.where(vals < 0.0, 0.0, vals) if proxy.clamp else vals
+
+
 def objective_from_dict(payload: Mapping) -> Objective:
     """Rebuild an objective from its ``to_dict`` payload."""
     variant = payload["variant"]
@@ -745,8 +974,10 @@ class CountingOracle:
 
     ``queries`` counts evaluations of sets never seen before; repeats are
     served from the memo and counted as ``cache_hits``.  Values are identical
-    to the wrapped objective's.  Thread-safe: lookups and stat updates happen
-    under one lock, so concurrent evaluations see correct values and totals.
+    to the wrapped objective's.  The greedy engines do not use the memo: they
+    scan with :func:`open_scan`, which records each value it computes as one
+    query.  Thread-safe: lookups and stat updates happen under one lock, so
+    concurrent evaluations see correct values and totals.
     """
 
     def __init__(self, obj: Objective):
@@ -780,6 +1011,11 @@ class CountingOracle:
             raise ValueError(f"marginal: element {e} already in the set")
         return self.eval(s | {e}) - self.eval(s)
 
+    def record(self, queries: int) -> None:
+        """Count ``queries`` set values computed outside the memo."""
+        with self._lock:
+            self._queries += queries
+
     def stats(self) -> OracleStats:
         with self._lock:
             return OracleStats(self._queries, self._hits)
@@ -788,6 +1024,16 @@ class CountingOracle:
 def counting_wrap(obj: Objective) -> CountingOracle:
     """Wrap an objective for memoized, query-counted evaluation."""
     return CountingOracle(obj)
+
+
+def open_scan(oracle) -> CandidateScan:
+    """A candidate scan at the empty set over the objective behind
+    ``oracle``; when ``oracle`` is a :class:`CountingOracle`, the scan
+    records its queries there."""
+    scan = unwrap(oracle).scan()
+    if isinstance(oracle, CountingOracle):
+        scan.counter = oracle
+    return scan
 
 
 def unwrap(oracle) -> Objective:

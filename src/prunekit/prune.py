@@ -5,7 +5,9 @@ that keeps, for every downstream budget ``k' <= k``, a feasible subset worth
 a guaranteed (or empirically measured) fraction of the optimum.  Every run
 returns a :class:`PrunedSet` carrying the elements, the provenance structure
 the guarantee argument needs (disjoint runs, windows, or per-budget grids),
-a query-count snapshot, and wall time.
+a query-count snapshot, and wall time.  Queries are counted as the engines
+in :mod:`prunekit.selection` count them: one per set value a candidate scan
+computes, with no memo hits.
 
 Guarantee handles used by the harness:
 
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .objectives import Objective, OracleStats, counting_wrap
-from .selection import GreedyRun, greedy, threshold_greedy
+from .selection import GreedyRun, greedy, threshold_greedy, threshold_stream, window_greedy
 
 __all__ = [
     "PruneParams", "PrunedSet",
@@ -146,8 +148,9 @@ def prune_seq_disjoint(obj: Objective, n: int, k: int, ell: int | None = None,
 
     When n < ell * k the pools exhaust and P = N (containment is then exact).
     Runs keep extending through negative marginals so that each has exactly
-    min(k, |pool|) picks.  Queries <= ell * k * n on instrumented runs with
-    k >= 2 (plus one empty-set evaluation in the k = 1 edge case).
+    min(k, |pool|) picks.  Each run costs one empty-set value plus one value
+    per remaining candidate per step, so queries <= ell * k * n for k >= 2
+    (ell * n + 1 when k = 1).
     """
     if k == 0:
         return _empty_pruned("seq_disjoint", {"k": 0, "ell": ell})
@@ -191,28 +194,9 @@ def prune_window(obj: Objective, n: int, k: int, omega: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     oracle = counting_wrap(obj)
     t0 = time.perf_counter()
-    w = omega * k
-    picks: list[int] = []
-    windows: list[list[int]] = []
-    current: set[int] = set()
-    base = oracle.eval(current)
-    for _ in range(k):
-        remaining = sorted(set(range(n)) - current)
-        if not remaining:
-            break
-        gains = [(oracle.eval(current | {e}) - base, e) for e in remaining]
-        # top-w by gain, lowest id on ties
-        gains.sort(key=lambda t: (-t[0], t[1]))
-        window = [e for _, e in gains[:w]]
-        windows.append(window)
-        if pick == "random":
-            chosen_idx = int(rng.integers(len(window)))
-        else:
-            chosen_idx = 0
-        chosen_gain, chosen = gains[chosen_idx]
-        current.add(chosen)
-        base += chosen_gain
-        picks.append(chosen)
+    choose = (lambda width: int(rng.integers(width))) if pick == "random" else (lambda width: 0)
+    run, windows = window_greedy(oracle, range(n), k, omega * k, choose)
+    picks = run.picks
     elements = set(picks)
     for win in windows:
         elements.update(win)
@@ -344,16 +328,7 @@ def prune_threshold_stream(obj: Objective, order: Sequence[int], k: int, p: int,
         raise ValueError("order must be a permutation of the ground set")
     oracle = counting_wrap(obj)
     t0 = time.perf_counter()
-    accepted: list[int] = []
-    current: set[int] = set()
-    d = 0.0
-    for e in order:
-        d = max(d, oracle.eval((e,)))
-        if len(accepted) >= p or d <= 0:
-            continue
-        if oracle.eval(current | {e}) - oracle.eval(current) >= epsilon * d / k:
-            accepted.append(e)
-            current.add(e)
+    accepted = threshold_stream(oracle, order, k, p, epsilon)
     return PrunedSet(
         algorithm="threshold_stream",
         params={"k": k, "p": p, "epsilon": epsilon, "n": obj.n},

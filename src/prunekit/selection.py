@@ -1,19 +1,32 @@
 """Greedy selection engines shared by the pruners.
 
-All three selectors are deterministic: ties are broken by lowest element id,
-and each records a transcript (picks, marginal gains at pick time) that can be
+All engines are deterministic: ties are broken by lowest element id, and each
+records a transcript (picks, marginal gains at pick time) that can be
 replayed against the oracle.  They accept either a raw objective or a
-:class:`~prunekit.objectives.CountingOracle`; pruners pass the latter so that
-query accounting covers every scan.
+:class:`~prunekit.objectives.CountingOracle`.
+
+Every engine scans candidates through one primitive, the objective's
+:class:`~prunekit.objectives.CandidateScan`: a scan returns ``f(S + e)`` for
+a whole array of remaining candidates at once.  A gain is ``f(S + e) - f(S)``
+with ``f(S)`` kept as the running sum of the picked gains, so transcripts
+match a scalar loop over ``eval`` bit for bit, gain types included.  One
+query is one set value a scan computes: each candidate value, plus
+``f(empty)`` once per run.  Pruners pass a CountingOracle, which records
+those queries; the engines bypass its memo, so ``cache_hits`` stays 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-__all__ = ["GreedyRun", "DensityRun", "greedy", "threshold_greedy", "density_greedy"]
+import numpy as np
+
+from .objectives import CandidateScan, open_scan
+
+__all__ = ["GreedyRun", "DensityRun", "greedy", "threshold_greedy", "density_greedy",
+           "window_greedy", "threshold_stream"]
 
 
 @dataclass
@@ -66,26 +79,25 @@ def greedy(oracle, pool: Iterable[int], size: int, stop_at_zero: bool = False) -
     Runs for exactly ``min(size, |pool|)`` steps even when the best marginal
     is negative -- the disjoint-run pruner needs exactly-k runs.  Pass
     ``stop_at_zero=True`` to stop once the best gain is <= 0 (monotone use).
+    Queries: ``f(empty)`` plus ``|pool| - i`` candidate values at step i.
     """
     if size < 0:
         raise ValueError("size must be >= 0")
-    remaining = sorted(set(int(e) for e in pool))
-    run = GreedyRun([], [], tuple(remaining))
-    current: set[int] = set()
-    base = oracle.eval(current)
-    while remaining and len(run.picks) < size:
-        best_e, best_gain = None, None
-        for e in remaining:
-            gain = oracle.eval(current | {e}) - base
-            if best_gain is None or gain > best_gain:
-                best_e, best_gain = e, gain
-        if stop_at_zero and best_gain <= 0:
+    scan, remaining = _open(oracle, pool)
+    run = GreedyRun([], [], tuple(remaining.tolist()))
+    base = scan.empty_value()
+    while len(remaining) and len(run.picks) < size:
+        vals = scan.values(remaining)
+        best = int(np.argmax(_gains(vals, base)))
+        gain = _value_at(vals, best) - base
+        if stop_at_zero and gain <= 0:
             break
-        current.add(best_e)
-        base += best_gain
-        remaining.remove(best_e)
-        run.picks.append(best_e)
-        run.gains.append(best_gain)
+        e = int(remaining[best])
+        scan.add(e)
+        base += gain
+        remaining = _drop(remaining, best)
+        run.picks.append(e)
+        run.gains.append(gain)
     return run
 
 
@@ -96,33 +108,52 @@ def threshold_greedy(oracle, pool: Iterable[int], size: int, eta: float) -> Gree
     element whose marginal meets the current threshold, then decays the
     threshold by (1 - eta); stops below (eta / |pool|) * d or at ``size``
     picks.  Query cost is O((|pool|/eta) log(|pool|/eta)).
+
+    A sweep scans lazily, as a memo would: values taken at the current set
+    are kept, and values made stale by an acceptance are rescanned in
+    chunks of ``_FIRST_CHUNK`` elements, doubling, as the sweep reaches them.
     """
     if not (0 < eta < 1):
         raise ValueError(f"eta must be in (0, 1), got {eta}")
     if size < 0:
         raise ValueError("size must be >= 0")
-    remaining = sorted(set(int(e) for e in pool))
-    run = GreedyRun([], [], tuple(remaining))
-    if not remaining or size == 0:
+    scan, remaining = _open(oracle, pool)
+    run = GreedyRun([], [], tuple(remaining.tolist()))
+    if not len(remaining) or size == 0:
         return run
-    d = max(oracle.eval((e,)) for e in remaining)
+    vals = scan.values(remaining)  # the singleton values
+    d = _value_at(vals, int(np.argmax(_gains(vals, 0))))
     if d <= 0:
         return run
-    current: set[int] = set()
-    base = oracle.eval(current)
+    base = scan.empty_value()
+    gains = _gains(vals, base)
+    fresh = np.ones(len(remaining), dtype=bool)  # scanned at the current set
     floor = (eta / len(run.pool)) * d
     tau = d
-    while tau >= floor and len(run.picks) < size and remaining:
-        for e in list(remaining):
-            if len(run.picks) >= size:
-                break
-            gain = oracle.eval(current | {e}) - base
-            if gain >= tau:
-                current.add(e)
-                base += gain
-                remaining.remove(e)
-                run.picks.append(e)
-                run.gains.append(gain)
+    while tau >= floor and len(run.picks) < size and len(remaining):
+        start, width = 0, _FIRST_CHUNK
+        while start < len(remaining) and len(run.picks) < size:
+            stop = len(remaining) if fresh[start:].all() else start + width
+            stale = start + np.flatnonzero(~fresh[start:stop])
+            if len(stale):
+                vals[stale] = scan.values(remaining[stale])
+                gains[stale] = _gains(vals[stale], base)
+                fresh[stale] = True
+            hits = np.flatnonzero(gains[start:stop] >= tau)
+            if not len(hits):
+                start, width = stop, 2 * width
+                continue
+            at = start + int(hits[0])
+            gain = _value_at(vals, at) - base
+            e = int(remaining[at])
+            scan.add(e)
+            base += gain
+            run.picks.append(e)
+            run.gains.append(gain)
+            remaining, vals, gains, fresh = (_drop(a, at)
+                                             for a in (remaining, vals, gains, fresh))
+            fresh[:] = False
+            start, width = at, _FIRST_CHUNK
         tau *= 1.0 - eta
     return run
 
@@ -133,42 +164,130 @@ def density_greedy(oracle, pool: Iterable[int], costs, stop_cost: float,
 
     Each step selects the remaining element with the highest density
     (lowest id on ties).  It is accepted if the accumulated cost stays within
-    ``keep_cap``; otherwise it is skipped permanently.  The run stops once the
-    accepted cost reaches ``stop_cost`` or the pool is exhausted, padding the
-    shortfall with virtual zero-value dummy cost.  Negative marginals do not
-    stop the run: the containment analysis consumes cost-bounded prefixes of
-    the recorded order.
+    ``keep_cap``; otherwise it is skipped permanently, and the gains of the
+    others are kept.  The run stops once the accepted cost reaches
+    ``stop_cost`` or the pool is exhausted, padding the shortfall with
+    virtual zero-value dummy cost.  Negative marginals do not stop the run:
+    the containment analysis consumes cost-bounded prefixes of the recorded
+    order.
     """
     if stop_cost > keep_cap:
         raise ValueError("stop_cost must be <= keep_cap")
-    remaining = sorted(set(int(e) for e in pool))
-    cost_of = _cost_lookup(costs, remaining)
-    run = DensityRun([], [], [], [], 0.0, tuple(remaining))
-    current: set[int] = set()
-    base = oracle.eval(current)
+    scan, remaining = _open(oracle, pool)
+    cost_of = _cost_lookup(costs, remaining.tolist())
+    cost_vec = np.array([cost_of[e] for e in remaining.tolist()], dtype=float)
+    run = DensityRun([], [], [], [], 0.0, tuple(remaining.tolist()))
+    base = scan.empty_value()
     spent = 0.0
+    vals = None  # candidate values at the current set
     while spent < stop_cost:
-        if not remaining:
+        if not len(remaining):
             run.dummy_cost = stop_cost - spent
             break
-        best_e, best_density, best_gain = None, None, None
-        for e in remaining:
-            gain = oracle.eval(current | {e}) - base
-            density = gain / cost_of[e]
-            if best_density is None or density > best_density:
-                best_e, best_density, best_gain = e, density, gain
-        if spent + cost_of[best_e] > keep_cap:
-            remaining.remove(best_e)  # permanently skipped
-            continue
-        current.add(best_e)
-        base += best_gain
-        spent += cost_of[best_e]
-        remaining.remove(best_e)
-        run.picks.append(best_e)
-        run.gains.append(best_gain)
-        run.costs.append(cost_of[best_e])
-        run.densities.append(best_density)
+        if vals is None:
+            vals = scan.values(remaining)
+        best = int(np.argmax(_gains(vals, base) / cost_vec))
+        e = int(remaining[best])
+        gain = _value_at(vals, best) - base
+        remaining, vals, cost_vec = (_drop(a, best) for a in (remaining, vals, cost_vec))
+        if spent + cost_of[e] > keep_cap:
+            continue  # permanently skipped
+        scan.add(e)
+        base += gain
+        spent += cost_of[e]
+        vals = None
+        run.picks.append(e)
+        run.gains.append(gain)
+        run.costs.append(cost_of[e])
+        run.densities.append(gain / cost_of[e])
     return run
+
+
+def window_greedy(oracle, pool: Iterable[int], rounds: int, width: int,
+                  choose: Callable[[int], int]) -> tuple[GreedyRun, list[list[int]]]:
+    """Window selection: each of ``rounds`` rounds ranks the remaining
+    elements by marginal gain (lowest id on ties), keeps the top ``width``
+    as the round's window and commits the one at index
+    ``choose(len(window))``.  Returns the committed run and the windows.
+    Queries: ``f(empty)`` plus ``|pool| - i`` candidate values in round i.
+    """
+    scan, remaining = _open(oracle, pool)
+    run = GreedyRun([], [], tuple(remaining.tolist()))
+    windows: list[list[int]] = []
+    base = scan.empty_value()
+    for _ in range(rounds):
+        if not len(remaining):
+            break
+        vals = scan.values(remaining)
+        ranked = np.argsort(-_gains(vals, base), kind="stable")[:width]
+        windows.append(remaining[ranked].tolist())
+        at = int(ranked[choose(len(ranked))])
+        gain = _value_at(vals, at) - base
+        e = int(remaining[at])
+        scan.add(e)
+        base += gain
+        remaining = _drop(remaining, at)
+        run.picks.append(e)
+        run.gains.append(gain)
+    return run, windows
+
+
+def threshold_stream(oracle, order: Sequence[int], k: int, p: int,
+                     epsilon: float) -> list[int]:
+    """One pass over ``order``, tracking the running best singleton value d:
+    an element is accepted while fewer than ``p`` are if its marginal
+    against the accepted set is at least ``epsilon * d / k``.  Returns the
+    accepted elements in order."""
+    order = np.asarray(order, dtype=np.intp)
+    singles = open_scan(oracle).values(order)
+    scan = open_scan(oracle)
+    accepted: list[int] = []
+    current = None  # f(accepted), once needed
+    d = 0.0
+    for i, e in enumerate(order.tolist()):
+        d = max(d, _value_at(singles, i))
+        if len(accepted) >= p or d <= 0:
+            continue
+        if current is None:
+            current = scan.empty_value()
+        value = _value_at(scan.values([e]), 0)
+        if value - current >= epsilon * d / k:
+            accepted.append(e)
+            scan.add(e)
+            current = value
+    return accepted
+
+
+#: candidates a threshold sweep rescans at once after an acceptance; doubles
+#: while the sweep finds no element above the threshold
+_FIRST_CHUNK = 64
+
+
+def _open(oracle, pool: Iterable[int]) -> tuple[CandidateScan, np.ndarray]:
+    """A scan at the empty set and the pool as an ascending id array."""
+    scan = open_scan(oracle)
+    ids = np.array(sorted({int(e) for e in pool}), dtype=np.intp)
+    if len(ids) and (ids[0] < 0 or ids[-1] >= scan.obj.n):
+        raise IndexError(f"pool ids must lie in [0, {scan.obj.n})")
+    return scan, ids
+
+
+def _gains(vals: np.ndarray, base) -> np.ndarray:
+    """``f(S + e) - f(S)`` per candidate as floats, for comparisons.  Each
+    is the double the scalar ``eval(S + e) - base`` gives."""
+    return np.asarray(vals, dtype=float) - base
+
+
+def _value_at(vals: np.ndarray, i: int):
+    """Entry ``i`` of scan values as ``eval`` types it: a Python scalar, or
+    the default scan's own object."""
+    return vals[i] if vals.dtype == object else vals[i].item()
+
+
+def _drop(a: np.ndarray, i: int) -> np.ndarray:
+    """``a`` without entry ``i``; ``np.delete`` costs several times more on
+    the short arrays of small pools."""
+    return np.concatenate((a[:i], a[i + 1:]))
 
 
 def _cost_lookup(costs, elements: Sequence[int]) -> dict[int, float]:

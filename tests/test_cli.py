@@ -191,6 +191,73 @@ class TestErrors:
                      "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
 
 
+class TestMalformedPruned:
+    """A broken --pruned file fails through the error record, never a
+    traceback: missing or ill-typed keys are parse errors, ids outside the
+    ground set config errors."""
+
+    def edit(self, path, change):
+        doc = read_doc(path)
+        change(doc["body"])
+        path.write_text(json.dumps(doc))
+
+    def error_kind(self, capsys):
+        return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["kind"]
+
+    def cardinality(self, tmp_path, graph_file):
+        pruned = tmp_path / "p.json"
+        assert main(["prune", "--graph", str(graph_file), "--algo", "seq_disjoint",
+                     "--k", "3", "--omega", "2", "--out", str(pruned)]) == EXIT_OK
+        argv = ["eval", "--graph", str(graph_file), "--pruned", str(pruned), "--k", "3",
+                "--out", str(tmp_path / "r.json")]
+        return pruned, argv
+
+    def knapsack(self, tmp_path, graph_file):
+        pruned, costs = tmp_path / "kp.json", tmp_path / "c.csv"
+        costs.write_text("".join(f"{e},0.3\n" for e in range(14)))
+        src = ["--graph", str(graph_file), "--costs", str(costs), "--budget", "1.0"]
+        assert main(["prune", *src, "--algo", "sdg_density", "--ell", "2",
+                     "--out", str(pruned)]) == EXIT_OK
+        return pruned, ["eval", *src, "--pruned", str(pruned), "--budgets-grid", "2",
+                        "--out", str(tmp_path / "r.json")]
+
+    @pytest.mark.parametrize("kind", ["cardinality", "knapsack"])
+    @pytest.mark.parametrize("change", [
+        lambda body: body.pop("stats"),
+        lambda body: body.update(stats=[1, 2]),
+        lambda body: body.update(elements="0 1 2"),
+        lambda body: body.update(elements=[0, "1"]),
+        lambda body: body.update(elements=[0, 1.5]),
+    ], ids=["no_stats", "stats_list", "elements_string", "string_id", "float_id"])
+    def test_malformed_body_is_parse_error(self, tmp_path, graph_file, capsys, kind, change):
+        pruned, argv = getattr(self, kind)(tmp_path, graph_file)
+        self.edit(pruned, change)
+        assert main(argv) == EXIT_PARSE
+        assert self.error_kind(capsys) == "input_parse_error"
+
+    @pytest.mark.parametrize("kind", ["cardinality", "knapsack"])
+    @pytest.mark.parametrize("bad_id", [99, -1, 14])
+    def test_ids_outside_ground_set_are_config_error(self, tmp_path, graph_file, capsys,
+                                                     kind, bad_id):
+        pruned, argv = getattr(self, kind)(tmp_path, graph_file)
+        self.edit(pruned, lambda body: body["elements"].__setitem__(-1, bad_id))
+        assert main(argv) == EXIT_CONFIG
+        assert self.error_kind(capsys) == "config_error"
+
+    def test_knapsack_instance_size_mismatch_is_config_error(self, tmp_path, graph_file,
+                                                             capsys):
+        pruned, argv = self.knapsack(tmp_path, graph_file)
+        self.edit(pruned, lambda body: body["instance"]["costs"].pop())
+        assert main(argv) == EXIT_CONFIG
+        assert self.error_kind(capsys) == "config_error"
+
+    def test_invalid_json_is_parse_error(self, tmp_path, graph_file, capsys):
+        pruned, argv = self.cardinality(tmp_path, graph_file)
+        pruned.write_text("{not json")
+        assert main(argv) == EXIT_PARSE
+        assert self.error_kind(capsys) == "input_parse_error"
+
+
 class TestCheck:
     def test_triangle_report(self, tmp_path, capsys):
         g = tmp_path / "tri.txt"

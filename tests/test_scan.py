@@ -1,0 +1,381 @@
+"""The candidate scan and the greedy engines built on it, against the scalar
+engines they replaced.
+
+The ``ref_*`` functions below are the scalar engines: one
+``oracle.eval(current | {e})`` call per candidate through a memoizing
+CountingOracle.  They are the bit-for-bit reference: the batched engines must
+reproduce their picks, their gains (value and Python type), costs,
+densities, dummy cost and windows on every family.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from conftest import build_variants
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prunekit import selection
+from prunekit.instances import gen_coverage, gen_gnm, gen_interference
+from prunekit.objectives import (CountingOracle, Cut, FacilityLocation,
+                                 Modular, OracleStats, PenaltyCurve, Proxy,
+                                 RestrictedFacilityLocation, TableObjective,
+                                 counting_wrap, open_scan)
+from prunekit.prune import (prune_fast_budget_range, prune_seq_disjoint,
+                            prune_std_greedy, prune_threshold_stream, prune_window)
+from prunekit.selection import (density_greedy, greedy, threshold_greedy,
+                                threshold_stream, window_greedy)
+
+
+# --------------------------------------------------------------------------
+# scalar reference engines
+
+def ref_greedy(oracle, pool, size, stop_at_zero=False):
+    remaining = sorted(set(int(e) for e in pool))
+    picks, gains = [], []
+    current = set()
+    base = oracle.eval(current)
+    while remaining and len(picks) < size:
+        best_e, best_gain = None, None
+        for e in remaining:
+            gain = oracle.eval(current | {e}) - base
+            if best_gain is None or gain > best_gain:
+                best_e, best_gain = e, gain
+        if stop_at_zero and best_gain <= 0:
+            break
+        current.add(best_e)
+        base += best_gain
+        remaining.remove(best_e)
+        picks.append(best_e)
+        gains.append(best_gain)
+    return picks, gains
+
+
+def ref_threshold_greedy(oracle, pool, size, eta):
+    remaining = sorted(set(int(e) for e in pool))
+    picks, gains = [], []
+    if not remaining or size == 0:
+        return picks, gains
+    d = max(oracle.eval((e,)) for e in remaining)
+    if d <= 0:
+        return picks, gains
+    current = set()
+    base = oracle.eval(current)
+    floor = (eta / len(remaining)) * d
+    tau = d
+    while tau >= floor and len(picks) < size and remaining:
+        for e in list(remaining):
+            if len(picks) >= size:
+                break
+            gain = oracle.eval(current | {e}) - base
+            if gain >= tau:
+                current.add(e)
+                base += gain
+                remaining.remove(e)
+                picks.append(e)
+                gains.append(gain)
+        tau *= 1.0 - eta
+    return picks, gains
+
+
+def ref_density_greedy(oracle, pool, costs, stop_cost, keep_cap):
+    remaining = sorted(set(int(e) for e in pool))
+    cost_of = {e: float(costs[e]) for e in remaining}
+    picks, gains, spent_costs, densities = [], [], [], []
+    dummy = 0.0
+    current = set()
+    base = oracle.eval(current)
+    spent = 0.0
+    while spent < stop_cost:
+        if not remaining:
+            dummy = stop_cost - spent
+            break
+        best_e, best_density, best_gain = None, None, None
+        for e in remaining:
+            gain = oracle.eval(current | {e}) - base
+            density = gain / cost_of[e]
+            if best_density is None or density > best_density:
+                best_e, best_density, best_gain = e, density, gain
+        if spent + cost_of[best_e] > keep_cap:
+            remaining.remove(best_e)
+            continue
+        current.add(best_e)
+        base += best_gain
+        spent += cost_of[best_e]
+        remaining.remove(best_e)
+        picks.append(best_e)
+        gains.append(best_gain)
+        spent_costs.append(cost_of[best_e])
+        densities.append(best_density)
+    return picks, gains, spent_costs, densities, dummy
+
+
+def ref_window(oracle, n, k, w, choose):
+    picks, windows = [], []
+    current = set()
+    base = oracle.eval(current)
+    for _ in range(k):
+        remaining = sorted(set(range(n)) - current)
+        if not remaining:
+            break
+        gains = [(oracle.eval(current | {e}) - base, e) for e in remaining]
+        gains.sort(key=lambda t: (-t[0], t[1]))
+        window = [e for _, e in gains[:w]]
+        windows.append(window)
+        chosen_gain, chosen = gains[choose(len(window))]
+        current.add(chosen)
+        base += chosen_gain
+        picks.append(chosen)
+    return picks, windows
+
+
+def ref_threshold_stream(oracle, order, k, p, epsilon):
+    accepted, current = [], set()
+    d = 0.0
+    for e in order:
+        d = max(d, oracle.eval((e,)))
+        if len(accepted) >= p or d <= 0:
+            continue
+        if oracle.eval(current | {e}) - oracle.eval(current) >= epsilon * d / k:
+            accepted.append(e)
+            current.add(e)
+    return accepted
+
+
+# --------------------------------------------------------------------------
+# families
+
+def scan_families(n, seed):
+    """Every family and variant: build_variants, plus weighted Cut, Proxy with
+    shift and with clamp, RFL without gated rows, a value table, and two
+    tie-heavy objectives (a cycle cut, repeated modular weights)."""
+    fams = dict(build_variants(n=n, seed=seed))
+    rng = np.random.default_rng(seed + 1)
+    edges = fams["cut"].edges
+    sim = fams["facility_location"].sim
+    dud = sim.copy()
+    dud[:, 0] = 0.0  # {0} falls below the penalty: shift and clamp engage
+    linear = PenaltyCurve(0.999 * float(dud.max(axis=1).sum()) * np.arange(n + 1) / n)
+    fams.update({
+        "weighted_cut": Cut(n, edges, weights=rng.uniform(0.5, 2.0, size=len(edges))),
+        "proxy_shift": Proxy(FacilityLocation(dud), linear, shift=True),
+        "proxy_clamp": Proxy(FacilityLocation(dud), linear, clamp=True),
+        "restricted_fl_ungated": RestrictedFacilityLocation(sim, np.zeros(n + 2), tau=1.0),
+        "table": TableObjective.from_function(
+            n, lambda s: float(len(s) * (n - len(s))) + 0.25 * (min(s, default=0) % 3)),
+        "tie_cut": Cut(n, [(i, (i + 1) % n) for i in range(n)]),  # n = 2: a double edge
+        "tie_modular": Modular(rng.integers(0, 3, size=n).astype(float)),
+    })
+    return fams
+
+
+FAMILY_NAMES = sorted(scan_families(6, 0))
+
+
+def typed(values):
+    """Values with their types, -0.0 told apart from 0.0."""
+    return [(type(v), repr(v)) for v in values]
+
+
+# --------------------------------------------------------------------------
+# the primitive
+
+class TestCandidateScan:
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(3, 8))
+    @settings(max_examples=20, deadline=None)
+    def test_values_match_eval_along_a_growth_path(self, name, seed, n):
+        obj = scan_families(n, seed)[name]
+        rng = np.random.default_rng(seed)
+        scan = obj.scan()
+        assert typed([scan.empty_value()]) == typed([obj.eval(())])
+        members = []
+        for e in rng.permutation(n).tolist():
+            cands = np.array([c for c in range(n) if c not in members], dtype=np.intp)
+            vals = scan.values(cands)
+            got = [selection._value_at(vals, i) for i in range(len(cands))]
+            assert typed(got) == typed([obj.eval(members + [c]) for c in cands.tolist()])
+            scan.add(e)
+            members.append(e)
+
+    def test_large_families_match_eval(self):
+        n = 300
+        cov = gen_coverage(n, 200, seed=2)
+        sim = np.random.default_rng(3).uniform(size=(150, n))
+        fams = [Cut(n, gen_gnm(n, 4 * n, seed=1)), cov, FacilityLocation(sim),
+                gen_interference(n, 200, seed=8),
+                Proxy(FacilityLocation(sim), PenaltyCurve(np.linspace(0, 10, n + 1)),
+                      clamp=True)]
+        rng = np.random.default_rng(4)
+        for obj in fams:
+            scan, members = obj.scan(), []
+            for e in rng.choice(n, size=6, replace=False).tolist():
+                cands = rng.choice([c for c in range(n) if c not in members], size=40,
+                                   replace=False)
+                vals = scan.values(cands).tolist()
+                assert vals == [obj.eval(members + [c]) for c in cands.tolist()]
+                scan.add(e)
+                members.append(e)
+
+    def test_shift_and_clamp_engage(self):
+        fams = scan_families(6, 0)
+        assert fams["proxy_shift"].shift > 0
+        assert fams["proxy_clamp"].eval([0]) == 0.0
+        assert fams["proxy_clamp"].fl.eval([0]) - fams["proxy_clamp"].penalty(1) < 0
+
+    def test_batched_families_return_arrays(self):
+        fams = scan_families(6, 1)
+        for name in ("coverage", "cut", "tie_cut", "facility_location", "restricted_fl",
+                     "proxy", "proxy_clamp", "interference_coverage"):
+            assert fams[name].scan().values([0, 1]).dtype != object, name
+        for name in ("weighted_cut", "weighted_coverage", "modular", "table",
+                     "restricted_fl_ungated"):
+            assert fams[name].scan().values([0, 1]).dtype == object, name
+
+    def test_counting_oracle_records_every_value(self, triangle):
+        oracle = counting_wrap(triangle)
+        scan = open_scan(oracle)
+        scan.empty_value()
+        scan.values([0, 1, 2])
+        scan.add(0)
+        scan.values([1, 2])
+        assert oracle.stats() == OracleStats(queries=6, cache_hits=0)
+
+
+# --------------------------------------------------------------------------
+# the engines against the scalar references
+
+def both(obj):
+    """A fresh counting oracle for each engine."""
+    return counting_wrap(obj), CountingOracle(obj)
+
+
+class TestEnginesMatchScalarReference:
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 8),
+           size=st.integers(0, 9), eta=st.sampled_from([0.05, 0.2, 0.5]),
+           chunk=st.sampled_from([1, 2, 64]))
+    @settings(max_examples=50, deadline=None)
+    def test_transcripts(self, name, seed, n, size, eta, chunk):
+        obj = scan_families(n, seed)[name]
+        rng = np.random.default_rng(seed)
+        pool = sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+
+        for stop_at_zero in (False, True):
+            new, ref = both(obj)
+            run = greedy(new, pool, size, stop_at_zero=stop_at_zero)
+            picks, gains = ref_greedy(ref, pool, size, stop_at_zero=stop_at_zero)
+            assert run.picks == picks and typed(run.gains) == typed(gains)
+
+        new, ref = both(obj)
+        with mock.patch.object(selection, "_FIRST_CHUNK", chunk):
+            run = threshold_greedy(new, pool, size, eta)
+        picks, gains = ref_threshold_greedy(ref, pool, size, eta)
+        assert run.picks == picks and typed(run.gains) == typed(gains)
+
+        costs = rng.uniform(0.2, 1.5, size=n)
+        stop = float(rng.uniform(0.5, 3.0))
+        keep = stop * float(rng.uniform(1.0, 2.0))
+        new, ref = both(obj)
+        drun = density_greedy(new, pool, costs, stop, keep)
+        picks, gains, spent, dens, dummy = ref_density_greedy(ref, pool, costs, stop, keep)
+        assert drun.picks == picks and typed(drun.gains) == typed(gains)
+        assert drun.costs == spent and typed(drun.densities) == typed(dens)
+        assert drun.dummy_cost == dummy
+
+        k, width = max(1, size), int(rng.integers(1, 2 * n + 1))
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        new, ref = both(obj)
+        wrun, windows = window_greedy(new, range(n), k, width,
+                                      lambda w: int(rngs[0].integers(w)))
+        picks, ref_windows = ref_window(ref, n, k, width, lambda w: int(rngs[1].integers(w)))
+        assert wrun.picks == picks and windows == ref_windows
+
+        order = rng.permutation(n).tolist()
+        new, ref = both(obj)
+        assert (threshold_stream(new, order, k, max(1, size), eta)
+                == ref_threshold_stream(ref, order, k, max(1, size), eta))
+
+    @pytest.mark.parametrize("family", ["cut", "coverage", "facility_location", "proxy"])
+    def test_large_pools_with_chunked_rescans(self, family):
+        n = 400
+        sim = np.random.default_rng(5).uniform(size=(60, n))
+        obj = {"cut": Cut(n, gen_gnm(n, 3 * n, seed=6)),
+               "coverage": gen_coverage(n, 300, seed=7),
+               "facility_location": FacilityLocation(sim),
+               "proxy": Proxy(FacilityLocation(sim),
+                              PenaltyCurve(0.002 * np.arange(n + 1) ** 1.5))}[family]
+        new, ref = both(obj)
+        run = threshold_greedy(new, range(n), 12, 0.1)
+        picks, gains = ref_threshold_greedy(ref, range(n), 12, 0.1)
+        assert run.picks == picks and typed(run.gains) == typed(gains)
+        new, ref = both(obj)
+        run = greedy(new, range(n), 8)
+        picks, gains = ref_greedy(ref, range(n), 8)
+        assert run.picks == picks and typed(run.gains) == typed(gains)
+        new, ref = both(obj)
+        wrun, windows = window_greedy(new, range(n), 5, 10, lambda w: w // 2)
+        assert (wrun.picks, windows) == ref_window(ref, n, 5, 10, lambda w: w // 2)
+
+    def test_integer_families_give_python_int_gains(self):
+        fams = scan_families(8, 3)
+        for name in ("cut", "coverage", "tie_cut"):
+            run = greedy(counting_wrap(fams[name]), range(8), 4)
+            assert all(type(g) is int for g in run.gains), name
+
+    def test_lowest_id_wins_ties(self):
+        run = greedy(counting_wrap(Modular([2.0, 3.0, 3.0, 1.0, 3.0])), range(5), 3)
+        assert run.picks == [1, 2, 4]
+        run, windows = window_greedy(counting_wrap(Cut(6, [(i, (i + 1) % 6) for i in range(6)])),
+                                     range(6), 1, 3, lambda w: 0)
+        assert windows == [[0, 1, 2]] and run.picks == [0]
+
+    def test_pool_ids_out_of_range_rejected(self, triangle):
+        for pool in ([0, 3], [-1, 1]):
+            with pytest.raises(IndexError):
+                greedy(counting_wrap(triangle), pool, 2)
+
+
+# --------------------------------------------------------------------------
+# query accounting: one query per set value a scan computes
+
+class TestPinnedQueryCounts:
+    N, K = 30, 3
+
+    def cut(self):
+        return Cut(self.N, gen_gnm(self.N, 60, seed=1))
+
+    def test_seq_disjoint(self):
+        # per run: f(empty) + 30 + 29 + 28, then f(empty) + 27 + 26 + 25
+        pruned = prune_seq_disjoint(self.cut(), self.N, self.K, ell=2)
+        assert pruned.stats == OracleStats(queries=88 + 79, cache_hits=0)
+
+    def test_seq_disjoint_k1_edge_case(self):
+        # k = 1: each run's f(empty) is not covered by the k >= 2 margin
+        pruned = prune_seq_disjoint(self.cut(), self.N, 1, ell=2)
+        assert pruned.stats.queries == (1 + 30) + (1 + 29) == 2 * self.N + 1
+
+    def test_std_greedy(self):
+        pruned = prune_std_greedy(self.cut(), self.N, 4)
+        assert pruned.stats == OracleStats(queries=1 + 30 + 29 + 28 + 27, cache_hits=0)
+
+    def test_window(self):
+        pruned = prune_window(self.cut(), self.N, self.K, omega=2, seed=0)
+        assert pruned.stats == OracleStats(queries=1 + 30 + 29 + 28, cache_hits=0)
+
+    def test_fast_budget_range(self):
+        # grid 1..3 at eta = 0.05: per run 30 singleton values, f(empty), and
+        # the rescans after its acceptances
+        obj = gen_coverage(self.N, 40, seed=2)
+        pruned = prune_fast_budget_range(obj, self.N, self.K, epsilon=0.2)
+        assert pruned.params["grid"] == [1, 2, 3]
+        assert pruned.stats == OracleStats(queries=179, cache_hits=0)
+        assert pruned.stats.queries <= 50 * (self.N / 0.2) * math.log(self.N / 0.2)
+
+    def test_threshold_stream_counts_no_memo_hits(self):
+        obj = gen_coverage(self.N, 40, seed=2)
+        pruned = prune_threshold_stream(obj, range(self.N), self.K, 6, epsilon=0.2)
+        assert pruned.stats.cache_hits == 0 and pruned.stats.queries >= self.N
+
