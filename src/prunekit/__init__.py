@@ -11,10 +11,9 @@ from .objectives import (Coverage, CountingOracle, Cut, FacilityLocation, Ground
                          RestrictedFacilityLocation, TableObjective, check_monotone,
                          check_submodular, counting_wrap, objective_from_dict)
 from .selection import DensityRun, GreedyRun, density_greedy, greedy, threshold_greedy
-from .prune import (PruneParams, PrunedSet, budget_grid, prune_fast_budget_range,
-                    prune_random, prune_seq_disjoint, prune_std_greedy,
-                    prune_threshold_stream, prune_window, sdg_bound, window_bound,
-                    witness)
+from .prune import (PruneParams, PrunedSet, prune_fast_budget_range, prune_random,
+                    prune_seq_disjoint, prune_std_greedy, prune_threshold_stream,
+                    prune_window, sdg_bound, window_bound, witness)
 from .knapsack import (KnapsackInstance, KnapsackPrunedSet, extract_budget,
                        extract_budget_grid, prune_sdg_density)
 from .exact import (GuardExceeded, OptProfile, cardinality_subset_count,

@@ -2,9 +2,9 @@
 
 Elements of a ground set are dense integer ids ``0..n-1``.  Every objective
 exposes ``eval`` (value of a set), ``marginal`` (value gain of one element)
-and two batched paths.  Objectives are pure after construction and safe to
-evaluate from multiple threads; the :class:`CountingOracle` wrapper adds
-memoization and query accounting with an internal lock.
+and two batched paths.  Objectives are pure after construction; the
+:class:`CountingOracle` wrapper adds memoization and query accounting for
+one thread (parallel sweeps run in worker processes, each with its own).
 
 Batched evaluation:
 
@@ -63,7 +63,6 @@ tests and property checkers.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -976,8 +975,7 @@ class CountingOracle:
     served from the memo and counted as ``cache_hits``.  Values are identical
     to the wrapped objective's.  The greedy engines do not use the memo: they
     scan with :func:`open_scan`, which records each value it computes as one
-    query.  Thread-safe: lookups and stat updates happen under one lock, so
-    concurrent evaluations see correct values and totals.
+    query.
     """
 
     def __init__(self, obj: Objective):
@@ -987,21 +985,14 @@ class CountingOracle:
         self._memo: dict[tuple, float] = {}
         self._queries = 0
         self._hits = 0
-        self._lock = threading.Lock()
 
     def eval(self, S: Iterable[int]):
         key = tuple(sorted(int(e) for e in S))
-        with self._lock:
-            if key in self._memo:
-                self._hits += 1
-                return self._memo[key]
-        val = self.inner.eval(key)
-        with self._lock:
-            if key not in self._memo:
-                self._memo[key] = val
-                self._queries += 1
-            else:
-                self._hits += 1
+        if key in self._memo:
+            self._hits += 1
+            return self._memo[key]
+        val = self._memo[key] = self.inner.eval(key)
+        self._queries += 1
         return val
 
     def marginal(self, e: int, S: Iterable[int]):
@@ -1013,12 +1004,10 @@ class CountingOracle:
 
     def record(self, queries: int) -> None:
         """Count ``queries`` set values computed outside the memo."""
-        with self._lock:
-            self._queries += queries
+        self._queries += queries
 
     def stats(self) -> OracleStats:
-        with self._lock:
-            return OracleStats(self._queries, self._hits)
+        return OracleStats(self._queries, self._hits)
 
 
 def counting_wrap(obj: Objective) -> CountingOracle:

@@ -4,7 +4,7 @@ Each pruner reduces the ground set ``0..n-1`` to a smaller universe ``P``
 that keeps, for every downstream budget ``k' <= k``, a feasible subset worth
 a guaranteed (or empirically measured) fraction of the optimum.  Every run
 returns a :class:`PrunedSet` carrying the elements, the provenance structure
-the guarantee argument needs (disjoint runs, windows, or per-budget grids),
+the guarantee argument needs (disjoint runs, windows, or a threshold run),
 a query-count snapshot, and wall time.  Queries are counted as the engines
 in :mod:`prunekit.selection` count them: one per set value a candidate scan
 computes, with no memo hits.
@@ -14,6 +14,8 @@ Guarantee handles used by the harness:
 * :func:`sdg_bound` -- sequential disjoint greedy keeps ``(1 - 1/ell)/2``.
 * :func:`window_bound` -- random window pruning keeps
   ``(1 - 1/(omega k))^k / 2`` in expectation.
+* :func:`witness` -- the length-``k'`` prefix of the fast-budget-range run
+  keeps ``1 - 1/e - epsilon`` on monotone objectives.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ __all__ = [
     "PruneParams", "PrunedSet",
     "prune_seq_disjoint", "prune_window", "prune_std_greedy",
     "prune_fast_budget_range", "witness", "prune_threshold_stream",
-    "prune_random", "budget_grid", "sdg_bound", "window_bound",
+    "prune_random", "sdg_bound", "window_bound",
 ]
 
 
@@ -107,11 +109,17 @@ class PrunedSet:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PrunedSet":
+        """Load a pruned set.  A fast-budget-range body (k >= 1; k = 0 is
+        empty and flat) must hold a threshold run, and a legacy per-budget
+        ``threshold_grid`` is read as its largest run."""
+        structure = payload["structure"]
+        if payload["algorithm"] == "fast_budget_range" and payload["params"]["k"]:
+            structure = {"kind": "threshold_run", "picks": _run_picks(structure)}
         return cls(
             algorithm=payload["algorithm"],
             params=payload["params"],
             elements=payload["elements"],
-            structure=payload["structure"],
+            structure=structure,
             stats=OracleStats(**payload["stats"]),
             elapsed=payload.get("elapsed", 0.0),
             cap=payload.get("cap"),
@@ -236,79 +244,76 @@ def prune_std_greedy(obj: Objective, n: int, p: int) -> PrunedSet:
     )
 
 
-def budget_grid(k: int, eta: float) -> list[int]:
-    """Budget grid for fast budget-range pruning: the small budgets
-    1..min(k, ceil(1/eta)) plus the geometric ladder min(k, ceil((1+eta)^j))."""
-    if k < 1:
-        return []
-    small = set(range(1, min(k, math.ceil(1.0 / eta)) + 1))
-    geometric = set()
-    j_top = math.ceil(math.log(k, 1.0 + eta)) if k > 1 else 0
-    for j in range(j_top + 1):
-        geometric.add(min(k, math.ceil((1.0 + eta) ** j)))
-    return sorted(small | geometric)
-
-
 def prune_fast_budget_range(obj: Objective, n: int, k: int, epsilon: float) -> PrunedSet:
     """Near-linear-query pruning for monotone oracles.
 
-    Runs decreasing-threshold greedy at accuracy eta = epsilon/4 for every
-    budget on :func:`budget_grid`; P is the union of the runs and the
-    structure keeps each per-budget run so :func:`witness` can answer any
-    k' <= k.  |P| = O(k/epsilon); queries are O~(n/epsilon^2).
+    One decreasing-threshold greedy run at accuracy eta = epsilon/4, capped
+    at k picks; P is its picks, so |P| <= k, and the structure keeps the run
+    in pick order so :func:`witness` can answer any k' <= k with a prefix.
+    Queries are O((n/eta) log(n/eta)).
     """
     if k == 0:
         return _empty_pruned("fast_budget_range", {"k": 0, "epsilon": epsilon})
-    params = PruneParams(k=k, epsilon=epsilon)
+    PruneParams(k=k, epsilon=epsilon)
     eta = epsilon / 4.0
-    grid = budget_grid(k, eta)
     oracle = counting_wrap(obj)
     t0 = time.perf_counter()
-    runs: dict[int, list[int]] = {}
-    for q in grid:
-        runs[q] = threshold_greedy(oracle, range(n), q, eta).picks
-    elements = sorted({e for picks in runs.values() for e in picks})
+    picks = threshold_greedy(oracle, range(n), k, eta).picks
     return PrunedSet(
         algorithm="fast_budget_range",
-        params={"k": k, "epsilon": epsilon, "eta": eta, "grid": grid, "n": n},
-        elements=elements,
-        structure={"kind": "threshold_grid",
-                   "runs": {str(q): picks for q, picks in runs.items()}},
+        params={"k": k, "epsilon": epsilon, "eta": eta, "n": n},
+        elements=picks,
+        structure={"kind": "threshold_run", "picks": picks},
         stats=oracle.stats(),
         elapsed=time.perf_counter() - t0,
-        cap=sum(grid),
+        cap=k,
     )
 
 
-def witness(pruned: PrunedSet, obj: Objective, k_prime: int, seed: int = 0,
-            retries: int | None = None) -> list[int]:
-    """Extract a size <= k' witness from a threshold-grid pruned set.
+def witness(pruned: PrunedSet, obj: Objective, k_prime: int, seed: int = 0) -> list[int]:
+    """The size <= k' witness of a fast-budget-range pruned set: the first k'
+    picks of its threshold run.
 
-    Picks the smallest grid budget q >= k'; returns the stored run when it
-    already fits, otherwise the best of ceil(4/epsilon) uniformly random
-    k'-subsets of it.
+    Every pick of the run gains at least (1 - eta) times the best marginal
+    left, whatever the cap: a better element would have been taken at the
+    previous threshold, and marginals only shrink.  The threshold schedule
+    does not depend on the cap either, so the prefix is exactly the run
+    capped at k', and on a monotone objective it keeps
+    (1 - 1/e - epsilon) OPT_{k'} (the approximate-greedy prefix argument of
+    Badanidiyuru & Vondrak, SODA 2014).  A run shorter than k' stopped at
+    its threshold floor (eta/n) d, d the best singleton value: every element
+    left gains less than eta d / ((1 - eta) n), so the run is within k'
+    times that, at most eta/(1 - eta) OPT_{k'}, of the optimum.
+
+    ``obj`` and ``seed`` are unused: the witness is deterministic and needs
+    no values.  They stay in the signature so existing callers keep working.
     """
-    if pruned.structure.get("kind") != "threshold_grid":
+    if pruned.algorithm != "fast_budget_range":
         raise ValueError("witness requires a fast-budget-range pruned set")
     k = pruned.params["k"]
     if not (1 <= k_prime <= k):
         raise ValueError(f"k' must be in 1..{k}, got {k_prime}")
-    grid = sorted(int(q) for q in pruned.structure["runs"])
-    q = next(b for b in grid if b >= k_prime)
-    run = pruned.structure["runs"][str(q)]
-    if len(run) <= k_prime:
-        return list(run)
-    if retries is None:
-        retries = math.ceil(4.0 / pruned.params["epsilon"])
-    rng = np.random.default_rng(seed)
-    best_set, best_val = None, None
-    for _ in range(retries):
-        cand = sorted(rng.choice(len(run), size=k_prime, replace=False).tolist())
-        cand = [run[i] for i in cand]
-        val = obj.eval(cand)
-        if best_val is None or val > best_val:
-            best_set, best_val = cand, val
-    return best_set
+    return _run_picks(pruned.structure)[:k_prime]
+
+
+def _run_picks(structure) -> list[int]:
+    """The threshold run a fast-budget-range structure stores.  A legacy
+    ``threshold_grid`` structure, one run per budget on a grid, gives its
+    largest run: every smaller grid run is a prefix of it."""
+    kind = structure.get("kind") if isinstance(structure, dict) else None
+    if kind == "threshold_run":
+        picks = structure["picks"]
+    elif kind == "threshold_grid":
+        runs = structure["runs"]
+        if not (isinstance(runs, dict) and runs):
+            raise ValueError("threshold_grid structure holds no run")
+        picks = runs[max(runs, key=int)]
+    else:
+        raise ValueError(f"a fast-budget-range structure holds a threshold run, got {kind!r}")
+    if not (isinstance(picks, list)
+            and all(isinstance(e, int) and not isinstance(e, bool) for e in picks)):
+        raise ValueError("a threshold run must be a list of integer ids")
+    return picks
 
 
 def prune_threshold_stream(obj: Objective, order: Sequence[int], k: int, p: int,

@@ -251,6 +251,43 @@ class TestMalformedPruned:
         assert main(argv) == EXIT_CONFIG
         assert self.error_kind(capsys) == "config_error"
 
+    def fast_budget_range(self, tmp_path, graph_file):
+        pruned = tmp_path / "f.json"
+        assert main(["prune", "--graph", str(graph_file), "--algo", "fast_budget_range",
+                     "--k", "3", "--epsilon", "0.2", "--out", str(pruned)]) == EXIT_OK
+        return pruned, ["eval", "--graph", str(graph_file), "--pruned", str(pruned),
+                        "--k", "3", "--out", str(tmp_path / "r.json")]
+
+    @pytest.mark.parametrize("change", [
+        lambda body: body.update(structure={"kind": "flat"}),
+        lambda body: body["structure"].pop("picks"),
+        lambda body: body.update(structure={"kind": "threshold_grid", "runs": {}}),
+        lambda body: body["structure"].update(picks=[0, "1"]),
+        lambda body: body["structure"].update(picks=[0, 1.5]),
+    ], ids=["flat", "no_picks", "empty_grid", "string_id", "float_id"])
+    def test_fast_budget_range_without_run_is_parse_error(self, tmp_path, graph_file,
+                                                          capsys, change):
+        pruned, argv = self.fast_budget_range(tmp_path, graph_file)
+        self.edit(pruned, change)
+        assert main(argv) == EXIT_PARSE
+        assert self.error_kind(capsys) == "input_parse_error"
+
+    def test_legacy_threshold_grid_file_evaluates(self, tmp_path, graph_file):
+        pruned, argv = self.fast_budget_range(tmp_path, graph_file)
+        assert main(argv) == EXIT_OK
+        alphas = read_doc(tmp_path / "r.json")["body"]["report"]["alphas"]
+
+        def to_grid(body):
+            picks = body["structure"]["picks"]
+            body["params"]["grid"] = [1, 2, 3]
+            body["structure"] = {"kind": "threshold_grid",
+                                 "runs": {str(q): picks[:q] for q in (1, 2, 3)}}
+            body["cap"] = 6
+
+        self.edit(pruned, to_grid)
+        assert main(argv) == EXIT_OK
+        assert read_doc(tmp_path / "r.json")["body"]["report"]["alphas"] == alphas
+
     def test_invalid_json_is_parse_error(self, tmp_path, graph_file, capsys):
         pruned, argv = self.cardinality(tmp_path, graph_file)
         pruned.write_text("{not json")

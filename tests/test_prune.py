@@ -6,12 +6,11 @@ import pytest
 from prunekit import exact
 from prunekit.instances import gen_coverage, gen_gnm, gen_interference
 from prunekit.objectives import Cut, Modular, counting_wrap
-from prunekit.prune import (PruneParams, PrunedSet, budget_grid,
-                            prune_fast_budget_range, prune_random,
-                            prune_seq_disjoint, prune_std_greedy,
+from prunekit.prune import (PruneParams, PrunedSet, prune_fast_budget_range,
+                            prune_random, prune_seq_disjoint, prune_std_greedy,
                             prune_threshold_stream, prune_window, sdg_bound,
                             window_bound, witness)
-from prunekit.selection import greedy
+from prunekit.selection import greedy, threshold_greedy
 
 
 class TestPruneParams:
@@ -150,25 +149,13 @@ class TestStdGreedy:
 
 
 class TestFastBudgetRange:
-    def test_grid_matches_hand_computation(self):
-        # eta = 0.25: smalls {1..4}; ceil(1.25^j) capped at 8 -> {1,2,3,4,5,6,8}
-        assert budget_grid(8, 0.25) == [1, 2, 3, 4, 5, 6, 8]
-
-    def test_grid_k_one(self):
-        assert budget_grid(1, 0.05) == [1]
-
-    def test_k_always_in_grid(self):
-        for k in (2, 5, 9, 17, 40):
-            for eta in (0.05, 0.1, 0.25):
-                assert max(budget_grid(k, eta)) == k
-
-    def test_structure_keeps_per_budget_runs(self):
+    def test_structure_keeps_the_run(self):
         obj = gen_coverage(15, 20, seed=15)
         pruned = prune_fast_budget_range(obj, 15, 4, epsilon=0.2)
-        grid = pruned.params["grid"]
-        assert sorted(int(q) for q in pruned.structure["runs"]) == grid
-        union = {e for run in pruned.structure["runs"].values() for e in run}
-        assert union == set(pruned.elements)
+        run = threshold_greedy(counting_wrap(obj), range(15), 4, 0.05)
+        assert pruned.structure == {"kind": "threshold_run", "picks": run.picks}
+        assert pruned.elements == sorted(run.picks)
+        assert pruned.cap == 4 and "grid" not in pruned.params
 
     def test_witness_guarantee(self):
         eps = 0.2
@@ -181,14 +168,12 @@ class TestFastBudgetRange:
             assert len(w) <= kp
             assert obj.eval(w) >= bound * profile.opt_by_budget[kp] - 1e-9
 
-    def test_witness_returns_run_verbatim_when_it_fits(self):
+    def test_witness_is_run_prefix(self):
         obj = gen_coverage(12, 18, seed=17)
         pruned = prune_fast_budget_range(obj, 12, 3, epsilon=0.2)
-        runs = pruned.structure["runs"]
-        q = min(int(b) for b in runs)
-        kp = len(runs[str(q)])
-        if kp >= 1:
-            assert witness(pruned, obj, kp, seed=0) == runs[str(q)]
+        picks = pruned.structure["picks"]
+        for kp in range(1, 4):
+            assert witness(pruned, obj, kp, seed=kp) == picks[:kp]
 
     def test_witness_rejects_bad_budget(self):
         obj = gen_coverage(10, 14, seed=18)
@@ -203,6 +188,43 @@ class TestFastBudgetRange:
         obj = gen_coverage(n, 30, seed=19)
         pruned = prune_fast_budget_range(obj, n, 6, epsilon=eps)
         assert pruned.stats.queries <= 50 * (n / eps) * math.log(n / eps)
+
+    def test_legacy_threshold_grid_loads_as_largest_run(self):
+        # budgets 1..10: the largest run sits under "10", not under the
+        # lexicographically last key "9"
+        obj = gen_coverage(30, 40, seed=17)
+        run = threshold_greedy(counting_wrap(obj), range(30), 10, 0.05).picks
+        assert len(run) == 10
+        grid = list(range(1, 11))
+        legacy = {"algorithm": "fast_budget_range",
+                  "params": {"k": 10, "epsilon": 0.2, "eta": 0.05, "grid": grid, "n": 30},
+                  "elements": sorted(run),
+                  "structure": {"kind": "threshold_grid",
+                                "runs": {str(q): run[:q] for q in grid}},
+                  "stats": {"queries": 1000, "cache_hits": 0}, "cap": sum(grid)}
+        loaded = PrunedSet.from_dict(legacy)
+        assert loaded.structure == {"kind": "threshold_run", "picks": run}
+        for kp in grid:
+            assert witness(loaded, obj, kp) == run[:kp]
+
+    @pytest.mark.parametrize("structure", [
+        {"kind": "threshold_run"},
+        {"kind": "threshold_grid", "runs": {}},
+        {"kind": "flat"},
+        {"kind": "threshold_run", "picks": [0, "1"]},
+        {"kind": "threshold_run", "picks": [0, 1.0]},
+        {"kind": "threshold_grid", "runs": {"2": [0, True]}},
+    ], ids=["no_picks", "empty_grid", "flat", "string_id", "float_id", "bool_id"])
+    def test_malformed_run_rejected(self, structure):
+        body = prune_fast_budget_range(gen_coverage(10, 14, seed=18), 10, 2,
+                                       epsilon=0.2).to_dict()
+        body["structure"] = structure
+        with pytest.raises((KeyError, ValueError)):
+            PrunedSet.from_dict(body)
+
+    def test_k_zero_round_trips(self):
+        pruned = prune_fast_budget_range(gen_coverage(10, 14, seed=18), 10, 0, epsilon=0.2)
+        assert PrunedSet.from_dict(pruned.to_dict()).to_dict() == pruned.to_dict()
 
     def test_epsilon_validated(self, triangle):
         with pytest.raises(ValueError):

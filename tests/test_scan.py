@@ -24,7 +24,8 @@ from prunekit.objectives import (CountingOracle, Cut, FacilityLocation,
                                  RestrictedFacilityLocation, TableObjective,
                                  counting_wrap, open_scan)
 from prunekit.prune import (prune_fast_budget_range, prune_seq_disjoint,
-                            prune_std_greedy, prune_threshold_stream, prune_window)
+                            prune_std_greedy, prune_threshold_stream, prune_window,
+                            witness)
 from prunekit.selection import (density_greedy, greedy, threshold_greedy,
                                 threshold_stream, window_greedy)
 
@@ -339,6 +340,58 @@ class TestEnginesMatchScalarReference:
 
 
 # --------------------------------------------------------------------------
+# threshold runs are prefixes of each other: the single-run pruner against the
+# per-budget grid loop it replaced
+
+def ref_budget_grid(k, eta):
+    """The grid the per-budget loop ran on: budgets 1..min(k, ceil(1/eta))
+    plus the geometric ladder min(k, ceil((1+eta)^j))."""
+    small = set(range(1, min(k, math.ceil(1.0 / eta)) + 1))
+    j_top = math.ceil(math.log(k, 1.0 + eta)) if k > 1 else 0
+    ladder = {min(k, math.ceil((1.0 + eta) ** j)) for j in range(j_top + 1)}
+    return sorted(small | ladder)
+
+
+def ref_grid_prune(obj, n, k, epsilon):
+    """One threshold run per grid budget at eta = epsilon/4; P is their union."""
+    eta = epsilon / 4.0
+    oracle = counting_wrap(obj)
+    runs = {q: threshold_greedy(oracle, range(n), q, eta).picks
+            for q in ref_budget_grid(k, eta)}
+    return runs, sorted({e for picks in runs.values() for e in picks})
+
+
+PREFIX_FAMILIES = ["coverage", "facility_location", "weighted_coverage"]
+
+
+class TestThresholdRunPrefixes:
+    @pytest.mark.parametrize("name", PREFIX_FAMILIES)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 45), k=st.integers(1, 40),
+           eps=st.sampled_from([0.05, 0.2, 0.45]))
+    @settings(max_examples=25, deadline=None)
+    def test_capped_runs_are_prefixes(self, name, seed, n, k, eps):
+        # eps = 0.45 at large k is a sparse grid: the per-budget loop skipped budgets
+        obj = build_variants(n=n, seed=seed)[name]
+        eta = eps / 4.0
+        top = threshold_greedy(counting_wrap(obj), range(n), k, eta)
+        assert len(top.picks) <= k
+        for q in range(1, k + 1):
+            run = threshold_greedy(counting_wrap(obj), range(n), q, eta)
+            assert run.picks == top.picks[:q]
+            assert typed(run.gains) == typed(top.gains[:q])
+
+        pruned = prune_fast_budget_range(obj, n, k, epsilon=eps)
+        runs, union = ref_grid_prune(obj, n, k, eps)
+        assert pruned.elements == union == sorted(top.picks)
+        assert pruned.structure == {"kind": "threshold_run", "picks": top.picks}
+        assert pruned.cap == k
+        for kp in range(1, k + 1):
+            assert witness(pruned, obj, kp) == top.picks[:kp]
+        for q, picks in runs.items():
+            assert witness(pruned, obj, q) == picks
+
+
+# --------------------------------------------------------------------------
 # query accounting: one query per set value a scan computes
 
 class TestPinnedQueryCounts:
@@ -366,12 +419,11 @@ class TestPinnedQueryCounts:
         assert pruned.stats == OracleStats(queries=1 + 30 + 29 + 28, cache_hits=0)
 
     def test_fast_budget_range(self):
-        # grid 1..3 at eta = 0.05: per run 30 singleton values, f(empty), and
-        # the rescans after its acceptances
+        # one run at eta = 0.05: 30 singleton values, f(empty), and 57
+        # rescans after its acceptances
         obj = gen_coverage(self.N, 40, seed=2)
         pruned = prune_fast_budget_range(obj, self.N, self.K, epsilon=0.2)
-        assert pruned.params["grid"] == [1, 2, 3]
-        assert pruned.stats == OracleStats(queries=179, cache_hits=0)
+        assert pruned.stats == OracleStats(queries=88, cache_hits=0)
         assert pruned.stats.queries <= 50 * (self.N / 0.2) * math.log(self.N / 0.2)
 
     def test_threshold_stream_counts_no_memo_hits(self):
