@@ -70,7 +70,10 @@ def _resolve_objective(args) -> tuple[objectives.Objective, dict]:
     cfg: dict = {}
     if getattr(args, "objective_file", None):
         payload = _load_json_body(args.objective_file)
-        obj = objectives.objective_from_dict(payload)
+        try:
+            obj = objectives.objective_from_dict(payload)
+        except TypeError as exc:  # a missing or ill-typed field
+            raise instances.InputFormatError(args.objective_file, 1, str(exc))
         cfg = {"source": str(args.objective_file), "variant": payload["variant"]}
     elif getattr(args, "gen_spec", None):
         with open(args.gen_spec) as fh:

@@ -15,16 +15,15 @@ padded with the empty-slot id ``n``.
 
 Each batch is valued by one call to the objective's batched kernel,
 ``Objective.eval_ids`` (contract in :mod:`prunekit.objectives`).  The
-kernel returns, bit for bit, what ``eval_membership`` returns for the same
-rows of one size.  Its arrays are built lazily on the first batched call.
+kernel returns, bit for bit, what ``eval`` returns for each row, whatever
+else is in the batch, so the optima, the canonical argmaxes and
+``ties_at_top`` are values ``eval`` gives their witnesses and do not
+depend on how subsets are batched.
 
 Whole size tables share one padded batch up to ``_GROUP_ROWS`` rows (or
 ``chunk``, if smaller).  A larger table comes alone, and one larger than
 ``chunk`` rows comes in batches of exactly ``chunk`` rows, counted from its
-first row.  Each size therefore occupies the same runs of rows as in a
-one-size-per-chunk enumeration.  That keeps matmul-based values, and with
-them the canonical argmaxes and ``ties_at_top``, independent of how sizes
-share a batch.  Enumerations that fit one batch are built once per
+first row.  Enumerations that fit one batch are built once per
 (universe size, k) and reused.
 """
 

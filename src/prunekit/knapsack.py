@@ -149,12 +149,12 @@ def extract_budget(pruned: KnapsackPrunedSet, obj: Objective, b_prime: float,
                    exhaustive_cap: int = EXHAUSTIVE_CAP) -> list[int]:
     """Best feasible subset of P found for query budget B' <= B.
 
-    Routes: exact enumeration over P when |P| is small enough, otherwise the
-    best prefix of a density-greedy pass over P at stop/keep = B' together
-    with the best feasible singleton.  The result always costs at most B'.
+    Routes: exact enumeration over P when |P| is small enough and the guard
+    allows it, otherwise the best prefix of a density-greedy pass over P at
+    stop/keep = B' or the best feasible singleton, whichever is worth more.
+    The result always costs at most B'.
     """
-    q = _extract_many(pruned, obj, [b_prime], exhaustive_cap)[0]
-    return q
+    return _extract_many(pruned, obj, [b_prime], exhaustive_cap)[0]
 
 
 def extract_budget_grid(pruned: KnapsackPrunedSet, obj: Objective,
@@ -169,10 +169,17 @@ def _extract_many(pruned, obj, budgets, exhaustive_cap):
         if not (0 < b <= inst.B):
             raise ValueError(f"query budget must be in (0, B], got {b}")
     P = pruned.elements
-    candidates: dict[float, list[tuple[float, list[int]]]] = {b: [] for b in budgets}
+    if len(P) <= exhaustive_cap:
+        try:
+            profile = exact.opt_knapsack(obj, P, inst.costs, budgets)
+            return [sorted(s) for s in profile.argmax_by_budget]
+        except exact.GuardExceeded:
+            pass
 
-    # density route: one pass per budget, scoring every prefix of the run
+    # density route: one pass per budget, scoring every prefix of the run,
+    # against the best feasible singleton
     oracle = counting_wrap(obj)
+    out = []
     for b in budgets:
         run = density_greedy(oracle, P, inst.costs, stop_cost=b, keep_cap=b)
         empty = float(oracle.eval(()))
@@ -182,25 +189,13 @@ def _extract_many(pruned, obj, budgets, exhaustive_cap):
             value += gain
             if value > best_val:
                 best_val, best_prefix = value, run.picks[: i + 1]
-        candidates[b].append((best_val, list(best_prefix)))
+        candidates = [(best_val, list(best_prefix))]
         feas = [e for e in P if inst.costs[e] <= b]
         if feas:
             sv, se = max(((float(oracle.eval((e,))), e) for e in feas),
                          key=lambda t: (t[0], -t[1]))
-            candidates[b].append((sv, [se]))
-
-    if len(P) <= exhaustive_cap:
-        try:
-            profile = exact.opt_knapsack(obj, P, inst.costs, budgets)
-            for b, val, s in zip(profile.budgets, profile.opt_by_budget,
-                                 profile.argmax_by_budget):
-                candidates[b].append((float(val), list(s)))
-        except exact.GuardExceeded:
-            pass
-
-    out = []
-    for b in budgets:
-        feasible = [(v, s) for v, s in candidates[b] if inst.cost(s) <= b + REAL_TOL]
+            candidates.append((sv, [se]))
+        feasible = [(v, s) for v, s in candidates if inst.cost(s) <= b + REAL_TOL]
         val, sel = max(feasible, key=lambda t: t[0])
         out.append(sorted(sel))
     return out

@@ -2,33 +2,20 @@
 
 Elements of a ground set are dense integer ids ``0..n-1``.  Every objective
 exposes ``eval`` (value of a set), ``marginal`` (value gain of one element)
-and two batched paths.  Objectives are pure after construction; the
+and one batched path.  Objectives are pure after construction; the
 :class:`CountingOracle` wrapper adds memoization and query accounting for
 one thread (parallel sweeps run in worker processes, each with its own).
 
-Batched evaluation:
-
-* ``eval_ids(ids)`` is the kernel the exact enumeration engine calls.
-  ``ids`` is a ``(batch, width)`` integer array; each row lists the distinct
-  ids of one selection, padded with the empty-slot id ``n``.  The result is
-  one float per row.
-* ``eval_membership(M)`` takes a ``(batch, n)`` boolean membership matrix.
-
-The two agree bit for bit on a batch of equal-size rows.  :class:`Cut`,
-:class:`Coverage` (both unweighted), :class:`FacilityLocation`,
-:class:`RestrictedFacilityLocation`, :class:`Proxy` and
-:class:`InterferenceCoverage` have index kernels, and their
-``eval_membership`` converts the matrix to id rows and calls the kernel.
-Kernel arrays (Cut's degrees, padded similarities, packed cover words) are
-built lazily on the first batched call, so objectives that are never
-enumerated pay nothing.  Cut's pair table spans only the ids a batch uses,
-so it grows with the enumerated universe, not with ``n``.
-The other families run the mask path: the base ``eval_ids`` converts each
-run of equal-size rows to a membership matrix and calls ``eval_membership``
-once per run.  That keeps each BLAS matmul on the same rows as a
-one-size-per-batch enumeration, because a matmul's row results can depend
-on the rows batched with them.  The interference penalty matmul runs per
-run for the same reason.
+Batched evaluation: ``eval_ids(ids)`` is the one batched entry point, called
+by the exact enumeration engine and the default candidate scan.  ``ids`` is
+a ``(batch, width)`` integer array; each row lists the distinct ids of one
+selection in any order, padded anywhere with the empty-slot id ``n``.  It
+returns one float per row, equal bit for bit to ``eval`` of that row
+whatever else is in the batch: each kernel reduces every row on its own in
+the order ``eval`` does, and none uses a matmul, whose row results depend on
+the rows batched with them.  Kernel arrays (Cut's degrees, the padded
+similarity rows, packed cover words) are built lazily.  ``_value`` stays the
+scalar path: a small batch costs tens of microseconds, a scalar value a few.
 
 Candidate scans:
 
@@ -41,8 +28,8 @@ Candidate scans:
   state (edges into ``S``, the union's cover words, the best similarity per
   point).  :class:`InterferenceCoverage` keeps ``S``'s union and inside
   pairs and values candidates one by one, its penalty summed in pair order
-  as ``eval`` sums it.  The other families call ``eval(S + e)`` per
-  candidate.
+  as ``eval`` sums it.  The other families value the rows ``S + e`` with
+  one ``eval_ids`` call.
 
 Built-in families:
 
@@ -171,48 +158,29 @@ class Objective:
         return self.eval(s | {e}) - self.eval(s)
 
     def eval_ids(self, ids: np.ndarray) -> np.ndarray:
-        """Values for a batch of selections given as padded id rows.
-
-        ``ids`` is a (batch, width) integer array of distinct ids per row,
-        padded with ``n``.  Families with an index kernel override this.  The
-        default is the mask path, one ``eval_membership`` call per run of
-        equal-size rows.
-        """
-        ids = np.asarray(ids)
-        out = np.empty(len(ids))
-        for lo, hi in _size_runs(ids, self.n):
-            out[lo:hi] = self.eval_membership(ids_to_mask(ids[lo:hi], self.n))
-        return out
-
-    def eval_membership(self, M: np.ndarray) -> np.ndarray:
-        """Vectorized values for a batch of selections.
-
-        ``M`` is a (batch, n) boolean membership matrix.  The default loops
-        over rows; subclasses override with array arithmetic or, with an
-        index kernel, route it through ``eval_ids``.  Agrees with ``eval`` row
-        by row up to rounding.
-        """
-        M = np.asarray(M, dtype=bool)
-        return np.array([float(self.eval(np.flatnonzero(row))) for row in M])
+        """One float per row of ``ids``, a (batch, width) array of distinct
+        ids per row padded with ``n``, equal to ``eval`` of the row.  Families
+        with a kernel override this; the default calls ``_value`` per row."""
+        n = self.n
+        rows = [frozenset(e for e in row if e < n) for row in np.asarray(ids).tolist()]
+        return np.fromiter((self._value(s) for s in rows), dtype=float, count=len(rows))
 
     def scan(self) -> "CandidateScan":
         """A candidate scan at the empty set.  Families with a batched scan
-        state override this; the default calls ``eval`` per candidate."""
+        state override this; the default values candidates through
+        ``eval_ids``."""
         return CandidateScan(self)
 
     def _value(self, s: frozenset[int]):
         raise NotImplementedError
 
+    def _kernel_value(self, s: frozenset[int]) -> float:
+        """``f(s)`` as a one-row ``eval_ids`` call: the scalar path of the
+        families whose kernel is as cheap as a scalar formula."""
+        return float(self.eval_ids(np.array([[*s, self.n]]))[0])
+
     def to_dict(self) -> dict:
         raise NotImplementedError(f"{type(self).__name__} has no serial form")
-
-
-class _IndexKernelObjective(Objective):
-    """An objective whose batched path is its ``eval_ids`` kernel:
-    ``eval_membership`` converts the matrix to id rows and calls it."""
-
-    def eval_membership(self, M):
-        return self.eval_ids(mask_to_ids(np.asarray(M, dtype=bool), self.n))
 
 
 def ids_to_mask(ids: np.ndarray, n: int) -> np.ndarray:
@@ -222,23 +190,6 @@ def ids_to_mask(ids: np.ndarray, n: int) -> np.ndarray:
     return M[:, :n]
 
 
-def mask_to_ids(M: np.ndarray, n: int) -> np.ndarray:
-    """Padded id rows, ascending, of a (batch, n) membership matrix."""
-    counts = M.sum(axis=1)
-    ids = np.full((len(M), max(1, int(counts.max(initial=0)))), n, dtype=np.intp)
-    rows, cols = np.nonzero(M)
-    ids[rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)] = cols
-    return ids
-
-
-def _size_runs(ids: np.ndarray, n: int) -> list[tuple[int, int]]:
-    """Row ranges [lo, hi) of the runs of equal-size rows of an id batch."""
-    sizes = np.count_nonzero(ids < n, axis=1)
-    cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
-    bounds = [0, *cuts, len(ids)]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 def _by_blocks(ids: np.ndarray, per_row: int, kernel) -> np.ndarray:
     """``kernel(block)`` over row blocks of ``ids`` small enough that the
     block gathers at most ``_KERNEL_CELLS`` cells."""
@@ -246,6 +197,15 @@ def _by_blocks(ids: np.ndarray, per_row: int, kernel) -> np.ndarray:
     if len(ids) <= step:
         return kernel(ids)
     return np.concatenate([kernel(ids[lo:lo + step]) for lo in range(0, len(ids), step)])
+
+
+def _masked_row_sums(weights: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Per row of the boolean matrix ``keep``, ``weights`` summed with zeros
+    where it is false.  In a C-contiguous array numpy sums each row pairwise
+    on its own; in another layout it would add column by column."""
+    terms = np.zeros(keep.shape)
+    np.copyto(terms, weights, where=keep)
+    return terms.sum(axis=1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -264,12 +224,17 @@ def _cover_words(incidence: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=1).view(np.uint64)
 
 
-def _covered_count(words: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Number of universe items covered by each id row, as floats."""
+def _union(words: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The cover words of each id row OR-ed together."""
     union = words[ids[:, 0]]
     for j in range(1, ids.shape[1]):
         union |= words[ids[:, j]]
-    return np.bitwise_count(union).sum(axis=1, dtype=np.int64).astype(float)
+    return union
+
+
+def _covered_count(words: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Number of universe items covered by each id row, as floats."""
+    return np.bitwise_count(_union(words, ids)).sum(axis=1, dtype=np.int64).astype(float)
 
 
 def _cover_masks(covers: Sequence[Iterable[int]]) -> tuple[list[int], int]:
@@ -288,14 +253,36 @@ def _cover_masks(covers: Sequence[Iterable[int]]) -> tuple[list[int], int]:
     return masks, top + 1
 
 
-def _incidence_matrix(covers, n: int, m: int) -> np.ndarray:
-    inc = np.zeros((n, m), dtype=bool)
-    for e, cov in enumerate(covers):
-        inc[e, sorted(cov)] = True
-    return inc
+class _CoverObjective(Objective):
+    """The cover tables of the coverage families: ``covers[e]`` lists the
+    universe items element ``e`` covers, kept as sets, Python bitmasks, an
+    ``(n, m)`` incidence matrix and, for the kernels, packed words."""
+
+    def __init__(self, covers: Sequence[Iterable[int]], m: int | None):
+        if not covers:
+            raise ValueError(f"{type(self).__name__} needs at least one element")
+        self.covers = [frozenset(int(v) for v in cov) for cov in covers]
+        self._masks, m_seen = _cover_masks(self.covers)
+        self.m = m_seen if m is None else int(m)
+        if self.m < m_seen:
+            raise ValueError(f"universe size {self.m} smaller than max covered item")
+        self.n = len(covers)
+        self._incidence = np.zeros((self.n, self.m), dtype=bool)
+        for e, cov in enumerate(self.covers):
+            self._incidence[e, sorted(cov)] = True
+
+    def _union_mask(self, s) -> int:
+        union = 0
+        for e in s:
+            union |= self._masks[e]
+        return union
+
+    @functools.cached_property
+    def _words(self) -> np.ndarray:
+        return _cover_words(self._incidence)
 
 
-class Coverage(_IndexKernelObjective):
+class Coverage(_CoverObjective):
     """Weighted coverage: f(S) = sum of weights of universe items covered by S.
 
     ``covers[e]`` lists the universe items element ``e`` covers; ``weights``
@@ -304,15 +291,7 @@ class Coverage(_IndexKernelObjective):
 
     def __init__(self, covers: Sequence[Iterable[int]], weights: Sequence[float] | None = None,
                  m: int | None = None):
-        if not covers:
-            raise ValueError("coverage needs at least one element")
-        self.covers = [frozenset(int(v) for v in cov) for cov in covers]
-        self._masks, m_seen = _cover_masks(self.covers)
-        self.m = m_seen if m is None else int(m)
-        if self.m < m_seen:
-            raise ValueError(f"universe size {self.m} smaller than max covered item")
-        self.n = len(covers)
-        self._incidence = _incidence_matrix(self.covers, self.n, self.m)
+        super().__init__(covers, m)
         if weights is None:
             self.weights = None
             self.integer_valued = True
@@ -326,42 +305,26 @@ class Coverage(_IndexKernelObjective):
             self.integer_valued = bool(np.all(w == np.round(w)))
 
     def _value(self, s):
-        union = 0
-        for e in s:
-            union |= self._masks[e]
         if self.weights is None:
-            return union.bit_count()
-        total = 0.0
-        v = 0
-        while union:
-            if union & 1:
-                total += self.weights[v]
-            union >>= 1
-            v += 1
-        return total
-
-    @functools.cached_property
-    def _words(self) -> np.ndarray:
-        return _cover_words(self._incidence)
+            return self._union_mask(s).bit_count()
+        return self._kernel_value(s)
 
     def eval_ids(self, ids):
-        if self.weights is not None:  # weighted: the mask path
-            return Objective.eval_ids(self, ids)
-        return _covered_count(self._words, np.asarray(ids))
+        """Unweighted: the covered count.  Weighted: the covered items'
+        weights added one item at a time in ascending order."""
+        ids = np.asarray(ids)
+        if self.weights is None:
+            return _covered_count(self._words, ids)
+        return _by_blocks(ids, self.m, self._covered_weight)
+
+    def _covered_weight(self, block: np.ndarray) -> np.ndarray:
+        if not self.m:
+            return np.zeros(len(block))
+        covered = np.unpackbits(_union(self._words, block).view(np.uint8), axis=1, count=self.m)
+        return np.where(covered, self.weights, 0.0).cumsum(axis=1)[:, -1]
 
     def scan(self):
         return _CoverageScan(self) if self.weights is None else CandidateScan(self)
-
-    def eval_membership(self, M):
-        if self.weights is None:
-            return super().eval_membership(M)
-        M = np.asarray(M, dtype=bool)
-        out = np.zeros(M.shape[0])
-        for v in range(self.m):
-            covering = self._incidence[:, v]
-            if covering.any():
-                out += M[:, covering].any(axis=1) * self.weights[v]
-        return out
 
     def to_dict(self):
         return {
@@ -372,7 +335,7 @@ class Coverage(_IndexKernelObjective):
         }
 
 
-class Cut(_IndexKernelObjective):
+class Cut(Objective):
     """Graph cut value: weight of edges with exactly one endpoint selected.
 
     Non-monotone (the full vertex set cuts nothing) but submodular.
@@ -412,14 +375,11 @@ class Cut(_IndexKernelObjective):
         return list(zip(self._us.tolist(), self._vs.tolist()))
 
     def _value(self, s):
-        if not len(self._us):
-            return 0 if self._ws is None else 0.0
+        if self._ws is not None:
+            return self._kernel_value(s)
         mem = np.zeros(self.n, dtype=bool)
         mem[list(s)] = True
-        cut = mem[self._us] != mem[self._vs]
-        if self._ws is None:
-            return int(np.count_nonzero(cut))
-        return float(self._ws[cut].sum())
+        return int(np.count_nonzero(mem[self._us] != mem[self._vs]))
 
     @functools.cached_property
     def _degrees(self) -> np.ndarray:
@@ -442,10 +402,11 @@ class Cut(_IndexKernelObjective):
 
     def eval_ids(self, ids):
         """Unweighted cut of each row: its degree sum minus twice the edges
-        inside it, read from a pair table over the ids the batch uses."""
-        if self._ws is not None:  # weighted: the mask path
-            return Objective.eval_ids(self, ids)
+        inside it, read from a pair table over the ids the batch uses.
+        Weighted: the weights of the cut edges summed along each row."""
         ids = np.asarray(ids)
+        if self._ws is not None:
+            return _by_blocks(ids, max(self.n, len(self._ws)), self._cut_weight)
         if ids.shape[1] == 1:  # no pairs: a single vertex cuts its degree
             return self._degrees[ids[:, 0]].astype(float)
         used = np.zeros(self.n + 1, dtype=bool)
@@ -458,6 +419,10 @@ class Cut(_IndexKernelObjective):
             return weights[(ranks * side)[:, first] + ranks[:, second]].sum(axis=1, dtype=float)
 
         return _by_blocks(ids, len(first), block_values)
+
+    def _cut_weight(self, block: np.ndarray) -> np.ndarray:
+        M = ids_to_mask(block, self.n)
+        return _masked_row_sums(self._ws, M[:, self._us] != M[:, self._vs])
 
     def _pair_table(self, used: np.ndarray, batch_cells: int):
         """``(rank, weights, side)`` for the ids marked in ``used``: ``rank``
@@ -484,14 +449,6 @@ class Cut(_IndexKernelObjective):
         self._kept_table = (key, table) if weights.size <= batch_cells else None
         return table
 
-    def eval_membership(self, M):
-        if self._ws is None:
-            return super().eval_membership(M)
-        M = np.asarray(M, dtype=bool)
-        if not len(self._us):
-            return np.zeros(M.shape[0])
-        return (M[:, self._us] != M[:, self._vs]) @ self._ws
-
     def to_dict(self):
         return {
             "variant": "cut",
@@ -501,7 +458,7 @@ class Cut(_IndexKernelObjective):
         }
 
 
-class FacilityLocation(_IndexKernelObjective):
+class FacilityLocation(Objective):
     """f(S) = sum over covered points v of max_{s in S} sim[v, s]; f({}) = 0.
 
     ``sim`` is an (m, n) non-negative similarity matrix: rows are covered
@@ -523,39 +480,34 @@ class FacilityLocation(_IndexKernelObjective):
         return float(self.sim[:, sorted(s)].max(axis=1).sum())
 
     @functools.cached_property
-    def _padded_sim(self) -> np.ndarray:
-        """sim with an all-zero column for the empty slot."""
-        return np.hstack([self.sim, np.zeros((self.m, 1))])
-
-    @functools.cached_property
     def _sim_t(self) -> np.ndarray:
-        """sim transposed into contiguous rows, one per element."""
-        return np.ascontiguousarray(self.sim.T)
+        """sim transposed into contiguous rows, one per element, plus an
+        all-zero row for the empty slot ``n``."""
+        sim_t = np.zeros((self.n + 1, self.m))  # C order, whatever sim's layout
+        sim_t[:self.n] = self.sim.T
+        return sim_t
 
     def scan(self):
         return _FacilityScan(self, self._sim_t)
 
     def eval_ids(self, ids):
         """Per covered point the best similarity in the row (a running
-        maximum over the row's columns), summed over the points in order
-        0..m-1, as the mask path adds them."""
+        maximum over the row's ids), then each row summed pairwise over the
+        points, as ``eval`` sums them."""
         return _by_blocks(np.asarray(ids), self.m, self._block_values)
 
     def _block_values(self, block: np.ndarray) -> np.ndarray:
-        sim = self._padded_sim
-        best = sim[:, block[:, 0]]  # (m, rows)
+        sim_t = self._sim_t
+        best = sim_t[block[:, 0]]  # (rows, m)
         for j in range(1, block.shape[1]):
-            np.maximum(best, sim[:, block[:, j]], out=best)
-        total = best[0].copy()
-        for point in best[1:]:
-            total += point
-        return total
+            np.maximum(best, sim_t[block[:, j]], out=best)
+        return best.sum(axis=1)
 
     def to_dict(self):
         return {"variant": "facility_location", "sim": self.sim.tolist()}
 
 
-class RestrictedFacilityLocation(_IndexKernelObjective):
+class RestrictedFacilityLocation(Objective):
     """Facility location restricted to rows with relevance above a gate.
 
     f(S) = sum over rows v with rel[v] > tau of max_{s in S} sim[v, s].
@@ -592,7 +544,7 @@ class RestrictedFacilityLocation(_IndexKernelObjective):
                 "rel": self.rel.tolist(), "tau": self.tau}
 
 
-class Proxy(_IndexKernelObjective):
+class Proxy(Objective):
     """Facility location minus a convex non-decreasing size penalty.
 
     ``f(S) = FL(S) - theta(|S|)`` is submodular but non-monotone.  Can dip
@@ -637,7 +589,7 @@ class Proxy(_IndexKernelObjective):
         ids = np.asarray(ids)
         sizes = np.count_nonzero(ids < self.n, axis=1)
         vals = self.fl.eval_ids(ids) - self.penalty.theta[sizes] + self.shift
-        return np.maximum(vals, 0.0) if self.clamp else vals
+        return _clamped(vals) if self.clamp else vals
 
     def scan(self):
         return _ProxyScan(self, self.fl._sim_t)
@@ -648,24 +600,19 @@ class Proxy(_IndexKernelObjective):
                 "clamp": self.clamp}
 
 
-class InterferenceCoverage(_IndexKernelObjective):
+class InterferenceCoverage(_CoverObjective):
     """Coverage minus a weighted penalty on interfering pairs.
 
     f(S) = |union of covers| - lam * sum over selected pairs of intf(i, j).
     ``intf`` maps unordered pairs to non-negative intensities (symmetric,
-    zero diagonal).  Non-monotone for lam > 0.
+    zero diagonal).  Non-monotone for lam > 0.  The penalty adds the pair
+    weights in ascending pair order, the order of the serial form.
     """
 
     def __init__(self, covers: Sequence[Iterable[int]],
                  intf: Mapping[tuple[int, int], float], lam: float,
                  m: int | None = None):
-        if not covers:
-            raise ValueError("needs at least one element")
-        self.covers = [frozenset(int(v) for v in cov) for cov in covers]
-        self._masks, m_seen = _cover_masks(self.covers)
-        self.m = m_seen if m is None else int(m)
-        self.n = len(covers)
-        self._incidence = _incidence_matrix(self.covers, self.n, self.m)
+        super().__init__(covers, m)
         self.lam = float(lam)
         if self.lam < 0:
             raise ValueError("interference weight lam must be non-negative")
@@ -683,24 +630,17 @@ class InterferenceCoverage(_IndexKernelObjective):
             if key in pairs and pairs[key] != w:
                 raise ValueError(f"asymmetric intensities for pair {key}")
             pairs[key] = w
-        self.intf = pairs
+        self.intf = pairs = dict(sorted(pairs.items()))
         self._pi = np.asarray([p[0] for p in pairs], dtype=np.int64)
         self._pj = np.asarray([p[1] for p in pairs], dtype=np.int64)
         self._pw = np.asarray(list(pairs.values()), dtype=float)
 
     def _value(self, s):
-        union = 0
-        for e in s:
-            union |= self._masks[e]
-        val = float(union.bit_count())
+        val = float(self._union_mask(s).bit_count())
         if self.lam and len(s) > 1 and len(self._pw):
             val -= self.lam * sum(w for (i, j), w in self.intf.items()
                                   if i in s and j in s)
         return val
-
-    @functools.cached_property
-    def _words(self) -> np.ndarray:
-        return _cover_words(self._incidence)
 
     @functools.cached_property
     def _incident(self) -> list[list[tuple[int, int, float]]]:
@@ -715,15 +655,26 @@ class InterferenceCoverage(_IndexKernelObjective):
         return _InterferenceScan(self)
 
     def eval_ids(self, ids):
-        """Covered count minus the pair penalty; the penalty matmul runs once
-        per run of equal-size rows (see the module docstring)."""
+        """Covered count minus ``lam`` times each row's pair penalty."""
         ids = np.asarray(ids)
         out = _covered_count(self._words, ids)
         if self.lam and len(self._pw):
-            for lo, hi in _size_runs(ids, self.n):
-                M = ids_to_mask(ids[lo:hi], self.n)
-                out[lo:hi] -= self.lam * ((M[:, self._pi] & M[:, self._pj]) @ self._pw)
+            # the pair loop works on one cell per row at a time
+            out -= self.lam * _by_blocks(ids, 1, self._penalties)
         return out
+
+    def _penalties(self, block: np.ndarray) -> np.ndarray:
+        """Per row the weights of the pairs inside it, added one pair at a
+        time in ``intf`` order, as ``eval``'s ``sum`` adds them."""
+        member = np.zeros((self.n + 1, len(block)), dtype=bool)  # one row per id
+        member[block, np.arange(len(block))[:, None]] = True
+        used = member.any(axis=1)
+        total = np.zeros(len(block))
+        inside = np.empty(len(block), dtype=bool)
+        for k in np.flatnonzero(used[self._pi] & used[self._pj]).tolist():
+            np.logical_and(member[self._pi[k]], member[self._pj[k]], out=inside)
+            np.add(total, self._pw[k], out=total, where=inside)
+        return total
 
     def to_dict(self):
         return {
@@ -747,10 +698,12 @@ class Modular(Objective):
         self.integer_valued = bool(np.all(w == np.round(w)))
 
     def _value(self, s):
-        return float(self.weights[sorted(s)].sum()) if s else 0.0
+        return self._kernel_value(s)
 
-    def eval_membership(self, M):
-        return np.asarray(M, dtype=float) @ self.weights
+    def eval_ids(self, ids):
+        """The selected elements' weights summed along each row."""
+        return _by_blocks(np.asarray(ids), self.n, lambda block: _masked_row_sums(
+            self.weights, ids_to_mask(block, self.n)))
 
     def to_dict(self):
         return {"variant": "modular", "weights": self.weights.tolist()}
@@ -786,13 +739,12 @@ class CandidateScan:
     by :meth:`add`.
 
     ``values(cands)`` takes ids in ``0..n-1`` outside ``S`` (unchecked: the
-    engines check their pool once) and returns one value per candidate,
-    equal bit for bit to ``eval(S + e)``.  A family state returns a numeric
-    array.  This default values each candidate the way ``eval`` does,
-    without a memo, and returns an object array that holds each result as
-    ``eval`` gives it, so gains computed from it keep ``eval``'s types.
-    With a ``counter`` (see :func:`open_scan`) every value computed,
-    ``f(empty)`` included, is recorded there as one query.
+    engines check their pool once) and returns a numeric array with one
+    value per candidate, equal bit for bit to ``eval(S + e)``: integers for
+    the integer-valued states, floats otherwise.  This default values the
+    rows ``S + e`` with one ``eval_ids`` call.  With a ``counter`` (see
+    :func:`open_scan`) every value computed, ``f(empty)`` included, is
+    recorded there as one query.
     """
 
     def __init__(self, obj: Objective):
@@ -821,11 +773,10 @@ class CandidateScan:
             self.counter.record(queries)
 
     def _values(self, cands: np.ndarray) -> np.ndarray:
-        # eval without its id checks: the engines check the pool once
-        value, members = self.obj._value, self.members
-        out = np.empty(len(cands), dtype=object)
-        out[:] = [value(members | {e}) for e in cands.tolist()]
-        return out
+        rows = np.empty((len(cands), len(self.members) + 1), dtype=np.intp)
+        rows[:, :-1] = list(self.members)
+        rows[:, -1] = cands
+        return self.obj.eval_ids(rows)
 
     def _grow(self, e: int) -> None:
         pass
@@ -937,35 +888,92 @@ class _ProxyScan(_FacilityScan):
     def _values(self, cands):
         proxy = self.obj
         vals = super()._values(cands) - proxy.penalty.theta[len(self.members) + 1] + proxy.shift
-        # max(val, 0.0) keeps val unless it is below zero, -0.0 included
-        return np.where(vals < 0.0, 0.0, vals) if proxy.clamp else vals
+        return _clamped(vals) if proxy.clamp else vals
+
+
+def _clamped(vals: np.ndarray) -> np.ndarray:
+    """``max(v, 0.0)`` per value, -0.0 kept as ``Proxy.eval`` keeps it."""
+    return np.where(vals < 0.0, 0.0, vals)
 
 
 def objective_from_dict(payload: Mapping) -> Objective:
-    """Rebuild an objective from its ``to_dict`` payload."""
-    variant = payload["variant"]
+    """Rebuild an objective from its ``to_dict`` payload.
+
+    A payload that is not a mapping, misses a field or holds one of the
+    wrong type or shape raises ``TypeError``.  Well-formed values the family
+    rejects (an unknown variant, a negative or non-finite proxy shift,
+    negative weights) raise ``ValueError``.
+    """
+    if not isinstance(payload, Mapping):
+        raise TypeError("objective payload must be a JSON object")
+    get = functools.partial(_field, payload)
+    variant = get("variant", str)
     if variant == "coverage":
-        return Coverage(payload["covers"], payload.get("weights"), m=payload.get("m"))
+        return Coverage(get("covers", "lists"), get("weights", 1, None), m=get("m", int, None))
     if variant == "cut":
-        return Cut(payload["n"], [tuple(e) for e in payload["edges"]], payload.get("weights"))
+        edges = get("edges", "lists")
+        if any(len(e) != 2 for e in edges):
+            raise TypeError("objective field 'edges' must hold [u, v] pairs")
+        return Cut(get("n", int), [tuple(e) for e in edges], get("weights", 1, None))
     if variant == "facility_location":
-        return FacilityLocation(np.asarray(payload["sim"]))
+        return FacilityLocation(get("sim", 2))
     if variant == "restricted_fl":
-        return RestrictedFacilityLocation(np.asarray(payload["sim"]),
-                                          payload["rel"], payload["tau"])
+        return RestrictedFacilityLocation(get("sim", 2), get("rel", 1), get("tau", float))
     if variant == "proxy":
-        obj = Proxy(FacilityLocation(np.asarray(payload["sim"])),
-                    PenaltyCurve(payload["penalty"]["theta"]),
-                    clamp=payload.get("clamp", False))
-        obj.shift = float(payload.get("shift", 0.0))
+        obj = Proxy(FacilityLocation(get("sim", 2)),
+                    PenaltyCurve(_field(get("penalty", Mapping), "theta", 1)),
+                    clamp=get("clamp", bool, False))
+        obj.shift = float(get("shift", float, 0.0))
+        if not 0.0 <= obj.shift < float("inf"):
+            raise ValueError(f"proxy shift must be finite and non-negative, got {obj.shift}")
         return obj
     if variant == "interference_coverage":
-        intf = {(i, j): w for i, j, w in payload["intf"]}
-        return InterferenceCoverage(payload["covers"], intf, payload["lam"],
-                                    m=payload.get("m"))
+        intf = get("intf", list)
+        if not all(isinstance(t, list) and len(t) == 3 and _ids(t[:2]) and _is(t[2], float)
+                   for t in intf):
+            raise TypeError("objective field 'intf' must hold [i, j, weight] triples")
+        return InterferenceCoverage(get("covers", "lists"), {(i, j): w for i, j, w in intf},
+                                    get("lam", float), m=get("m", int, None))
     if variant == "modular":
-        return Modular(payload["weights"])
+        return Modular(get("weights", 1))
     raise ValueError(f"unknown objective variant {variant!r}")
+
+
+_KINDS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+
+
+def _is(value, kind: type) -> bool:
+    """Whether a payload value has type ``kind``; only ``bool`` takes bools."""
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, _KINDS.get(kind, kind))
+
+
+def _ids(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(_is(v, int) for v in value)
+
+
+def _field(payload: Mapping, key: str, kind, default=...):
+    """``payload[key]`` checked against ``kind``: a type, an array
+    dimension (1 or 2: returns a float array) or ``"lists"`` (a list of
+    integer id lists).  An absent or null field takes ``default`` or, with
+    none given, is missing."""
+    value = payload.get(key)
+    if value is None:
+        if default is ...:
+            raise TypeError(f"objective payload misses field {key!r}")
+        return default
+    if kind in (1, 2):
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # ragged nesting
+            arr = None
+        if arr is not None and arr.ndim == kind and arr.dtype.kind in "iuf":
+            return arr.astype(float)
+    elif kind == "lists":
+        if isinstance(value, list) and all(_ids(ids) for ids in value):
+            return value
+    elif _is(value, kind):
+        return value
+    raise TypeError(f"objective field {key!r} is ill-typed")
 
 
 class CountingOracle:

@@ -89,7 +89,7 @@ def greedy(oracle, pool: Iterable[int], size: int, stop_at_zero: bool = False) -
     while len(remaining) and len(run.picks) < size:
         vals = scan.values(remaining)
         best = int(np.argmax(_gains(vals, base)))
-        gain = _value_at(vals, best) - base
+        gain = vals[best].item() - base
         if stop_at_zero and gain <= 0:
             break
         e = int(remaining[best])
@@ -122,7 +122,7 @@ def threshold_greedy(oracle, pool: Iterable[int], size: int, eta: float) -> Gree
     if not len(remaining) or size == 0:
         return run
     vals = scan.values(remaining)  # the singleton values
-    d = _value_at(vals, int(np.argmax(_gains(vals, 0))))
+    d = vals[int(np.argmax(_gains(vals, 0)))].item()
     if d <= 0:
         return run
     base = scan.empty_value()
@@ -144,7 +144,7 @@ def threshold_greedy(oracle, pool: Iterable[int], size: int, eta: float) -> Gree
                 start, width = stop, 2 * width
                 continue
             at = start + int(hits[0])
-            gain = _value_at(vals, at) - base
+            gain = vals[at].item() - base
             e = int(remaining[at])
             scan.add(e)
             base += gain
@@ -188,7 +188,7 @@ def density_greedy(oracle, pool: Iterable[int], costs, stop_cost: float,
             vals = scan.values(remaining)
         best = int(np.argmax(_gains(vals, base) / cost_vec))
         e = int(remaining[best])
-        gain = _value_at(vals, best) - base
+        gain = vals[best].item() - base
         remaining, vals, cost_vec = (_drop(a, best) for a in (remaining, vals, cost_vec))
         if spent + cost_of[e] > keep_cap:
             continue  # permanently skipped
@@ -222,7 +222,7 @@ def window_greedy(oracle, pool: Iterable[int], rounds: int, width: int,
         ranked = np.argsort(-_gains(vals, base), kind="stable")[:width]
         windows.append(remaining[ranked].tolist())
         at = int(ranked[choose(len(ranked))])
-        gain = _value_at(vals, at) - base
+        gain = vals[at].item() - base
         e = int(remaining[at])
         scan.add(e)
         base += gain
@@ -245,12 +245,12 @@ def threshold_stream(oracle, order: Sequence[int], k: int, p: int,
     current = None  # f(accepted), once needed
     d = 0.0
     for i, e in enumerate(order.tolist()):
-        d = max(d, _value_at(singles, i))
+        d = max(d, singles[i].item())
         if len(accepted) >= p or d <= 0:
             continue
         if current is None:
             current = scan.empty_value()
-        value = _value_at(scan.values([e]), 0)
+        value = scan.values([e])[0].item()
         if value - current >= epsilon * d / k:
             accepted.append(e)
             scan.add(e)
@@ -276,12 +276,6 @@ def _gains(vals: np.ndarray, base) -> np.ndarray:
     """``f(S + e) - f(S)`` per candidate as floats, for comparisons.  Each
     is the double the scalar ``eval(S + e) - base`` gives."""
     return np.asarray(vals, dtype=float) - base
-
-
-def _value_at(vals: np.ndarray, i: int):
-    """Entry ``i`` of scan values as ``eval`` types it: a Python scalar, or
-    the default scan's own object."""
-    return vals[i] if vals.dtype == object else vals[i].item()
 
 
 def _drop(a: np.ndarray, i: int) -> np.ndarray:

@@ -42,6 +42,30 @@ def build_variants(n=6, seed=0):
     }
 
 
+def scan_families(n, seed):
+    """Every family and variant: build_variants, plus weighted Cut, Proxy with
+    shift and with clamp, RFL without gated rows, a value table, and two
+    tie-heavy objectives (a cycle cut, repeated modular weights)."""
+    fams = dict(build_variants(n=n, seed=seed))
+    rng = np.random.default_rng(seed + 1)
+    edges = fams["cut"].edges
+    sim = fams["facility_location"].sim
+    dud = sim.copy()
+    dud[:, 0] = 0.0  # {0} falls below the penalty: shift and clamp engage
+    linear = PenaltyCurve(0.999 * float(dud.max(axis=1).sum()) * np.arange(n + 1) / n)
+    fams.update({
+        "weighted_cut": Cut(n, edges, weights=rng.uniform(0.5, 2.0, size=len(edges))),
+        "proxy_shift": Proxy(FacilityLocation(dud), linear, shift=True),
+        "proxy_clamp": Proxy(FacilityLocation(dud), linear, clamp=True),
+        "restricted_fl_ungated": RestrictedFacilityLocation(sim, np.zeros(n + 2), tau=1.0),
+        "table": TableObjective.from_function(
+            n, lambda s: float(len(s) * (n - len(s))) + 0.25 * (min(s, default=0) % 3)),
+        "tie_cut": Cut(n, [(i, (i + 1) % n) for i in range(n)]),  # n = 2: a double edge
+        "tie_modular": Modular(rng.integers(0, 3, size=n).astype(float)),
+    })
+    return fams
+
+
 def supermodular_counterexample(n=4):
     """f(S) = |S|^2: violates diminishing returns at (A={}, B={0}, x=1)."""
     return TableObjective.from_function(n, lambda s: float(len(s) ** 2))

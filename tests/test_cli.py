@@ -295,6 +295,50 @@ class TestMalformedPruned:
         assert self.error_kind(capsys) == "input_parse_error"
 
 
+PROXY = {"variant": "proxy", "sim": [[0.5, 0.2, 0.9], [0.1, 0.8, 0.3]],
+         "penalty": {"theta": [0.0, 0.1, 0.2, 0.3]}, "shift": 0.0, "clamp": False}
+
+
+class TestMalformedObjective:
+    """A broken --objective-file fails through the error record, never a
+    traceback: missing or ill-typed fields are parse errors, a negative or
+    non-finite proxy shift a config error."""
+
+    def run(self, tmp_path, capsys, payload):
+        path = tmp_path / "obj.json"
+        path.write_text(json.dumps(payload))
+        code = main(["eval", "--objective-file", str(path), "--full", "--k", "2",
+                     "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err.strip().splitlines()
+        return code, json.loads(err[-1])["kind"] if err else None
+
+    def test_valid_proxy_evaluates(self, tmp_path, capsys):
+        assert self.run(tmp_path, capsys, PROXY) == (EXIT_OK, None)
+
+    @pytest.mark.parametrize("payload", [
+        {key: val for key, val in PROXY.items() if key != "variant"},
+        {**PROXY, "shift": "abc"},
+        {"variant": "cut", "n": 3, "edges": [[0, 1], [1, 2, 0]]},
+        {"variant": "coverage", "weights": None},
+        {**PROXY, "penalty": [0.0, 0.1, 0.2, 0.3]},
+        {**PROXY, "sim": [[0.5, 0.2], [0.1]]},
+        [PROXY],
+    ], ids=["no_variant", "string_shift", "three_element_edge", "no_covers",
+            "penalty_list", "ragged_sim", "not_an_object"])
+    def test_malformed_objective_is_parse_error(self, tmp_path, capsys, payload):
+        assert self.run(tmp_path, capsys, payload) == (EXIT_PARSE, "input_parse_error")
+
+    @pytest.mark.parametrize("shift", [-5, float("inf"), float("nan")])
+    def test_bad_proxy_shift_is_config_error(self, tmp_path, capsys, shift):
+        payload = {**PROXY, "shift": shift}
+        assert self.run(tmp_path, capsys, payload) == (EXIT_CONFIG, "config_error")
+
+    def test_universe_below_covered_items_is_config_error(self, tmp_path, capsys):
+        payload = {"variant": "interference_coverage", "covers": [[0, 5], [1]],
+                   "intf": [], "lam": 1.0, "m": 2}
+        assert self.run(tmp_path, capsys, payload) == (EXIT_CONFIG, "config_error")
+
+
 class TestCheck:
     def test_triangle_report(self, tmp_path, capsys):
         g = tmp_path / "tri.txt"

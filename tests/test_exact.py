@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import build_variants
+from conftest import build_variants, scan_families
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +12,7 @@ from prunekit.instances import gen_coverage, gen_gnm, gen_interference
 from prunekit.objectives import (REAL_TOL, Coverage, Cut, FacilityLocation,
                                  InterferenceCoverage, Modular, PenaltyCurve, Proxy,
                                  RestrictedFacilityLocation, TableObjective,
-                                 counting_wrap, ids_to_mask, mask_to_ids)
+                                 counting_wrap)
 from prunekit.selection import greedy
 
 
@@ -319,36 +319,7 @@ class TestSubsetBatches:
 
 
 # --------------------------------------------------------------------------
-# batched kernels against the scalar path and the dense-mask arithmetic
-
-def _old_mask_values(obj, M):
-    """The dense-mask arithmetic the index kernels replace, kept as the
-    bit-for-bit reference (None for families that still run the mask path)."""
-    if isinstance(obj, Cut) and obj._ws is None:
-        return (M[:, obj._us] != M[:, obj._vs]).sum(axis=1).astype(float)
-    if isinstance(obj, Coverage) and obj.weights is None:
-        out = np.zeros(M.shape[0])
-        for v in range(obj.m):
-            covering = obj._incidence[:, v]
-            if covering.any():
-                out += M[:, covering].any(axis=1) * 1.0
-        return out
-    if isinstance(obj, FacilityLocation):
-        out = np.zeros(M.shape[0])
-        for v in range(obj.m):
-            out += (M * obj.sim[v]).max(axis=1)
-        return out
-    if isinstance(obj, InterferenceCoverage):
-        out = np.zeros(M.shape[0])
-        for v in range(obj.m):
-            covering = obj._incidence[:, v]
-            if covering.any():
-                out += M[:, covering].any(axis=1)
-        if obj.lam and len(obj._pw):
-            out -= obj.lam * ((M[:, obj._pi] & M[:, obj._pj]) @ obj._pw)
-        return out
-    return None
-
+# batched kernels against the scalar path
 
 class TestKernels:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(1, 30))
@@ -364,29 +335,31 @@ class TestKernels:
                 ids[r, slots] = picked  # ids in any order, empty slots anywhere
             vals = obj.eval_ids(ids)
             for row, val in zip(ids, vals):
-                scalar = obj.eval(row[row < n])
-                if obj.integer_valued:
-                    assert val == scalar, name
-                else:
-                    assert val == pytest.approx(scalar, abs=REAL_TOL), name
+                assert val == obj.eval(row[row < n]), name
 
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(0, 10))
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
-    def test_kernel_matches_mask_path_bit_for_bit(self, seed, n, size):
-        # one batch of equal-size rows, as the enumerator hands one size over
+    def test_kernel_equals_eval_in_any_batch(self, seed, n, rows):
+        # mixed sizes, ids in any order, empty slots anywhere; then the same
+        # rows shuffled, split in two, one at a time and with more padding
         rng = np.random.default_rng(seed)
-        size = min(size, n)
-        rows = [np.sort(rng.permutation(n)[:size]) for _ in range(int(rng.integers(1, 40)))]
-        ids = np.full((len(rows), max(1, size)), n, dtype=np.intp)
-        for r, row in enumerate(rows):
-            ids[r, :size] = row
-        M = ids_to_mask(ids, n)
-        for name, obj in build_variants(n=n, seed=seed % 1000).items():
-            vals = obj.eval_ids(ids)
-            assert np.array_equal(vals, obj.eval_membership(M)), name
-            old = _old_mask_values(obj, M)
-            if old is not None:
-                assert np.array_equal(vals, old), name
+        width = int(rng.integers(1, n + 2))
+        ids = np.full((rows, width), n, dtype=np.intp)
+        for r in range(rows):
+            picked = rng.permutation(n)[:rng.integers(0, min(n, width) + 1)]
+            ids[r, rng.permutation(width)[:len(picked)]] = picked
+        order = rng.permutation(rows)
+        cut = int(rng.integers(1, rows + 1))
+        wide = np.concatenate([ids, np.full((rows, int(rng.integers(1, 4))), n)], axis=1)
+        wide = wide[:, rng.permutation(wide.shape[1])]
+        for name, obj in scan_families(n, seed % 1000).items():
+            want = [obj.eval(row[row < n]) for row in ids]
+            assert obj.eval_ids(ids).tolist() == want, name
+            assert obj.eval_ids(ids[order]).tolist() == [want[r] for r in order], name
+            split = [*obj.eval_ids(ids[:cut]).tolist(), *obj.eval_ids(ids[cut:]).tolist()]
+            assert split == want, name
+            assert [obj.eval_ids(ids[r:r + 1])[0] for r in range(rows)] == want, name
+            assert obj.eval_ids(wide).tolist() == want, name
 
     def test_rows_do_not_depend_on_other_sizes_in_the_batch(self):
         # a mixed-size batch gives each size the values it gets alone, so a
@@ -406,21 +379,14 @@ class TestKernels:
                     for _, lo, hi in runs:
                         assert np.array_equal(vals[lo:hi], obj.eval_ids(ids[lo:hi])), name
 
-    def test_mask_and_id_conversions_round_trip(self):
-        rng = np.random.default_rng(4)
-        M = rng.random((25, 9)) < 0.4
-        M[3] = False
-        ids = mask_to_ids(M, 9)
-        assert np.array_equal(ids_to_mask(ids, 9), M)
-        assert all(list(r[r < 9]) == list(np.flatnonzero(m)) for r, m in zip(ids, M))
-
     def test_kernel_arrays_are_built_lazily(self):
         obj = FacilityLocation(np.ones((3, 4)))
-        assert "_padded_sim" not in vars(obj)
+        assert "_sim_t" not in vars(obj)
         obj.eval(range(2))
-        assert "_padded_sim" not in vars(obj)
+        assert "_sim_t" not in vars(obj)
         obj.eval_ids(np.array([[0, 4]]))
-        assert "_padded_sim" in vars(obj)
+        assert "_sim_t" in vars(obj)
+        assert obj._sim_t.flags.c_contiguous  # rows are gathered, one per id
 
 
 class TestCutPairTable:

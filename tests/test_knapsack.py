@@ -83,6 +83,17 @@ class TestExtractBudget:
         assert obj.eval(q) == pytest.approx(obj.eval(pruned.elements))
         assert inst.cost(q) <= 2.0
 
+    def test_exact_route_returns_the_exact_argmax(self):
+        # P is small enough to enumerate: its first optimum per budget is the
+        # answer, not a density prefix that ties with it
+        obj = gen_coverage(12, 30, seed=0)
+        costs = np.random.default_rng(0).uniform(0.2, 1.0, size=12) * 0.03
+        pruned = prune_sdg_density(obj, KnapsackInstance(costs, 1.0), ell=4)
+        budgets = list(np.geomspace(0.1, 1.0, 4)[1:])
+        profile = exact.opt_knapsack(obj, pruned.elements, costs, budgets)
+        assert extract_budget_grid(pruned, obj, budgets) == \
+            [sorted(s) for s in profile.argmax_by_budget]
+
     def test_single_affordable_item(self):
         obj = Modular([3, 10, 4])
         inst = KnapsackInstance([0.5, 2.0, 1.8], 2.0)
