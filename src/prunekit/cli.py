@@ -56,13 +56,32 @@ def _dump_jsonl(path, header: dict, records) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _load_json_body(path):
+def _load_json(path):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise instances.InputFormatError(path, exc.lineno, f"invalid JSON: {exc.msg}")
+
+
+def _load_json_body(path):
+    doc = _load_json(path)
     return doc["body"] if isinstance(doc, dict) and "body" in doc else doc
+
+
+def _load_gen_spec(path) -> instances.GenSpec:
+    """A ``--gen-spec`` file: a JSON object with a ``family`` string, a
+    ``params`` object holding ``n`` and an optional ``seed``."""
+    raw = _load_json(path)
+    if not isinstance(raw, dict):
+        problem = "generator spec must be a JSON object"
+    elif not isinstance(raw.get("family"), str):
+        problem = "generator spec misses its 'family' string"
+    elif not isinstance(raw.get("params"), dict) or "n" not in raw["params"]:
+        problem = "generator spec misses 'params.n'"
+    else:
+        return instances.GenSpec(raw["family"], raw["params"], raw.get("seed", 0))
+    raise instances.InputFormatError(path, 1, problem)
 
 
 def _resolve_objective(args) -> tuple[objectives.Objective, dict]:
@@ -76,9 +95,7 @@ def _resolve_objective(args) -> tuple[objectives.Objective, dict]:
             raise instances.InputFormatError(args.objective_file, 1, str(exc))
         cfg = {"source": str(args.objective_file), "variant": payload["variant"]}
     elif getattr(args, "gen_spec", None):
-        with open(args.gen_spec) as fh:
-            raw = json.load(fh)
-        spec = instances.GenSpec(raw["family"], raw.get("params", {}), raw.get("seed", 0))
+        spec = _load_gen_spec(args.gen_spec)
         made = instances.gen_from_spec(spec)
         if isinstance(made, objectives.Objective):
             obj = made

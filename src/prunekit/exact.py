@@ -20,10 +20,9 @@ else is in the batch, so the optima, the canonical argmaxes and
 ``ties_at_top`` are values ``eval`` gives their witnesses and do not
 depend on how subsets are batched.
 
-Whole size tables share one padded batch up to ``_GROUP_ROWS`` rows (or
-``chunk``, if smaller).  A larger table comes alone, and one larger than
-``chunk`` rows comes in batches of exactly ``chunk`` rows, counted from its
-first row.  Enumerations that fit one batch are built once per
+Whole size tables share one padded batch up to ``_GROUP_ROWS`` rows.  A
+larger table comes alone, split by leading ids into consecutive tables of at
+most ``_CHUNK`` rows.  Enumerations that fit one batch are built once per
 (universe size, k) and reused.
 """
 
@@ -46,6 +45,8 @@ __all__ = ["GuardExceeded", "enumeration_guard", "cardinality_subset_count",
 DEFAULT_GUARD = 10**8
 GUARD_ENV = "PRUNEKIT_GUARD"
 
+#: a size table too large to share a batch comes in pieces of at most this
+#: many rows
 _CHUNK = 1 << 17
 #: whole size tables share one padded batch up to this many rows, so that
 #: small enumerations cost one kernel call; larger tables come alone
@@ -154,22 +155,6 @@ def _lex_pieces(m: int, s: int, chunk: int) -> Iterator[np.ndarray]:
             yield piece
 
 
-def _exact_chunks(pieces: Iterator[np.ndarray], chunk: int) -> Iterator[np.ndarray]:
-    """Regroup consecutive tables into blocks of exactly ``chunk`` rows (the
-    last one shorter)."""
-    buf: list[np.ndarray] = []
-    rows = 0
-    for piece in pieces:
-        buf.append(piece)
-        rows += len(piece)
-        while rows >= chunk:
-            block = np.concatenate(buf)
-            yield block[:chunk]
-            buf, rows = [block[chunk:]], rows - chunk
-    if rows:
-        yield np.concatenate(buf)
-
-
 def _padded(group: list[tuple[int, np.ndarray]], pad: int):
     """Stack whole size tables into one batch padded with ``pad``."""
     width = max(1, max(s for s, _ in group))
@@ -182,12 +167,12 @@ def _padded(group: list[tuple[int, np.ndarray]], pad: int):
     return pos, tuple(runs)
 
 
-def _position_batches(u: int, k: int, chunk: int):
+def _position_batches(u: int, k: int):
     """Batches over the subsets of ``range(u)`` with at most ``k`` elements:
     ``(positions, runs)`` with empty slot ``u`` and ``runs`` the
     ``(size, start, stop)`` row range of each size in the batch."""
     group: list[tuple[int, np.ndarray]] = []
-    rows, group_rows = 0, min(chunk, _GROUP_ROWS)
+    rows, group_rows = 0, min(_CHUNK, _GROUP_ROWS)
     for s in range(k + 1):
         count = math.comb(u, s)
         if group and rows + count > group_rows:
@@ -196,11 +181,9 @@ def _position_batches(u: int, k: int, chunk: int):
         if count <= group_rows:
             group.append((s, _lex_table(u, s)))
             rows += count
-        elif count <= chunk:
-            yield _lex_table(u, s), ((s, 0, count),)
         else:
-            for block in _exact_chunks(_lex_pieces(u, s, chunk), chunk):
-                yield block, ((s, 0, len(block)),)
+            for table in _lex_pieces(u, s, _CHUNK):
+                yield table, ((s, 0, len(table)),)
     if group:
         yield _padded(group, u)
 
@@ -208,12 +191,12 @@ def _position_batches(u: int, k: int, chunk: int):
 @functools.lru_cache(maxsize=16)
 def _cached_batch(u: int, k: int):
     """The single batch of an enumeration of at most ``_GROUP_ROWS`` subsets."""
-    (pos, runs), = _position_batches(u, k, _GROUP_ROWS)
+    (pos, runs), = _position_batches(u, k)
     pos.flags.writeable = False
     return pos, runs
 
 
-def subset_batches(universe: Sequence[int], n: int, k: int, chunk: int = _CHUNK):
+def subset_batches(universe: Sequence[int], n: int, k: int):
     """Every subset of ``universe`` with at most ``k`` elements, as id batches.
 
     ``universe`` is a sorted list of distinct ids in ``0..n-1``.  Yields
@@ -225,10 +208,10 @@ def subset_batches(universe: Sequence[int], n: int, k: int, chunk: int = _CHUNK)
     """
     u = len(universe)
     k = min(k, u)
-    if cardinality_subset_count(u, k) <= min(chunk, _GROUP_ROWS):
+    if cardinality_subset_count(u, k) <= min(_CHUNK, _GROUP_ROWS):
         batches = iter([_cached_batch(u, k)])
     else:
-        batches = _position_batches(u, k, chunk)
+        batches = _position_batches(u, k)
     if u == n:  # the universe is range(n): positions are ids
         yield from batches
         return
@@ -260,7 +243,7 @@ def fits_guard(needed: int, guard: int | None = None) -> bool:
 
 def opt_cardinality(obj: Objective, universe: Sequence[int], k: int, *,
                     guard: int | None = None, collect_ties: bool = False,
-                    tie_cap: int = 256, chunk: int = _CHUNK) -> OptProfile:
+                    tie_cap: int = 256) -> OptProfile:
     """Exact OPT_j = max_{|T| <= j} f(T) for every j = 0..k, in one sweep.
 
     Deterministic: the recorded argmax is the lexicographically smallest
@@ -279,7 +262,7 @@ def opt_cardinality(obj: Objective, universe: Sequence[int], k: int, *,
 
     # per size: its best value and its first optimal sets in enumeration order
     per_size: list[tuple[float, list[tuple[int, ...]]] | None] = [None] * (k + 1)
-    for ids, runs in subset_batches(universe, raw.n, k, chunk):
+    for ids, runs in subset_batches(universe, raw.n, k):
         vals = np.asarray(raw.eval_ids(ids), dtype=float)
         for size, lo, hi in runs:
             seg = vals[lo:hi]
@@ -315,7 +298,7 @@ def opt_cardinality(obj: Objective, universe: Sequence[int], k: int, *,
 
 
 def opt_knapsack(obj: Objective, universe: Sequence[int], costs, budgets: Sequence[float],
-                 *, guard: int | None = None, chunk: int = _CHUNK) -> OptProfile:
+                 *, guard: int | None = None) -> OptProfile:
     """Exact OPT_B = max {f(T) : c(T) <= B} for every queried budget, in one
     sweep over all subsets of the universe.
 
@@ -339,7 +322,7 @@ def opt_knapsack(obj: Objective, universe: Sequence[int], costs, budgets: Sequen
 
     best_val = [-np.inf] * len(budgets)
     best_set: list[tuple[int, ...]] = [()] * len(budgets)
-    for ids, _ in subset_batches(universe, raw.n, u, chunk):
+    for ids, _ in subset_batches(universe, raw.n, u):
         vals = np.asarray(raw.eval_ids(ids), dtype=float)
         cvec = cost_vec[ids[:, 0]]
         for j in range(1, ids.shape[1]):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import exact
 from .instances import GenSpec, gen_from_spec, gen_interference
-from .objectives import Cut, Objective, counting_wrap, objective_from_dict
+from .objectives import Cut, Objective, objective_from_dict
 from .prune import (PrunedSet, prune_fast_budget_range, prune_random,
                     prune_seq_disjoint, prune_std_greedy,
                     prune_threshold_stream, prune_window)
@@ -80,9 +80,8 @@ def _alpha(numer: float, denom: float) -> float:
 
 def _greedy_reference_values(obj: Objective, pool, k: int) -> list[float]:
     """Greedy prefix values f(picks[:k']) for k' = 1..k over the given pool."""
-    oracle = counting_wrap(obj)
-    run = greedy(oracle, pool, k)
-    base = float(oracle.eval(()))
+    run = greedy(obj, pool, k)
+    base = float(obj.eval(()))
     prefix = run.prefix_values(base)[1:]
     # short pool: pad with the final value
     while len(prefix) < k:
@@ -409,9 +408,8 @@ def separation_study(gen_params: dict, trials: int, k: int, omega: int,
 
 def _greedy_extract_value(obj: Objective, pool, k: int) -> float:
     """Value of the k-subset greedy extracts from a pool (stops at zero gain)."""
-    oracle = counting_wrap(obj)
-    run = greedy(oracle, pool, k, stop_at_zero=True)
-    return float(oracle.eval(run.picks))
+    run = greedy(obj, pool, k, stop_at_zero=True)
+    return float(obj.eval(run.picks))
 
 
 @dataclass

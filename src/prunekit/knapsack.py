@@ -178,11 +178,11 @@ def _extract_many(pruned, obj, budgets, exhaustive_cap):
 
     # density route: one pass per budget, scoring every prefix of the run,
     # against the best feasible singleton
-    oracle = counting_wrap(obj)
+    empty = float(obj.eval(()))
+    singles = {e: float(obj.eval((e,))) for e in P}
     out = []
     for b in budgets:
-        run = density_greedy(oracle, P, inst.costs, stop_cost=b, keep_cap=b)
-        empty = float(oracle.eval(()))
+        run = density_greedy(obj, P, inst.costs, stop_cost=b, keep_cap=b)
         value = empty
         best_val, best_prefix = empty, []
         for i, gain in enumerate(run.gains):
@@ -192,7 +192,7 @@ def _extract_many(pruned, obj, budgets, exhaustive_cap):
         candidates = [(best_val, list(best_prefix))]
         feas = [e for e in P if inst.costs[e] <= b]
         if feas:
-            sv, se = max(((float(oracle.eval((e,))), e) for e in feas),
+            sv, se = max(((singles[e], e) for e in feas),
                          key=lambda t: (t[0], -t[1]))
             candidates.append((sv, [se]))
         feasible = [(v, s) for v, s in candidates if inst.cost(s) <= b + REAL_TOL]

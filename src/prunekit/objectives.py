@@ -3,8 +3,8 @@
 Elements of a ground set are dense integer ids ``0..n-1``.  Every objective
 exposes ``eval`` (value of a set), ``marginal`` (value gain of one element)
 and one batched path.  Objectives are pure after construction; the
-:class:`CountingOracle` wrapper adds memoization and query accounting for
-one thread (parallel sweeps run in worker processes, each with its own).
+:class:`CountingOracle` wrapper adds query accounting for one thread
+(parallel sweeps run in worker processes, each with its own).
 
 Batched evaluation: ``eval_ids(ids)`` is the one batched entry point, called
 by the exact enumeration engine and the default candidate scan.  ``ids`` is
@@ -84,12 +84,11 @@ class GroundSet:
 class OracleStats:
     """Query accounting snapshot.
 
-    ``queries`` counts set values computed: distinct sets evaluated through
+    ``queries`` counts set values computed: one per
     :meth:`CountingOracle.eval`, plus every value a greedy engine's
     :class:`CandidateScan` computes (one per candidate value ``f(S + e)``
-    and one per run for ``f(empty)``).  ``cache_hits`` counts memo hits of
-    ``CountingOracle.eval``; the engines bypass the memo, so on pruned sets
-    it is 0.
+    and one per run for ``f(empty)``).  ``cache_hits`` is always 0; it stays
+    in the serial form so that saved pruned sets keep their bytes.
     """
 
     queries: int = 0
@@ -126,6 +125,14 @@ class PenaltyCurve:
 
     def to_dict(self) -> dict:
         return {"theta": self.theta.tolist()}
+
+
+def _finite(values, what: str) -> np.ndarray:
+    """``values`` as a float array; NaN and infinite entries raise ValueError."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    return arr
 
 
 def _as_index_set(S: Iterable[int], n: int) -> frozenset[int]:
@@ -296,7 +303,7 @@ class Coverage(_CoverObjective):
             self.weights = None
             self.integer_valued = True
         else:
-            w = np.asarray(weights, dtype=float)
+            w = _finite(weights, "coverage weights")
             if w.size != self.m:
                 raise ValueError(f"need {self.m} weights, got {w.size}")
             if w.size and w.min() < 0:
@@ -361,7 +368,7 @@ class Cut(Objective):
             self._ws = None
             self.integer_valued = True
         else:
-            w = np.asarray(weights, dtype=float)
+            w = _finite(weights, "edge weights")
             if w.size != len(us):
                 raise ValueError("one weight per edge required")
             if w.size and w.min() < 0:
@@ -466,7 +473,7 @@ class FacilityLocation(Objective):
     """
 
     def __init__(self, sim: np.ndarray):
-        sim = np.asarray(sim, dtype=float)
+        sim = _finite(sim, "similarities")
         if sim.ndim != 2 or sim.shape[0] < 1 or sim.shape[1] < 1:
             raise ValueError("similarity matrix must be 2-d and non-empty")
         if sim.min() < 0:
@@ -514,7 +521,7 @@ class RestrictedFacilityLocation(Objective):
     """
 
     def __init__(self, sim: np.ndarray, rel: Sequence[float], tau: float):
-        sim = np.asarray(sim, dtype=float)
+        sim = _finite(sim, "similarities")
         rel = np.asarray(rel, dtype=float)
         if sim.ndim != 2 or sim.shape[0] < 1 or sim.shape[1] < 1:
             raise ValueError("similarity matrix must be 2-d and non-empty")
@@ -690,7 +697,7 @@ class Modular(Objective):
     """Additive objective f(S) = sum of per-element weights."""
 
     def __init__(self, weights: Sequence[float]):
-        w = np.asarray(weights, dtype=float)
+        w = _finite(weights, "modular weights")
         if w.ndim != 1 or w.size < 1:
             raise ValueError("need a non-empty 1-d weight vector")
         self.weights = w
@@ -902,7 +909,7 @@ def objective_from_dict(payload: Mapping) -> Objective:
     A payload that is not a mapping, misses a field or holds one of the
     wrong type or shape raises ``TypeError``.  Well-formed values the family
     rejects (an unknown variant, a negative or non-finite proxy shift,
-    negative weights) raise ``ValueError``.
+    negative or non-finite weights) raise ``ValueError``.
     """
     if not isinstance(payload, Mapping):
         raise TypeError("objective payload must be a JSON object")
@@ -977,49 +984,31 @@ def _field(payload: Mapping, key: str, kind, default=...):
 
 
 class CountingOracle:
-    """Memoizing wrapper with query accounting.
-
-    ``queries`` counts evaluations of sets never seen before; repeats are
-    served from the memo and counted as ``cache_hits``.  Values are identical
-    to the wrapped objective's.  The greedy engines do not use the memo: they
-    scan with :func:`open_scan`, which records each value it computes as one
-    query.
-    """
+    """Query-counting wrapper: each :meth:`eval` is one query, and
+    :meth:`record` adds the values a :class:`CandidateScan` computes.
+    Values are the wrapped objective's."""
 
     def __init__(self, obj: Objective):
         self.inner = obj
         self.n = obj.n
         self.integer_valued = obj.integer_valued
-        self._memo: dict[tuple, float] = {}
         self._queries = 0
-        self._hits = 0
 
     def eval(self, S: Iterable[int]):
-        key = tuple(sorted(int(e) for e in S))
-        if key in self._memo:
-            self._hits += 1
-            return self._memo[key]
-        val = self._memo[key] = self.inner.eval(key)
+        val = self.inner.eval(S)
         self._queries += 1
         return val
 
-    def marginal(self, e: int, S: Iterable[int]):
-        s = set(int(x) for x in S)
-        e = int(e)
-        if e in s:
-            raise ValueError(f"marginal: element {e} already in the set")
-        return self.eval(s | {e}) - self.eval(s)
-
     def record(self, queries: int) -> None:
-        """Count ``queries`` set values computed outside the memo."""
+        """Count ``queries`` set values computed by a scan."""
         self._queries += queries
 
     def stats(self) -> OracleStats:
-        return OracleStats(self._queries, self._hits)
+        return OracleStats(self._queries)
 
 
 def counting_wrap(obj: Objective) -> CountingOracle:
-    """Wrap an objective for memoized, query-counted evaluation."""
+    """Wrap an objective for query-counted evaluation."""
     return CountingOracle(obj)
 
 
@@ -1135,7 +1124,6 @@ def check_submodular(obj: Objective, trials: int = 1000, seed: int = 0,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    oracle = counting_wrap(obj)
     for _ in range(trials):
         roles = rng.integers(0, 3, size=n)
         b = np.flatnonzero(roles <= 1)
@@ -1145,7 +1133,7 @@ def check_submodular(obj: Objective, trials: int = 1000, seed: int = 0,
             continue
         x = int(rng.choice(outside))
         report.checked += 1
-        gap = oracle.marginal(x, a) - oracle.marginal(x, b)
+        gap = obj.marginal(x, a) - obj.marginal(x, b)
         if gap < -tol:
             record(_mask(a), _mask(b), x, float(-gap))
     return report
@@ -1181,13 +1169,12 @@ def check_monotone(obj: Objective, trials: int = 1000, seed: int = 0,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    oracle = counting_wrap(obj)
     for _ in range(trials):
         roles = rng.integers(0, 3, size=n)
         b = np.flatnonzero(roles <= 1)
         a = np.flatnonzero(roles == 0)
         report.checked += 1
-        gap = oracle.eval(a) - oracle.eval(b)
+        gap = obj.eval(a) - obj.eval(b)
         if gap > tol:
             record(_mask(a), _mask(b), float(gap))
     return report

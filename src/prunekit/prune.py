@@ -7,7 +7,7 @@ returns a :class:`PrunedSet` carrying the elements, the provenance structure
 the guarantee argument needs (disjoint runs, windows, or a threshold run),
 a query-count snapshot, and wall time.  Queries are counted as the engines
 in :mod:`prunekit.selection` count them: one per set value a candidate scan
-computes, with no memo hits.
+computes.
 
 Guarantee handles used by the harness:
 

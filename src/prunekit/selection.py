@@ -12,7 +12,7 @@ with ``f(S)`` kept as the running sum of the picked gains, so transcripts
 match a scalar loop over ``eval`` bit for bit, gain types included.  One
 query is one set value a scan computes: each candidate value, plus
 ``f(empty)`` once per run.  Pruners pass a CountingOracle, which records
-those queries; the engines bypass its memo, so ``cache_hits`` stays 0.
+those queries.
 """
 
 from __future__ import annotations

@@ -131,6 +131,19 @@ class TestObjectiveSources:
                      "--k", "3", "--ell", "2", "--out", str(out)]) == EXIT_OK
         assert len(read_doc(out)["body"]["elements"]) <= 6
 
+    @pytest.mark.parametrize("spec", [
+        {"params": {"n": 5}, "seed": 1},
+        [{"family": "gnm", "params": {"n": 5, "m": 4}}],
+        {"family": "gnm", "params": {"m": 4}},
+    ], ids=["no_family", "not_an_object", "no_params_n"])
+    def test_malformed_gen_spec_is_parse_error(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["eval", "--gen-spec", str(path), "--full", "--k", "2",
+                     "--out", str(tmp_path / "r.json")]) == EXIT_PARSE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(err[-1])["kind"] == "input_parse_error"
+
     def test_proxy_from_sim_and_penalty(self, tmp_path):
         sim = tmp_path / "sim.csv"
         sim.write_text("1.0,0.4,0.2\n0.3,0.9,0.1\n0.2,0.2,0.8\n")
@@ -331,6 +344,10 @@ class TestMalformedObjective:
     @pytest.mark.parametrize("shift", [-5, float("inf"), float("nan")])
     def test_bad_proxy_shift_is_config_error(self, tmp_path, capsys, shift):
         payload = {**PROXY, "shift": shift}
+        assert self.run(tmp_path, capsys, payload) == (EXIT_CONFIG, "config_error")
+
+    def test_nan_weight_is_config_error(self, tmp_path, capsys):
+        payload = {"variant": "modular", "weights": [float("nan"), 1.0, 2.0]}
         assert self.run(tmp_path, capsys, payload) == (EXIT_CONFIG, "config_error")
 
     def test_universe_below_covered_items_is_config_error(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -223,7 +224,8 @@ class TestEngineAgainstReference:
         obj = dyadic_families(seed=3)[name]
         opt, argmax, ties, count = reference_cardinality(obj, universe, k)
         for chunk in (exact._CHUNK, 5, 1):
-            prof = exact.opt_cardinality(obj, universe, k, collect_ties=True, chunk=chunk)
+            with mock.patch.object(exact, "_CHUNK", chunk):
+                prof = exact.opt_cardinality(obj, universe, k, collect_ties=True)
             assert prof.opt_by_budget == opt
             assert prof.argmax_by_budget == argmax
             assert prof.ties_at_top == ties
@@ -242,8 +244,8 @@ class TestEngineAgainstReference:
     def test_tie_cap_keeps_smallest_sets(self):
         obj = Modular([1, 1, 1, 1, 1])
         for chunk in (exact._CHUNK, 3):
-            prof = exact.opt_cardinality(obj, range(5), 2, collect_ties=True,
-                                         tie_cap=4, chunk=chunk)
+            with mock.patch.object(exact, "_CHUNK", chunk):
+                prof = exact.opt_cardinality(obj, range(5), 2, collect_ties=True, tie_cap=4)
             assert prof.ties_at_top == [(0, 1), (0, 2), (0, 3), (0, 4)]
 
     @pytest.mark.parametrize("name", FAMILIES)
@@ -254,7 +256,8 @@ class TestEngineAgainstReference:
         budgets = [0.25, 0.5, 1.0, 1.75, 100.0]
         opt, argmax = reference_knapsack(obj, universe, costs, budgets)
         for chunk in (exact._CHUNK, 4):
-            prof = exact.opt_knapsack(obj, universe, costs, budgets, chunk=chunk)
+            with mock.patch.object(exact, "_CHUNK", chunk):
+                prof = exact.opt_knapsack(obj, universe, costs, budgets)
             assert prof.opt_by_budget == opt
             assert prof.argmax_by_budget == argmax
             assert prof.enumerated_count == 1 << len(list(universe))
@@ -294,11 +297,15 @@ class TestSubsetBatches:
         table = exact._lex_table(m, s)
         assert [tuple(r) for r in table.tolist()] == list(itertools.combinations(range(m), s))
 
-    @pytest.mark.parametrize("chunk", [1, 4, 10, 35, exact._CHUNK])
-    def test_batches_cover_subsets_in_order(self, chunk):
-        universe, n, k = [1, 2, 4, 7, 8, 9, 11], 12, 4
+    @pytest.mark.parametrize("chunk,universe,n,k", [
+        pytest.param(chunk, [1, 2, 4, 7, 8, 9, 11], 12, 4, id=str(chunk))
+        for chunk in [1, 4, 10, 35, exact._CHUNK]
+    ] + [pytest.param(100, range(12), 12, 6, id="100-full12-k6")])  # recursive pieces
+    def test_batches_cover_subsets_in_order(self, chunk, universe, n, k):
         rows, sizes = [], []
-        for ids, runs in exact.subset_batches(universe, n, k, chunk):
+        with mock.patch.object(exact, "_CHUNK", chunk):
+            batches = list(exact.subset_batches(universe, n, k))
+        for ids, runs in batches:
             assert len(ids) <= chunk
             assert [lo for _, lo, _ in runs][0] == 0 and runs[-1][2] == len(ids)
             for size, lo, hi in runs:
@@ -309,13 +316,6 @@ class TestSubsetBatches:
         expected = [c for size in range(k + 1) for c in itertools.combinations(universe, size)]
         assert rows == expected
         assert sizes == sorted(sizes)
-
-    def test_large_size_tables_come_in_exact_chunks(self):
-        # every batch of one size holds exactly `chunk` rows except its last
-        lengths = [len(ids) for ids, runs in exact.subset_batches(range(12), 12, 6, 100)
-                   if runs[0][0] == 6]
-        assert sum(lengths) == math.comb(12, 6)
-        assert all(n == 100 for n in lengths[:-1])
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from prunekit.instances import gen_coverage, gen_gnm, gen_interference
 from prunekit.knapsack import (KnapsackInstance, KnapsackPrunedSet, extract_budget,
                                extract_budget_grid, prune_sdg_density)
 from prunekit.objectives import Cut, Modular
+from prunekit.selection import density_greedy
 
 
 class TestInstance:
@@ -131,6 +132,23 @@ class TestExtractBudget:
         vals = [obj.eval(q)]
         assert obj.eval(q) >= max(0.0, *(obj.eval([e]) for e in pruned.elements
                                          if inst.costs[e] <= 1.0))
+
+    def test_density_route_budget_grid(self):
+        # forced onto the density route, each budget's best density prefix
+        # competes with the best feasible singleton, which wins at B' = 0.4
+        rng = np.random.default_rng(19)
+        obj = gen_coverage(16, 24, seed=19)
+        inst = KnapsackInstance(rng.uniform(0.05, 1.0, size=16), 1.0)
+        pruned = prune_sdg_density(obj, inst, ell=2)
+        budgets = [0.2, 0.4, 0.6, 0.8, 1.0]
+        grid = extract_budget_grid(pruned, obj, budgets, exhaustive_cap=0)
+        assert grid == [[3], [2], [3, 8], [3, 4, 8], [0, 3, 8]]
+        for b, sel in zip(budgets, grid):
+            assert sel == extract_budget(pruned, obj, b, exhaustive_cap=0)
+            assert inst.cost(sel) <= b
+        run = density_greedy(obj, pruned.elements, inst.costs, stop_cost=0.4, keep_cap=0.4)
+        prefixes = [obj.eval(run.picks[:i]) for i in range(len(run.picks) + 1)]
+        assert obj.eval([2]) > max(prefixes)
 
     def test_small_item_guarantee_mini(self):
         # miniature of the clean small-item regime: microscopic items mean the

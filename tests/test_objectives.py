@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_variants, scan_families, supermodular_counterexample
-from prunekit.objectives import (Coverage, FacilityLocation, GroundSet,
-                                 InterferenceCoverage, OracleStats,
+from prunekit.objectives import (Coverage, Cut, FacilityLocation, GroundSet,
+                                 InterferenceCoverage, Modular, OracleStats,
                                  PenaltyCurve, Proxy, RestrictedFacilityLocation,
                                  check_monotone, check_submodular, counting_wrap,
                                  objective_from_dict, value_table)
@@ -87,11 +87,11 @@ class TestMarginal:
 
 
 class TestCountingOracle:
-    def test_repeat_eval_hits_cache(self, triangle):
+    def test_each_eval_is_one_query(self, triangle):
         oracle = counting_wrap(triangle)
         oracle.eval({0, 1})
         oracle.eval({1, 0})
-        assert oracle.stats() == OracleStats(queries=1, cache_hits=1)
+        assert oracle.stats() == OracleStats(queries=2, cache_hits=0)
 
     def test_fresh_wrapper_zero(self, triangle):
         assert counting_wrap(triangle).stats().queries == 0
@@ -111,17 +111,17 @@ class TestCountingOracle:
                 S = rng.choice(obj.n, size=rng.integers(0, obj.n + 1), replace=False)
                 assert oracle.eval(S) == pytest.approx(obj.eval(S))
 
-    def test_repeated_evals_consistent(self):
+    def test_record_adds_queries(self):
         obj = build_variants(n=8, seed=12)["coverage"]
         oracle = counting_wrap(obj)
         sets = [tuple(sorted(np.random.default_rng(i).choice(8, size=3, replace=False)))
                 for i in range(16)]
         errors = [S for _ in range(8) for S in sets if oracle.eval(S) != obj.eval(S)]
         assert not errors
-        stats = oracle.stats()
-        # totals are consistent: every request is either a query or a hit
-        assert stats.queries + stats.cache_hits == 8 * len(sets)
-        assert stats.queries == len(set(sets))
+        oracle.record(5)
+        oracle.record(0)
+        # every eval, repeats included, is one query; record(q) adds q
+        assert oracle.stats() == OracleStats(queries=8 * len(sets) + 5, cache_hits=0)
 
 
 class TestBatchEval:
@@ -301,6 +301,23 @@ class TestSerialization:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             objective_from_dict({"variant": "nope"})
+
+
+NON_FINITE_INPUTS = {
+    "coverage": lambda bad: Coverage([[0], [1, 2]], weights=[1.0, bad, 2.0]),
+    "cut": lambda bad: Cut(3, [(0, 1), (1, 2)], weights=[bad, 1.0]),
+    "modular": lambda bad: Modular([bad, 1.0, 2.0]),
+    "facility_location": lambda bad: FacilityLocation([[0.5, bad], [0.1, 0.2]]),
+    "restricted_fl": lambda bad: RestrictedFacilityLocation([[0.5, 0.3], [bad, 0.2]],
+                                                            [0.9, 0.9], tau=0.5),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("family", sorted(NON_FINITE_INPUTS))
+def test_non_finite_weights_and_similarities_rejected(family, bad):
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_INPUTS[family](bad)
 
 
 class TestGroundSet:

@@ -2,7 +2,7 @@
 engines they replaced.
 
 The ``ref_*`` functions below are the scalar engines: one
-``oracle.eval(current | {e})`` call per candidate through a memoizing
+``oracle.eval(current | {e})`` call per candidate through a query-counting
 CountingOracle.  They are the bit-for-bit reference: the batched engines must
 reproduce their picks, their gains (value and Python type), costs,
 densities, dummy cost and windows on every family.
