@@ -96,11 +96,10 @@ def _resolve_objective(args) -> tuple[objectives.Objective, dict]:
         cfg = {"source": str(args.objective_file), "variant": payload["variant"]}
     elif getattr(args, "gen_spec", None):
         spec = _load_gen_spec(args.gen_spec)
-        made = instances.gen_from_spec(spec)
-        if isinstance(made, objectives.Objective):
-            obj = made
-        else:
-            obj = objectives.Cut(spec.params["n"], [(e[0], e[1]) for e in made])
+        try:
+            obj = instances.objective_from_spec(spec)
+        except TypeError as exc:  # a param the generator does not take, or lacks
+            raise instances.InputFormatError(args.gen_spec, 1, str(exc))
         cfg = {"source": str(args.gen_spec), "gen_spec": spec.to_dict()}
     elif getattr(args, "graph", None):
         edges = instances.load_edge_list(args.graph)
@@ -183,9 +182,6 @@ def cmd_gen(args) -> int:
             obj = instances.gen_interference(args.n, args.universe_m, args.seed,
                                              lam=args.lam)
             cfg.update(instances.INTERFERENCE_DEFAULTS)
-            cfg["intensity_range"] = list(cfg["intensity_range"])
-            cfg["lambda_range"] = list(cfg["lambda_range"])
-            cfg["cover_size_range"] = list(cfg["cover_size_range"])
         else:
             obj = instances.gen_coverage(args.n, args.universe_m, args.seed)
         _dump_json(args.out, {"config": cfg}, obj.to_dict())

@@ -20,10 +20,13 @@ else is in the batch, so the optima, the canonical argmaxes and
 ``ties_at_top`` are values ``eval`` gives their witnesses and do not
 depend on how subsets are batched.
 
-Whole size tables share one padded batch up to ``_GROUP_ROWS`` rows.  A
-larger table comes alone, split by leading ids into consecutive tables of at
-most ``_CHUNK`` rows.  Enumerations that fit one batch are built once per
-(universe size, k) and reused.
+Each size comes from one builder, :func:`_lex_pieces`: a whole table when it
+has at most ``_CHUNK`` rows, else consecutive pieces of at most ``_CHUNK``
+rows, split by leading ids.  One rule batches them: pieces of at most
+``_GROUP_ROWS`` rows share a padded batch, in order, until the next piece
+would not fit; a larger piece comes alone as soon as it is built.
+Enumerations that fit one batch are built once per (universe size, k) and
+reused.
 """
 
 from __future__ import annotations
@@ -45,11 +48,10 @@ __all__ = ["GuardExceeded", "enumeration_guard", "cardinality_subset_count",
 DEFAULT_GUARD = 10**8
 GUARD_ENV = "PRUNEKIT_GUARD"
 
-#: a size table too large to share a batch comes in pieces of at most this
-#: many rows
+#: a size table larger than this comes in pieces of at most this many rows
 _CHUNK = 1 << 17
-#: whole size tables share one padded batch up to this many rows, so that
-#: small enumerations cost one kernel call; larger tables come alone
+#: pieces share one padded batch up to this many rows, so that small
+#: enumerations cost one kernel call; larger pieces come alone
 _GROUP_ROWS = 1 << 12
 
 
@@ -112,51 +114,52 @@ class OptProfile:
         }
 
 
-def _lex_table(m: int, s: int) -> np.ndarray:
-    """All ``s``-subsets of ``range(m)`` as the rows of a ``(C(m, s), s)``
-    array, in lexicographic order.
+def _lex_pieces(m: int, s: int, chunk: int) -> Iterator[np.ndarray]:
+    """The ``s``-subsets of ``range(m)`` in lexicographic order, as
+    consecutive tables of at most ``chunk`` rows, split by leading id.
 
-    Built along a diagonal of Pascal's triangle: the j-subsets of
-    ``range(mm)`` whose first id is ``a`` are ``a`` followed by 1 + the
-    (j-1)-subsets of ``range(mm - 1)`` whose first id is at least ``a``, and
-    those form a suffix of that table.  Every table built on the way is no
-    larger than the result.
+    A table that fits ``chunk`` grows from the (s-1)-table of ``range(m-1)``
+    (see :func:`_led`): along a diagonal of Pascal's triangle, every table
+    built on the way is no larger than the result.
     """
     if s == 0:
-        return np.empty((1, 0), dtype=np.intp)
-    table = np.arange(m - s + 1, dtype=np.intp)[:, None]
-    for j in range(2, s + 1):
-        mm = m - s + j
-        counts = [math.comb(mm - 1 - a, j - 1) for a in range(mm - j + 1)]
-        grown = np.empty((sum(counts), j), dtype=np.intp)
-        grown[:, 0] = np.repeat(np.arange(len(counts)), counts)
-        np.add(np.concatenate([table[len(table) - c:] for c in counts]), 1, out=grown[:, 1:])
-        table = grown
+        yield np.empty((1, 0), dtype=np.intp)
+    elif s == 1 and m <= chunk:  # the first table of the diagonal
+        yield np.arange(m, dtype=np.intp)[:, None]
+    elif math.comb(m, s) <= chunk:
+        yield _led_table(0, [sub for _, sub in _led(m, s, chunk)], s)
+    else:
+        for a, sub in _led(m, s, chunk):
+            yield _led_table(a, [sub], s)
+
+
+def _led(m: int, s: int, chunk: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``(a, sub)`` pairs in lexicographic order: the ``s``-subsets of
+    ``range(m)`` led by ``a`` are ``a`` followed by 1 + the rows of ``sub``,
+    the (s-1)-subsets of ``range(a, m - 1)``.  Those are a suffix of the
+    (s-1)-table of ``range(m - 1)`` when that table fits ``chunk``."""
+    if math.comb(m - 1, s - 1) <= chunk:
+        tail, = _lex_pieces(m - 1, s - 1, chunk)
+        for a in range(m - s + 1):
+            yield a, tail[len(tail) - math.comb(m - 1 - a, s - 1):]
+    else:
+        for a in range(m - s + 1):
+            for sub in _lex_pieces(m - a - 1, s - 1, chunk):
+                yield a, sub + a
+
+
+def _led_table(first: int, subs: list[np.ndarray], s: int) -> np.ndarray:
+    """One table holding, for each ``i``, the rows ``first + i`` then
+    1 + ``subs[i]``."""
+    counts = [len(sub) for sub in subs]
+    table = np.empty((sum(counts), s), dtype=np.intp)
+    table[:, 0] = np.repeat(np.arange(first, first + len(subs)), counts)
+    np.add(subs[0] if len(subs) == 1 else np.concatenate(subs), 1, out=table[:, 1:])
     return table
 
 
-def _lex_pieces(m: int, s: int, chunk: int) -> Iterator[np.ndarray]:
-    """The ``s``-subsets of ``range(m)`` in lexicographic order, as
-    consecutive tables of at most ``chunk`` rows, split by leading id."""
-    if math.comb(m, s) <= chunk:
-        yield _lex_table(m, s)
-        return
-    # the subsets led by a are a, then 1 + the (s-1)-subsets of range(a, m - 1)
-    tail = _lex_table(m - 1, s - 1) if math.comb(m - 1, s - 1) <= chunk else None
-    for a in range(m - s + 1):
-        if tail is not None:  # those subsets are a suffix of the tail table
-            subs = [tail[len(tail) - math.comb(m - 1 - a, s - 1):]]
-        else:
-            subs = (sub + a for sub in _lex_pieces(m - a - 1, s - 1, chunk))
-        for sub in subs:
-            piece = np.empty((len(sub), s), dtype=np.intp)
-            piece[:, 0] = a
-            np.add(sub, 1, out=piece[:, 1:])
-            yield piece
-
-
 def _padded(group: list[tuple[int, np.ndarray]], pad: int):
-    """Stack whole size tables into one batch padded with ``pad``."""
+    """Stack ``(size, table)`` pieces into one batch padded with ``pad``."""
     width = max(1, max(s for s, _ in group))
     pos = np.full((sum(len(t) for _, t in group), width), pad, dtype=np.intp)
     runs, row = [], 0
@@ -170,20 +173,19 @@ def _padded(group: list[tuple[int, np.ndarray]], pad: int):
 def _position_batches(u: int, k: int):
     """Batches over the subsets of ``range(u)`` with at most ``k`` elements:
     ``(positions, runs)`` with empty slot ``u`` and ``runs`` the
-    ``(size, start, stop)`` row range of each size in the batch."""
+    ``(size, start, stop)`` row range of each piece in the batch."""
     group: list[tuple[int, np.ndarray]] = []
     rows, group_rows = 0, min(_CHUNK, _GROUP_ROWS)
     for s in range(k + 1):
-        count = math.comb(u, s)
-        if group and rows + count > group_rows:
-            yield _padded(group, u)
-            group, rows = [], 0
-        if count <= group_rows:
-            group.append((s, _lex_table(u, s)))
-            rows += count
-        else:
-            for table in _lex_pieces(u, s, _CHUNK):
+        for table in _lex_pieces(u, s, _CHUNK):
+            if group and rows + len(table) > group_rows:
+                yield _padded(group, u)
+                group, rows = [], 0
+            if len(table) > group_rows:
                 yield table, ((s, 0, len(table)),)
+            else:
+                group.append((s, table))
+                rows += len(table)
     if group:
         yield _padded(group, u)
 
@@ -203,8 +205,8 @@ def subset_batches(universe: Sequence[int], n: int, k: int):
     ``(ids, runs)``: ``ids`` is a ``(batch, width)`` intp array whose rows
     come in size-ascending lexicographic order, padded with the empty-slot
     id ``n``; ``runs`` lists the ``(size, start, stop)`` row range of each
-    subset size in the batch.  The arrays may be shared with later calls and
-    must not be written to.
+    piece in the batch (a size split into pieces has one run per piece).
+    The arrays may be shared with later calls and must not be written to.
     """
     u = len(universe)
     k = min(k, u)

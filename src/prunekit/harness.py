@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from . import exact
-from .instances import GenSpec, gen_from_spec, gen_interference
-from .objectives import Cut, Objective, objective_from_dict
+from .instances import GenSpec, gen_interference, objective_from_spec
+from .objectives import Objective, objective_from_dict
 from .prune import (PrunedSet, prune_fast_budget_range, prune_random,
                     prune_seq_disjoint, prune_std_greedy,
                     prune_threshold_stream, prune_window)
@@ -146,7 +146,7 @@ def containment_report(obj: Objective, pruned: PrunedSet, k: int,
     )
 
 
-#: pruner name -> how the sweep's omega knob maps onto its parameters
+#: the pruners :func:`run_pruner` dispatches by name
 PRUNER_NAMES = ("seq_disjoint", "window_rand", "window_max", "std_greedy",
                 "fast_budget_range", "threshold_stream", "random")
 
@@ -154,14 +154,12 @@ PRUNER_NAMES = ("seq_disjoint", "window_rand", "window_max", "std_greedy",
 def run_pruner(name: str, obj: Objective, n: int, k: int, *, omega: int | None = None,
                ell: int | None = None, epsilon: float | None = None,
                p: int | None = None, seed: int = 0,
-               order: Sequence[int] | None = None,
                stream_shuffle: bool = False) -> PrunedSet:
     """Dispatch a pruner by name with the benchmark parameter conventions:
     the budget knob omega means ell disjoint runs for seq_disjoint, the
     window width for window pruners, and p = omega * k elements for the
     flat-budget baselines.  The stream pruner scans ids in natural order
-    unless ``order`` is given or ``stream_shuffle`` asks for a seeded
-    permutation."""
+    unless ``stream_shuffle`` asks for a seeded permutation."""
     if name == "seq_disjoint":
         return prune_seq_disjoint(obj, n, k, ell=ell if ell is not None else omega,
                                   epsilon=None if (ell or omega) else epsilon)
@@ -184,9 +182,7 @@ def run_pruner(name: str, obj: Objective, n: int, k: int, *, omega: int | None =
         if budget is None:
             raise ValueError("threshold_stream needs p or omega")
         eps = epsilon if epsilon is not None else 0.1
-        if order is not None:
-            seq = list(order)
-        elif stream_shuffle:
+        if stream_shuffle:
             seq = np.random.default_rng(seed).permutation(n).tolist()
         else:
             seq = list(range(n))
@@ -220,9 +216,7 @@ def _sweep_cell(cell: dict) -> dict:
     if isinstance(payload, dict) and "family" in payload:
         payload = GenSpec(payload["family"], payload["params"], payload["seed"])
     if isinstance(payload, GenSpec):
-        made = gen_from_spec(payload)
-        obj = made if isinstance(made, Objective) else Cut(
-            payload.params["n"], [(e[0], e[1]) for e in made])
+        obj = objective_from_spec(payload)
     elif isinstance(payload, dict):
         obj = objective_from_dict(payload)
     else:

@@ -20,11 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .objectives import Coverage, InterferenceCoverage, PenaltyCurve
+from .objectives import Coverage, Cut, InterferenceCoverage, Objective, PenaltyCurve
 
 __all__ = [
     "GenSpec", "InputFormatError",
     "gen_gnm", "gen_planted", "gen_interference", "gen_coverage", "gen_from_spec",
+    "objective_from_spec",
     "load_edge_list", "save_edge_list", "load_coverage_list",
     "load_similarity_csv", "load_costs_csv", "load_scores_csv", "load_penalty_csv",
     "fit_penalty", "pava_nonincreasing",
@@ -159,17 +160,27 @@ def gen_coverage(n: int, universe_m: int, seed: int = 0,
     return Coverage([sorted(c) for c in obj.covers], m=universe_m)
 
 
+_GENERATORS = {"gnm": gen_gnm, "planted": gen_planted,
+               "interference": gen_interference, "coverage": gen_coverage}
+
+
 def gen_from_spec(spec: GenSpec):
-    """Materialize a :class:`GenSpec`; returns edges or an objective."""
-    if spec.family == "gnm":
-        return gen_gnm(seed=spec.seed, **spec.params)
-    if spec.family == "planted":
-        return gen_planted(seed=spec.seed, **spec.params)
-    if spec.family == "interference":
-        return gen_interference(seed=spec.seed, **spec.params)
-    if spec.family == "coverage":
-        return gen_coverage(seed=spec.seed, **spec.params)
-    raise ValueError(f"unknown generator family {spec.family!r}")
+    """Materialize a :class:`GenSpec`; returns edges or an objective.
+
+    Raises ``TypeError`` when ``params`` holds a key the generator does not
+    take or lacks one it needs.
+    """
+    gen = _GENERATORS.get(spec.family)
+    if gen is None:
+        raise ValueError(f"unknown generator family {spec.family!r}")
+    return gen(seed=spec.seed, **spec.params)
+
+
+def objective_from_spec(spec: GenSpec) -> Objective:
+    """The objective a :class:`GenSpec` describes: a generated graph becomes
+    its unweighted :class:`~prunekit.objectives.Cut`."""
+    made = gen_from_spec(spec)
+    return made if isinstance(made, Objective) else Cut(spec.params["n"], made)
 
 
 def _data_lines(path):
@@ -242,52 +253,55 @@ def load_coverage_list(path) -> list[list[int]]:
     return [covers[e] for e in range(n)]
 
 
-def load_similarity_csv(path) -> np.ndarray:
-    """Parse a dense similarity matrix; must be rectangular with >= 1 row."""
-    rows = []
-    width = None
+def _csv_records(path):
+    """``(line_no, record)`` for each CSV record that is neither blank nor a
+    ``#`` comment."""
     with open(path) as fh:
         for line_no, record in enumerate(csv.reader(fh), start=1):
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
-            if record[0].lstrip().startswith("#"):
-                continue
-            try:
-                row = [float(x) for x in record]
-            except ValueError:
-                raise InputFormatError(path, line_no, f"non-numeric entry in {record!r}")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise InputFormatError(path, line_no,
-                                       f"ragged row: expected {width} columns, got {len(row)}")
-            if min(row) < 0:
-                raise InputFormatError(path, line_no, "similarities must be >= 0")
-            rows.append(row)
+            if not record[0].lstrip().startswith("#"):
+                yield line_no, record
+
+
+def load_similarity_csv(path) -> np.ndarray:
+    """Parse a dense similarity matrix; must be rectangular with >= 1 row."""
+    rows = []
+    width = None
+    for line_no, record in _csv_records(path):
+        try:
+            row = [float(x) for x in record]
+        except ValueError:
+            raise InputFormatError(path, line_no, f"non-numeric entry in {record!r}")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise InputFormatError(path, line_no,
+                                   f"ragged row: expected {width} columns, got {len(row)}")
+        if min(row) < 0:
+            raise InputFormatError(path, line_no, "similarities must be >= 0")
+        rows.append(row)
     if not rows:
         raise InputFormatError(path, 0, "similarity matrix needs at least one row")
     return np.asarray(rows, dtype=float)
 
 
-def _load_two_col(path, what: str) -> dict[int, float]:
+def _load_two_col(path, what: str, key: str = "id") -> dict[int, float]:
+    """Two-column ``key,what`` records as a map from the non-negative,
+    distinct integer ``key`` to the float ``what``."""
     out: dict[int, float] = {}
-    with open(path) as fh:
-        for line_no, record in enumerate(csv.reader(fh), start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if record[0].lstrip().startswith("#"):
-                continue
-            if len(record) != 2:
-                raise InputFormatError(path, line_no, f"expected 'id,{what}'")
-            try:
-                e, c = int(record[0]), float(record[1])
-            except ValueError:
-                raise InputFormatError(path, line_no, f"non-numeric field in {record!r}")
-            if e < 0:
-                raise InputFormatError(path, line_no, "ids must be >= 0")
-            if e in out:
-                raise InputFormatError(path, line_no, f"duplicate id {e}")
-            out[e] = c
+    for line_no, record in _csv_records(path):
+        if len(record) != 2:
+            raise InputFormatError(path, line_no, f"expected '{key},{what}'")
+        try:
+            e, c = int(record[0]), float(record[1])
+        except ValueError:
+            raise InputFormatError(path, line_no, f"non-numeric field in {record!r}")
+        if e < 0:
+            raise InputFormatError(path, line_no, f"{key}s must be >= 0")
+        if e in out:
+            raise InputFormatError(path, line_no, f"duplicate {key} {e}")
+        out[e] = c
     return out
 
 
@@ -310,22 +324,7 @@ def load_penalty_csv(path) -> PenaltyCurve:
 
     Sizes must be the dense range 0..n in any order.
     """
-    entries: dict[int, float] = {}
-    with open(path) as fh:
-        for line_no, record in enumerate(csv.reader(fh), start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if record[0].lstrip().startswith("#"):
-                continue
-            if len(record) != 2:
-                raise InputFormatError(path, line_no, "expected 'size,theta'")
-            try:
-                s, t = int(record[0]), float(record[1])
-            except ValueError:
-                raise InputFormatError(path, line_no, f"non-numeric field in {record!r}")
-            if s in entries:
-                raise InputFormatError(path, line_no, f"duplicate size {s}")
-            entries[s] = t
+    entries = _load_two_col(path, "theta", key="size")
     if not entries:
         raise InputFormatError(path, 0, "penalty curve needs at least one row")
     if sorted(entries) != list(range(max(entries) + 1)):

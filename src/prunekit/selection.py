@@ -13,6 +13,9 @@ match a scalar loop over ``eval`` bit for bit, gain types included.  One
 query is one set value a scan computes: each candidate value, plus
 ``f(empty)`` once per run.  Pruners pass a CountingOracle, which records
 those queries.
+
+:func:`greedy` and :func:`window_greedy` share one rank-and-commit loop:
+plain greedy commits the best candidate of a window one element wide.
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ class DensityRun:
 
 def greedy(oracle, pool: Iterable[int], size: int, stop_at_zero: bool = False) -> GreedyRun:
     """Plain greedy: repeatedly add the remaining element with the largest
-    marginal gain, lowest id on ties.
+    marginal gain, lowest id on ties -- window selection with windows one
+    element wide.
 
     Runs for exactly ``min(size, |pool|)`` steps even when the best marginal
     is negative -- the disjoint-run pruner needs exactly-k runs.  Pass
@@ -83,22 +87,7 @@ def greedy(oracle, pool: Iterable[int], size: int, stop_at_zero: bool = False) -
     """
     if size < 0:
         raise ValueError("size must be >= 0")
-    scan, remaining = _open(oracle, pool)
-    run = GreedyRun([], [], tuple(remaining.tolist()))
-    base = scan.empty_value()
-    while len(remaining) and len(run.picks) < size:
-        vals = scan.values(remaining)
-        best = int(np.argmax(_gains(vals, base)))
-        gain = vals[best].item() - base
-        if stop_at_zero and gain <= 0:
-            break
-        e = int(remaining[best])
-        scan.add(e)
-        base += gain
-        remaining = _drop(remaining, best)
-        run.picks.append(e)
-        run.gains.append(gain)
-    return run
+    return _rank_and_commit(oracle, pool, size, 1, lambda width: 0, stop_at_zero)[0]
 
 
 def threshold_greedy(oracle, pool: Iterable[int], size: int, eta: float) -> GreedyRun:
@@ -208,28 +197,11 @@ def window_greedy(oracle, pool: Iterable[int], rounds: int, width: int,
     """Window selection: each of ``rounds`` rounds ranks the remaining
     elements by marginal gain (lowest id on ties), keeps the top ``width``
     as the round's window and commits the one at index
-    ``choose(len(window))``.  Returns the committed run and the windows.
+    ``choose(len(window))``.  Returns the committed run and the windows;
+    :func:`greedy` is the same loop with windows one element wide.
     Queries: ``f(empty)`` plus ``|pool| - i`` candidate values in round i.
     """
-    scan, remaining = _open(oracle, pool)
-    run = GreedyRun([], [], tuple(remaining.tolist()))
-    windows: list[list[int]] = []
-    base = scan.empty_value()
-    for _ in range(rounds):
-        if not len(remaining):
-            break
-        vals = scan.values(remaining)
-        ranked = np.argsort(-_gains(vals, base), kind="stable")[:width]
-        windows.append(remaining[ranked].tolist())
-        at = int(ranked[choose(len(ranked))])
-        gain = vals[at].item() - base
-        e = int(remaining[at])
-        scan.add(e)
-        base += gain
-        remaining = _drop(remaining, at)
-        run.picks.append(e)
-        run.gains.append(gain)
-    return run, windows
+    return _rank_and_commit(oracle, pool, rounds, width, choose)
 
 
 def threshold_stream(oracle, order: Sequence[int], k: int, p: int,
@@ -261,6 +233,38 @@ def threshold_stream(oracle, order: Sequence[int], k: int, p: int,
 #: candidates a threshold sweep rescans at once after an acceptance; doubles
 #: while the sweep finds no element above the threshold
 _FIRST_CHUNK = 64
+
+
+def _rank_and_commit(oracle, pool: Iterable[int], rounds: int, width: int,
+                     choose: Callable[[int], int], stop_at_zero: bool = False
+                     ) -> tuple[GreedyRun, list[list[int]]]:
+    """The loop of :func:`greedy` and :func:`window_greedy`.  A window one
+    element wide is the first ``argmax``, which a stable sort would also
+    rank first, at less cost."""
+    scan, remaining = _open(oracle, pool)
+    run = GreedyRun([], [], tuple(remaining.tolist()))
+    windows: list[list[int]] = []
+    base = scan.empty_value()
+    while len(remaining) and len(run.picks) < rounds:
+        vals = scan.values(remaining)
+        if width == 1:
+            at = int(np.argmax(_gains(vals, base)))
+            window = [int(remaining[at])]
+        else:
+            ranked = np.argsort(-_gains(vals, base), kind="stable")[:width]
+            at = int(ranked[choose(len(ranked))])
+            window = remaining[ranked].tolist()
+        gain = vals[at].item() - base
+        if stop_at_zero and gain <= 0:
+            break
+        windows.append(window)
+        e = int(remaining[at])
+        scan.add(e)
+        base += gain
+        remaining = _drop(remaining, at)
+        run.picks.append(e)
+        run.gains.append(gain)
+    return run, windows
 
 
 def _open(oracle, pool: Iterable[int]) -> tuple[CandidateScan, np.ndarray]:

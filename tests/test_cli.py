@@ -144,6 +144,28 @@ class TestObjectiveSources:
         err = capsys.readouterr().err.strip().splitlines()
         assert json.loads(err[-1])["kind"] == "input_parse_error"
 
+    @pytest.mark.parametrize("params", [{"n": 6, "m": 4, "bogus": 1}, {"n": 6}],
+                             ids=["unknown_key", "missing_key"])
+    def test_gen_spec_params_the_generator_does_not_take(self, tmp_path, capsys, params):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"family": "gnm", "params": params}))
+        assert main(["eval", "--gen-spec", str(path), "--full", "--k", "2",
+                     "--out", str(tmp_path / "r.json")]) == EXIT_PARSE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(err[-1])["kind"] == "input_parse_error"
+
+    def test_negative_penalty_size_is_parse_error(self, tmp_path, capsys):
+        sim = tmp_path / "sim.csv"
+        sim.write_text("1.0,0.4\n0.3,0.9\n")
+        pen = tmp_path / "pen.csv"
+        pen.write_text("0,0.0\n-1,0.05\n1,0.1\n")
+        assert main(["prune", "--sim", str(sim), "--penalty", str(pen),
+                     "--algo", "seq_disjoint", "--k", "1", "--ell", "2",
+                     "--out", str(tmp_path / "p.json")]) == EXIT_PARSE
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["kind"] == "input_parse_error"
+        assert record["message"].endswith("pen.csv:2: sizes must be >= 0")
+
     def test_proxy_from_sim_and_penalty(self, tmp_path):
         sim = tmp_path / "sim.csv"
         sim.write_text("1.0,0.4,0.2\n0.3,0.9,0.1\n0.2,0.2,0.8\n")

@@ -294,7 +294,7 @@ class TestEngineAgainstReference:
 class TestSubsetBatches:
     @pytest.mark.parametrize("m,s", [(0, 0), (5, 0), (5, 1), (6, 3), (9, 9), (12, 5)])
     def test_lex_table_is_combinations_order(self, m, s):
-        table = exact._lex_table(m, s)
+        table, = exact._lex_pieces(m, s, exact._CHUNK)  # one table: it fits a chunk
         assert [tuple(r) for r in table.tolist()] == list(itertools.combinations(range(m), s))
 
     @pytest.mark.parametrize("chunk,universe,n,k", [
@@ -316,6 +316,19 @@ class TestSubsetBatches:
         expected = [c for size in range(k + 1) for c in itertools.combinations(universe, size)]
         assert rows == expected
         assert sizes == sorted(sizes)
+
+    @pytest.mark.parametrize("chunk,group", [(100, exact._GROUP_ROWS), (100, 30), (7, 5)])
+    def test_adjacent_batches_do_not_fit_one(self, chunk, group):
+        """Pieces of a split size table share batches like whole tables do:
+        a batch ends only where the next piece would not fit it."""
+        with mock.patch.object(exact, "_CHUNK", chunk), \
+                mock.patch.object(exact, "_GROUP_ROWS", group):
+            batches = list(exact.subset_batches(range(12), 12, 6))
+        rows = [tuple(r[:size]) for ids, runs in batches
+                for size, lo, hi in runs for r in ids[lo:hi].tolist()]
+        assert rows == [c for size in range(7) for c in itertools.combinations(range(12), size)]
+        lengths = [len(ids) for ids, _ in batches]
+        assert all(a + b > min(chunk, group) for a, b in zip(lengths, lengths[1:]))
 
 
 # --------------------------------------------------------------------------

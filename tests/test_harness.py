@@ -1,12 +1,17 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunekit import exact
-from prunekit.harness import (containment_report, paired_bootstrap, run_pruner,
-                              separation_study, speedup_probe, sweep)
+from prunekit.harness import (PRUNER_NAMES, containment_report, paired_bootstrap,
+                              run_pruner, separation_study, speedup_probe, sweep)
 from prunekit.instances import GenSpec, gen_coverage, gen_gnm, gen_interference
+from prunekit.knapsack import KnapsackInstance, KnapsackPrunedSet, prune_sdg_density
 from prunekit.objectives import Cut, Modular
 from prunekit.prune import PrunedSet, prune_random, prune_seq_disjoint, prune_std_greedy
 from prunekit.objectives import OracleStats
@@ -87,6 +92,42 @@ class TestRunPruner:
     def test_unknown_name(self, triangle):
         with pytest.raises(ValueError):
             run_pruner("magic", triangle, 3, 1, omega=1)
+
+
+def _saved_and_loaded(pruned, cls):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pruned.json")
+        pruned.save(path)
+        return cls.load(path)
+
+
+def _small_objective(family, n, seed):
+    if family == "cut":
+        return Cut(n, gen_gnm(n, min(2 * n, n * (n - 1) // 2), seed=seed))
+    return (gen_interference if family == "interference" else gen_coverage)(n, 10, seed=seed)
+
+
+class TestSaveLoadRoundTrip:
+    """A saved pruned set loads back to the same dict, timing included."""
+
+    @given(st.sampled_from(PRUNER_NAMES), st.sampled_from(["cut", "coverage", "interference"]),
+           st.integers(1, 10), st.integers(0, 3), st.integers(1, 3), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_pruned_set(self, name, family, n, k, omega, seed):
+        obj = _small_objective(family, n, seed)
+        pruned = run_pruner(name, obj, n, k, omega=omega, epsilon=0.2, seed=seed)
+        loaded = _saved_and_loaded(pruned, PrunedSet)
+        assert loaded.to_dict(include_timing=True) == pruned.to_dict(include_timing=True)
+
+    @given(st.sampled_from(["coverage", "interference"]), st.integers(1, 10),
+           st.integers(1, 3), st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_knapsack_pruned_set(self, family, n, ell, seed):
+        obj = _small_objective(family, n, seed)
+        costs = np.random.default_rng(seed).uniform(0.05, 1.0, size=n).tolist()
+        pruned = prune_sdg_density(obj, KnapsackInstance(costs, 1.0), ell=ell)
+        loaded = _saved_and_loaded(pruned, KnapsackPrunedSet)
+        assert loaded.to_dict(include_timing=True) == pruned.to_dict(include_timing=True)
 
 
 class TestSweep:

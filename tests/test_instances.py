@@ -192,6 +192,18 @@ class TestLoaders:
         with pytest.raises(InputFormatError):
             load_penalty_csv(path)
 
+    @pytest.mark.parametrize("text,line_no,message", [
+        ("0,0.0\n1,0.1\n1,0.2\n", 3, "duplicate size 1"),
+        ("# size,theta\n\n0,0.0\n1,0.1,9\n", 4, "expected 'size,theta'"),
+    ], ids=["duplicate", "three_columns"])
+    def test_penalty_record_errors_name_their_line(self, tmp_path, text, line_no, message):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        with pytest.raises(InputFormatError) as info:
+            load_penalty_csv(path)
+        assert info.value.line_no == line_no
+        assert str(info.value).endswith(message)
+
 
 class TestPava:
     def test_hand_example(self):
