@@ -5,7 +5,7 @@ keeps a near-optimal feasible subset for every downstream budget, then
 certify the containment factor with exact brute-force references.
 """
 
-from .objectives import (Coverage, CountingOracle, Cut, FacilityLocation, GroundSet,
+from .objectives import (Coverage, CountingOracle, Cut, FacilityLocation,
                          InterferenceCoverage, Modular, Objective, OracleStats,
                          PenaltyCurve, PropertyReport, Proxy,
                          RestrictedFacilityLocation, TableObjective, check_monotone,

@@ -155,38 +155,38 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
+def _gen_spec(args, seed: int) -> instances.GenSpec:
+    """The instance recipe the generator flags describe, with ``seed``; a
+    family's missing required flag is a config error."""
+    family = args.family
+    if args.n is None or (family == "gnm" and args.m is None):
+        raise ConfigError(f"{family} needs --n" + (" and --m" if family == "gnm" else ""))
+    params = {"n": args.n}
+    if family == "gnm":
+        params["m"] = args.m
+    elif family == "planted":
+        params.update(communities=args.communities, p_in=args.p_in, p_out=args.p_out)
+    else:
+        params["universe_m"] = args.universe_m
+        if family == "interference" and getattr(args, "lam", None) is not None:
+            params["lam"] = args.lam
+    return instances.GenSpec(family, params, seed)
+
+
 def cmd_gen(args) -> int:
-    cfg = {"family": args.family, "seed": args.seed}
-    if args.family in ("gnm", "planted"):
-        if args.family == "gnm":
-            if args.n is None or args.m is None:
-                raise ConfigError("gnm needs --n and --m")
-            edges = instances.gen_gnm(args.n, args.m, args.seed)
-            cfg.update({"n": args.n, "m": args.m})
-        else:
-            if args.n is None:
-                raise ConfigError("planted needs --n")
-            edges = instances.gen_planted(args.n, args.communities, args.p_in,
-                                          args.p_out, args.seed)
-            cfg.update({"n": args.n, "communities": args.communities,
-                        "p_in": args.p_in, "p_out": args.p_out,
-                        "invented_defaults": ["p_in", "p_out"]})
+    spec = _gen_spec(args, args.seed)
+    made = instances.gen_from_spec(spec)
+    cfg = {"family": spec.family, "seed": spec.seed, **spec.params}
+    if spec.family == "planted":
+        cfg["invented_defaults"] = ["p_in", "p_out"]
+    elif spec.family == "interference":
+        cfg.update(instances.INTERFERENCE_DEFAULTS)
+    if isinstance(made, objectives.Objective):
+        _dump_json(args.out, {"config": cfg}, made.to_dict())
+    else:
         header = [f"schema: {SCHEMA}", f"generated: {_now()}",
                   f"config: {json.dumps(cfg, sort_keys=True)}"]
-        instances.save_edge_list(args.out, edges, header_lines=header)
-    elif args.family in ("interference", "coverage"):
-        if args.n is None:
-            raise ConfigError(f"{args.family} needs --n")
-        cfg.update({"n": args.n, "universe_m": args.universe_m})
-        if args.family == "interference":
-            obj = instances.gen_interference(args.n, args.universe_m, args.seed,
-                                             lam=args.lam)
-            cfg.update(instances.INTERFERENCE_DEFAULTS)
-        else:
-            obj = instances.gen_coverage(args.n, args.universe_m, args.seed)
-        _dump_json(args.out, {"config": cfg}, obj.to_dict())
-    else:
-        raise ConfigError(f"unknown family {args.family!r}")
+        instances.save_edge_list(args.out, made, header_lines=header)
     print(f"wrote {args.family} instance to {args.out}")
     return EXIT_OK
 
@@ -329,24 +329,11 @@ def _eval_knapsack(args, obj, cfg) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    insts: list[tuple[str, object]] = []
     if args.family:
-        if args.n is None:
-            raise ConfigError("inline generation needs --n")
-        for s in args.instance_seeds:
-            params = {"n": args.n}
-            if args.family == "gnm":
-                params["m"] = args.m
-            elif args.family in ("interference", "coverage"):
-                params["universe_m"] = args.universe_m
-            elif args.family == "planted":
-                params.update({"communities": args.communities,
-                               "p_in": args.p_in, "p_out": args.p_out})
-            insts.append((f"{args.family}-{s}",
-                          {"family": args.family, "params": params, "seed": s}))
+        insts = [(f"{args.family}-{s}", _gen_spec(args, s)) for s in args.instance_seeds]
     else:
         obj, src_cfg = _resolve_objective(args)
-        insts.append((src_cfg.get("source", "objective"), obj))
+        insts = [(src_cfg.get("source", "objective"), obj)]
     algos = []
     for name in args.algo.split(","):
         name = name.strip()
@@ -468,20 +455,29 @@ def _add_objective_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="ground-set size (when not implied)")
 
 
+def _add_gen_flags(p: argparse.ArgumentParser, required: bool) -> None:
+    """The generator flags of ``gen`` and ``sweep``; :func:`_gen_spec`
+    reads them."""
+    p.add_argument("--family", required=required,
+                   choices=["gnm", "planted", "interference", "coverage"],
+                   help="instance generator (sweep: generate instances inline)")
+    p.add_argument("--m", type=int, help="edge count (gnm)")
+    p.add_argument("--communities", type=int, default=20, help="block count (planted)")
+    p.add_argument("--p-in", type=float, default=0.3, help="in-block edge probability")
+    p.add_argument("--p-out", type=float, default=0.05,
+                   help="cross-block edge probability")
+    p.add_argument("--universe-m", type=int, default=30,
+                   help="item universe size (interference, coverage)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="prunekit",
                                  description="containment pruning toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate an instance file")
-    g.add_argument("--family", required=True,
-                   choices=["gnm", "planted", "interference", "coverage"])
+    _add_gen_flags(g, required=True)
     g.add_argument("--n", type=int)
-    g.add_argument("--m", type=int, help="edge count (gnm)")
-    g.add_argument("--communities", type=int, default=20)
-    g.add_argument("--p-in", type=float, default=0.3)
-    g.add_argument("--p-out", type=float, default=0.05)
-    g.add_argument("--universe-m", type=int, default=30)
     g.add_argument("--lam", type=float, default=None,
                    help="pin the interference penalty weight")
     g.add_argument("--seed", type=int, default=0)
@@ -522,13 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="run an (instance x algorithm x seed) grid")
     _add_objective_flags(s)
-    s.add_argument("--family", choices=["gnm", "planted", "interference", "coverage"],
-                   help="generate instances inline instead of loading one")
-    s.add_argument("--m", type=int)
-    s.add_argument("--communities", type=int, default=20)
-    s.add_argument("--p-in", type=float, default=0.3)
-    s.add_argument("--p-out", type=float, default=0.05)
-    s.add_argument("--universe-m", type=int, default=30)
+    _add_gen_flags(s, required=False)
     s.add_argument("--instance-seeds", type=_int_list, default=[0],
                    help="seeds for inline instance generation")
     s.add_argument("--algo", required=True, help="comma-separated pruner names")

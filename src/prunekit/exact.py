@@ -27,6 +27,10 @@ rows, split by leading ids.  One rule batches them: pieces of at most
 would not fit; a larger piece comes alone as soon as it is built.
 Enumerations that fit one batch are built once per (universe size, k) and
 reused.
+
+The module constants ``_CHUNK``, ``_GROUP_ROWS`` and :data:`TIE_CAP` (the
+most optimal sets a ``collect_ties`` profile keeps) are read at call time,
+so tests patch them instead of passing them as arguments.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ _CHUNK = 1 << 17
 #: pieces share one padded batch up to this many rows, so that small
 #: enumerations cost one kernel call; larger pieces come alone
 _GROUP_ROWS = 1 << 12
+#: most optimal sets ``opt_cardinality(..., collect_ties=True)`` keeps
+TIE_CAP = 256
 
 
 class GuardExceeded(RuntimeError):
@@ -244,14 +250,14 @@ def fits_guard(needed: int, guard: int | None = None) -> bool:
 
 
 def opt_cardinality(obj: Objective, universe: Sequence[int], k: int, *,
-                    guard: int | None = None, collect_ties: bool = False,
-                    tie_cap: int = 256) -> OptProfile:
+                    guard: int | None = None, collect_ties: bool = False) -> OptProfile:
     """Exact OPT_j = max_{|T| <= j} f(T) for every j = 0..k, in one sweep.
 
     Deterministic: the recorded argmax is the lexicographically smallest
     optimal set.  With ``collect_ties`` the profile also retains every
-    optimal set at the top budget (up to ``tie_cap``), which lets callers
-    test "any optimal set contained" without tie ambiguity.
+    optimal set at the top budget (the first ``TIE_CAP`` in lexicographic
+    order), which lets callers test "any optimal set contained" without tie
+    ambiguity.
     """
     raw = unwrap(obj)
     universe = _sorted_universe(universe, raw.n)
@@ -276,7 +282,7 @@ def opt_cardinality(obj: Objective, universe: Sequence[int], k: int, *,
             if vmax != size_best:
                 continue
             if collect_ties:
-                rows = lo + np.flatnonzero(seg == vmax)[:tie_cap - len(size_sets)]
+                rows = lo + np.flatnonzero(seg == vmax)[:TIE_CAP - len(size_sets)]
                 size_sets.extend(tuple(row[:size]) for row in ids[rows].tolist())
             elif not size_sets:
                 size_sets.append(tuple(ids[lo + first, :size].tolist()))
@@ -295,7 +301,7 @@ def opt_cardinality(obj: Objective, universe: Sequence[int], k: int, *,
     ties = None
     if collect_ties:
         ties = sorted(s for v, size_sets in per_size if v == best_val
-                      for s in size_sets)[:tie_cap]
+                      for s in size_sets)[:TIE_CAP]
     return OptProfile(list(range(k + 1)), profile, argmax, total, ties)
 
 

@@ -3,11 +3,13 @@
 ``containment_report`` certifies a pruned set: for every downstream budget it
 compares the best feasible subset found inside P against a reference optimum
 (exact enumeration when the guard allows, greedy-on-the-full-set otherwise).
-``sweep`` runs (instance x algorithm x seed) grids, ``separation_study``
-reproduces the interference-coverage containment comparison between one
-greedy run and sequential disjoint greedy, ``paired_bootstrap`` gives
-percentile confidence intervals, and ``speedup_probe`` times exact extraction
-on the pruned vs the full universe.
+``sweep`` runs (instance x algorithm x seed) grids over objectives or
+generator specs, which reach worker processes as they are (pickled), not
+through a serial form.  ``separation_study`` reproduces the
+interference-coverage containment comparison between one greedy run and
+sequential disjoint greedy, ``paired_bootstrap`` gives percentile confidence
+intervals, and ``speedup_probe`` times exact extraction on a pruned set vs
+the full universe.
 """
 
 from __future__ import annotations
@@ -245,21 +247,20 @@ def sweep(instances: Sequence[tuple[str, object]], algorithms: Sequence[dict],
           jobs: int = 1, guard: int | None = None) -> SweepResult:
     """Run every (instance, algorithm, seed) cell and aggregate mean/std alpha.
 
-    ``instances`` holds (id, objective-or-payload) pairs, where a payload is
-    either an objective dict or a generator-spec dict; materializing specs in
-    the worker keeps cells cheap to ship when ``jobs > 1``.  Per-cell errors
-    are recorded, not fatal.  Deterministic given seeds; rows are ordered by
+    ``instances`` holds (id, instance) pairs, where an instance is an
+    objective, a :class:`~prunekit.instances.GenSpec`, or the dict form of
+    either; specs and dicts are materialized in the cell, so with
+    ``jobs > 1`` each worker builds its own.  Per-cell errors are recorded,
+    not fatal.  Deterministic given seeds; rows are ordered by
     (instance, algorithm index, seed).
     """
     if not instances or not algorithms or not seeds:
         raise ValueError("sweep needs at least one instance, algorithm, and seed")
     cells = []
     for inst_id, payload in instances:
-        store = payload.to_dict() if isinstance(payload, (Objective, GenSpec)) and jobs > 1 \
-            else payload
         for algo in algorithms:
             for seed in seeds:
-                cells.append({"instance": inst_id, "objective": store,
+                cells.append({"instance": inst_id, "objective": payload,
                               "algorithm": dict(algo), "k": k, "seed": int(seed),
                               "reference": reference, "guard": guard})
     rows, errors = [], []
@@ -452,17 +453,14 @@ def _median_time(fn, repeats: int = 3):
     return statistics.median(times), result
 
 
-def speedup_probe(obj: Objective, n: int, k: int, pruner,
+def speedup_probe(obj: Objective, n: int, k: int, pruned: PrunedSet,
                   guard: int | None = None) -> SpeedupResult:
     """Time exact extraction on the pruned set vs the full universe.
 
-    ``pruner`` is either a ready :class:`PrunedSet` or a callable
-    ``(obj, n, k) -> PrunedSet``.  Both sides use the same enumeration
-    engine; times are medians of three runs.  If the full-universe
-    enumeration trips the guard, the probe caps k until it fits and flags
-    the result.
+    Both sides use the same enumeration engine; times are medians of three
+    runs.  If the full-universe enumeration trips the guard, the probe caps
+    k until it fits and flags the result.
     """
-    pruned = pruner(obj, n, k) if callable(pruner) else pruner
     k_full = k
     guard_limited = False
     while k_full > 0 and not exact.fits_guard(

@@ -286,10 +286,10 @@ def load_similarity_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _load_two_col(path, what: str, key: str = "id") -> dict[int, float]:
-    """Two-column ``key,what`` records as a map from the non-negative,
-    distinct integer ``key`` to the float ``what``."""
-    out: dict[int, float] = {}
+def _two_col(path, what: str, key: str = "id"):
+    """``(line_no, key, value)`` per two-column ``key,what`` record: a
+    non-negative integer ``key``, distinct across records, and a float."""
+    seen: set[int] = set()
     for line_no, record in _csv_records(path):
         if len(record) != 2:
             raise InputFormatError(path, line_no, f"expected '{key},{what}'")
@@ -299,24 +299,27 @@ def _load_two_col(path, what: str, key: str = "id") -> dict[int, float]:
             raise InputFormatError(path, line_no, f"non-numeric field in {record!r}")
         if e < 0:
             raise InputFormatError(path, line_no, f"{key}s must be >= 0")
-        if e in out:
+        if e in seen:
             raise InputFormatError(path, line_no, f"duplicate {key} {e}")
-        out[e] = c
-    return out
+        seen.add(e)
+        yield line_no, e, c
 
 
 def load_costs_csv(path) -> dict[int, float]:
-    """Parse two-column ``element,cost`` records into an id -> cost map."""
-    costs = _load_two_col(path, "cost")
-    for e, c in costs.items():
-        if c <= 0:
-            raise InputFormatError(path, 0, f"cost of element {e} must be positive")
+    """Parse two-column ``element,cost`` records into an id -> cost map;
+    every cost must be positive and finite."""
+    costs = {}
+    for line_no, e, c in _two_col(path, "cost"):
+        if not 0 < c < math.inf:
+            raise InputFormatError(path, line_no,
+                                   f"cost of element {e} must be positive and finite, got {c}")
+        costs[e] = c
     return costs
 
 
 def load_scores_csv(path) -> dict[int, float]:
     """Parse two-column ``id,score`` records (any real scores allowed)."""
-    return _load_two_col(path, "score")
+    return {e: c for _, e, c in _two_col(path, "score")}
 
 
 def load_penalty_csv(path) -> PenaltyCurve:
@@ -324,7 +327,7 @@ def load_penalty_csv(path) -> PenaltyCurve:
 
     Sizes must be the dense range 0..n in any order.
     """
-    entries = _load_two_col(path, "theta", key="size")
+    entries = {s: t for _, s, t in _two_col(path, "theta", key="size")}
     if not entries:
         raise InputFormatError(path, 0, "penalty curve needs at least one row")
     if sorted(entries) != list(range(max(entries) + 1)):

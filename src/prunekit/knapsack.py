@@ -5,6 +5,12 @@ at accepted cost 2B while accepting nothing that would push it past 3B, so
 the union P costs at most ``3 * ell * B``.  One pruned set then serves every
 query budget B' <= B: :func:`extract_budget` finds a feasible subset of P
 without re-pruning.
+
+Extraction enumerates every subset of P, and returns each budget's exact
+optimum over P, when |P| is at most :data:`EXHAUSTIVE_CAP` and the
+enumeration guard allows it; otherwise it takes the better of a
+density-greedy prefix and the best feasible singleton.  The cap is read at
+call time, so a caller (a test forcing the density route, say) can patch it.
 """
 
 from __future__ import annotations
@@ -66,9 +72,6 @@ class KnapsackPrunedSet:
     stats: OracleStats
     elapsed: float = 0.0
 
-    def element_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
-
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {
             "algorithm": "sdg_density",
@@ -87,7 +90,7 @@ class KnapsackPrunedSet:
     def from_dict(cls, payload: dict) -> "KnapsackPrunedSet":
         runs = [DensityRun(r["picks"], r["gains"], r["costs"],
                            [g / c for g, c in zip(r["gains"], r["costs"])],
-                           r["dummy_cost"], tuple())
+                           r["dummy_cost"])
                 for r in payload["runs"]]
         return cls(
             params=payload["params"],
@@ -145,8 +148,7 @@ def prune_sdg_density(obj: Objective, instance: KnapsackInstance,
     )
 
 
-def extract_budget(pruned: KnapsackPrunedSet, obj: Objective, b_prime: float,
-                   exhaustive_cap: int = EXHAUSTIVE_CAP) -> list[int]:
+def extract_budget(pruned: KnapsackPrunedSet, obj: Objective, b_prime: float) -> list[int]:
     """Best feasible subset of P found for query budget B' <= B.
 
     Routes: exact enumeration over P when |P| is small enough and the guard
@@ -154,22 +156,22 @@ def extract_budget(pruned: KnapsackPrunedSet, obj: Objective, b_prime: float,
     stop/keep = B' or the best feasible singleton, whichever is worth more.
     The result always costs at most B'.
     """
-    return _extract_many(pruned, obj, [b_prime], exhaustive_cap)[0]
+    return _extract_many(pruned, obj, [b_prime])[0]
 
 
 def extract_budget_grid(pruned: KnapsackPrunedSet, obj: Objective,
-                        budgets, exhaustive_cap: int = EXHAUSTIVE_CAP) -> list[list[int]]:
+                        budgets) -> list[list[int]]:
     """Per-budget extraction sharing one enumeration sweep across the grid."""
-    return _extract_many(pruned, obj, list(budgets), exhaustive_cap)
+    return _extract_many(pruned, obj, list(budgets))
 
 
-def _extract_many(pruned, obj, budgets, exhaustive_cap):
+def _extract_many(pruned, obj, budgets):
     inst = pruned.instance
     for b in budgets:
         if not (0 < b <= inst.B):
             raise ValueError(f"query budget must be in (0, B], got {b}")
     P = pruned.elements
-    if len(P) <= exhaustive_cap:
+    if len(P) <= EXHAUSTIVE_CAP:
         try:
             profile = exact.opt_knapsack(obj, P, inst.costs, budgets)
             return [sorted(s) for s in profile.argmax_by_budget]

@@ -64,23 +64,6 @@ _KERNEL_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
-class GroundSet:
-    """The element universe: ids are 0..n-1, optionally labelled."""
-
-    n: int
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"ground set needs n >= 1, got {self.n}")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("labels length must equal n")
-
-    def label(self, e: int) -> str:
-        return self.labels[e] if self.labels else str(e)
-
-
-@dataclass(frozen=True)
 class OracleStats:
     """Query accounting snapshot.
 
@@ -583,9 +566,8 @@ class Proxy(Objective):
 
     def _lower_bound(self) -> float:
         if self.n <= self.SHIFT_ENUM_LIMIT:
-            theta = self.penalty.theta
-            return min(float((vals - theta[np.count_nonzero(ids < self.n, axis=1)]).min())
-                       for ids, vals in _power_set(self.fl))
+            sizes = np.bitwise_count(np.arange(1 << self.n))
+            return float((value_table(self.fl) - self.penalty.theta[sizes]).min())
         return -self.penalty(self.n)
 
     def _value(self, s):
@@ -1029,24 +1011,19 @@ def unwrap(oracle) -> Objective:
     return oracle
 
 
-def _power_set(obj: Objective):
-    """``(ids, values)`` batches over all 2^n subsets of ``obj``'s ground
-    set, from the exact engine's enumerator and the batched kernel."""
+def value_table(obj: Objective) -> np.ndarray:
+    """Values for all 2^n subsets, indexed by bitmask, from the exact
+    engine's enumerator and the batched kernel.  Requires n <= 24."""
     from .exact import subset_batches
 
-    for ids, _ in subset_batches(range(obj.n), obj.n, obj.n):
-        yield ids, np.asarray(obj.eval_ids(ids), dtype=float)
-
-
-def value_table(obj: Objective) -> np.ndarray:
-    """Values for all 2^n subsets, indexed by bitmask.  Requires n <= 24."""
+    obj = unwrap(obj)
     n = obj.n
     if n > 24:
         raise ValueError(f"value table infeasible for n={n}")
     bit = np.append(np.left_shift(1, np.arange(n, dtype=np.int64)), 0)
     out = np.empty(1 << n)
-    for ids, vals in _power_set(unwrap(obj)):
-        out[bit[ids].sum(axis=1)] = vals
+    for ids, _ in subset_batches(range(n), n, n):
+        out[bit[ids].sum(axis=1)] = obj.eval_ids(ids)
     return out
 
 
@@ -1075,7 +1052,8 @@ class PropertyReport:
         }
 
 
-def _default_tol(obj) -> float:
+def _tol(obj) -> float:
+    """The violation margin: none for integer-valued objectives."""
     return 0.0 if getattr(obj, "integer_valued", False) else REAL_TOL
 
 
@@ -1083,14 +1061,16 @@ _VIOLATION_CAP = 100
 
 
 def check_submodular(obj: Objective, trials: int = 1000, seed: int = 0,
-                     exhaustive: bool = False, tol: float | None = None) -> PropertyReport:
+                     exhaustive: bool = False) -> PropertyReport:
     """Check diminishing returns: f(x|A) >= f(x|B) for A subset of B, x outside B.
 
     Sampled mode draws nested pairs uniformly (each element lands in A, B\\A,
     or outside with equal probability) plus a uniform outside x.  Exhaustive
-    mode enumerates every (A, B, x) triple; feasible for n <= ~12.
+    mode enumerates every (A, B, x) triple; feasible for n <= ~12.  A gap
+    counts as a violation beyond ``REAL_TOL``, or any gap when the
+    objective is integer-valued.
     """
-    tol = _default_tol(obj) if tol is None else tol
+    tol = _tol(obj)
     n = obj.n
     report = PropertyReport("submodular", 0, exhaustive=exhaustive)
 
@@ -1140,9 +1120,10 @@ def check_submodular(obj: Objective, trials: int = 1000, seed: int = 0,
 
 
 def check_monotone(obj: Objective, trials: int = 1000, seed: int = 0,
-                   exhaustive: bool = False, tol: float | None = None) -> PropertyReport:
-    """Check f(A) <= f(B) over nested pairs A subset of B."""
-    tol = _default_tol(obj) if tol is None else tol
+                   exhaustive: bool = False) -> PropertyReport:
+    """Check f(A) <= f(B) over nested pairs A subset of B, with the
+    violation margin of :func:`check_submodular`."""
+    tol = _tol(obj)
     n = obj.n
     report = PropertyReport("monotone", 0, exhaustive=exhaustive)
 

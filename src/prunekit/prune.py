@@ -44,17 +44,13 @@ class PruneParams:
     """Validated pruning parameters; ``ell`` defaults to ceil(1/epsilon)."""
 
     k: int
-    p: int | None = None
     omega: int | None = None
     epsilon: float | None = None
     ell: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.p is not None and self.p < self.k:
-            raise ValueError("pruning budget p must be >= k")
         if self.omega is not None and self.omega < 1:
             raise ValueError("omega must be >= 1")
         if self.epsilon is not None and not (0 < self.epsilon < 0.5):
@@ -68,9 +64,6 @@ class PruneParams:
         if self.epsilon is not None:
             return math.ceil(1.0 / self.epsilon)
         raise ValueError("need ell or epsilon")
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
 @dataclass
@@ -198,7 +191,7 @@ def prune_window(obj: Objective, n: int, k: int, omega: int, seed: int = 0,
         raise ValueError(f"pick must be 'random' or 'argmax', got {pick!r}")
     if k == 0:
         return _empty_pruned("window", {"k": 0, "omega": omega, "pick": pick})
-    PruneParams(k=k, omega=omega, seed=seed)
+    PruneParams(k=k, omega=omega)
     rng = np.random.default_rng(seed)
     oracle = counting_wrap(obj)
     t0 = time.perf_counter()

@@ -38,7 +38,6 @@ class GreedyRun:
 
     picks: list[int]
     gains: list[float]
-    pool: tuple[int, ...]
 
     def prefix_values(self, base: float = 0.0) -> list[float]:
         """Values of f(picks[:i]) for i = 0..len(picks), given f(empty)."""
@@ -64,7 +63,6 @@ class DensityRun:
     costs: list[float]
     densities: list[float]
     dummy_cost: float
-    pool: tuple[int, ...]
 
     @property
     def real_cost(self) -> float:
@@ -107,7 +105,7 @@ def threshold_greedy(oracle, pool: Iterable[int], size: int, eta: float) -> Gree
     if size < 0:
         raise ValueError("size must be >= 0")
     scan, remaining = _open(oracle, pool)
-    run = GreedyRun([], [], tuple(remaining.tolist()))
+    run = GreedyRun([], [])
     if not len(remaining) or size == 0:
         return run
     vals = scan.values(remaining)  # the singleton values
@@ -117,7 +115,7 @@ def threshold_greedy(oracle, pool: Iterable[int], size: int, eta: float) -> Gree
     base = scan.empty_value()
     gains = _gains(vals, base)
     fresh = np.ones(len(remaining), dtype=bool)  # scanned at the current set
-    floor = (eta / len(run.pool)) * d
+    floor = (eta / len(remaining)) * d
     tau = d
     while tau >= floor and len(run.picks) < size and len(remaining):
         start, width = 0, _FIRST_CHUNK
@@ -165,7 +163,7 @@ def density_greedy(oracle, pool: Iterable[int], costs, stop_cost: float,
     scan, remaining = _open(oracle, pool)
     cost_of = _cost_lookup(costs, remaining.tolist())
     cost_vec = np.array([cost_of[e] for e in remaining.tolist()], dtype=float)
-    run = DensityRun([], [], [], [], 0.0, tuple(remaining.tolist()))
+    run = DensityRun([], [], [], [], 0.0)
     base = scan.empty_value()
     spent = 0.0
     vals = None  # candidate values at the current set
@@ -211,8 +209,8 @@ def threshold_stream(oracle, order: Sequence[int], k: int, p: int,
     against the accepted set is at least ``epsilon * d / k``.  Returns the
     accepted elements in order."""
     order = np.asarray(order, dtype=np.intp)
-    singles = open_scan(oracle).values(order)
     scan = open_scan(oracle)
+    singles = scan.values(order)  # at the empty set, before any add
     accepted: list[int] = []
     current = None  # f(accepted), once needed
     d = 0.0
@@ -242,7 +240,7 @@ def _rank_and_commit(oracle, pool: Iterable[int], rounds: int, width: int,
     element wide is the first ``argmax``, which a stable sort would also
     rank first, at less cost."""
     scan, remaining = _open(oracle, pool)
-    run = GreedyRun([], [], tuple(remaining.tolist()))
+    run = GreedyRun([], [])
     windows: list[list[int]] = []
     base = scan.empty_value()
     while len(remaining) and len(run.picks) < rounds:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from prunekit.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_PARSE, main
-from prunekit.instances import load_edge_list
+from prunekit.instances import gen_interference, load_edge_list
 
 
 def read_doc(path):
@@ -49,6 +49,17 @@ class TestGen:
     def test_missing_params_config_error(self, tmp_path):
         assert main(["gen", "--family", "gnm", "--out",
                      str(tmp_path / "x.txt")]) == EXIT_CONFIG
+
+    def test_pinned_lam_echoed_in_header(self, tmp_path):
+        outs = [tmp_path / "free.json", tmp_path / "pinned.json"]
+        for out, extra in zip(outs, ([], ["--lam", "1.25"])):
+            assert main(["gen", "--family", "interference", "--n", "10",
+                         "--universe-m", "12", "--seed", "1", *extra,
+                         "--out", str(out)]) == EXIT_OK
+        free, pinned = (read_doc(out)["header"]["config"] for out in outs)
+        assert "lam" not in free and pinned.pop("lam") == 1.25
+        assert pinned == free
+        assert read_doc(outs[1])["body"] == gen_interference(10, 12, 1, lam=1.25).to_dict()
 
 
 class TestPruneEval:
@@ -165,6 +176,17 @@ class TestObjectiveSources:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["kind"] == "input_parse_error"
         assert record["message"].endswith("pen.csv:2: sizes must be >= 0")
+
+    @pytest.mark.parametrize("cost", ["nan", "inf", "0", "-1"])
+    def test_bad_cost_is_parse_error_at_its_line(self, tmp_path, capsys, graph_file, cost):
+        costs = tmp_path / "c.csv"
+        costs.write_text("".join(f"{e},{cost if e == 2 else 0.1}\n" for e in range(14)))
+        assert main(["prune", "--graph", str(graph_file), "--algo", "sdg_density",
+                     "--costs", str(costs), "--budget", "1.0", "--ell", "2",
+                     "--out", str(tmp_path / "p.json")]) == EXIT_PARSE
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["kind"] == "input_parse_error"
+        assert "c.csv:3: cost of element 2 must be positive" in record["message"]
 
     def test_proxy_from_sim_and_penalty(self, tmp_path):
         sim = tmp_path / "sim.csv"
@@ -409,6 +431,15 @@ class TestSweep:
         table = csv_out.read_text().splitlines()
         assert table[0].startswith("algorithm,omega=2,omega=3")
         assert any(line.startswith("seq_disjoint") for line in table)
+
+    def test_gnm_without_m_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.jsonl"
+        assert main(["sweep", "--family", "gnm", "--n", "10", "--algo", "random",
+                     "--k", "2", "--omegas", "2", "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"record": "error", "kind": "config_error",
+                          "message": "gnm needs --n and --m"}
+        assert not out.exists()
 
     def test_jsonl_bodies_reproducible(self, tmp_path, graph_file):
         outs = [tmp_path / "s1.jsonl", tmp_path / "s2.jsonl"]

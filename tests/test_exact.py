@@ -244,8 +244,9 @@ class TestEngineAgainstReference:
     def test_tie_cap_keeps_smallest_sets(self):
         obj = Modular([1, 1, 1, 1, 1])
         for chunk in (exact._CHUNK, 3):
-            with mock.patch.object(exact, "_CHUNK", chunk):
-                prof = exact.opt_cardinality(obj, range(5), 2, collect_ties=True, tie_cap=4)
+            with mock.patch.object(exact, "_CHUNK", chunk), \
+                    mock.patch.object(exact, "TIE_CAP", 4):
+                prof = exact.opt_cardinality(obj, range(5), 2, collect_ties=True)
             assert prof.ties_at_top == [(0, 1), (0, 2), (0, 3), (0, 4)]
 
     @pytest.mark.parametrize("name", FAMILIES)

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import tempfile
 
 import numpy as np
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scan_families
 from prunekit import exact
 from prunekit.harness import (PRUNER_NAMES, containment_report, paired_bootstrap,
                               run_pruner, separation_study, speedup_probe, sweep)
 from prunekit.instances import GenSpec, gen_coverage, gen_gnm, gen_interference
 from prunekit.knapsack import KnapsackInstance, KnapsackPrunedSet, prune_sdg_density
-from prunekit.objectives import Cut, Modular
-from prunekit.prune import PrunedSet, prune_random, prune_seq_disjoint, prune_std_greedy
+from prunekit.objectives import Cut, Modular, value_table
+from prunekit.prune import PrunedSet, prune_random, prune_seq_disjoint
 from prunekit.objectives import OracleStats
 
 
@@ -165,6 +167,22 @@ class TestSweep:
         parallel = sweep([("i1", spec)], algos, k=3, seeds=[0, 1], jobs=2)
         assert serial.rows == parallel.rows
 
+    def test_parallel_ships_instances_as_they_are(self):
+        # every family, the serial-form-less table included, and a spec reach
+        # the workers by pickling, with the values they had
+        insts = sorted(scan_families(n=6, seed=4).items())
+        for _, obj in insts:
+            assert np.array_equal(value_table(pickle.loads(pickle.dumps(obj))),
+                                  value_table(obj))
+        spec = GenSpec("interference", {"n": 8, "universe_m": 10, "lam": 0.5}, seed=2)
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        insts.append(("spec", spec))
+        algos = [{"algo": "seq_disjoint", "omega": 2}]
+        serial = sweep(insts, algos, k=2, seeds=[0])
+        parallel = sweep(insts, algos, k=2, seeds=[0], jobs=2)
+        assert len(serial.rows) == len(insts) and not serial.errors
+        assert parallel.rows == serial.rows and not parallel.errors
+
     def test_empty_config_rejected(self):
         with pytest.raises(ValueError):
             sweep([], [{"algo": "random", "omega": 2}], 2, [0])
@@ -233,13 +251,6 @@ class TestSpeedupProbe:
         result = speedup_probe(obj, 14, 3, full_universe(14))
         assert result.alpha == 1.0
         assert 0.2 <= result.ratio <= 5.0
-
-    def test_accepts_pruner_callable(self):
-        obj = Cut(16, gen_gnm(16, 40, seed=9))
-        result = speedup_probe(obj, 16, 3,
-                               lambda o, n, k: prune_std_greedy(o, n, 6))
-        assert result.pruned_size == 6
-        assert 0.0 <= result.alpha <= 1.0
 
     def test_guard_capping_flagged(self):
         obj = Modular(np.ones(30))

@@ -175,6 +175,14 @@ class TestLoaders:
         with pytest.raises(InputFormatError):
             load_costs_csv(path)
 
+    @pytest.mark.parametrize("cost", ["nan", "inf", "0.0", "-1"])
+    def test_bad_cost_rejected_at_its_line(self, tmp_path, cost):
+        path = tmp_path / "c.csv"
+        path.write_text(f"# id,cost\n0,0.5\n1,{cost}\n2,0.25\n")
+        with pytest.raises(InputFormatError, match="c.csv:3: cost of element 1") as info:
+            load_costs_csv(path)
+        assert info.value.line_no == 3
+
     def test_scores_allow_any_real(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("0,-0.25\n1,0.0\n")

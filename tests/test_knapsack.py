@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from prunekit import exact
+from prunekit import exact, knapsack
 from prunekit.instances import gen_coverage, gen_gnm, gen_interference
 from prunekit.knapsack import (KnapsackInstance, KnapsackPrunedSet, extract_budget,
                                extract_budget_grid, prune_sdg_density)
@@ -128,7 +130,8 @@ class TestExtractBudget:
         obj = Cut(10, gen_gnm(10, 25, seed=8))
         inst = KnapsackInstance([0.25] * 10, 1.0)
         pruned = prune_sdg_density(obj, inst, ell=2)
-        q = extract_budget(pruned, obj, 1.0, exhaustive_cap=0)  # force density route
+        with mock.patch.object(knapsack, "EXHAUSTIVE_CAP", 0):  # force density route
+            q = extract_budget(pruned, obj, 1.0)
         vals = [obj.eval(q)]
         assert obj.eval(q) >= max(0.0, *(obj.eval([e]) for e in pruned.elements
                                          if inst.costs[e] <= 1.0))
@@ -141,11 +144,12 @@ class TestExtractBudget:
         inst = KnapsackInstance(rng.uniform(0.05, 1.0, size=16), 1.0)
         pruned = prune_sdg_density(obj, inst, ell=2)
         budgets = [0.2, 0.4, 0.6, 0.8, 1.0]
-        grid = extract_budget_grid(pruned, obj, budgets, exhaustive_cap=0)
-        assert grid == [[3], [2], [3, 8], [3, 4, 8], [0, 3, 8]]
-        for b, sel in zip(budgets, grid):
-            assert sel == extract_budget(pruned, obj, b, exhaustive_cap=0)
-            assert inst.cost(sel) <= b
+        with mock.patch.object(knapsack, "EXHAUSTIVE_CAP", 0):
+            grid = extract_budget_grid(pruned, obj, budgets)
+            assert grid == [[3], [2], [3, 8], [3, 4, 8], [0, 3, 8]]
+            for b, sel in zip(budgets, grid):
+                assert sel == extract_budget(pruned, obj, b)
+                assert inst.cost(sel) <= b
         run = density_greedy(obj, pruned.elements, inst.costs, stop_cost=0.4, keep_cap=0.4)
         prefixes = [obj.eval(run.picks[:i]) for i in range(len(run.picks) + 1)]
         assert obj.eval([2]) > max(prefixes)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_variants, scan_families, supermodular_counterexample
-from prunekit.objectives import (Coverage, Cut, FacilityLocation, GroundSet,
+from prunekit.objectives import (Coverage, Cut, FacilityLocation,
                                  InterferenceCoverage, Modular, OracleStats,
                                  PenaltyCurve, Proxy, RestrictedFacilityLocation,
                                  check_monotone, check_submodular, counting_wrap,
@@ -318,12 +318,3 @@ NON_FINITE_INPUTS = {
 def test_non_finite_weights_and_similarities_rejected(family, bad):
     with pytest.raises(ValueError, match="finite"):
         NON_FINITE_INPUTS[family](bad)
-
-
-class TestGroundSet:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GroundSet(0)
-        with pytest.raises(ValueError):
-            GroundSet(2, labels=("a",))
-        assert GroundSet(2, labels=("a", "b")).label(1) == "b"

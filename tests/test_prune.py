@@ -18,8 +18,6 @@ class TestPruneParams:
         with pytest.raises(ValueError):
             PruneParams(k=0)
         with pytest.raises(ValueError):
-            PruneParams(k=3, p=2)
-        with pytest.raises(ValueError):
             PruneParams(k=3, epsilon=0.7)
         assert PruneParams(k=3, epsilon=0.3).resolved_ell() == 4
         assert PruneParams(k=3, ell=2, epsilon=0.3).resolved_ell() == 2
