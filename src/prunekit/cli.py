@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -161,6 +162,9 @@ def _gen_spec(args, seed: int) -> instances.GenSpec:
     family = args.family
     if args.n is None or (family == "gnm" and args.m is None):
         raise ConfigError(f"{family} needs --n" + (" and --m" if family == "gnm" else ""))
+    lam = getattr(args, "lam", None)  # only gen takes --lam
+    if lam is not None and family != "interference":
+        raise ConfigError(f"--lam applies to the interference family, not {family}")
     params = {"n": args.n}
     if family == "gnm":
         params["m"] = args.m
@@ -168,8 +172,8 @@ def _gen_spec(args, seed: int) -> instances.GenSpec:
         params.update(communities=args.communities, p_in=args.p_in, p_out=args.p_out)
     else:
         params["universe_m"] = args.universe_m
-        if family == "interference" and getattr(args, "lam", None) is not None:
-            params["lam"] = args.lam
+        if lam is not None:
+            params["lam"] = lam
     return instances.GenSpec(family, params, seed)
 
 
@@ -554,10 +558,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

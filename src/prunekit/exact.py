@@ -7,11 +7,10 @@ that would visit more than the guard's subset count is refused with
 guard defaults to 10^8 subsets and can be overridden with the
 ``PRUNEKIT_GUARD`` environment variable or a keyword argument.
 
-:func:`opt_cardinality` and :func:`opt_knapsack` share one enumerator,
-:func:`subset_batches`.  It builds subsets as numpy ``(batch, width)`` id
-arrays, never as Python tuples, in size-ascending lexicographic order (the
-order of ``itertools.combinations``).  Rows shorter than the batch width are
-padded with the empty-slot id ``n``.
+:func:`opt_cardinality` enumerates with :func:`subset_batches`.  It builds
+subsets as numpy ``(batch, width)`` id arrays, never as Python tuples, in
+size-ascending lexicographic order (the order of ``itertools.combinations``).
+Rows shorter than the batch width are padded with the empty-slot id ``n``.
 
 Each batch is valued by one call to the objective's batched kernel,
 ``Objective.eval_ids`` (contract in :mod:`prunekit.objectives`).  The
@@ -28,6 +27,20 @@ would not fit; a larger piece comes alone as soon as it is built.
 Enumerations that fit one batch are built once per (universe size, k) and
 reused.
 
+:func:`opt_knapsack` builds no id tables.  It reads two power-set tables
+indexed by the subset mask over the sorted universe (bit ``i`` stands for
+the ``i``-th smallest id): costs from
+:func:`~prunekit.objectives.power_set_sums` and values from
+:func:`~prunekit.objectives.power_set_values`, whose doubling steps
+``tab[h:2h] = tab[:h] (+) element j`` (``h = 2^j``) add costs in ascending
+id order, as a row sum does, so every feasibility test keeps its bits.
+Both come in blocks of at most ``_CHUNK`` masks: the low bits span one
+table, built once, and each block fixes the high bits, folding the high
+elements onto it in ascending order.  The argmax per budget is the first
+optimum in size-ascending lexicographic order: among the feasible masks
+that tie for the maximum, the smallest popcount, then the largest mask with
+its bits reversed; only the tied masks are ranked.
+
 The module constants ``_CHUNK``, ``_GROUP_ROWS`` and :data:`TIE_CAP` (the
 most optimal sets a ``collect_ties`` profile keeps) are read at call time,
 so tests patch them instead of passing them as arguments.
@@ -43,7 +56,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .objectives import Objective, unwrap
+from .objectives import Objective, power_set_sums, power_set_values, unwrap
 
 __all__ = ["GuardExceeded", "enumeration_guard", "cardinality_subset_count",
            "OptProfile", "opt_cardinality", "opt_knapsack", "check_guard", "fits_guard",
@@ -52,7 +65,8 @@ __all__ = ["GuardExceeded", "enumeration_guard", "cardinality_subset_count",
 DEFAULT_GUARD = 10**8
 GUARD_ENV = "PRUNEKIT_GUARD"
 
-#: a size table larger than this comes in pieces of at most this many rows
+#: a size table larger than this comes in pieces of at most this many rows,
+#: and a power-set table in blocks of at most this many masks
 _CHUNK = 1 << 17
 #: pieces share one padded batch up to this many rows, so that small
 #: enumerations cost one kernel call; larger pieces come alone
@@ -305,10 +319,33 @@ def opt_cardinality(obj: Objective, universe: Sequence[int], k: int, *,
     return OptProfile(list(range(k + 1)), profile, argmax, total, ties)
 
 
+def block_bits(u: int) -> int:
+    """Low bits per block of a power-set table over ``u`` elements: blocks
+    hold at most ``_CHUNK`` masks."""
+    return min(u, _CHUNK.bit_length() - 1)
+
+
+def _first_in_order(masks: np.ndarray, u: int) -> int:
+    """The mask among ``masks`` whose set comes first in size-ascending
+    lexicographic order: the smallest popcount, then the largest mask with
+    its ``u`` bits reversed.  Among sets of one size that agree below bit
+    ``i``, those holding ``i`` come first, so the masks are filtered bit by
+    bit from the lowest."""
+    sizes = np.bitwise_count(masks)
+    masks = masks[sizes == sizes.min()]
+    for i in range(u):
+        if len(masks) == 1:
+            break
+        holds = (masks >> i & 1).astype(bool)
+        if holds.any():
+            masks = masks[holds]
+    return int(masks[0])
+
+
 def opt_knapsack(obj: Objective, universe: Sequence[int], costs, budgets: Sequence[float],
                  *, guard: int | None = None) -> OptProfile:
     """Exact OPT_B = max {f(T) : c(T) <= B} for every queried budget, in one
-    sweep over all subsets of the universe.
+    sweep over the power-set tables of the universe, block by block.
 
     The guard counts the full power set.  Argmax per budget is the first
     optimum in size-ascending lexicographic enumeration order.
@@ -322,23 +359,26 @@ def opt_knapsack(obj: Objective, universe: Sequence[int], costs, budgets: Sequen
     if min(budgets) <= 0:
         raise ValueError("budgets must be positive")
     check_guard(1 << u, guard)
-    cost_vec = np.zeros(raw.n + 1)  # the empty slot costs nothing
-    for e in universe:
-        cost_vec[e] = float(costs[e])
-    if universe and cost_vec[universe].min() <= 0:
+    cost = np.array([float(costs[e]) for e in universe])
+    if u and cost.min() <= 0:
         raise ValueError("costs must be positive")
 
+    low = block_bits(u)
     best_val = [-np.inf] * len(budgets)
-    best_set: list[tuple[int, ...]] = [()] * len(budgets)
-    for ids, _ in subset_batches(universe, raw.n, u):
-        vals = np.asarray(raw.eval_ids(ids), dtype=float)
-        cvec = cost_vec[ids[:, 0]]
-        for j in range(1, ids.shape[1]):
-            cvec += cost_vec[ids[:, j]]
+    best_mask = [0] * len(budgets)
+    start = 0
+    for spent, vals in zip(power_set_sums(cost, low), power_set_values(raw, universe, low)):
         for j, b in enumerate(budgets):
-            feasible = np.where(cvec <= b, vals, -np.inf)
-            i = int(feasible.argmax())  # first optimum in enumeration order
-            if feasible[i] > best_val[j]:
-                best_val[j] = float(feasible[i])
-                best_set[j] = tuple(e for e in ids[i].tolist() if e != raw.n)
-    return OptProfile(budgets, best_val, best_set, 1 << u)
+            feasible = np.where(spent <= b, vals, -np.inf)
+            top = feasible.max()
+            if top == -np.inf or top < best_val[j]:
+                continue
+            mask = start + _first_in_order(np.flatnonzero(feasible == top), u)
+            if top == best_val[j]:
+                mask = _first_in_order(np.array([best_mask[j], mask]), u)
+                if mask == best_mask[j]:
+                    continue
+            best_val[j], best_mask[j] = float(vals[mask - start]), mask
+        start += len(vals)
+    argmax = [tuple(e for i, e in enumerate(universe) if mask >> i & 1) for mask in best_mask]
+    return OptProfile(budgets, best_val, argmax, 1 << u)

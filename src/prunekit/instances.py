@@ -305,6 +305,15 @@ def _two_col(path, what: str, key: str = "id"):
         yield line_no, e, c
 
 
+def _finite_two_col(path, what: str, key: str = "id"):
+    """The records of :func:`_two_col`; a NaN or infinite value is an
+    error at its line."""
+    for line_no, e, c in _two_col(path, what, key):
+        if not math.isfinite(c):
+            raise InputFormatError(path, line_no, f"{what} of {key} {e} must be finite, got {c}")
+        yield line_no, e, c
+
+
 def load_costs_csv(path) -> dict[int, float]:
     """Parse two-column ``element,cost`` records into an id -> cost map;
     every cost must be positive and finite."""
@@ -318,8 +327,8 @@ def load_costs_csv(path) -> dict[int, float]:
 
 
 def load_scores_csv(path) -> dict[int, float]:
-    """Parse two-column ``id,score`` records (any real scores allowed)."""
-    return {e: c for _, e, c in _two_col(path, "score")}
+    """Parse two-column ``id,score`` records (any finite real scores)."""
+    return {e: c for _, e, c in _finite_two_col(path, "score")}
 
 
 def load_penalty_csv(path) -> PenaltyCurve:
@@ -327,7 +336,7 @@ def load_penalty_csv(path) -> PenaltyCurve:
 
     Sizes must be the dense range 0..n in any order.
     """
-    entries = {s: t for _, s, t in _two_col(path, "theta", key="size")}
+    entries = {s: t for _, s, t in _finite_two_col(path, "theta", key="size")}
     if not entries:
         raise InputFormatError(path, 0, "penalty curve needs at least one row")
     if sorted(entries) != list(range(max(entries) + 1)):

@@ -17,6 +17,13 @@ the rows batched with them.  Kernel arrays (Cut's degrees, the padded
 similarity rows, packed cover words) are built lazily.  ``_value`` stays the
 scalar path: a small batch costs tens of microseconds, a scalar value a few.
 
+Power-set tables: :func:`power_set_values` gives ``f`` of every subset of a
+universe, indexed by subset mask, in blocks of masks that share their high
+bits; only one block is held at a time.  The coverage families build it by
+doubling, ``tab[h:2h] = tab[:h] (+) element j``, over cover words and pair
+penalties; the others value the exact enumerator's batches with
+``eval_ids``.  :func:`value_table` and ``exact.opt_knapsack`` read it.
+
 Candidate scans:
 
 * ``scan()`` opens a :class:`CandidateScan`, the primitive every greedy
@@ -164,6 +171,22 @@ class Objective:
     def _value(self, s: frozenset[int]):
         raise NotImplementedError
 
+    def _power_set(self, universe: list[int], low: int):
+        """The blocks of :func:`power_set_values`.  The default values each
+        block with ``eval_ids`` over the exact enumerator's id batches of
+        the low ids, the block's high ids appended to every row."""
+        from .exact import subset_batches
+
+        bit = np.zeros(self.n + 1, dtype=np.int64)  # the empty slot sets no bit
+        bit[universe[:low]] = np.left_shift(1, np.arange(low, dtype=np.int64))
+        for high in _power_set_blocks(universe, low):
+            block = np.empty(1 << low)
+            for ids, _ in subset_batches(universe[:low], self.n, low):
+                rows = np.hstack([ids, np.broadcast_to(high, (len(ids), len(high)))]) \
+                    if high else ids
+                block[bit[ids].sum(axis=1)] = self.eval_ids(rows)
+            yield block
+
     def _kernel_value(self, s: frozenset[int]) -> float:
         """``f(s)`` as a one-row ``eval_ids`` call: the scalar path of the
         families whose kernel is as cheap as a scalar formula."""
@@ -222,9 +245,9 @@ def _union(words: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return union
 
 
-def _covered_count(words: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Number of universe items covered by each id row, as floats."""
-    return np.bitwise_count(_union(words, ids)).sum(axis=1, dtype=np.int64).astype(float)
+def _covered_count(union: np.ndarray) -> np.ndarray:
+    """Number of universe items set in each row of union words, as floats."""
+    return np.bitwise_count(union).sum(axis=1, dtype=np.int64).astype(float)
 
 
 def _cover_masks(covers: Sequence[Iterable[int]]) -> tuple[list[int], int]:
@@ -271,6 +294,14 @@ class _CoverObjective(Objective):
     def _words(self) -> np.ndarray:
         return _cover_words(self._incidence)
 
+    def _power_set_unions(self, universe: list[int], low: int):
+        """Per block of :func:`power_set_values`, the union words of its
+        subsets: a low table OR-ed by doubling, then the high ids' words."""
+        words = self._words
+        table = _doubling(words[self.n], words[universe[:low]], np.bitwise_or)
+        for high in _power_set_blocks(universe, low):
+            yield _fold(table, words[high], np.bitwise_or)
+
 
 class Coverage(_CoverObjective):
     """Weighted coverage: f(S) = sum of weights of universe items covered by S.
@@ -304,13 +335,23 @@ class Coverage(_CoverObjective):
         weights added one item at a time in ascending order."""
         ids = np.asarray(ids)
         if self.weights is None:
-            return _covered_count(self._words, ids)
-        return _by_blocks(ids, self.m, self._covered_weight)
+            return _covered_count(_union(self._words, ids))
+        return _by_blocks(ids, self.m,
+                          lambda block: self._covered_weight(_union(self._words, block)))
 
-    def _covered_weight(self, block: np.ndarray) -> np.ndarray:
+    def _power_set(self, universe, low):
+        for union in self._power_set_unions(universe, low):
+            if self.weights is None:
+                yield _covered_count(union)
+            else:
+                yield _by_blocks(union, self.m, self._covered_weight)
+
+    def _covered_weight(self, union: np.ndarray) -> np.ndarray:
+        """Per row of union words, the covered items' weights added one
+        item at a time in ascending order."""
         if not self.m:
-            return np.zeros(len(block))
-        covered = np.unpackbits(_union(self._words, block).view(np.uint8), axis=1, count=self.m)
+            return np.zeros(len(union))
+        covered = np.unpackbits(union.view(np.uint8), axis=1, count=self.m)
         return np.where(covered, self.weights, 0.0).cumsum(axis=1)[:, -1]
 
     def scan(self):
@@ -646,7 +687,7 @@ class InterferenceCoverage(_CoverObjective):
     def eval_ids(self, ids):
         """Covered count minus ``lam`` times each row's pair penalty."""
         ids = np.asarray(ids)
-        out = _covered_count(self._words, ids)
+        out = _covered_count(_union(self._words, ids))
         if self.lam and len(self._pw):
             # the pair loop works on one cell per row at a time
             out -= self.lam * _by_blocks(ids, 1, self._penalties)
@@ -664,6 +705,26 @@ class InterferenceCoverage(_CoverObjective):
             np.logical_and(member[self._pi[k]], member[self._pj[k]], out=inside)
             np.add(total, self._pw[k], out=total, where=inside)
         return total
+
+    def _power_set(self, universe, low):
+        """Covered counts minus ``lam`` times the pair penalties.  Each
+        block adds the weight of every pair with both ends in the universe,
+        in ``intf`` order, to the masks holding both ends: the strided view
+        over the low bits the pair sets, the whole block or nothing for its
+        high ends.  That is ``_penalties``' add sequence, mask by mask."""
+        at = {e: i for i, e in enumerate(universe)}
+        pairs = [(at[i], at[j], w) for (i, j), w in self.intf.items()
+                 if i in at and j in at] if self.lam else []
+        for prefix, union in enumerate(self._power_set_unions(universe, low)):
+            out = _covered_count(union)
+            if pairs:
+                total = np.zeros(len(out))
+                for p, q, w in pairs:
+                    if all(prefix >> (b - low) & 1 for b in (p, q) if b >= low):
+                        view = _with_bits(total, [b for b in (p, q) if b < low])
+                        view += w
+                out -= self.lam * total
+            yield out
 
     def to_dict(self):
         return {
@@ -1011,19 +1072,87 @@ def unwrap(oracle) -> Objective:
     return oracle
 
 
+def _doubling(empty, items, op) -> np.ndarray:
+    """The power-set table of ``op`` over ``items``: entry ``mask`` is
+    ``empty`` with ``op(., items[i])`` applied for each set bit ``i``, lowest
+    first.  Built in ``len(items)`` vectorised steps,
+    ``table[h:2h] = op(table[:h], items[j])`` with ``h = 2^j``."""
+    empty = np.asarray(empty)
+    table = np.empty((1 << len(items), *empty.shape), dtype=empty.dtype)
+    table[0] = empty
+    for j, item in enumerate(items):
+        h = 1 << j
+        op(table[:h], item, out=table[h:2 * h])
+    return table
+
+
+def _fold(table: np.ndarray, items, op) -> np.ndarray:
+    """``table`` with ``op(., item)`` applied for each of ``items`` in order."""
+    for item in items:
+        table = op(table, item)
+    return table
+
+
+def _with_bits(table: np.ndarray, bits: list[int]) -> np.ndarray:
+    """The strided view of the entries of a power-set table whose masks set
+    every bit in ``bits``."""
+    shape, index, top = [], [], table.size.bit_length() - 1
+    for b in sorted(bits, reverse=True):
+        shape += [1 << (top - b - 1), 2]
+        index += [slice(None), 1]
+        top = b
+    return table.reshape(*shape, 1 << top)[(*index, slice(None))]
+
+
+def _power_set_blocks(items: Sequence, low: int):
+    """The blocks of a power-set table over ``items``: block ``b`` holds the
+    ``2^low`` masks whose bits from ``low`` up spell ``b``.  Yields, block by
+    block, the high items it selects, ``items[low + i]`` for each set bit
+    ``i`` of ``b``, in ascending order."""
+    high = items[low:]
+    for b in range(1 << len(high)):
+        yield [high[i] for i in _bits(b)]
+
+
+def power_set_sums(values: np.ndarray, low: int):
+    """Per block of :func:`_power_set_blocks`, the sum of ``values`` over
+    each mask's set bits, added in ascending bit order as a row sum of
+    ascending ids adds them: the low table by doubling, then the high
+    values one by one."""
+    table = _doubling(0.0, values[:low], np.add)
+    for high in _power_set_blocks(values, low):
+        yield _fold(table, high, np.add)
+
+
+def power_set_values(obj: Objective, universe: Sequence[int], low: int):
+    """``f`` of every subset of ``universe``, a sorted list of distinct ids,
+    indexed by mask: bit ``i`` stands for ``universe[i]``.  Yields the
+    ``2^(u - low)`` blocks of :func:`_power_set_blocks` in mask order, each a
+    float array equal bit for bit to ``eval`` of its subsets; ``low`` is at
+    most ``u``.
+
+    Unweighted :class:`Coverage` counts cover words OR-ed by doubling;
+    weighted coverage takes ``_covered_weight`` of the same union words;
+    :class:`InterferenceCoverage` subtracts pair penalties added in ``intf``
+    order.  Every other family values each block with ``eval_ids`` over the
+    exact enumerator's batches of the low ids plus the block's high ids."""
+    return unwrap(obj)._power_set(list(universe), low)
+
+
 def value_table(obj: Objective) -> np.ndarray:
-    """Values for all 2^n subsets, indexed by bitmask, from the exact
-    engine's enumerator and the batched kernel.  Requires n <= 24."""
-    from .exact import subset_batches
+    """Values for all 2^n subsets, indexed by bitmask, from
+    :func:`power_set_values` over ``range(n)`` in blocks of at most
+    ``exact._CHUNK`` masks.  Requires n <= 24."""
+    from .exact import block_bits
 
     obj = unwrap(obj)
     n = obj.n
     if n > 24:
         raise ValueError(f"value table infeasible for n={n}")
-    bit = np.append(np.left_shift(1, np.arange(n, dtype=np.int64)), 0)
+    low = block_bits(n)
     out = np.empty(1 << n)
-    for ids, _ in subset_batches(range(n), n, n):
-        out[bit[ids].sum(axis=1)] = obj.eval_ids(ids)
+    for b, vals in enumerate(power_set_values(obj, range(n), low)):
+        out[b << low:(b + 1) << low] = vals
     return out
 
 

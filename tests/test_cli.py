@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import prunekit
 from prunekit.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_PARSE, main
 from prunekit.instances import gen_interference, load_edge_list
 
@@ -60,6 +65,17 @@ class TestGen:
         assert "lam" not in free and pinned.pop("lam") == 1.25
         assert pinned == free
         assert read_doc(outs[1])["body"] == gen_interference(10, 12, 1, lam=1.25).to_dict()
+
+    @pytest.mark.parametrize("family,flags", [("coverage", []), ("gnm", ["--m", "12"]),
+                                              ("planted", ["--communities", "2"])])
+    def test_lam_outside_interference_is_config_error(self, tmp_path, capsys, family, flags):
+        out = tmp_path / "x.out"
+        assert main(["gen", "--family", family, "--n", "8", *flags, "--lam", "1.0",
+                     "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"record": "error", "kind": "config_error", "message":
+                          f"--lam applies to the interference family, not {family}"}
+        assert not out.exists()
 
 
 class TestPruneEval:
@@ -176,6 +192,22 @@ class TestObjectiveSources:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["kind"] == "input_parse_error"
         assert record["message"].endswith("pen.csv:2: sizes must be >= 0")
+
+    @pytest.mark.parametrize("source,text,message", [
+        ("rel", "0,nan\n1,0.2\n", "rel.csv:1: score of id 0 must be finite, got nan"),
+        ("penalty", "0,0.0\n1,nan\n2,0.3\n", "penalty.csv:2: theta of size 1 must be finite, got nan"),
+    ])
+    def test_nan_score_or_theta_is_parse_error(self, tmp_path, capsys, source, text, message):
+        sim = tmp_path / "sim.csv"
+        sim.write_text("1.0,0.4\n0.3,0.9\n")
+        path = tmp_path / f"{source}.csv"
+        path.write_text(text)
+        assert main(["prune", "--sim", str(sim), f"--{source}", str(path), "--tau", "0.3",
+                     "--algo", "std_greedy", "--k", "1", "--omega", "1",
+                     "--out", str(tmp_path / "p.json")]) == EXIT_PARSE
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["kind"] == "input_parse_error"
+        assert record["message"].endswith(message)
 
     @pytest.mark.parametrize("cost", ["nan", "inf", "0", "-1"])
     def test_bad_cost_is_parse_error_at_its_line(self, tmp_path, capsys, graph_file, cost):
@@ -449,6 +481,29 @@ class TestSweep:
                          "--out", str(out)]) == EXIT_OK
         bodies = [out.read_text().splitlines()[1:] for out in outs]
         assert bodies[0] == bodies[1]
+
+
+class TestRepeatedMain:
+    def test_parse_error_then_sweep_match_a_fresh_process(self, tmp_path):
+        # the sweep leaves --seeds and --instance-seeds at their defaults
+        args = ["sweep", "--family", "gnm", "--n", "10", "--m", "20",
+                "--algo", "seq_disjoint,random", "--k", "2", "--omegas", "2"]
+        assert main(["sweep", "--no-such-flag"]) == EXIT_CONFIG
+        outs = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+        for out in outs:
+            assert main([*args, "--out", str(out)]) == EXIT_OK
+        fresh = tmp_path / "fresh.jsonl"
+        src = str(Path(prunekit.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-m", "prunekit.cli", *args, "--out", str(fresh)],
+                       check=True, capture_output=True, env={**os.environ, "PYTHONPATH": src})
+
+        def without_time(path):
+            lines = path.read_text().splitlines()
+            header = json.loads(lines[0])
+            del header["generated_at"]
+            return [header, *lines[1:]]
+
+        assert without_time(outs[0]) == without_time(outs[1]) == without_time(fresh)
 
 
 class TestSeparationCmd:

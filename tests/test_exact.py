@@ -13,7 +13,7 @@ from prunekit.instances import gen_coverage, gen_gnm, gen_interference
 from prunekit.objectives import (REAL_TOL, Coverage, Cut, FacilityLocation,
                                  InterferenceCoverage, Modular, PenaltyCurve, Proxy,
                                  RestrictedFacilityLocation, TableObjective,
-                                 counting_wrap)
+                                 counting_wrap, value_table)
 from prunekit.selection import greedy
 
 
@@ -431,3 +431,55 @@ class TestCutPairTable:
         ids = np.array([[0, 39], [1, 2]])
         assert np.array_equal(obj.eval_ids(ids), [obj.eval([0, 39]), obj.eval([1, 2])])
         assert obj._kept_table is None
+
+
+def non_dyadic_families(n, seed):
+    """Families whose values are sums of random reals: a change in the order
+    of their additions moves the last bits of some values."""
+    rng = np.random.default_rng(seed)
+    covers = gen_coverage(n, 3 * n, seed=seed).covers
+    return {
+        "interference": gen_interference(n, 12, seed=seed, interference_prob=0.5),
+        "weighted_coverage": Coverage(covers, m=3 * n, weights=rng.random(3 * n)),
+        "coverage": Coverage(covers, m=3 * n),
+        "facility_location": FacilityLocation(rng.random((n + 3, n))),
+    }
+
+
+NON_DYADIC = ["coverage", "facility_location", "interference", "weighted_coverage"]
+
+
+class TestPowerSetTablesBitForBit:
+    @pytest.mark.parametrize("name", NON_DYADIC)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_knapsack_equals_reference(self, name, seed):
+        n = 9
+        obj = non_dyadic_families(n, seed)[name]
+        rng = np.random.default_rng(100 + seed)
+        universe = sorted(rng.choice(n, size=rng.integers(4, n - 1), replace=False).tolist())
+        if name == "interference":  # pairs reaching outside the universe
+            assert any((i in universe) != (j in universe) for i, j in obj.intf)
+        costs = rng.uniform(0.1, 1.0, size=n)
+        # the costs of some subsets, added in ascending id order, and the
+        # floats just below them: a change of summation order flips some
+        edges = [sum(costs[e] for e in sorted(rng.choice(universe, size=s, replace=False)))
+                 for s in range(2, len(universe) + 1)]
+        budgets = sorted({*rng.uniform(0.05, 1.0, size=3) * costs[universe].sum(),
+                          *edges, *np.nextafter(edges, 0)})
+        opt, argmax = reference_knapsack(obj, universe, costs, budgets)
+        for chunk in (exact._CHUNK, 4):
+            with mock.patch.object(exact, "_CHUNK", chunk):
+                prof = exact.opt_knapsack(obj, universe, costs, budgets)
+            assert prof.opt_by_budget == opt
+            assert prof.argmax_by_budget == argmax
+            assert prof.enumerated_count == 1 << len(universe)
+
+    @pytest.mark.parametrize("name", NON_DYADIC)
+    def test_value_table_equals_eval(self, name):
+        n = 8
+        obj = non_dyadic_families(n, seed=2)[name]
+        for chunk in (exact._CHUNK, 4):
+            with mock.patch.object(exact, "_CHUNK", chunk):
+                table = value_table(obj)
+            for mask in range(1 << n):
+                assert table[mask] == obj.eval([i for i in range(n) if mask >> i & 1])

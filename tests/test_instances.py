@@ -188,6 +188,20 @@ class TestLoaders:
         path.write_text("0,-0.25\n1,0.0\n")
         assert load_scores_csv(path) == {0: -0.25, 1: 0.0}
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_rejected_at_its_line(self, tmp_path, score):
+        path = tmp_path / "r.csv"
+        path.write_text(f"# id,score\n0,0.5\n1,{score}\n")
+        with pytest.raises(InputFormatError, match="r.csv:3: score of id 1 must be finite"):
+            load_scores_csv(path)
+
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_non_finite_theta_rejected_at_its_line(self, tmp_path, theta):
+        path = tmp_path / "p.csv"
+        path.write_text(f"0,0.0\n1,{theta}\n2,0.3\n")
+        with pytest.raises(InputFormatError, match="p.csv:2: theta of size 1 must be finite"):
+            load_penalty_csv(path)
+
     def test_penalty_curve(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("0,0.0\n1,0.1\n2,0.3\n")
