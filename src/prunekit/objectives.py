@@ -57,6 +57,7 @@ tests and property checkers.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -1195,85 +1196,52 @@ def check_submodular(obj: Objective, trials: int = 1000, seed: int = 0,
 
     Sampled mode draws nested pairs uniformly (each element lands in A, B\\A,
     or outside with equal probability) plus a uniform outside x.  Exhaustive
-    mode enumerates every (A, B, x) triple; feasible for n <= ~12.  A gap
-    counts as a violation beyond ``REAL_TOL``, or any gap when the
-    objective is integer-valued.
+    mode checks every (A, B, x) triple on :func:`value_table`; it is
+    practical to about n = 13.  A gap counts as a violation beyond
+    ``REAL_TOL``, or any gap when the objective is integer-valued.
     """
-    tol = _tol(obj)
-    n = obj.n
-    report = PropertyReport("submodular", 0, exhaustive=exhaustive)
-
-    def record(a_mask: int, b_mask: int, x: int, gap: float):
-        if len(report.violations) < _VIOLATION_CAP:
-            report.violations.append((_bits(a_mask), _bits(b_mask), x, gap))
-        report.max_violation = max(report.max_violation, gap)
-
-    if exhaustive:
-        table = value_table(obj)
-        bits = np.arange(n)
-        for b_mask in range(1 << n):
-            outside = bits[((b_mask >> bits) & 1) == 0]
-            if outside.size == 0:
-                continue
-            xbits = (1 << outside).astype(np.int64)
-            a_mask = b_mask
-            while True:
-                # gap = f(x|A) - f(x|B) per outside x; violation when < -tol
-                gaps = (table[a_mask | xbits] - table[a_mask]
-                        - table[b_mask | xbits] + table[b_mask])
-                report.checked += outside.size
-                bad = np.flatnonzero(gaps < -tol)
-                for idx in bad:
-                    record(a_mask, b_mask, int(outside[idx]), float(-gaps[idx]))
-                if a_mask == 0:
-                    break
-                a_mask = (a_mask - 1) & b_mask
-        return report
-
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        roles = rng.integers(0, 3, size=n)
-        b = np.flatnonzero(roles <= 1)
-        a = np.flatnonzero(roles == 0)
-        outside = np.flatnonzero(roles == 2)
-        if outside.size == 0:
-            continue
-        x = int(rng.choice(outside))
-        report.checked += 1
-        gap = obj.marginal(x, a) - obj.marginal(x, b)
-        if gap < -tol:
-            record(_mask(a), _mask(b), x, float(-gap))
-    return report
+    return _check(obj, "submodular", trials, seed, exhaustive, True,
+                  lambda t, a, b, x: -(t[a | x] - t[a] - t[b | x] + t[b]),
+                  lambda a, b, x: -(obj.marginal(x, a) - obj.marginal(x, b)))
 
 
 def check_monotone(obj: Objective, trials: int = 1000, seed: int = 0,
                    exhaustive: bool = False) -> PropertyReport:
-    """Check f(A) <= f(B) over nested pairs A subset of B, with the
-    violation margin of :func:`check_submodular`."""
+    """Check f(A) <= f(B) over nested pairs A subset of B, in the modes and
+    with the violation margin of :func:`check_submodular`; exhaustive mode
+    is practical to about n = 13."""
+    return _check(obj, "monotone", trials, seed, exhaustive, False,
+                  lambda t, a, b: t[a] - t[b],
+                  lambda a, b: obj.eval(a) - obj.eval(b))
+
+
+def _check(obj: Objective, prop: str, trials: int, seed: int, exhaustive: bool,
+           with_x: bool, table_gap, oracle_gap) -> PropertyReport:
+    """The property checker behind ``check_submodular`` and ``check_monotone``.
+
+    A case is a nested pair (A, B), plus an element x outside B when
+    ``with_x``; it violates ``prop`` when its gap exceeds the margin.
+    Exhaustive mode takes gaps for whole blocks of cases from
+    ``table_gap(table, a, b[, 1 << x])`` over mask arrays, x ascending within
+    each pair of :func:`_nested_pairs`; sampled mode takes one gap per trial
+    from ``oracle_gap(a, b[, x])`` over id arrays."""
     tol = _tol(obj)
     n = obj.n
-    report = PropertyReport("monotone", 0, exhaustive=exhaustive)
-
-    def record(a_mask: int, b_mask: int, gap: float):
-        if len(report.violations) < _VIOLATION_CAP:
-            report.violations.append((_bits(a_mask), _bits(b_mask), gap))
-        report.max_violation = max(report.max_violation, gap)
-
+    report = PropertyReport(prop, 0, exhaustive=exhaustive)
     if exhaustive:
         table = value_table(obj)
-        for b_mask in range(1 << n):
-            fb = table[b_mask]
-            a_mask = b_mask
-            while True:
-                report.checked += 1
-                gap = table[a_mask] - fb
-                if gap > tol:
-                    record(a_mask, b_mask, float(gap))
-                if a_mask == 0:
-                    break
-                a_mask = (a_mask - 1) & b_mask
+        ids = np.arange(n)
+        cap = _KERNEL_CELLS // max(1, n) if with_x else _KERNEL_CELLS
+        for a, b in _nested_pairs(n, cap):
+            cols = []
+            if with_x:  # row-major nonzeros: x ascending per pair
+                pair, x = np.nonzero((b[:, None] >> ids) & 1 == 0)
+                a, b, cols = a[pair], b[pair], [x]
+            gaps = table_gap(table, a, b, *(1 << c for c in cols))
+            bad = np.flatnonzero(gaps > tol)
+            _record(report, gaps.size, gaps[bad],
+                    ((_bits(int(a[i])), _bits(int(b[i])), *(int(c[i]) for c in cols))
+                     for i in bad))
         return report
 
     if trials < 1:
@@ -1281,20 +1249,48 @@ def check_monotone(obj: Objective, trials: int = 1000, seed: int = 0,
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         roles = rng.integers(0, 3, size=n)
-        b = np.flatnonzero(roles <= 1)
-        a = np.flatnonzero(roles == 0)
-        report.checked += 1
-        gap = obj.eval(a) - obj.eval(b)
-        if gap > tol:
-            record(_mask(a), _mask(b), float(gap))
+        case = [np.flatnonzero(roles == 0), np.flatnonzero(roles <= 1)]
+        if with_x:
+            outside = np.flatnonzero(roles == 2)
+            if outside.size == 0:
+                continue
+            case.append(int(rng.choice(outside)))
+        gap = oracle_gap(*case)
+        _record(report, 1, [gap] if gap > tol else [],
+                [(tuple(case[0].tolist()), tuple(case[1].tolist()), *case[2:])])
     return report
 
 
-def _mask(ids) -> int:
-    out = 0
-    for e in ids:
-        out |= 1 << int(e)
-    return out
+def _nested_pairs(n: int, cap: int):
+    """Every nested pair (A, B) of subsets of ``range(n)`` as two mask
+    arrays, in blocks of at most ``cap`` pairs: B ascending and, within each
+    B, A descending, the order in which ``a = (a - 1) & b`` walks the
+    submasks of ``b``.  The t-th submask of B from the top puts the bits of
+    ``2^|B| - 1 - t`` onto the set bits of B."""
+    ends = np.cumsum(1 << np.bitwise_count(np.arange(1 << n)).astype(np.int64))
+    for start in range(0, int(ends[-1]), cap):
+        pair = np.arange(start, min(start + cap, int(ends[-1])))
+        b = np.searchsorted(ends, pair, side="right")
+        rank = ends[b] - 1 - pair
+        a = np.zeros_like(b)
+        for i in range(n):
+            bit = (b >> i) & 1
+            a |= (rank & bit) << i
+            rank >>= bit
+        yield a, b
+
+
+def _record(report: PropertyReport, checked: int, gaps, cases) -> None:
+    """Count ``checked`` more cases in ``report``, and the violations among
+    them: ``gaps`` holds their gaps in order and ``cases`` yields their
+    ``(A, B[, x])``, read only while the list is below ``_VIOLATION_CAP``.
+    ``max_violation`` is the running maximum of every gap, from 0.0."""
+    report.checked += checked
+    room = _VIOLATION_CAP - len(report.violations)
+    report.violations += [(*case, float(gap))
+                          for case, gap in zip(itertools.islice(cases, room), gaps)]
+    if len(gaps):
+        report.max_violation = max(report.max_violation, float(np.max(gaps)))
 
 
 def _bits(mask: int) -> tuple[int, ...]:
