@@ -7,8 +7,9 @@ containment rates).
 
 Every output embeds the fully resolved configuration.  Timestamps and wall
 times live in the header record so that identical configs and seeds produce
-byte-identical report bodies.  Exit codes: 0 success, 2 config error,
-3 enumeration guard exceeded, 4 input parse error.
+byte-identical report bodies.  Exit codes: 0 success, 2 config error
+(including an input or output path that cannot be opened), 3 enumeration
+guard exceeded, 4 input parse error (including undecodable bytes).
 """
 
 from __future__ import annotations
@@ -541,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--trials", type=int, default=2000)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--exhaustive-limit", type=int, default=10,
-                   help="run exhaustive checks when n is at most this")
+                   help="run exhaustive checks when n is at most this; they "
+                        "visit 3^n nested pairs and are practical to about n = 13")
     c.add_argument("--out")
     c.set_defaults(fn=cmd_check)
 
@@ -571,13 +573,13 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except instances.InputFormatError as exc:
+    except (instances.InputFormatError, UnicodeDecodeError) as exc:
         _emit_error("input_parse_error", exc)
         return EXIT_PARSE
     except exact.GuardExceeded as exc:
         _emit_error("guard_exceeded", exc)
         return EXIT_GUARD
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # OSError: a path that will not open
         _emit_error("config_error", exc)
         return EXIT_CONFIG
 

@@ -348,6 +348,8 @@ def separation_study(gen_params: dict, trials: int, k: int, omega: int,
         raise ValueError("trials must be >= 1")
     params = dict(gen_params)
     n = params.pop("n")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..n={n}, got {k}")
     rng = np.random.default_rng(seed)
     g_canon = s_canon = g_any = s_any = 0
     wins = greedy_wins = 0

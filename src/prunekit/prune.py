@@ -317,8 +317,11 @@ def prune_threshold_stream(obj: Objective, order: Sequence[int], k: int, p: int,
     accepts an element while |P| < p if its marginal against the accepted set
     is at least epsilon * d / k.  This reconstructs a streaming baseline whose
     exact schedule is not pinned down anywhere; it carries no guarantee here
-    and is included for comparison only.
+    and is included for comparison only.  ``epsilon`` must be finite and
+    positive.
     """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if k == 0 or p == 0:
         return _empty_pruned("threshold_stream", {"k": k, "p": p, "epsilon": epsilon})
     order = [int(e) for e in order]

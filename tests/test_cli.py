@@ -520,6 +520,54 @@ class TestSeparationCmd:
         assert lines[0].startswith("n,k,omega,instances")
         assert lines[1].startswith("10,2,2,20")
 
+    @pytest.mark.parametrize("k", ["0", "5"])
+    def test_k_outside_one_to_n_is_config_error(self, tmp_path, capsys, k):
+        out = tmp_path / "sep.json"
+        assert main(["separation", "--n", "4", "--k", k, "--trials", "3",
+                     "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["kind"] == "config_error"
+        assert not out.exists()
+
+
+class TestFileErrors:
+    """A path that will not open is a config error, exit 2; undecodable
+    bytes in an input file are a parse error, exit 4.  Neither ends in a
+    traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path, graph_file):
+        sim = tmp_path / "sim.csv"
+        sim.write_text("1.0,0.4\n0.3,0.9\n")
+        return {"graph": graph_file, "sim": sim, "missing": tmp_path / "missing",
+                "dir": tmp_path, "no_dir": tmp_path / "no_dir" / "out"}
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--graph", "{missing}"],
+        ["check", "--objective-file", "{missing}"],
+        ["eval", "--graph", "{graph}", "--pruned", "{missing}", "--k", "2", "--out", "{no_dir}"],
+        ["check", "--sim", "{missing}"],
+        ["check", "--sim", "{sim}", "--penalty", "{missing}"],
+        ["check", "--graph", "{dir}"],
+        ["gen", "--family", "gnm", "--n", "6", "--m", "4", "--out", "{no_dir}"],
+        ["separation", "--n", "6", "--k", "2", "--trials", "1",
+         "--out", "{graph}.sep", "--csv", "{no_dir}"],
+    ], ids=["missing_graph", "missing_objective_file", "missing_pruned", "missing_sim",
+            "missing_penalty", "directory_input", "out_in_missing_dir",
+            "csv_in_missing_dir"])
+    def test_unopenable_path_is_config_error(self, files, capsys, argv):
+        assert main([a.format(**files) for a in argv]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["kind"] == "config_error"
+
+    @pytest.mark.parametrize("flag", ["--graph", "--objective-file", "--sim"])
+    def test_undecodable_input_is_parse_error(self, tmp_path, capsys, flag):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"0 1\n\xff\xfe 2\n")
+        assert main(["check", flag, str(path)]) == EXIT_PARSE
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["kind"] == "input_parse_error"
+
 
 class TestStreamShuffle:
     def test_shuffle_changes_order_not_contract(self, tmp_path, graph_file):

@@ -220,6 +220,11 @@ class TestSeparation:
         assert result.sdg_contain_any >= result.sdg_contain
         assert result.to_dict()["trials"] == 50
 
+    @pytest.mark.parametrize("k", [0, 5, -1])
+    def test_k_outside_one_to_n_is_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be in 1..n=4"):
+            separation_study({"n": 4, "universe_m": 30}, trials=1, k=k, omega=2)
+
 
 class TestBootstrap:
     def test_constant_diffs(self):

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_variants, scan_families, supermodular_counterexample
-from prunekit.objectives import (Coverage, Cut, FacilityLocation,
+from prunekit import objectives
+from prunekit.objectives import (REAL_TOL, Coverage, Cut, FacilityLocation,
                                  InterferenceCoverage, Modular, OracleStats,
-                                 PenaltyCurve, Proxy, RestrictedFacilityLocation,
+                                 PenaltyCurve, PropertyReport, Proxy,
+                                 RestrictedFacilityLocation, TableObjective,
                                  check_monotone, check_submodular, counting_wrap,
                                  objective_from_dict, value_table)
 from prunekit.instances import gen_interference
@@ -218,6 +221,55 @@ class TestPropertyCheckers:
     def test_trials_validated(self, triangle):
         with pytest.raises(ValueError):
             check_submodular(triangle, trials=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 6), seed=st.integers(0, 2**16), cells=st.integers(6, 40),
+           kind=st.sampled_from(["real", "integer", "family"]))
+    def test_exhaustive_checks_match_the_submask_loop(self, n, seed, cells, kind):
+        # blocks of a few pairs put block boundaries inside the pairs of one B
+        if kind == "family":
+            families = scan_families(max(n, 2), seed)
+            obj = families[sorted(families)[seed % len(families)]]
+        else:
+            rng = np.random.default_rng(seed)
+            vals = rng.integers(-2, 3, 1 << n) if kind == "integer" else rng.normal(size=1 << n)
+            obj = TableObjective(n, {frozenset(_ids(m)): v for m, v in enumerate(vals)})
+        with mock.patch.object(objectives, "_KERNEL_CELLS", cells):
+            got = [check_submodular(obj, exhaustive=True), check_monotone(obj, exhaustive=True)]
+        assert [(r.checked, r.violations, r.max_violation.hex()) for r in got] == \
+            [(r.checked, r.violations, r.max_violation.hex()) for r in submask_loop_reports(obj)]
+
+
+def _ids(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def submask_loop_reports(obj):
+    """The exhaustive checks as scalar loops that walk the submasks of each
+    B with ``a = (a - 1) & b``: the reference for the vectorised checker."""
+    t, n = value_table(obj), obj.n
+    tol = 0.0 if getattr(obj, "integer_valued", False) else REAL_TOL
+    sub, mono = PropertyReport("submodular", 0), PropertyReport("monotone", 0)
+
+    def record(report, case, gap):
+        report.checked += 1
+        if gap > tol:
+            if len(report.violations) < 100:
+                report.violations.append((*case, float(gap)))
+            report.max_violation = max(report.max_violation, float(gap))
+
+    for b in range(1 << n):
+        a = b
+        while True:
+            record(mono, (_ids(a), _ids(b)), t[a] - t[b])
+            for x in range(n):
+                if not b >> x & 1:
+                    record(sub, (_ids(a), _ids(b), x),
+                           -(t[a | 1 << x] - t[a] - t[b | 1 << x] + t[b]))
+            if a == 0:
+                break
+            a = (a - 1) & b
+    return sub, mono
 
 
 class TestPenaltyCurve:

@@ -249,6 +249,14 @@ class TestThresholdStream:
         pruned = prune_threshold_stream(obj, range(20), k=5, p=15, epsilon=0.1)
         assert len(pruned.elements) <= 15
 
+    @pytest.mark.parametrize("epsilon", [-1.0, 0.0, math.nan, math.inf])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        # a negative epsilon would accept the first p elements whatever their
+        # marginals, and nan none at all
+        with pytest.raises(ValueError, match="epsilon"):
+            prune_threshold_stream(Modular([5, 4, 3]), range(3), k=2, p=2,
+                                   epsilon=epsilon)
+
 
 class TestRandomPrune:
     def test_full_budget_returns_everything(self):
