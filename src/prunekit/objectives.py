@@ -1230,12 +1230,11 @@ def _check(obj: Objective, prop: str, trials: int, seed: int, exhaustive: bool,
     report = PropertyReport(prop, 0, exhaustive=exhaustive)
     if exhaustive:
         table = value_table(obj)
-        ids = np.arange(n)
         cap = _KERNEL_CELLS // max(1, n) if with_x else _KERNEL_CELLS
         for a, b in _nested_pairs(n, cap):
             cols = []
             if with_x:  # row-major nonzeros: x ascending per pair
-                pair, x = np.nonzero((b[:, None] >> ids) & 1 == 0)
+                pair, x = np.nonzero((b[:, None] >> np.arange(n)) & 1 == 0)
                 a, b, cols = a[pair], b[pair], [x]
             gaps = table_gap(table, a, b, *(1 << c for c in cols))
             bad = np.flatnonzero(gaps > tol)

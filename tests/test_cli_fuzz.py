@@ -4,9 +4,12 @@
 Every subcommand is drawn with a random subset of its flags.  Input files
 are valid files written by the CLI itself, the same files with one JSON
 node replaced or deleted, token soup, or raw bytes.  Inputs stay small:
-integers are at most 64 in magnitude, ``--jobs`` at most 1, the
-enumeration guard is 10^5, and ``--exhaustive-limit`` stays below 13, the
-size to which exhaustive property checks are practical.
+integers are at most 64 in magnitude, ``--jobs`` at most 1, and the
+enumeration guard is 10^5.  Two inputs that run for hours rather than fail
+are left out: ``--exhaustive-limit`` stays below 13, the size to which
+exhaustive property checks are practical (``check`` does not consult the
+guard), and floats come from a fixed list with no tiny positive epsilon
+(``fast_budget_range`` takes about 1/epsilon threshold levels).
 """
 
 import copy
@@ -87,8 +90,8 @@ TOKENS = st.sampled_from(["0", "1", "2", "5", "-1", "0.5", "1e3", "nan", "inf", 
 SOUP = st.lists(st.lists(TOKENS, max_size=4).map(lambda t: " ".join(t)) |
                 st.lists(TOKENS, max_size=4).map(lambda t: ",".join(t)),
                 max_size=6).map("\n".join).map(str.encode)
-JSON_LEAVES = (st.none() | st.booleans() | st.integers(-64, 64)
-               | st.sampled_from([0.5, -1.5, 1e3, math.nan, math.inf]) | st.text("ab0-", max_size=3))
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-64, 64) | st.text("ab0-", max_size=3)
+               | st.sampled_from([0.5, -1.5, 1e3, math.nan, math.inf]))
 JSON = st.recursive(JSON_LEAVES, lambda kids: st.lists(kids, max_size=4)
                     | st.dictionaries(st.text("abkn", max_size=2), kids, max_size=3),
                     max_leaves=8)
