@@ -543,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--exhaustive-limit", type=int, default=10,
                    help="run exhaustive checks when n is at most this; they "
-                        "visit 3^n nested pairs and are practical to about n = 13")
+                        "visit 3^n nested pairs, are practical to about n = 13 and "
+                        "exit 3 when 3^n exceeds the enumeration guard")
     c.add_argument("--out")
     c.set_defaults(fn=cmd_check)
 

@@ -129,18 +129,12 @@ def gen_interference(n: int, universe_m: int, seed: int = 0,
     uniform on its range unless ``lam`` pins it.  Forcing
     ``interference_prob=0`` yields a plain monotone coverage objective.
     """
-    if universe_m < 8:
-        raise ValueError("universe_m must be >= 8")
+    rng = np.random.default_rng(seed)
+    covers = _draw_covers(rng, n, universe_m, cover_size_range)
     prob = INTERFERENCE_DEFAULTS["interference_prob"] if interference_prob is None \
         else interference_prob
     lo_i, hi_i = intensity_range or INTERFERENCE_DEFAULTS["intensity_range"]
     lo_l, hi_l = lambda_range or INTERFERENCE_DEFAULTS["lambda_range"]
-    lo_c, hi_c = cover_size_range or INTERFERENCE_DEFAULTS["cover_size_range"]
-    rng = np.random.default_rng(seed)
-    covers = []
-    for _ in range(n):
-        size = int(rng.integers(lo_c, hi_c + 1))
-        covers.append(sorted(rng.choice(universe_m, size=size, replace=False).tolist()))
     intf = {}
     if prob > 0:
         for i in range(n):
@@ -154,10 +148,23 @@ def gen_interference(n: int, universe_m: int, seed: int = 0,
 
 def gen_coverage(n: int, universe_m: int, seed: int = 0,
                  cover_size_range: tuple[int, int] | None = None) -> Coverage:
-    """Random monotone coverage instance (interference recipe with no pairs)."""
-    obj = gen_interference(n, universe_m, seed, interference_prob=0.0,
-                           cover_size_range=cover_size_range)
-    return Coverage([sorted(c) for c in obj.covers], m=universe_m)
+    """Random monotone coverage: the covers :func:`gen_interference` draws."""
+    covers = _draw_covers(np.random.default_rng(seed), n, universe_m, cover_size_range)
+    return Coverage(covers, m=universe_m)
+
+
+def _draw_covers(rng: np.random.Generator, n: int, universe_m: int,
+                 cover_size_range: tuple[int, int] | None) -> list[list[int]]:
+    """Per element a uniform size on the cover-size range, then that many
+    distinct items of [universe_m], sorted."""
+    if universe_m < 8:
+        raise ValueError("universe_m must be >= 8")
+    lo_c, hi_c = cover_size_range or INTERFERENCE_DEFAULTS["cover_size_range"]
+    covers = []
+    for _ in range(n):
+        size = int(rng.integers(lo_c, hi_c + 1))
+        covers.append(sorted(rng.choice(universe_m, size=size, replace=False).tolist()))
+    return covers
 
 
 _GENERATORS = {"gnm": gen_gnm, "planted": gen_planted,

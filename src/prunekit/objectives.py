@@ -30,13 +30,13 @@ Candidate scans:
   engine runs on.  Over a set ``S`` that starts empty and grows by
   ``add(e)``, ``values(cands)`` returns ``f(S + e)`` for a whole array of
   candidates, equal bit for bit to ``eval``.  Unweighted :class:`Cut` and
-  :class:`Coverage`, :class:`FacilityLocation`,
-  :class:`RestrictedFacilityLocation` and :class:`Proxy` keep a batched
-  state (edges into ``S``, the union's cover words, the best similarity per
-  point).  :class:`InterferenceCoverage` keeps ``S``'s union and inside
-  pairs and values candidates one by one, its penalty summed in pair order
-  as ``eval`` sums it.  The other families value the rows ``S + e`` with
-  one ``eval_ids`` call.
+  :class:`Coverage` keep a batched state (edges into ``S``, the union's
+  cover words).  The facility-location families (:class:`Proxy` too) keep
+  the best similarity per point and run ``eval_ids``' kernel on it.
+  :class:`InterferenceCoverage` keeps ``S``'s union and inside pairs and
+  values candidates one by one, its penalty summed in pair order as
+  ``eval`` sums it.  The other families value the rows ``S + e`` with one
+  ``eval_ids`` call.
 
 Built-in families:
 
@@ -213,6 +213,22 @@ def _by_blocks(ids: np.ndarray, per_row: int, kernel) -> np.ndarray:
     return np.concatenate([kernel(ids[lo:lo + step]) for lo in range(0, len(ids), step)])
 
 
+def _best_sums(sim_t: np.ndarray, ids: np.ndarray, best: np.ndarray | None = None) -> np.ndarray:
+    """The facility-location kernel over ``sim_t``, one contiguous row per
+    id: per row of ``ids`` the running maximum of its ids' rows, folded with
+    ``best`` when given, summed pairwise over the points as ``eval`` sums."""
+
+    def kernel(block):
+        rows = sim_t[block[:, 0]]  # (rows, points)
+        for j in range(1, block.shape[1]):
+            np.maximum(rows, sim_t[block[:, j]], out=rows)
+        if best is not None:
+            np.maximum(rows, best, out=rows)
+        return rows.sum(axis=1)
+
+    return _by_blocks(ids, sim_t.shape[1], kernel)
+
+
 def _masked_row_sums(weights: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Per row of the boolean matrix ``keep``, ``weights`` summed with zeros
     where it is false.  In a C-contiguous array numpy sums each row pairwise
@@ -228,13 +244,14 @@ def _pairs(width: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(width)
 
 
-def _cover_words(incidence: np.ndarray) -> np.ndarray:
+def _cover_words(covers: Sequence[frozenset[int]], m: int) -> np.ndarray:
     """Covers packed into uint64 words, one row per element plus an all-zero
-    empty-slot row.  Only OR and bit counts are taken, so the bit order
-    inside a word does not matter."""
-    n, m = incidence.shape
+    empty-slot row, in ``np.packbits`` order: ``np.unpackbits`` gives back
+    the items ``0..m-1`` in ascending order."""
+    n = len(covers)
     bits = np.zeros((n + 1, 64 * max(1, -(-m // 64))), dtype=bool)
-    bits[:n, :m] = incidence
+    owner = np.repeat(np.arange(n), [len(cov) for cov in covers])
+    bits[owner, np.fromiter(itertools.chain.from_iterable(covers), np.intp, len(owner))] = True
     return np.packbits(bits, axis=1).view(np.uint64)
 
 
@@ -269,8 +286,8 @@ def _cover_masks(covers: Sequence[Iterable[int]]) -> tuple[list[int], int]:
 
 class _CoverObjective(Objective):
     """The cover tables of the coverage families: ``covers[e]`` lists the
-    universe items element ``e`` covers, kept as sets, Python bitmasks, an
-    ``(n, m)`` incidence matrix and, for the kernels, packed words."""
+    universe items element ``e`` covers, kept as sets, Python bitmasks and,
+    for the kernels, packed words."""
 
     def __init__(self, covers: Sequence[Iterable[int]], m: int | None):
         if not covers:
@@ -281,9 +298,6 @@ class _CoverObjective(Objective):
         if self.m < m_seen:
             raise ValueError(f"universe size {self.m} smaller than max covered item")
         self.n = len(covers)
-        self._incidence = np.zeros((self.n, self.m), dtype=bool)
-        for e, cov in enumerate(self.covers):
-            self._incidence[e, sorted(cov)] = True
 
     def _union_mask(self, s) -> int:
         union = 0
@@ -293,7 +307,7 @@ class _CoverObjective(Objective):
 
     @functools.cached_property
     def _words(self) -> np.ndarray:
-        return _cover_words(self._incidence)
+        return _cover_words(self.covers, self.m)
 
     def _power_set_unions(self, universe: list[int], low: int):
         """Per block of :func:`power_set_values`, the union words of its
@@ -523,56 +537,35 @@ class FacilityLocation(Objective):
         return _FacilityScan(self, self._sim_t)
 
     def eval_ids(self, ids):
-        """Per covered point the best similarity in the row (a running
-        maximum over the row's ids), then each row summed pairwise over the
-        points, as ``eval`` sums them."""
-        return _by_blocks(np.asarray(ids), self.m, self._block_values)
-
-    def _block_values(self, block: np.ndarray) -> np.ndarray:
-        sim_t = self._sim_t
-        best = sim_t[block[:, 0]]  # (rows, m)
-        for j in range(1, block.shape[1]):
-            np.maximum(best, sim_t[block[:, j]], out=best)
-        return best.sum(axis=1)
+        """:func:`_best_sums` of each row."""
+        return _best_sums(self._sim_t, np.asarray(ids))
 
     def to_dict(self):
         return {"variant": "facility_location", "sim": self.sim.tolist()}
 
 
-class RestrictedFacilityLocation(Objective):
+class RestrictedFacilityLocation(FacilityLocation):
     """Facility location restricted to rows with relevance above a gate.
 
     f(S) = sum over rows v with rel[v] > tau of max_{s in S} sim[v, s].
+    ``full_sim`` is the similarity matrix as given, validated whole; ``sim``
+    and ``m`` describe the gated rows, over which this is a plain facility
+    location.  When no row passes the gate, ``sim`` is one all-zero row, so
+    every value is 0.0.
     """
 
     def __init__(self, sim: np.ndarray, rel: Sequence[float], tau: float):
-        sim = _finite(sim, "similarities")
         rel = np.asarray(rel, dtype=float)
-        if sim.ndim != 2 or sim.shape[0] < 1 or sim.shape[1] < 1:
-            raise ValueError("similarity matrix must be 2-d and non-empty")
-        if sim.min() < 0:
-            raise ValueError("similarities must be non-negative")
-        if rel.shape != (sim.shape[0],):
+        super().__init__(sim)
+        if rel.shape != (self.m,):
             raise ValueError("one relevance score per similarity row required")
-        self.sim, self.rel, self.tau = sim, rel, float(tau)
-        self._gated = FacilityLocation(sim[rel > self.tau]) if (rel > self.tau).any() else None
-        self.m, self.n = sim.shape
-
-    def _value(self, s):
-        return self._gated._value(s) if self._gated is not None else 0.0
-
-    def eval_ids(self, ids):
-        if self._gated is not None:
-            return self._gated.eval_ids(ids)
-        return np.zeros(len(ids))
-
-    def scan(self):
-        if self._gated is None:
-            return CandidateScan(self)
-        return _FacilityScan(self, self._gated._sim_t)
+        self.full_sim, self.rel, self.tau = self.sim, rel, float(tau)
+        gate = rel > self.tau
+        self.sim = self.sim[gate] if gate.any() else np.zeros((1, self.n))
+        self.m = len(self.sim)
 
     def to_dict(self):
-        return {"variant": "restricted_fl", "sim": self.sim.tolist(),
+        return {"variant": "restricted_fl", "sim": self.full_sim.tolist(),
                 "rel": self.rel.tolist(), "tau": self.tau}
 
 
@@ -903,29 +896,16 @@ class _InterferenceScan(CandidateScan):
 
 class _FacilityScan(CandidateScan):
     """Facility location over ``sim_t`` (one contiguous row per element):
-    per point the best similarity in ``S``; a candidate's value is the sum
-    of ``max(best, its row)``.  Each row is summed pairwise over the points,
-    as ``eval`` sums them, so the values agree bit for bit."""
+    per point the best similarity in ``S``, folded into each candidate's row
+    by :func:`_best_sums`, ``eval_ids``' kernel, so values match ``eval``."""
 
     def __init__(self, obj: Objective, sim_t: np.ndarray):
         super().__init__(obj)
         self._sim_t = sim_t
         self._best = None  # while S is empty
-        self._step = max(1, _KERNEL_CELLS // sim_t.shape[1])
-        self._rows = np.empty((min(self._step, len(sim_t)), sim_t.shape[1]))
 
     def _values(self, cands):
-        # the gathered rows go to one reused block buffer: a fresh block per
-        # call costs more than the arithmetic on it
-        out = np.empty(len(cands))
-        for lo in range(0, len(cands), self._step):
-            block = cands[lo:lo + self._step]
-            rows = self._rows[:len(block)]
-            np.take(self._sim_t, block, axis=0, out=rows)
-            if self._best is not None:
-                np.maximum(self._best, rows, out=rows)
-            rows.sum(axis=1, out=out[lo:lo + len(block)])
-        return out
+        return _best_sums(self._sim_t, cands[:, None], self._best)
 
     def _grow(self, e):
         row = self._sim_t[e]
@@ -1197,8 +1177,10 @@ def check_submodular(obj: Objective, trials: int = 1000, seed: int = 0,
     Sampled mode draws nested pairs uniformly (each element lands in A, B\\A,
     or outside with equal probability) plus a uniform outside x.  Exhaustive
     mode checks every (A, B, x) triple on :func:`value_table`; it is
-    practical to about n = 13.  A gap counts as a violation beyond
-    ``REAL_TOL``, or any gap when the objective is integer-valued.
+    practical to about n = 13, and raises ``exact.GuardExceeded`` before
+    building anything when its 3^n nested pairs (A, B) exceed the
+    enumeration guard.  A gap counts as a violation beyond ``REAL_TOL``, or
+    any gap when the objective is integer-valued.
     """
     return _check(obj, "submodular", trials, seed, exhaustive, True,
                   lambda t, a, b, x: -(t[a | x] - t[a] - t[b | x] + t[b]),
@@ -1207,9 +1189,9 @@ def check_submodular(obj: Objective, trials: int = 1000, seed: int = 0,
 
 def check_monotone(obj: Objective, trials: int = 1000, seed: int = 0,
                    exhaustive: bool = False) -> PropertyReport:
-    """Check f(A) <= f(B) over nested pairs A subset of B, in the modes and
-    with the violation margin of :func:`check_submodular`; exhaustive mode
-    is practical to about n = 13."""
+    """Check f(A) <= f(B) over nested pairs A subset of B, in the modes, with
+    the enumeration guard and with the violation margin of
+    :func:`check_submodular`; exhaustive mode is practical to about n = 13."""
     return _check(obj, "monotone", trials, seed, exhaustive, False,
                   lambda t, a, b: t[a] - t[b],
                   lambda a, b: obj.eval(a) - obj.eval(b))
@@ -1229,6 +1211,9 @@ def _check(obj: Objective, prop: str, trials: int, seed: int, exhaustive: bool,
     n = obj.n
     report = PropertyReport(prop, 0, exhaustive=exhaustive)
     if exhaustive:
+        from .exact import check_guard
+
+        check_guard(3 ** n)  # the nested pairs (A, B), before any table is built
         table = value_table(obj)
         cap = _KERNEL_CELLS // max(1, n) if with_x else _KERNEL_CELLS
         for a, b in _nested_pairs(n, cap):

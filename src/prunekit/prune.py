@@ -35,8 +35,13 @@ __all__ = [
     "PruneParams", "PrunedSet",
     "prune_seq_disjoint", "prune_window", "prune_std_greedy",
     "prune_fast_budget_range", "witness", "prune_threshold_stream",
-    "prune_random", "sdg_bound", "window_bound",
+    "prune_random", "sdg_bound", "window_bound", "EPSILON_FLOOR",
 ]
+
+#: smallest epsilon the pruners accept: ``fast_budget_range`` walks about
+#: ``ln(n/eta)/eta`` threshold levels at ``eta = epsilon/4``, and the
+#: disjoint-run pruners take ``ceil(1/epsilon)`` runs
+EPSILON_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -53,8 +58,8 @@ class PruneParams:
             raise ValueError("k must be >= 1")
         if self.omega is not None and self.omega < 1:
             raise ValueError("omega must be >= 1")
-        if self.epsilon is not None and not (0 < self.epsilon < 0.5):
-            raise ValueError("epsilon must be in (0, 1/2)")
+        if self.epsilon is not None and not (EPSILON_FLOOR <= self.epsilon < 0.5):
+            raise ValueError(f"epsilon must be in [{EPSILON_FLOOR:g}, 1/2), got {self.epsilon}")
         if self.ell is not None and self.ell < 1:
             raise ValueError("ell must be >= 1")
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,14 @@ class TestPruneEval:
         alphas = doc["body"]["report"]["alphas"]
         assert len(alphas) == 4 and all(0 <= a <= 1 for a in alphas)
         assert doc["header"]["config"]["reference"] == "exact"
+
+    def test_epsilon_floor(self, tmp_path, graph_file):
+        argv = ["prune", "--graph", str(graph_file), "--algo", "fast_budget_range",
+                "--k", "3", "--out", str(tmp_path / "p.json"), "--epsilon"]
+        t0 = time.process_time()
+        assert main(argv + ["1e-9"]) == EXIT_CONFIG
+        assert time.process_time() - t0 < 1.0
+        assert main(argv + ["1e-3"]) == EXIT_OK
 
     def test_eval_full_universe_alpha_one(self, tmp_path, graph_file):
         report = tmp_path / "r.json"
@@ -444,6 +453,17 @@ class TestCheck:
         body = read_doc(out)["body"]
         assert body["submodular"]["ok"] and not body["monotone"]["ok"]
         assert body["submodular"]["exhaustive"]
+
+    def test_exhaustive_check_beyond_the_guard_exits_three_at_once(self, tmp_path,
+                                                                    monkeypatch):
+        monkeypatch.delenv("PRUNEKIT_GUARD", raising=False)  # 10^8 < 3^17
+        g = tmp_path / "path17.txt"
+        g.write_text("".join(f"{i} {i + 1}\n" for i in range(16)))
+        t0 = time.process_time()
+        assert main(["check", "--graph", str(g), "--exhaustive-limit", "24",
+                     "--out", str(tmp_path / "check.json")]) == EXIT_GUARD
+        assert time.process_time() - t0 < 1.0
+        assert not (tmp_path / "check.json").exists()
 
 
 class TestSweep:

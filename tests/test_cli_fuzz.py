@@ -5,11 +5,9 @@ Every subcommand is drawn with a random subset of its flags.  Input files
 are valid files written by the CLI itself, the same files with one JSON
 node replaced or deleted, token soup, or raw bytes.  Inputs stay small:
 integers are at most 64 in magnitude, ``--jobs`` at most 1, and the
-enumeration guard is 10^5.  Two inputs that run for hours rather than fail
-are left out: ``--exhaustive-limit`` stays below 13, the size to which
-exhaustive property checks are practical (``check`` does not consult the
-guard), and floats come from a fixed list with no tiny positive epsilon
-(``fast_budget_range`` takes about 1/epsilon threshold levels).
+enumeration guard is 10^5.  ``--exhaustive-limit`` goes up to 24, where an
+exhaustive check exits 3 under the guard, and the floats include a tiny
+epsilon, which the accuracy pruners reject below their floor.
 """
 
 import copy
@@ -56,7 +54,7 @@ PICKS = {"prune": [OBJECTIVES], "eval": [OBJECTIVES, ["--pruned", "--full"]],
          "sweep": [OBJECTIVES + ["--family"]], "check": [OBJECTIVES]}
 SWITCHES = {"--shift", "--stream-shuffle", "--full"}
 PATHS = {*INPUTS, "--out", "--csv"}  # values name files in the example's directory
-GOOD_FLOATS = ["0.05", "0.2", "0.5", "1", "3"]
+GOOD_FLOATS = ["0.05", "0.2", "0.5", "1", "3", "1e-9"]
 BAD_FLOATS = ["-1", "0", "64", "nan", "inf", "-inf", "x"]
 
 
@@ -79,7 +77,7 @@ VALUES = {
        for flag in ("--instance-seeds", "--omegas", "--seeds")},
     "--budgets": (lists(st.sampled_from(GOOD_FLOATS)), lists(st.sampled_from(BAD_FLOATS))),
     "--jobs": (st.just("1"), st.integers(-64, 0).map(str)),
-    "--exhaustive-limit": (st.integers(0, 12).map(str), st.integers(-64, -1).map(str)),
+    "--exhaustive-limit": (st.integers(0, 24).map(str), st.integers(-64, -1).map(str)),
     "--out": (st.just("out.json"), st.sampled_from(["no_dir/out.json", "."])),
     "--csv": (st.just("out.csv"), st.sampled_from(["no_dir/out.csv", "."])),
 }

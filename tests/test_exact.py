@@ -238,8 +238,8 @@ class TestEngineAgainstReference:
         fams = dyadic_families(seed=3)
         assert fams["proxy_shift"].shift > 0
         assert fams["proxy_clamp"].eval([0]) == 0.0
-        assert fams["restricted_fl_ungated"]._gated is None
-        assert fams["restricted_fl"]._gated is not None
+        assert not value_table(fams["restricted_fl_ungated"]).any()
+        assert value_table(fams["restricted_fl"]).any()
 
     def test_tie_cap_keeps_smallest_sets(self):
         obj = Modular([1, 1, 1, 1, 1])

@@ -1,9 +1,12 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prunekit.instances import (GenSpec, InputFormatError, fit_penalty,
+from prunekit.instances import (GenSpec, InputFormatError, fit_penalty, gen_coverage,
                                 gen_from_spec, gen_gnm, gen_interference, gen_planted,
                                 load_costs_csv, load_coverage_list, load_edge_list,
                                 load_penalty_csv, load_scores_csv, load_similarity_csv,
@@ -99,6 +102,31 @@ class TestInterference:
         assert gen_from_spec(spec).to_dict() == gen_interference(10, 12, seed=3).to_dict()
         edges = gen_from_spec(GenSpec("gnm", {"n": 6, "m": 5}, seed=1))
         assert edges == gen_gnm(6, 5, seed=1)
+
+
+#: sha256 of ``to_dict()`` (JSON with sorted keys) of generated instances,
+#: pinned so that the cover and pair draws keep their rng call sequence
+GENERATED_DIGESTS = [
+    ("gen_coverage", 20, 30, 0, "e3488f844c25d6bb7229d6e6e5e370c987b58c9b73175d1731bd858a64c7589f"),
+    ("gen_coverage", 20, 30, 1, "d48ca4d1cd53fba9f6ec92ca93cd0bf0038bf9a1e76d8073b11ce1ea7b13730e"),
+    ("gen_coverage", 20, 30, 7919, "9f17bafe9d8072b7161b22449d73844ffa2b48bfe891f2e9507c897e6dd5d604"),
+    ("gen_coverage", 1000, 400, 0, "43e70a1ac5ef2abea5b05c352a25dd768b42533707c244f812816a47a209b93c"),
+    ("gen_coverage", 1000, 400, 1, "98e2a8ebcda0ac5a41ac87c0db4cb20656501d99525cb8c0e0d99881c188c05f"),
+    ("gen_coverage", 1000, 400, 7919, "980d16aae919d4b915bd2de9c46dd640e34d5b69f1ef51166e4d14840ef256c7"),
+    ("gen_interference", 20, 30, 0, "72cb13aa7fd8bc4e7a871ece0a4322dd99afb23b8507db41f7757dcd68be2692"),
+    ("gen_interference", 20, 30, 1, "e9953764688c9e75f8b76b5ee2a98e030fc14fd87d684b7fed4ddf27a2afb770"),
+    ("gen_interference", 20, 30, 7919, "208b4d4717af285ed9263fa68640cb2049111b0caa69f4faad67aa0e3c2288aa"),
+    ("gen_interference", 1000, 400, 0, "aaee6176b3dee00dafbc6a4727ca59fa4bde14bb989087e208800a180717c0fa"),
+    ("gen_interference", 1000, 400, 1, "af6738b78c97f02b17812f8df386a31e210608bffd60b91c8ec6e01c5dea33cb"),
+    ("gen_interference", 1000, 400, 7919, "1c26465a1c51f9841ca8056cf757b751bd92bd5b2c954744a7c5dca580d532f9"),
+]
+
+
+@pytest.mark.parametrize("name,n,m,seed,expected", GENERATED_DIGESTS)
+def test_generated_instances_keep_their_bytes(name, n, m, seed, expected):
+    gen = {"gen_coverage": gen_coverage, "gen_interference": gen_interference}[name]
+    payload = json.dumps(gen(n, m, seed=seed).to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == expected
 
 
 class TestLoaders:

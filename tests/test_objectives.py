@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import build_variants, scan_families, supermodular_counterexample
 from prunekit import objectives
+from prunekit.exact import GuardExceeded
 from prunekit.objectives import (REAL_TOL, Coverage, Cut, FacilityLocation,
                                  InterferenceCoverage, Modular, OracleStats,
                                  PenaltyCurve, PropertyReport, Proxy,
@@ -217,6 +218,16 @@ class TestPropertyCheckers:
         covers = [rng.choice(20, size=rng.integers(1, 5), replace=False).tolist()
                   for _ in range(15)]
         assert value_table(Coverage(covers, m=20)).min() >= 0
+
+    def test_exhaustive_checks_obey_the_guard(self, monkeypatch):
+        obj = Modular(np.ones(5))
+        monkeypatch.setenv("PRUNEKIT_GUARD", str(3 ** 5 - 1))
+        for check in (check_submodular, check_monotone):
+            with pytest.raises(GuardExceeded):
+                check(obj, exhaustive=True)
+            assert check(obj, trials=5).ok  # sampled mode enumerates nothing
+        monkeypatch.setenv("PRUNEKIT_GUARD", str(3 ** 5))
+        assert check_submodular(obj, exhaustive=True).ok
 
     def test_trials_validated(self, triangle):
         with pytest.raises(ValueError):

@@ -6,10 +6,10 @@ import pytest
 from prunekit import exact
 from prunekit.instances import gen_coverage, gen_gnm, gen_interference
 from prunekit.objectives import Cut, Modular, counting_wrap
-from prunekit.prune import (PruneParams, PrunedSet, prune_fast_budget_range,
-                            prune_random, prune_seq_disjoint, prune_std_greedy,
-                            prune_threshold_stream, prune_window, sdg_bound,
-                            window_bound, witness)
+from prunekit.prune import (EPSILON_FLOOR, PruneParams, PrunedSet,
+                            prune_fast_budget_range, prune_random, prune_seq_disjoint,
+                            prune_std_greedy, prune_threshold_stream, prune_window,
+                            sdg_bound, window_bound, witness)
 from prunekit.selection import greedy, threshold_greedy
 
 
@@ -227,6 +227,15 @@ class TestFastBudgetRange:
     def test_epsilon_validated(self, triangle):
         with pytest.raises(ValueError):
             prune_fast_budget_range(triangle, 3, 2, epsilon=0.6)
+
+    def test_epsilon_floor(self, triangle):
+        for eps in (1e-9, EPSILON_FLOOR / 2):
+            with pytest.raises(ValueError, match="epsilon"):
+                prune_fast_budget_range(triangle, 3, 2, epsilon=eps)
+            with pytest.raises(ValueError, match="epsilon"):
+                prune_seq_disjoint(triangle, 3, 2, epsilon=eps)
+        assert prune_fast_budget_range(triangle, 3, 2, epsilon=EPSILON_FLOOR).elements
+        assert PruneParams(k=1, epsilon=EPSILON_FLOOR).resolved_ell() == 1000
 
 
 class TestThresholdStream:

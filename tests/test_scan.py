@@ -17,11 +17,11 @@ from conftest import build_variants, scan_families
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prunekit import selection
+from prunekit import objectives, selection
 from prunekit.instances import gen_coverage, gen_gnm, gen_interference
 from prunekit.objectives import (CountingOracle, Cut, FacilityLocation,
                                  Modular, OracleStats, PenaltyCurve, Proxy,
-                                 counting_wrap, open_scan)
+                                 RestrictedFacilityLocation, counting_wrap, open_scan)
 from prunekit.prune import (prune_fast_budget_range, prune_seq_disjoint,
                             prune_std_greedy, prune_threshold_stream, prune_window,
                             witness)
@@ -211,6 +211,57 @@ class TestCandidateScan:
         scan.add(0)
         scan.values([1, 2])
         assert oracle.stats() == OracleStats(queries=6, cache_hits=0)
+
+
+def kernel_families(n, m, seed):
+    """Every family on the facility-location kernel, over ``m`` points."""
+    rng = np.random.default_rng(seed)
+    sim = rng.uniform(size=(m, n))
+    dud = sim.copy()
+    dud[:, 0] = 0.0  # {0} falls below the penalty: shift and clamp engage
+    linear = PenaltyCurve(0.999 * float(dud.max(axis=1).sum()) * np.arange(n + 1) / n)
+    rel = rng.uniform(size=m)
+    rel[0] = 0.9  # at least one row passes the gate at tau = 0.5
+    return {
+        "facility_location": FacilityLocation(sim),
+        "proxy_shift": Proxy(FacilityLocation(dud), linear, shift=True),
+        "proxy_clamp": Proxy(FacilityLocation(dud), linear, clamp=True),
+        "restricted_fl": RestrictedFacilityLocation(sim, rel, tau=0.5),
+        "restricted_fl_ungated": RestrictedFacilityLocation(sim, rel, tau=1.0),
+    }
+
+
+class TestFacilityKernelAtBlockEdges:
+    """With ``_KERNEL_CELLS`` at 64, the kernel gathers a few rows per block
+    (one when there are more than 64 points), so block edges fall inside
+    every scan and every batch."""
+
+    @pytest.mark.parametrize("name", sorted(kernel_families(3, 1, 0)))
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(3, 12), m=st.integers(1, 80))
+    @settings(max_examples=20, deadline=None)
+    def test_scan_and_eval_ids_match_eval(self, name, seed, n, m):
+        obj = kernel_families(n, m, seed)[name]
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(20):  # distinct ids padded with n anywhere
+            row = rng.choice(n, size=rng.integers(0, n + 1), replace=False).tolist()
+            rows.append(rng.permutation(row + [n] * (n - len(row))).tolist())
+        with mock.patch.object(objectives, "_KERNEL_CELLS", 64):
+            got = obj.eval_ids(np.array(rows)).tolist()
+            scan, members = obj.scan(), []
+            for e in rng.permutation(n).tolist():
+                cands = np.array([c for c in range(n) if c not in members], dtype=np.intp)
+                assert typed(scan.values(cands).tolist()) == \
+                    typed([obj.eval(members + [c]) for c in cands.tolist()])
+                scan.add(e)
+                members.append(e)
+        assert typed(got) == typed([obj.eval([e for e in row if e < n]) for row in rows])
+
+    def test_gate_engages(self):
+        fams = kernel_families(6, 20, 0)
+        assert fams["restricted_fl"].m < 20
+        assert not fams["restricted_fl_ungated"].eval_ids(np.array([[0, 1, 2]])).any()
+        assert fams["restricted_fl"].eval([0]) > 0.0
 
 
 # --------------------------------------------------------------------------
