@@ -33,9 +33,10 @@ Candidate scans:
   :class:`Coverage` keep a batched state (edges into ``S``, the union's
   cover words).  The facility-location families (:class:`Proxy` too) keep
   the best similarity per point and run ``eval_ids``' kernel on it.
-  :class:`InterferenceCoverage` keeps ``S``'s union and inside pairs and
-  values candidates one by one, its penalty summed in pair order as
-  ``eval`` sums it.  The other families value the rows ``S + e`` with one
+  :class:`InterferenceCoverage` extends the coverage scan with ``S``'s
+  membership: each candidate's penalty sums the weights of the pairs with
+  an end in ``S``, in pair order as ``eval`` sums them, for all candidates
+  at once.  The other families value the rows ``S + e`` with one
   ``eval_ids`` call.
 
 Built-in families:
@@ -93,7 +94,7 @@ class PenaltyCurve:
     """Convex non-decreasing size penalty theta(0..n), theta(0) = 0."""
 
     def __init__(self, theta: Sequence[float]):
-        arr = np.asarray(theta, dtype=float)
+        arr = _finite(theta, "penalty curve theta")
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("penalty curve must be a 1-d array of length >= 1")
         if abs(arr[0]) > REAL_TOL:
@@ -268,42 +269,28 @@ def _covered_count(union: np.ndarray) -> np.ndarray:
     return np.bitwise_count(union).sum(axis=1, dtype=np.int64).astype(float)
 
 
-def _cover_masks(covers: Sequence[Iterable[int]]) -> tuple[list[int], int]:
-    """Per-element universe bitmasks; returns (masks, universe size)."""
-    masks = []
-    top = -1
-    for i, cov in enumerate(covers):
-        mask = 0
-        for v in cov:
-            v = int(v)
-            if v < 0:
-                raise ValueError(f"cover of element {i}: negative item {v}")
-            mask |= 1 << v
-            top = max(top, v)
-        masks.append(mask)
-    return masks, top + 1
-
-
 class _CoverObjective(Objective):
-    """The cover tables of the coverage families: ``covers[e]`` lists the
-    universe items element ``e`` covers, kept as sets, Python bitmasks and,
-    for the kernels, packed words."""
+    """The cover tables of the coverage families: ``covers[e]`` is the set
+    of universe items ``0..m-1`` element ``e`` covers.  The scalar path
+    counts from these sets; the kernels and scans read them packed into
+    words."""
 
     def __init__(self, covers: Sequence[Iterable[int]], m: int | None):
         if not covers:
             raise ValueError(f"{type(self).__name__} needs at least one element")
         self.covers = [frozenset(int(v) for v in cov) for cov in covers]
-        self._masks, m_seen = _cover_masks(self.covers)
+        for i, cov in enumerate(self.covers):
+            if cov and min(cov) < 0:
+                raise ValueError(f"cover of element {i}: negative item {min(cov)}")
+        m_seen = max((max(cov) + 1 for cov in self.covers if cov), default=0)
         self.m = m_seen if m is None else int(m)
         if self.m < m_seen:
             raise ValueError(f"universe size {self.m} smaller than max covered item")
         self.n = len(covers)
 
-    def _union_mask(self, s) -> int:
-        union = 0
-        for e in s:
-            union |= self._masks[e]
-        return union
+    def _covered(self, s) -> int:
+        """Number of universe items the covers of ``s`` cover."""
+        return len(frozenset().union(*[self.covers[e] for e in s]))
 
     @functools.cached_property
     def _words(self) -> np.ndarray:
@@ -342,7 +329,7 @@ class Coverage(_CoverObjective):
 
     def _value(self, s):
         if self.weights is None:
-            return self._union_mask(s).bit_count()
+            return self._covered(s)
         return self._kernel_value(s)
 
     def eval_ids(self, ids):
@@ -414,7 +401,6 @@ class Cut(Objective):
                 raise ValueError("edge weights must be non-negative")
             self._ws = w
             self.integer_valued = bool(np.all(w == np.round(w)))
-        self._kept_table = None
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -457,7 +443,7 @@ class Cut(Objective):
             return self._degrees[ids[:, 0]].astype(float)
         used = np.zeros(self.n + 1, dtype=bool)
         used[ids.reshape(-1)] = True
-        rank, weights, side = self._pair_table(used, ids.size)
+        rank, weights, side = self._pair_table(used)
         first, second = _pairs(ids.shape[1])
 
         def block_values(block):
@@ -470,18 +456,12 @@ class Cut(Objective):
         M = ids_to_mask(block, self.n)
         return _masked_row_sums(self._ws, M[:, self._us] != M[:, self._vs])
 
-    def _pair_table(self, used: np.ndarray, batch_cells: int):
+    def _pair_table(self, used: np.ndarray):
         """``(rank, weights, side)`` for the ids marked in ``used``: ``rank``
         maps an id to its rank among them, and ``weights`` is a flat
         ``side x side`` table over the ranks with the degrees on the
         diagonal and -2 times the edge counts off it.  The table grows with
-        the enumerated universe, not with ``n``.  The last table is kept
-        for the next batch over the same ids when it is no larger than the
-        batch itself."""
-        key = used.tobytes()
-        kept = self._kept_table
-        if kept is not None and kept[0] == key:
-            return kept[1]
+        the enumerated universe, not with ``n``."""
         ranked = np.flatnonzero(used)
         rank = np.zeros(self.n + 1, dtype=np.intp)
         rank[ranked] = np.arange(len(ranked))
@@ -491,9 +471,7 @@ class Cut(Objective):
         weights = -2 * np.bincount(np.concatenate([ru * side + rv, rv * side + ru]),
                                    minlength=side * side)
         weights[::side + 1] = self._degrees[ranked]
-        table = rank, weights, side
-        self._kept_table = (key, table) if weights.size <= batch_cells else None
-        return table
+        return rank, weights, side
 
     def to_dict(self):
         return {
@@ -555,11 +533,11 @@ class RestrictedFacilityLocation(FacilityLocation):
     """
 
     def __init__(self, sim: np.ndarray, rel: Sequence[float], tau: float):
-        rel = np.asarray(rel, dtype=float)
+        rel = _finite(rel, "relevance scores")
         super().__init__(sim)
         if rel.shape != (self.m,):
             raise ValueError("one relevance score per similarity row required")
-        self.full_sim, self.rel, self.tau = self.sim, rel, float(tau)
+        self.full_sim, self.rel, self.tau = self.sim, rel, float(_finite(tau, "gate tau"))
         gate = rel > self.tau
         self.sim = self.sim[gate] if gate.any() else np.zeros((1, self.n))
         self.m = len(self.sim)
@@ -638,8 +616,9 @@ class InterferenceCoverage(_CoverObjective):
                  m: int | None = None):
         super().__init__(covers, m)
         self.lam = float(lam)
-        if self.lam < 0:
-            raise ValueError("interference weight lam must be non-negative")
+        if not 0 <= self.lam < float("inf"):
+            raise ValueError(f"interference weight lam must be finite and non-negative, "
+                             f"got {self.lam}")
         pairs: dict[tuple[int, int], float] = {}
         for (i, j), w in intf.items():
             i, j = int(i), int(j)
@@ -649,8 +628,9 @@ class InterferenceCoverage(_CoverObjective):
                 raise ValueError(f"interference pair ({i},{j}) out of range")
             key = (min(i, j), max(i, j))
             w = float(w)
-            if w < 0:
-                raise ValueError("interference intensities must be non-negative")
+            if not 0 <= w < float("inf"):
+                raise ValueError(f"interference intensities must be finite and "
+                                 f"non-negative, got {w} for pair {key}")
             if key in pairs and pairs[key] != w:
                 raise ValueError(f"asymmetric intensities for pair {key}")
             pairs[key] = w
@@ -660,20 +640,11 @@ class InterferenceCoverage(_CoverObjective):
         self._pw = np.asarray(list(pairs.values()), dtype=float)
 
     def _value(self, s):
-        val = float(self._union_mask(s).bit_count())
+        val = float(self._covered(s))
         if self.lam and len(s) > 1 and len(self._pw):
             val -= self.lam * sum(w for (i, j), w in self.intf.items()
                                   if i in s and j in s)
         return val
-
-    @functools.cached_property
-    def _incident(self) -> list[list[tuple[int, int, float]]]:
-        """Per element its pairs as ``(position in intf, other end, weight)``."""
-        out: list[list[tuple[int, int, float]]] = [[] for _ in range(self.n)]
-        for k, ((i, j), w) in enumerate(self.intf.items()):
-            out[i].append((k, j, w))
-            out[j].append((k, i, w))
-        return out
 
     def scan(self):
         return _InterferenceScan(self)
@@ -845,10 +816,10 @@ class _CutScan(CandidateScan):
 
 
 class _CoverageScan(CandidateScan):
-    """Unweighted coverage: the covered count of the cover words of ``e``
-    OR the union of ``S``'s."""
+    """Coverage counts: the covered count of the cover words of ``e`` OR
+    the union of ``S``'s."""
 
-    def __init__(self, obj: Coverage):
+    def __init__(self, obj: _CoverObjective):
         super().__init__(obj)
         self._union = np.zeros(obj._words.shape[1], dtype=np.uint64)
 
@@ -861,37 +832,41 @@ class _CoverageScan(CandidateScan):
         self._union |= self.obj._words[e]
 
 
-class _InterferenceScan(CandidateScan):
-    """Interference coverage from ``S``'s cover union and the pairs inside
-    ``S``, kept in ``intf``'s order.  A candidate adds only its own pairs
-    into ``S``, so its penalty is the same ``sum`` over the same weights in
-    the same order as ``_value`` takes, at a cost that grows with ``S``
-    rather than with the number of pairs."""
+class _InterferenceScan(_CoverageScan):
+    """Interference coverage: the covered count minus ``lam`` times each
+    candidate's pair penalty.  Only a pair with an end in ``S`` can lie
+    inside a row ``S + e``: one with both ends in ``S`` lies inside every
+    row, any other only in the row of its far end.  Each row adds those
+    pairs' weights left to right in ``intf`` order, 0.0 where a pair is not
+    inside the row, as ``_value``'s ``sum`` adds them; the partial sums are
+    never negative, so the zeros change no bit."""
 
     def __init__(self, obj: InterferenceCoverage):
         super().__init__(obj)
-        self._union = 0
-        self._inside: list[tuple[int, float]] = []  # (position in intf, weight)
-
-    def _joining(self, e: int) -> list[tuple[int, float]]:
-        """The pairs ``e`` forms with ``S``."""
-        members = self.members
-        return [(k, w) for k, other, w in self.obj._incident[e] if other in members]
+        self._in = np.zeros(obj.n, dtype=bool)  # membership in S
 
     def _values(self, cands):
-        obj = self.obj
-        penalized = obj.lam and self.members and len(obj._pw)  # |S + e| > 1
-        out = []
-        for e in cands.tolist():
-            val = float((self._union | obj._masks[e]).bit_count())
-            if penalized:
-                val -= obj.lam * sum(w for _, w in sorted(self._inside + self._joining(e)))
-            out.append(val)
-        return np.array(out, dtype=float)
+        obj, member = self.obj, self._in
+        out = super()._values(cands).astype(float)
+        if not (obj.lam and self.members):  # no penalty: lam is 0 or |S + e| = 1
+            return out
+        touch = (member[obj._pi] | member[obj._pj]).nonzero()[0]
+        if touch.size:
+            pi, pj, pw = obj._pi[touch], obj._pj[touch], obj._pw[touch]
+            first_in = member[pi]
+            far = np.where(first_in, pj, pi)  # in S too when both ends are
+            every_row = np.where(first_in & member[pj], pw, 0.0)
+
+            def penalties(block):
+                terms = np.where(far == block[:, None], pw, every_row)
+                return terms.cumsum(axis=1)[:, -1]
+
+            out -= obj.lam * _by_blocks(cands, len(touch), penalties)
+        return out
 
     def _grow(self, e):
-        self._union |= self.obj._masks[e]
-        self._inside = sorted(self._inside + self._joining(e))
+        super()._grow(e)
+        self._in[e] = True
 
 
 class _FacilityScan(CandidateScan):
@@ -933,7 +908,8 @@ def objective_from_dict(payload: Mapping) -> Objective:
     A payload that is not a mapping, misses a field or holds one of the
     wrong type or shape raises ``TypeError``.  Well-formed values the family
     rejects (an unknown variant, a negative or non-finite proxy shift,
-    negative or non-finite weights) raise ``ValueError``.
+    weight, ``lam`` or intensity, a non-finite ``theta``, ``rel`` or
+    ``tau``) raise ``ValueError``.
     """
     if not isinstance(payload, Mapping):
         raise TypeError("objective payload must be a JSON object")

@@ -399,8 +399,9 @@ PROXY = {"variant": "proxy", "sim": [[0.5, 0.2, 0.9], [0.1, 0.8, 0.3]],
 
 class TestMalformedObjective:
     """A broken --objective-file fails through the error record, never a
-    traceback: missing or ill-typed fields are parse errors, a negative or
-    non-finite proxy shift a config error."""
+    traceback: missing or ill-typed fields are parse errors, a value the
+    family rejects (a negative or non-finite proxy shift, a NaN weight, an
+    infinite interference lam) a config error."""
 
     def run(self, tmp_path, capsys, payload):
         path = tmp_path / "obj.json"
@@ -433,6 +434,11 @@ class TestMalformedObjective:
 
     def test_nan_weight_is_config_error(self, tmp_path, capsys):
         payload = {"variant": "modular", "weights": [float("nan"), 1.0, 2.0]}
+        assert self.run(tmp_path, capsys, payload) == (EXIT_CONFIG, "config_error")
+
+    def test_infinite_interference_lam_is_config_error(self, tmp_path, capsys):
+        payload = {"variant": "interference_coverage", "covers": [[0, 1], [1], [2]],
+                   "intf": [[0, 1, 1.0]], "lam": float("inf")}
         assert self.run(tmp_path, capsys, payload) == (EXIT_CONFIG, "config_error")
 
     def test_universe_below_covered_items_is_config_error(self, tmp_path, capsys):

@@ -413,7 +413,9 @@ class TestCutPairTable:
         assert profile.opt_by_budget == opt
         assert profile.argmax_by_budget == argmax
         assert profile.ties_at_top == ties
-        _, (_, weights, side) = obj._kept_table
+        used = np.zeros(n + 1, dtype=bool)
+        used[universe + [n]] = True  # the universe and the empty slot
+        _, weights, side = obj._pair_table(used)
         assert side == len(universe) + 1 and weights.size == side * side
 
     def test_single_vertex_rows_read_degrees(self):
@@ -424,13 +426,11 @@ class TestCutPairTable:
         profile = exact.opt_cardinality(obj, range(n), 1)
         assert profile.opt_by_budget == [0.0, float(degrees.max())]
         assert profile.argmax_by_budget[1] == (int(degrees.argmax()),)
-        assert obj._kept_table is None
 
-    def test_table_larger_than_the_batch_is_not_kept(self):
+    def test_table_larger_than_the_batch_matches_eval(self):
         obj = Cut(40, gen_gnm(40, 100, seed=1))
         ids = np.array([[0, 39], [1, 2]])
         assert np.array_equal(obj.eval_ids(ids), [obj.eval([0, 39]), obj.eval([1, 2])])
-        assert obj._kept_table is None
 
 
 def non_dyadic_families(n, seed):

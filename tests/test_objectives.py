@@ -64,6 +64,12 @@ class TestEval:
         assert obj.eval({0}) == pytest.approx(2.0)
         assert obj.eval({0, 1}) == pytest.approx(3.0 - 0.5 * 2.0)
 
+    def test_coverage_counts_are_int_and_interference_values_float(self):
+        covers = [{0, 1}, {1, 2}]
+        assert type(Coverage(covers).eval({0, 1})) is int
+        assert type(InterferenceCoverage(covers, {}, 0.5).eval({0, 1})) is float
+        assert type(InterferenceCoverage(covers, {(0, 1): 1.0}, 0.5).eval({0, 1})) is float
+
 
 class TestMarginal:
     def test_triangle_marginal_zero(self, triangle):
@@ -373,6 +379,14 @@ NON_FINITE_INPUTS = {
     "facility_location": lambda bad: FacilityLocation([[0.5, bad], [0.1, 0.2]]),
     "restricted_fl": lambda bad: RestrictedFacilityLocation([[0.5, 0.3], [bad, 0.2]],
                                                             [0.9, 0.9], tau=0.5),
+    "restricted_fl_rel": lambda bad: RestrictedFacilityLocation([[0.5, 0.3], [0.1, 0.2]],
+                                                                [0.9, bad], tau=0.5),
+    "restricted_fl_tau": lambda bad: RestrictedFacilityLocation([[0.5, 0.3], [0.1, 0.2]],
+                                                                [0.9, 0.9], tau=bad),
+    "penalty_curve": lambda bad: PenaltyCurve([0.0, 0.1, bad]),
+    "interference_lam": lambda bad: InterferenceCoverage([[0], [1]], {(0, 1): 1.0}, lam=bad),
+    "interference_intensity": lambda bad: InterferenceCoverage([[0], [1]], {(0, 1): bad},
+                                                               lam=1.0),
 }
 
 
@@ -381,3 +395,30 @@ NON_FINITE_INPUTS = {
 def test_non_finite_weights_and_similarities_rejected(family, bad):
     with pytest.raises(ValueError, match="finite"):
         NON_FINITE_INPUTS[family](bad)
+
+
+COVER_FAMILIES = {
+    "coverage": lambda covers, m=None: Coverage(covers, m=m),
+    "interference": lambda covers, m=None: InterferenceCoverage(covers, {(0, 1): 1.0}, 0.5, m=m),
+}
+
+
+@pytest.mark.parametrize("family", sorted(COVER_FAMILIES))
+class TestCoverValidation:
+    def test_negative_item_rejected(self, family):
+        with pytest.raises(ValueError, match="negative item"):
+            COVER_FAMILIES[family]([[0, 2], [1, -1]])
+
+    def test_universe_below_largest_item_rejected(self, family):
+        with pytest.raises(ValueError, match="universe size 5"):
+            COVER_FAMILIES[family]([[0, 5], [1]], m=5)
+
+    def test_universe_defaults_to_largest_item_plus_one(self, family):
+        assert COVER_FAMILIES[family]([[0, 5], [1]]).m == 6
+        assert COVER_FAMILIES[family]([[0, 5], [1]], m=9).m == 9
+
+    def test_all_empty_covers_give_an_empty_universe(self, family):
+        obj = COVER_FAMILIES[family]([[], []])
+        assert obj.m == 0
+        assert obj.eval({0}) == 0 and obj.eval_ids(np.array([[0, 2]])).tolist() == [0.0]
+        assert obj.scan().values([0, 1]).tolist() == [0, 0]
