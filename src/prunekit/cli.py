@@ -320,6 +320,7 @@ def _eval_knapsack(args, obj, cfg) -> dict:
         count = args.budgets_grid
         grid = list(np.geomspace(0.1 * inst.B, inst.B, count + 1)[1:])
     cfg.update({"B": inst.B, "budgets": [float(b) for b in grid]})
+    inst.check_budgets(grid)  # before the guard and the sweep over N
     profile = exact.opt_knapsack(obj, range(obj.n), inst.costs, grid)
     extracted = knapsack.extract_budget_grid(pruned, obj, grid)
     alphas, values = [], []

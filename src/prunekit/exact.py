@@ -39,7 +39,10 @@ table, built once, and each block fixes the high bits, folding the high
 elements onto it in ascending order.  The argmax per budget is the first
 optimum in size-ascending lexicographic order: among the feasible masks
 that tie for the maximum, the smallest popcount, then the largest mask with
-its bits reversed; only the tied masks are ranked.
+its bits reversed; only the tied masks are ranked.  Each block visits the
+budgets from the largest down: the feasible sets shrink, so a budget keeps
+the last maximum and its tied masks that still fit, and pays a full masked
+pass over the block only when none of them does.
 
 The module constants ``_CHUNK``, ``_GROUP_ROWS`` and :data:`TIE_CAP` (the
 most optimal sets a ``collect_ties`` profile keeps) are read at call time,
@@ -348,7 +351,10 @@ def opt_knapsack(obj: Objective, universe: Sequence[int], costs, budgets: Sequen
     sweep over the power-set tables of the universe, block by block.
 
     The guard counts the full power set.  Argmax per budget is the first
-    optimum in size-ascending lexicographic enumeration order.
+    optimum in size-ascending lexicographic enumeration order.  Budgets must
+    be positive, not NaN; costs positive and finite.  Each block visits the
+    budgets in descending order, keeping the tied optima that still fit, and
+    takes a new masked maximum only when none does.
     """
     raw = unwrap(obj)
     universe = _sorted_universe(universe, raw.n)
@@ -356,24 +362,36 @@ def opt_knapsack(obj: Objective, universe: Sequence[int], costs, budgets: Sequen
     budgets = [float(b) for b in budgets]
     if not budgets:
         raise ValueError("need at least one budget")
-    if min(budgets) <= 0:
+    if not all(b > 0 for b in budgets):  # NaN fails too
         raise ValueError("budgets must be positive")
     check_guard(1 << u, guard)
     cost = np.array([float(costs[e]) for e in universe])
-    if u and cost.min() <= 0:
-        raise ValueError("costs must be positive")
+    if u and not (np.isfinite(cost).all() and cost.min() > 0):
+        raise ValueError("costs must be positive and finite")
 
     low = block_bits(u)
+    descending = sorted(range(len(budgets)), key=budgets.__getitem__, reverse=True)
     best_val = [-np.inf] * len(budgets)
     best_mask = [0] * len(budgets)
     start = 0
     for spent, vals in zip(power_set_sums(cost, low), power_set_values(raw, universe, low)):
-        for j, b in enumerate(budgets):
-            feasible = np.where(spent <= b, vals, -np.inf)
-            top = feasible.max()
-            if top == -np.inf or top < best_val[j]:
+        ties = np.empty(0, dtype=np.intp)
+        for j in descending:
+            b = budgets[j]
+            if len(ties) and spent[first] > b:  # the feasible sets shrink
+                ties = ties[spent[ties] <= b]
+                if len(ties):
+                    first = _first_in_order(ties, u)
+            if not len(ties):
+                feasible = np.where(spent <= b, vals, -np.inf)
+                top = feasible.max()
+                if top == -np.inf:
+                    break
+                ties = np.flatnonzero(feasible == top)
+                first = _first_in_order(ties, u)
+            if top < best_val[j]:
                 continue
-            mask = start + _first_in_order(np.flatnonzero(feasible == top), u)
+            mask = start + first
             if top == best_val[j]:
                 mask = _first_in_order(np.array([best_mask[j], mask]), u)
                 if mask == best_mask[j]:

@@ -53,6 +53,12 @@ class KnapsackInstance:
     def n(self) -> int:
         return len(self.costs)
 
+    def check_budgets(self, budgets) -> None:
+        """Raise ``ValueError`` unless every query budget is in (0, B]."""
+        for b in budgets:
+            if not (0 < b <= self.B):
+                raise ValueError(f"query budget must be in (0, B], got {b}")
+
     def cost(self, S) -> float:
         return float(sum(self.costs[int(e)] for e in S))
 
@@ -167,9 +173,7 @@ def extract_budget_grid(pruned: KnapsackPrunedSet, obj: Objective,
 
 def _extract_many(pruned, obj, budgets):
     inst = pruned.instance
-    for b in budgets:
-        if not (0 < b <= inst.B):
-            raise ValueError(f"query budget must be in (0, B], got {b}")
+    inst.check_budgets(budgets)
     P = pruned.elements
     if len(P) <= EXHAUSTIVE_CAP:
         try:

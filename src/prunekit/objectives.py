@@ -264,9 +264,15 @@ def _union(words: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return union
 
 
-def _covered_count(union: np.ndarray) -> np.ndarray:
-    """Number of universe items set in each row of union words, as floats."""
-    return np.bitwise_count(union).sum(axis=1, dtype=np.int64).astype(float)
+def _covered_count(union: np.ndarray, dtype=float) -> np.ndarray:
+    """Number of universe items set in each row of union words, in
+    ``dtype``: the popcounts of the word columns added one column at a
+    time.  Counts are small integers, exact in either dtype."""
+    counts = np.bitwise_count(union)
+    out = counts[:, 0].astype(dtype)
+    for col in range(1, union.shape[1]):
+        out += counts[:, col]
+    return out
 
 
 class _CoverObjective(Objective):
@@ -825,8 +831,8 @@ class _CoverageScan(CandidateScan):
 
     def _values(self, cands):
         words, union = self.obj._words, self._union
-        return _by_blocks(cands, words.shape[1], lambda block: np.bitwise_count(
-            words[block] | union).sum(axis=1, dtype=np.int64))
+        return _by_blocks(cands, words.shape[1],
+                          lambda block: _covered_count(words[block] | union, np.int64))
 
     def _grow(self, e):
         self._union |= self.obj._words[e]

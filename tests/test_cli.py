@@ -275,6 +275,18 @@ class TestErrors:
         assert main(["eval", "--graph", str(graph_file), "--full", "--k", "3",
                      "--out", str(tmp_path / "r.json")]) == EXIT_GUARD
 
+    @pytest.mark.parametrize("grid", ["0.5,2.0", "nan,0.5"])
+    def test_knapsack_grid_checked_before_the_guard(self, tmp_path, graph_file,
+                                                     monkeypatch, grid):
+        # budgets outside (0, B] are a config error before the guard or any
+        # sweep over N
+        monkeypatch.setenv("PRUNEKIT_GUARD", "10")
+        costs = tmp_path / "c.csv"
+        costs.write_text("".join(f"{e},0.3\n" for e in range(14)))
+        assert main(["eval", "--graph", str(graph_file), "--full", "--costs", str(costs),
+                     "--budget", "1.0", "--budgets", grid,
+                     "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
+
     def test_unknown_flag_exit_two(self):
         assert main(["prune", "--nope"]) == EXIT_CONFIG
 

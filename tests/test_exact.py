@@ -125,6 +125,16 @@ class TestOptKnapsack:
         with pytest.raises(ValueError):
             exact.opt_knapsack(Modular([1]), range(1), [1.0], budgets=[0.0])
 
+    @pytest.mark.parametrize("budgets", [[2.0, np.nan], [np.nan, 2.0], [np.nan]])
+    def test_nan_budget_rejected(self, budgets):
+        with pytest.raises(ValueError, match="budget"):
+            exact.opt_knapsack(Modular([1, 2]), range(2), [1.0, 1.0], budgets=budgets)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        with pytest.raises(ValueError, match="cost"):
+            exact.opt_knapsack(Modular([1, 2, 3]), range(3), [1.0, bad, 1.0], budgets=[2.0])
+
     def test_guard_counts_power_set(self):
         with pytest.raises(exact.GuardExceeded):
             exact.opt_knapsack(Modular(np.ones(12)), range(12), np.ones(12),
@@ -473,6 +483,73 @@ class TestPowerSetTablesBitForBit:
             assert prof.opt_by_budget == opt
             assert prof.argmax_by_budget == argmax
             assert prof.enumerated_count == 1 << len(universe)
+
+    @pytest.mark.parametrize("name", NON_DYADIC)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unsorted_grid_with_duplicates(self, name, seed):
+        # slack budgets (at and past c(N)) and binding ones (subset costs
+        # and the floats just below them), shuffled, some listed twice
+        n = 9
+        obj = non_dyadic_families(n, seed)[name]
+        rng = np.random.default_rng(200 + seed)
+        universe = sorted(rng.choice(n, size=8, replace=False).tolist())
+        costs = rng.uniform(0.1, 1.0, size=n)
+        total = sum(costs[e] for e in universe)
+        edges = [sum(costs[e] for e in sorted(rng.choice(universe, size=s, replace=False)))
+                 for s in range(1, len(universe))]
+        budgets = [total, np.nextafter(total, np.inf), 2 * total, *edges,
+                   *np.nextafter(edges, 0), *rng.uniform(0.05, 0.9, size=4) * total]
+        budgets = [float(b) for b in rng.permutation(budgets)]
+        budgets += budgets[::3]
+        opt, argmax = reference_knapsack(obj, universe, costs, budgets)
+        for chunk in (exact._CHUNK, 4):
+            with mock.patch.object(exact, "_CHUNK", chunk):
+                prof = exact.opt_knapsack(obj, universe, costs, budgets)
+            assert prof.budgets == budgets
+            assert prof.opt_by_budget == opt
+            assert prof.argmax_by_budget == argmax
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_blocks_with_no_feasible_mask(self, name):
+        # with _CHUNK at 4 a block fixes every bit from 2 up; an expensive
+        # high element leaves its blocks with nothing under the small budgets
+        obj = dyadic_families(seed=7)[name]
+        costs = np.array([0.25, 0.5, 0.25, 3.0, 0.5, 4.0, 0.75])
+        budgets = [0.5, 5.0, 0.25, 1.0, 3.25, 1.0, 100.0]
+        assert min(budgets) < costs[2:].max()
+        opt, argmax = reference_knapsack(obj, range(7), costs, budgets)
+        for chunk in (exact._CHUNK, 4, 1):
+            with mock.patch.object(exact, "_CHUNK", chunk):
+                prof = exact.opt_knapsack(obj, range(7), costs, budgets)
+            assert prof.opt_by_budget == opt
+            assert prof.argmax_by_budget == argmax
+
+    @pytest.mark.parametrize("weights,costs,budgets,want", [
+        # at 2 the optima {0} and {1} tie and {0} comes first; at 1 only {1}
+        # of them fits, so it stays the optimum
+        ([1, 1], [2.0, 1.0], [2.0, 1.0], [(0,), (1,)]),
+        # at 2 the only optimum {0} does not fit 1: the next best is {1}
+        ([2, 1], [2.0, 1.0], [1.0, 2.0], [(1,), (0,)]),
+        # the first optimum fits every smaller budget
+        ([1, 3, 1], [1.0, 0.5, 2.0], [4.0, 0.5, 1.0, 3.5], [(0, 1, 2), (1,), (1,), (0, 1, 2)]),
+        # optima of two sizes: the smaller {0} comes first, only {1, 2} fits 1
+        ([2, 1, 1], [2.0, 0.5, 0.5], [2.0, 1.0], [(0,), (1, 2)]),
+        # {0, 1} comes first at 2.5; of the tied pairs {0, 2} and {0, 3} fit
+        # 2.25; none fits 1
+        ([1, 1, 1, 1], [1.0, 1.5, 1.25, 1.25], [2.5, 2.25, 1.0], [(0, 1), (0, 2), (0,)]),
+        # {2}, {3} and {0, 1} tie at 1.9; at 1.5 {3} costs exactly the budget
+        # and comes before {0, 1}, whose mask is smaller
+        ([1, 1, 2, 2], [0.5, 0.75, 1.75, 1.5], [1.9, 1.5], [(2,), (3,)]),
+    ])
+    def test_modular_optimum_that_stops_fitting(self, weights, costs, budgets, want):
+        obj = Modular(weights)
+        opt, argmax = reference_knapsack(obj, range(len(weights)), costs, budgets)
+        assert argmax == want
+        for chunk in (exact._CHUNK, 2, 1):
+            with mock.patch.object(exact, "_CHUNK", chunk):
+                prof = exact.opt_knapsack(obj, range(len(weights)), costs, budgets)
+            assert prof.opt_by_budget == opt
+            assert prof.argmax_by_budget == want
 
     @pytest.mark.parametrize("name", NON_DYADIC)
     def test_value_table_equals_eval(self, name):

@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 
 from prunekit import objectives, selection
 from prunekit.instances import gen_coverage, gen_gnm, gen_interference
-from prunekit.objectives import (CountingOracle, Cut, FacilityLocation,
-                                 Modular, OracleStats, PenaltyCurve, Proxy,
-                                 RestrictedFacilityLocation, counting_wrap, open_scan)
+from prunekit.objectives import (CountingOracle, Coverage, Cut, FacilityLocation,
+                                 InterferenceCoverage, Modular, OracleStats, PenaltyCurve,
+                                 Proxy, RestrictedFacilityLocation, counting_wrap,
+                                 open_scan, value_table)
 from prunekit.prune import (prune_fast_budget_range, prune_seq_disjoint,
                             prune_std_greedy, prune_threshold_stream, prune_window,
                             witness)
@@ -262,6 +263,54 @@ class TestFacilityKernelAtBlockEdges:
         assert fams["restricted_fl"].m < 20
         assert not fams["restricted_fl_ungated"].eval_ids(np.array([[0, 1, 2]])).any()
         assert fams["restricted_fl"].eval([0]) > 0.0
+
+
+def cover_families(n, m, seed):
+    """The coverage families over ``m`` items, whose covers reach the last
+    item, so the last of the ``ceil(m / 64)`` words is in use."""
+    rng = np.random.default_rng(seed)
+    covers = [rng.choice(m, size=rng.integers(1, 2 * m // n + 2), replace=False).tolist()
+              for _ in range(n)]
+    if m - 1 not in covers[-1]:
+        covers[-1].append(m - 1)
+    intf = {(i, j): float(rng.uniform(1, 5))
+            for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
+    return {
+        "coverage": Coverage(covers, m=m),
+        "weighted_coverage": Coverage(covers, m=m, weights=rng.uniform(0.5, 2.0, size=m)),
+        "interference": InterferenceCoverage(covers, intf, lam=0.3, m=m),
+    }
+
+
+class TestMultiWordCovers:
+    """Covers over 64, 65 and 200 items: one, two and four words per row.
+    Scan values keep ``eval``'s types: ``int`` for unweighted Coverage."""
+
+    @pytest.mark.parametrize("name", sorted(cover_families(3, 64, 0)))
+    @pytest.mark.parametrize("m", [64, 65, 200])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kernels_and_scan_match_eval(self, name, m, seed):
+        n = 8
+        obj = cover_families(n, m, seed)[name]
+        assert obj._words.shape[1] == -(-m // 64)
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(30):  # distinct ids padded with n anywhere
+            row = rng.choice(n, size=rng.integers(0, n + 1), replace=False).tolist()
+            rows.append(rng.permutation(row + [n] * (n - len(row))).tolist())
+        got = obj.eval_ids(np.array(rows))
+        assert got.dtype == np.float64
+        assert got.tolist() == [float(obj.eval([e for e in row if e < n])) for row in rows]
+        table = value_table(obj)
+        assert table.tolist() == [float(obj.eval([i for i in range(n) if mask >> i & 1]))
+                                  for mask in range(1 << n)]
+        scan, members = obj.scan(), []
+        for e in rng.permutation(n).tolist():
+            cands = np.array([c for c in range(n) if c not in members], dtype=np.intp)
+            assert typed(scan.values(cands).tolist()) == \
+                typed([obj.eval(members + [c]) for c in cands.tolist()])
+            scan.add(e)
+            members.append(e)
 
 
 # --------------------------------------------------------------------------
