@@ -5,7 +5,7 @@ verification side of every guarantee check.  Enumeration is guarded: a call
 that would visit more than the guard's subset count is refused with
 :class:`GuardExceeded` so callers can fall back to a greedy reference.  The
 guard defaults to 10^8 subsets and can be overridden with the
-``PRUNEKIT_GUARD`` environment variable or a keyword argument.
+``PRUNEKIT_GUARD`` environment variable, the one place it is set.
 
 :func:`opt_cardinality` enumerates with :func:`subset_batches`.  It builds
 subsets as numpy ``(batch, width)`` id arrays, never as Python tuples, in
@@ -62,7 +62,7 @@ import numpy as np
 from .objectives import Objective, power_set_sums, power_set_values, unwrap
 
 __all__ = ["GuardExceeded", "enumeration_guard", "cardinality_subset_count",
-           "OptProfile", "opt_cardinality", "opt_knapsack", "check_guard", "fits_guard",
+           "OptProfile", "opt_cardinality", "opt_knapsack", "check_guard",
            "subset_batches"]
 
 DEFAULT_GUARD = 10**8
@@ -254,20 +254,14 @@ def _sorted_universe(universe: Sequence[int], n: int) -> list[int]:
     return ids
 
 
-def check_guard(needed: int, guard: int | None = None) -> None:
+def check_guard(needed: int) -> None:
     """Raise :class:`GuardExceeded` if ``needed`` subsets exceed the guard."""
-    limit = enumeration_guard() if guard is None else int(guard)
-    if needed > limit:
+    if needed > (limit := enumeration_guard()):
         raise GuardExceeded(needed, limit)
 
 
-def fits_guard(needed: int, guard: int | None = None) -> bool:
-    limit = enumeration_guard() if guard is None else int(guard)
-    return needed <= limit
-
-
 def opt_cardinality(obj: Objective, universe: Sequence[int], k: int, *,
-                    guard: int | None = None, collect_ties: bool = False) -> OptProfile:
+                    collect_ties: bool = False) -> OptProfile:
     """Exact OPT_j = max_{|T| <= j} f(T) for every j = 0..k, in one sweep.
 
     Deterministic: the recorded argmax is the lexicographically smallest
@@ -283,7 +277,7 @@ def opt_cardinality(obj: Objective, universe: Sequence[int], k: int, *,
     if k < 0:
         raise ValueError("k must be >= 0")
     total = cardinality_subset_count(u, k)
-    check_guard(total, guard)
+    check_guard(total)
 
     # per size: its best value and its first optimal sets in enumeration order
     per_size: list[tuple[float, list[tuple[int, ...]]] | None] = [None] * (k + 1)
@@ -345,8 +339,8 @@ def _first_in_order(masks: np.ndarray, u: int) -> int:
     return int(masks[0])
 
 
-def opt_knapsack(obj: Objective, universe: Sequence[int], costs, budgets: Sequence[float],
-                 *, guard: int | None = None) -> OptProfile:
+def opt_knapsack(obj: Objective, universe: Sequence[int], costs,
+                 budgets: Sequence[float]) -> OptProfile:
     """Exact OPT_B = max {f(T) : c(T) <= B} for every queried budget, in one
     sweep over the power-set tables of the universe, block by block.
 
@@ -364,7 +358,7 @@ def opt_knapsack(obj: Objective, universe: Sequence[int], costs, budgets: Sequen
         raise ValueError("need at least one budget")
     if not all(b > 0 for b in budgets):  # NaN fails too
         raise ValueError("budgets must be positive")
-    check_guard(1 << u, guard)
+    check_guard(1 << u)
     cost = np.array([float(costs[e]) for e in universe])
     if u and not (np.isfinite(cost).all() and cost.min() > 0):
         raise ValueError("costs must be positive and finite")

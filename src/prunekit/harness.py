@@ -92,7 +92,7 @@ def _greedy_reference_values(obj: Objective, pool, k: int) -> list[float]:
 
 
 def containment_report(obj: Objective, pruned: PrunedSet, k: int,
-                       reference: str = "exact", *, guard: int | None = None) -> ContainmentReport:
+                       reference: str = "exact") -> ContainmentReport:
     """Certify alpha(k') for every k' = 1..k.
 
     ``reference="exact"`` enumerates both the full universe and the pruned
@@ -109,7 +109,7 @@ def containment_report(obj: Objective, pruned: PrunedSet, k: int,
 
     inside_exact = True
     try:
-        inside_profile = exact.opt_cardinality(obj, P, k, guard=guard)
+        inside_profile = exact.opt_cardinality(obj, P, k)
         best_inside = [float(v) for v in inside_profile.opt_by_budget[1:]]
         best_sets = [list(s) for s in inside_profile.argmax_by_budget[1:]]
         inside_count = inside_profile.enumerated_count
@@ -123,7 +123,7 @@ def containment_report(obj: Objective, pruned: PrunedSet, k: int,
         inside_count = 0
 
     if reference == "exact":
-        full_profile = exact.opt_cardinality(obj, range(n), k, guard=guard)
+        full_profile = exact.opt_cardinality(obj, range(n), k)
         denominators = [float(v) for v in full_profile.opt_by_budget[1:]]
         denom_count = full_profile.enumerated_count
     else:
@@ -226,8 +226,7 @@ def _sweep_cell(cell: dict) -> dict:
     algo = dict(cell["algorithm"])
     name = algo.pop("algo")
     pruned = run_pruner(name, obj, obj.n, cell["k"], seed=cell["seed"], **algo)
-    report = containment_report(obj, pruned, cell["k"], reference=cell["reference"],
-                                guard=cell.get("guard"))
+    report = containment_report(obj, pruned, cell["k"], reference=cell["reference"])
     return {
         "instance": cell["instance"],
         "algorithm": name,
@@ -244,7 +243,7 @@ def _sweep_cell(cell: dict) -> dict:
 
 def sweep(instances: Sequence[tuple[str, object]], algorithms: Sequence[dict],
           k: int, seeds: Sequence[int], reference: str = "exact",
-          jobs: int = 1, guard: int | None = None) -> SweepResult:
+          jobs: int = 1) -> SweepResult:
     """Run every (instance, algorithm, seed) cell and aggregate mean/std alpha.
 
     ``instances`` holds (id, instance) pairs, where an instance is an
@@ -262,7 +261,7 @@ def sweep(instances: Sequence[tuple[str, object]], algorithms: Sequence[dict],
             for seed in seeds:
                 cells.append({"instance": inst_id, "objective": payload,
                               "algorithm": dict(algo), "k": k, "seed": int(seed),
-                              "reference": reference, "guard": guard})
+                              "reference": reference})
     rows, errors = [], []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -455,8 +454,7 @@ def _median_time(fn, repeats: int = 3):
     return statistics.median(times), result
 
 
-def speedup_probe(obj: Objective, n: int, k: int, pruned: PrunedSet,
-                  guard: int | None = None) -> SpeedupResult:
+def speedup_probe(obj: Objective, n: int, k: int, pruned: PrunedSet) -> SpeedupResult:
     """Time exact extraction on the pruned set vs the full universe.
 
     Both sides use the same enumeration engine; times are medians of three
@@ -464,19 +462,15 @@ def speedup_probe(obj: Objective, n: int, k: int, pruned: PrunedSet,
     k until it fits and flags the result.
     """
     k_full = k
-    guard_limited = False
-    while k_full > 0 and not exact.fits_guard(
-            exact.cardinality_subset_count(n, k_full), guard):
-        guard_limited = True
+    limit = exact.enumeration_guard()
+    while k_full > 0 and exact.cardinality_subset_count(n, k_full) > limit:
         k_full -= 1
     if k_full == 0:
-        raise exact.GuardExceeded(exact.cardinality_subset_count(n, 1),
-                                  guard if guard is not None else exact.enumeration_guard())
+        raise exact.GuardExceeded(exact.cardinality_subset_count(n, 1), limit)
 
-    t_full, full_profile = _median_time(
-        lambda: exact.opt_cardinality(obj, range(n), k_full, guard=guard))
+    t_full, full_profile = _median_time(lambda: exact.opt_cardinality(obj, range(n), k_full))
     t_pruned, inside_profile = _median_time(
-        lambda: exact.opt_cardinality(obj, pruned.elements, min(k, k_full), guard=guard))
+        lambda: exact.opt_cardinality(obj, pruned.elements, min(k, k_full)))
     opt = full_profile.opt_by_budget[-1]
     alpha = _alpha(inside_profile.opt_by_budget[-1], opt)
     return SpeedupResult(
@@ -485,5 +479,5 @@ def speedup_probe(obj: Objective, n: int, k: int, pruned: PrunedSet,
         ratio=t_full / t_pruned if t_pruned > 0 else float("inf"),
         alpha=alpha,
         pruned_size=len(pruned.elements),
-        guard_limited=guard_limited,
+        guard_limited=k_full < k,
     )

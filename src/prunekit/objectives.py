@@ -2,9 +2,9 @@
 
 Elements of a ground set are dense integer ids ``0..n-1``.  Every objective
 exposes ``eval`` (value of a set), ``marginal`` (value gain of one element)
-and one batched path.  Objectives are pure after construction; the
-:class:`CountingOracle` wrapper adds query accounting for one thread
-(parallel sweeps run in worker processes, each with its own).
+and one batched path.  Objectives copy their inputs once and are pure after
+construction; the :class:`CountingOracle` wrapper adds query accounting for
+one thread (parallel sweeps run in worker processes, each with its own).
 
 Batched evaluation: ``eval_ids(ids)`` is the one batched entry point, called
 by the exact enumeration engine and the default candidate scan.  ``ids`` is
@@ -13,9 +13,9 @@ selection in any order, padded anywhere with the empty-slot id ``n``.  It
 returns one float per row, equal bit for bit to ``eval`` of that row
 whatever else is in the batch: each kernel reduces every row on its own in
 the order ``eval`` does, and none uses a matmul, whose row results depend on
-the rows batched with them.  Kernel arrays (Cut's degrees, the padded
-similarity rows, packed cover words) are built lazily.  ``_value`` stays the
-scalar path: a small batch costs tens of microseconds, a scalar value a few.
+the rows batched with them.  Cut's degrees and adjacency and the packed
+cover words are built lazily.  ``_value`` stays the scalar path: a small
+batch costs tens of microseconds, a scalar value a few.
 
 Power-set tables: :func:`power_set_values` gives ``f`` of every subset of a
 universe, indexed by subset mask, in blocks of masks that share their high
@@ -119,9 +119,9 @@ class PenaltyCurve:
         return {"theta": self.theta.tolist()}
 
 
-def _finite(values, what: str) -> np.ndarray:
-    """``values`` as a float array; NaN and infinite entries raise ValueError."""
-    arr = np.asarray(values, dtype=float)
+def _finite(values, what: str, copy: bool = True) -> np.ndarray:
+    """``values`` as a float array, copied if ``copy``; non-finite entries raise ValueError."""
+    arr = np.array(values, dtype=float) if copy else np.asarray(values, dtype=float)
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite")
     return arr
@@ -492,30 +492,29 @@ class FacilityLocation(Objective):
     """f(S) = sum over covered points v of max_{s in S} sim[v, s]; f({}) = 0.
 
     ``sim`` is an (m, n) non-negative similarity matrix: rows are covered
-    points, columns are selectable elements.  Monotone submodular.
+    points, columns are selectable elements.  Monotone submodular.  The one
+    copy is ``_sim_t``, a row per element and a zero row for the empty slot
+    ``n``; ``sim`` is a view of it.
     """
 
     def __init__(self, sim: np.ndarray):
-        sim = _finite(sim, "similarities")
+        sim = _finite(sim, "similarities", copy=False)  # read once, into _sim_t
         if sim.ndim != 2 or sim.shape[0] < 1 or sim.shape[1] < 1:
             raise ValueError("similarity matrix must be 2-d and non-empty")
         if sim.min() < 0:
             raise ValueError("similarities must be non-negative")
-        self.sim = sim
         self.m, self.n = sim.shape
+        self._sim_t = np.zeros((self.n + 1, self.m))  # C order, whatever sim's layout
+        self._sim_t[:self.n] = sim.T
+
+    @property
+    def sim(self) -> np.ndarray:
+        return self._sim_t[:self.n].T
 
     def _value(self, s):
         if not s:
             return 0.0
-        return float(self.sim[:, sorted(s)].max(axis=1).sum())
-
-    @functools.cached_property
-    def _sim_t(self) -> np.ndarray:
-        """sim transposed into contiguous rows, one per element, plus an
-        all-zero row for the empty slot ``n``."""
-        sim_t = np.zeros((self.n + 1, self.m))  # C order, whatever sim's layout
-        sim_t[:self.n] = self.sim.T
-        return sim_t
+        return float(self._sim_t[sorted(s)].max(axis=0).sum())
 
     def scan(self):
         return _FacilityScan(self, self._sim_t)
@@ -532,10 +531,11 @@ class RestrictedFacilityLocation(FacilityLocation):
     """Facility location restricted to rows with relevance above a gate.
 
     f(S) = sum over rows v with rel[v] > tau of max_{s in S} sim[v, s].
-    ``full_sim`` is the similarity matrix as given, validated whole; ``sim``
-    and ``m`` describe the gated rows, over which this is a plain facility
-    location.  When no row passes the gate, ``sim`` is one all-zero row, so
-    every value is 0.0.
+    ``full_sim`` (a view of the padded rows it was read into) is the matrix
+    as given, validated whole, for the serial form; ``sim`` and ``m``
+    describe the gated rows, over which this is a plain facility location.
+    When no row passes the gate, ``sim`` is one all-zero row, so every
+    value is 0.0.
     """
 
     def __init__(self, sim: np.ndarray, rel: Sequence[float], tau: float):
@@ -544,9 +544,9 @@ class RestrictedFacilityLocation(FacilityLocation):
         if rel.shape != (self.m,):
             raise ValueError("one relevance score per similarity row required")
         self.full_sim, self.rel, self.tau = self.sim, rel, float(_finite(tau, "gate tau"))
-        gate = rel > self.tau
-        self.sim = self.sim[gate] if gate.any() else np.zeros((1, self.n))
-        self.m = len(self.sim)
+        gated = self._sim_t.compress(rel > self.tau, axis=1)
+        self._sim_t = gated if gated.size else np.zeros((self.n + 1, 1))
+        self.m = self._sim_t.shape[1]
 
     def to_dict(self):
         return {"variant": "restricted_fl", "sim": self.full_sim.tolist(),
@@ -613,8 +613,9 @@ class InterferenceCoverage(_CoverObjective):
 
     f(S) = |union of covers| - lam * sum over selected pairs of intf(i, j).
     ``intf`` maps unordered pairs to non-negative intensities (symmetric,
-    zero diagonal).  Non-monotone for lam > 0.  The penalty adds the pair
-    weights in ascending pair order, the order of the serial form.
+    zero diagonal).  Non-monotone for lam > 0.  The pairs are kept once, in
+    ascending pair order, as end arrays ``_pi < _pj`` and weights ``_pw``;
+    every value path adds the weights of a set's pairs in that order.
     """
 
     def __init__(self, covers: Sequence[Iterable[int]],
@@ -640,16 +641,24 @@ class InterferenceCoverage(_CoverObjective):
             if key in pairs and pairs[key] != w:
                 raise ValueError(f"asymmetric intensities for pair {key}")
             pairs[key] = w
-        self.intf = pairs = dict(sorted(pairs.items()))
-        self._pi = np.asarray([p[0] for p in pairs], dtype=np.int64)
-        self._pj = np.asarray([p[1] for p in pairs], dtype=np.int64)
-        self._pw = np.asarray(list(pairs.values()), dtype=float)
+        ends = sorted(pairs)
+        self._pi = np.array([i for i, _ in ends], dtype=np.int64)
+        self._pj = np.array([j for _, j in ends], dtype=np.int64)
+        self._pw = np.array([pairs[key] for key in ends], dtype=float)
+
+    @property
+    def intf(self) -> dict[tuple[int, int], float]:
+        """The pair intensities, in ascending pair order."""
+        return dict(zip(zip(self._pi.tolist(), self._pj.tolist()), self._pw.tolist()))
 
     def _value(self, s):
         val = float(self._covered(s))
         if self.lam and len(s) > 1 and len(self._pw):
-            val -= self.lam * sum(w for (i, j), w in self.intf.items()
-                                  if i in s and j in s)
+            member = np.zeros(self.n, dtype=bool)
+            member[list(s)] = True
+            inside = self._pw[member[self._pi] & member[self._pj]].tolist()
+            # left to right as the kernels add; the builtin sum compensates from 3.12
+            val -= self.lam * functools.reduce(float.__add__, inside, 0.0)
         return val
 
     def scan(self):
@@ -666,7 +675,7 @@ class InterferenceCoverage(_CoverObjective):
 
     def _penalties(self, block: np.ndarray) -> np.ndarray:
         """Per row the weights of the pairs inside it, added one pair at a
-        time in ``intf`` order, as ``eval``'s ``sum`` adds them."""
+        time in pair order, as ``eval`` adds them."""
         member = np.zeros((self.n + 1, len(block)), dtype=bool)  # one row per id
         member[block, np.arange(len(block))[:, None]] = True
         used = member.any(axis=1)
@@ -680,15 +689,17 @@ class InterferenceCoverage(_CoverObjective):
     def _power_set(self, universe, low):
         """Covered counts minus ``lam`` times the pair penalties.  Each
         block adds the weight of every pair with both ends in the universe,
-        in ``intf`` order, to the masks holding both ends: the strided view
+        in pair order, to the masks holding both ends: the strided view
         over the low bits the pair sets, the whole block or nothing for its
         high ends.  That is ``_penalties``' add sequence, mask by mask."""
-        at = {e: i for i, e in enumerate(universe)}
-        pairs = [(at[i], at[j], w) for (i, j), w in self.intf.items()
-                 if i in at and j in at] if self.lam else []
+        bit = np.full(self.n, -1)
+        bit[universe] = np.arange(len(universe))
+        first, second = bit[self._pi], bit[self._pj]
+        both = (first >= 0) & (second >= 0)
+        pairs = list(zip(first[both].tolist(), second[both].tolist(), self._pw[both].tolist()))
         for prefix, union in enumerate(self._power_set_unions(universe, low)):
             out = _covered_count(union)
-            if pairs:
+            if self.lam and pairs:
                 total = np.zeros(len(out))
                 for p, q, w in pairs:
                     if all(prefix >> (b - low) & 1 for b in (p, q) if b >= low):
@@ -701,7 +712,7 @@ class InterferenceCoverage(_CoverObjective):
         return {
             "variant": "interference_coverage",
             "covers": [sorted(c) for c in self.covers],
-            "intf": [[i, j, w] for (i, j), w in sorted(self.intf.items())],
+            "intf": [[i, j, w] for (i, j), w in self.intf.items()],
             "lam": self.lam,
             "m": self.m,
         }
@@ -843,8 +854,8 @@ class _InterferenceScan(_CoverageScan):
     candidate's pair penalty.  Only a pair with an end in ``S`` can lie
     inside a row ``S + e``: one with both ends in ``S`` lies inside every
     row, any other only in the row of its far end.  Each row adds those
-    pairs' weights left to right in ``intf`` order, 0.0 where a pair is not
-    inside the row, as ``_value``'s ``sum`` adds them; the partial sums are
+    pairs' weights left to right in pair order, 0.0 where a pair is not
+    inside the row, as ``_value`` adds them; the partial sums are
     never negative, so the zeros change no bit."""
 
     def __init__(self, obj: InterferenceCoverage):
@@ -1096,7 +1107,7 @@ def power_set_values(obj: Objective, universe: Sequence[int], low: int):
 
     Unweighted :class:`Coverage` counts cover words OR-ed by doubling;
     weighted coverage takes ``_covered_weight`` of the same union words;
-    :class:`InterferenceCoverage` subtracts pair penalties added in ``intf``
+    :class:`InterferenceCoverage` subtracts pair penalties added in pair
     order.  Every other family values each block with ``eval_ids`` over the
     exact enumerator's batches of the low ids plus the block's high ids."""
     return unwrap(obj)._power_set(list(universe), low)

@@ -73,9 +73,10 @@ class TestOptCardinality:
 
 
 class TestGuard:
-    def test_exceeded_raises(self):
+    def test_exceeded_raises(self, monkeypatch):
+        monkeypatch.setenv(exact.GUARD_ENV, "1000")
         with pytest.raises(exact.GuardExceeded):
-            exact.opt_cardinality(Modular(np.ones(40)), range(40), 10, guard=1000)
+            exact.opt_cardinality(Modular(np.ones(40)), range(40), 10)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(exact.GUARD_ENV, "5")
@@ -135,10 +136,10 @@ class TestOptKnapsack:
         with pytest.raises(ValueError, match="cost"):
             exact.opt_knapsack(Modular([1, 2, 3]), range(3), [1.0, bad, 1.0], budgets=[2.0])
 
-    def test_guard_counts_power_set(self):
+    def test_guard_counts_power_set(self, monkeypatch):
+        monkeypatch.setenv(exact.GUARD_ENV, "100")
         with pytest.raises(exact.GuardExceeded):
-            exact.opt_knapsack(Modular(np.ones(12)), range(12), np.ones(12),
-                               budgets=[3.0], guard=100)
+            exact.opt_knapsack(Modular(np.ones(12)), range(12), np.ones(12), budgets=[3.0])
 
 
 # --------------------------------------------------------------------------
@@ -404,13 +405,38 @@ class TestKernels:
                         assert np.array_equal(vals[lo:hi], obj.eval_ids(ids[lo:hi])), name
 
     def test_kernel_arrays_are_built_lazily(self):
-        obj = FacilityLocation(np.ones((3, 4)))
-        assert "_sim_t" not in vars(obj)
-        obj.eval(range(2))
-        assert "_sim_t" not in vars(obj)
-        obj.eval_ids(np.array([[0, 4]]))
-        assert "_sim_t" in vars(obj)
-        assert obj._sim_t.flags.c_contiguous  # rows are gathered, one per id
+        cut = Cut(4, [(0, 1), (1, 2), (2, 3)])
+        cut.eval(range(2))
+        assert "_degrees" not in vars(cut) and "_adjacency" not in vars(cut)
+        cut.eval_ids(np.array([[0, 4]]))
+        assert "_degrees" in vars(cut) and "_adjacency" not in vars(cut)
+        cut.scan().add(0)
+        assert "_adjacency" in vars(cut)
+        cov = Coverage([[0, 1], [1, 2]])
+        cov.eval(range(2))
+        assert "_words" not in vars(cov)
+        cov.eval_ids(np.array([[0, 2]]))
+        assert "_words" in vars(cov)
+        # facility location keeps one array, built at once: sim is a view of it
+        fl = FacilityLocation(np.ones((3, 4)))
+        assert np.shares_memory(fl.sim, fl._sim_t)
+        assert fl._sim_t.flags.c_contiguous  # rows are gathered, one per id
+        rfl = RestrictedFacilityLocation(np.ones((3, 4)), [0.9, 0.1, 0.8], tau=0.5)
+        assert np.shares_memory(rfl.sim, rfl._sim_t) and rfl._sim_t.flags.c_contiguous
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_interference_scalar_path_at_scale(self, seed):
+        # hundreds of pairs inside the larger sets: the scalar sum and the
+        # batched pair loop add the same weights in the same order
+        obj = gen_interference(300, 100, seed=seed)
+        assert not any(isinstance(v, dict) for v in vars(obj).values())
+        rng = np.random.default_rng(seed)
+        for size in range(41):
+            S = rng.choice(300, size=size, replace=False)
+            row = obj.eval_ids(np.concatenate([S, [300]])[None, :])[0]
+            val = obj.eval(S)
+            assert type(val) is float and type(row) is np.float64
+            assert val == row
 
 
 class TestCutPairTable:

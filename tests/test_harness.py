@@ -69,10 +69,11 @@ class TestContainmentReport:
         after = containment_report(obj, PrunedSet.load(path), 3)
         assert before.alphas == after.alphas
 
-    def test_exact_reference_guard(self):
+    def test_exact_reference_guard(self, monkeypatch):
+        monkeypatch.setenv(exact.GUARD_ENV, "500")
         obj = Modular(np.ones(40))
         with pytest.raises(exact.GuardExceeded):
-            containment_report(obj, prune_random(40, 10, seed=0), 8, guard=500)
+            containment_report(obj, prune_random(40, 10, seed=0), 8)
 
     def test_invalid_reference(self, triangle):
         with pytest.raises(ValueError):
@@ -257,7 +258,8 @@ class TestSpeedupProbe:
         assert result.alpha == 1.0
         assert 0.2 <= result.ratio <= 5.0
 
-    def test_guard_capping_flagged(self):
+    def test_guard_capping_flagged(self, monkeypatch):
+        monkeypatch.setenv(exact.GUARD_ENV, "5000")
         obj = Modular(np.ones(30))
-        result = speedup_probe(obj, 30, 5, full_universe(30), guard=5000)
+        result = speedup_probe(obj, 30, 5, full_universe(30))
         assert result.guard_limited

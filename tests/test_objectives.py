@@ -372,6 +372,68 @@ class TestSerialization:
             objective_from_dict({"variant": "nope"})
 
 
+def owned_input_families():
+    """Per family that takes array or mapping inputs: a function making the
+    objective from those inputs, and the inputs as a caller would hold them."""
+    rng = np.random.default_rng(5)
+    covers = [[0, 1], [1, 2], [3], [0, 4]]
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    sim = rng.uniform(0.1, 1.0, size=(5, 4))
+    return {
+        "facility_location": (FacilityLocation, [np.ones((3, 4))]),
+        "restricted_fl": (lambda s, r: RestrictedFacilityLocation(s, r, tau=0.5),
+                          [sim.copy(), np.array([0.9, 0.1, 0.7, 0.8, 0.2])]),
+        "proxy": (lambda s, t: Proxy(FacilityLocation(s), PenaltyCurve(t)),
+                  [sim.copy(), np.array([0.0, 0.1, 0.3, 0.6, 1.0])]),
+        "weighted_coverage": (lambda w: Coverage(covers, weights=w), [np.arange(1.0, 6.0)]),
+        "weighted_cut": (lambda w: Cut(4, edges, weights=w), [np.array([1.0, 2.0, 0.5, 3.0])]),
+        "modular": (Modular, [np.ones(4)]),
+        "interference": (lambda intf: InterferenceCoverage(covers, intf, lam=0.5),
+                         [{(0, 1): 1.5, (1, 3): 2.0, (2, 3): 0.25}]),
+    }
+
+
+def _arrays(obj):
+    """The arrays an objective holds, its inner facility location's and
+    penalty curve's included."""
+    out = []
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            out.append(value)
+        elif isinstance(value, (FacilityLocation, PenaltyCurve)):
+            out += _arrays(value)
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(owned_input_families()))
+def test_objectives_own_their_inputs(family):
+    # every value path, read before and after the caller writes over the
+    # arrays and mappings the objective was built from
+    build, inputs = owned_input_families()[family]
+    obj = build(*inputs)
+    n = obj.n
+    ids = np.array([[0, 1, n], [2, n, n], [1, 2, 3]])
+
+    def readings():
+        scan = obj.scan()
+        scan.add(0)
+        return ([obj.eval(S) for S in ([0], [0, 1], [1, 2, 3], range(n))],
+                obj.eval_ids(ids).tolist(), scan.values(np.arange(1, n)).tolist(),
+                json.dumps(obj.to_dict()))
+
+    before = readings()
+    for x in inputs:
+        if isinstance(x, dict):
+            for key in x:
+                x[key] = 5.0
+        else:
+            x[...] = 5.0
+    assert readings() == before, family
+    for arr in _arrays(obj):
+        assert not any(np.shares_memory(arr, x) for x in inputs
+                       if isinstance(x, np.ndarray)), family
+
+
 NON_FINITE_INPUTS = {
     "coverage": lambda bad: Coverage([[0], [1, 2]], weights=[1.0, bad, 2.0]),
     "cut": lambda bad: Cut(3, [(0, 1), (1, 2)], weights=[bad, 1.0]),
