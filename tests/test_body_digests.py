@@ -9,13 +9,16 @@ a body updates the digest and says why.
 
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import build_variants, supermodular_counterexample
 
+from prunekit import knapsack
 from prunekit.cli import EXIT_OK, main
-from prunekit.instances import gen_gnm
+from prunekit.instances import gen_coverage, gen_gnm, gen_interference
+from prunekit.knapsack import KnapsackInstance, extract_budget_grid, prune_sdg_density
 from prunekit.objectives import (Cut, TableObjective, check_monotone,
                                  check_submodular, objective_from_dict)
 
@@ -67,6 +70,52 @@ def test_sdg_density_coverage_bodies(tmp_path, coverage_source):
         "--budgets-grid", 6, "--out", report)
     assert digest(body(pruned)) == PRUNED_KNAPSACK
     assert digest(body(report)) == REPORT_KNAPSACK
+
+
+PRUNER_ARGS = {
+    "window_rand": ["--algo", "window_rand", "--k", 4, "--omega", 2, "--seed", 5],
+    "window_max": ["--algo", "window_max", "--k", 4, "--omega", 2],
+    "std_greedy": ["--algo", "std_greedy", "--k", 4, "--p", 9],
+    "std_greedy_omega": ["--algo", "std_greedy", "--k", 3, "--omega", 2],
+    "fast_budget_range": ["--algo", "fast_budget_range", "--k", 6, "--epsilon", 0.1],
+    "threshold_stream": ["--algo", "threshold_stream", "--k", 4, "--omega", 2,
+                         "--epsilon", 0.2],
+    "threshold_stream_shuffled": ["--algo", "threshold_stream", "--k", 4, "--omega", 2,
+                                  "--epsilon", 0.2, "--stream-shuffle", "--seed", 7],
+    "random": ["--algo", "random", "--k", 4, "--omega", 2, "--seed", 5],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNER_ARGS))
+def test_cut_pruner_bodies(tmp_path, cut_source, name):
+    pruned = tmp_path / "p.json"
+    run("prune", *cut_source, *PRUNER_ARGS[name], "--out", pruned)
+    assert digest(body(pruned)) == PRUNED_BODIES[name]
+
+
+def test_density_route_extractions():
+    """The sets the density route extracts per budget, with exhaustive
+    extraction switched off, on a monotone and a real-valued non-monotone
+    objective."""
+    budgets = np.linspace(0.1, 1.0, 10).tolist()
+    got = {}
+    for name, obj in (("coverage", gen_coverage(18, 24, seed=19)),
+                      ("interference", gen_interference(18, 24, seed=4))):
+        inst = KnapsackInstance(np.random.default_rng(19).uniform(0.05, 1.0, size=18), 1.0)
+        pruned = prune_sdg_density(obj, inst, ell=3)
+        with mock.patch.object(knapsack, "EXHAUSTIVE_CAP", 0):
+            got[name] = digest(extract_budget_grid(pruned, obj, budgets))
+    assert got == DENSITY_ROUTE
+
+
+GNM_CASES = [(2, 1), (3, 3), (24, 72), (200, 19900), (1000, 5000), (5, 0)]
+
+
+def test_gnm_edge_lists():
+    """Edge lists keep their order and their Python ``int`` ends (JSON
+    refuses numpy integers)."""
+    got = [digest(gen_gnm(n, m, seed=n + m)) for n, m in GNM_CASES]
+    assert got == GNM_EDGES
 
 
 def test_sampled_submodularity_reports(coverage_source):
@@ -159,3 +208,26 @@ LATE_CHECKS = {
     "check_submodular": "fe8ed3fecbcf8a4edb7d2aff2b718c4d27b6aa169ed88c4771a7df0119546eec",
     "check_monotone": "f8c976661fd2baa5932101a976f986a719d0ec7f3ce24e228c98e36490916863",
 }
+PRUNED_BODIES = {
+    "window_rand": "bdd9f85634c9fff1e4404a30aa25ec60966c4c0d16513a085533ac337eba4968",
+    "window_max": "22ff22d7336f194550036b2792b6a7a0e2c24d41b8732479edd72ff0fde7e0ca",
+    "std_greedy": "296ca5517b45d66b9bcb4ea1a933aa3f0d519aecf4b299187f05c7db188a8ef5",
+    "std_greedy_omega": "5a02b37ac19d90e37b4850d0e8fa68b7f5e0afb3ad1f420c9b0528d3018e0782",
+    "fast_budget_range": "8f12bbb4ffe6e80a009ecab978a38dd7e57d4f9c65e7c38db8df476f040289be",
+    "threshold_stream": "3d1155ee6241377b5fffaaac4a7bb333451b9b9a540e89ac3d3b02fd227390ec",
+    "threshold_stream_shuffled":
+        "8511f2e4432ba653569b2355f2e919bba9113c87ab5820d7045f1d2ed84ac5bc",
+    "random": "e605526b9b7d3bcb0642a349e47e6b233e2f1e537b0f538f3b7f96dbc2ccf579",
+}
+DENSITY_ROUTE = {
+    "coverage": "a59d32a7eab64bc3c39bd2f2b2f427724c8483c0916d903e422507e20f932aa0",
+    "interference": "3617ad05b15d92fe3a3e444fa1f8072432249749ca21793bda1653011ee9fafd",
+}
+GNM_EDGES = [
+    "4b206b21939b457eb85499fb9142a2b2ff32d29b25b2a70733887616d179d748",
+    "7d7556132648a252e9ef78d0dc116a0e5005ddf237f4ef15799a489d31481595",
+    "eb8943536c6106525c64b6b11de953ecad83c3176da3c0abe15c438f43577159",
+    "0bed2055edd396a0642ed7cd9ba01894a49c9aa2461b3a6380b2d3ad970e7f92",
+    "9cdcb9b60ba8c04da9566d2d77ab531876b403f4671aaddb7a4c42e421353742",
+    "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+]
