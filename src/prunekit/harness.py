@@ -162,6 +162,9 @@ def run_pruner(name: str, obj: Objective, n: int, k: int, *, omega: int | None =
     window width for window pruners, and p = omega * k elements for the
     flat-budget baselines.  The stream pruner scans ids in natural order
     unless ``stream_shuffle`` asks for a seeded permutation."""
+    budget = p if p is not None else (omega * k if omega else None)
+    if budget is None and name in ("std_greedy", "threshold_stream", "random"):
+        raise ValueError(f"{name} needs p or omega")
     if name == "seq_disjoint":
         return prune_seq_disjoint(obj, n, k, ell=ell if ell is not None else omega,
                                   epsilon=None if (ell or omega) else epsilon)
@@ -171,18 +174,12 @@ def run_pruner(name: str, obj: Objective, n: int, k: int, *, omega: int | None =
         return prune_window(obj, n, k, omega, seed=seed,
                             pick="random" if name == "window_rand" else "argmax")
     if name == "std_greedy":
-        budget = p if p is not None else (omega * k if omega else None)
-        if budget is None:
-            raise ValueError("std_greedy needs p or omega")
         return prune_std_greedy(obj, n, budget)
     if name == "fast_budget_range":
         if epsilon is None:
             raise ValueError("fast_budget_range needs epsilon")
         return prune_fast_budget_range(obj, n, k, epsilon)
     if name == "threshold_stream":
-        budget = p if p is not None else (omega * k if omega else None)
-        if budget is None:
-            raise ValueError("threshold_stream needs p or omega")
         eps = epsilon if epsilon is not None else 0.1
         if stream_shuffle:
             seq = np.random.default_rng(seed).permutation(n).tolist()
@@ -190,9 +187,6 @@ def run_pruner(name: str, obj: Objective, n: int, k: int, *, omega: int | None =
             seq = list(range(n))
         return prune_threshold_stream(obj, seq, k, budget, eps)
     if name == "random":
-        budget = p if p is not None else (omega * k if omega else None)
-        if budget is None:
-            raise ValueError("random needs p or omega")
         return prune_random(n, budget, seed=seed)
     raise ValueError(f"unknown pruner {name!r}; known: {PRUNER_NAMES}")
 
@@ -461,6 +455,8 @@ def speedup_probe(obj: Objective, n: int, k: int, pruned: PrunedSet) -> SpeedupR
     runs.  If the full-universe enumeration trips the guard, the probe caps
     k until it fits and flags the result.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     k_full = k
     limit = exact.enumeration_guard()
     while k_full > 0 and exact.cardinality_subset_count(n, k_full) > limit:

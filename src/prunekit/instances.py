@@ -67,24 +67,13 @@ def gen_gnm(n: int, m: int, seed: int = 0) -> list[tuple[int, int]]:
     total = n * (n - 1) // 2
     if not (0 <= m <= total):
         raise ValueError(f"m must be in [0, {total}] for n={n}, got {m}")
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(total, size=m, replace=False)
-
-    def row_start(u: int) -> int:
-        return (u * (2 * n - u - 1)) // 2
-
-    edges = []
-    for idx in sorted(chosen.tolist()):
-        # decode linear index into the (u < v) pair grid; fix float rounding
-        u = int((2 * n - 1 - math.sqrt((2 * n - 1) ** 2 - 8 * idx)) / 2)
-        u = max(0, min(u, n - 2))
-        while u + 1 <= n - 2 and row_start(u + 1) <= idx:
-            u += 1
-        while u > 0 and row_start(u) > idx:
-            u -= 1
-        v = u + 1 + (idx - row_start(u))
-        edges.append((u, v))
-    return edges
+    idx = np.sort(np.random.default_rng(seed).choice(total, size=m, replace=False))
+    # decode linear indices into the (u < v) pair grid: row u starts at starts[u]
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2
+    u = np.searchsorted(starts, idx, "right") - 1
+    v = u + 1 + idx - starts[u]
+    return list(zip(u.tolist(), v.tolist()))
 
 
 def gen_planted(n: int, communities: int, p_in: float = 0.3, p_out: float = 0.05,

@@ -1,28 +1,28 @@
 """Knapsack-constraint pruning and per-budget extraction.
 
-Pruning runs ``ell`` sequential disjoint density-greedy passes, each stopping
-at accepted cost 2B while accepting nothing that would push it past 3B, so
-the union P costs at most ``3 * ell * B``.  One pruned set then serves every
-query budget B' <= B: :func:`extract_budget` finds a feasible subset of P
-without re-pruning.
+Pruning is the skeleton of :mod:`prunekit.prune` with a density engine:
+``ell`` sequential disjoint density-greedy passes, each stopping at accepted
+cost 2B while accepting nothing that would push it past 3B, so the union P
+costs at most ``3 * ell * B``.  One pruned set then serves every query
+budget B' <= B: :func:`extract_budget` finds a feasible subset of P without
+re-pruning.
 
 Extraction enumerates every subset of P, and returns each budget's exact
 optimum over P, when |P| is at most :data:`EXHAUSTIVE_CAP` and the
-enumeration guard allows it; otherwise it takes the better of a
-density-greedy prefix and the best feasible singleton.  The cap is read at
-call time, so a caller (a test forcing the density route, say) can patch it.
+enumeration guard allows it; otherwise it takes the better, by ``eval``, of
+the best prefix of a density-greedy pass and the best feasible singleton.
+The cap is read at call time, so a caller (a test forcing the density
+route, say) can patch it.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import exact
-from .objectives import REAL_TOL, Objective, OracleStats, counting_wrap
-from .prune import PruneParams
-from .selection import DensityRun, density_greedy
+from .objectives import Objective, OracleStats
+from .prune import PrunedFile, PruneParams, metered
+from .selection import DensityRun, add_left_to_right, density_greedy, disjoint_runs
 
 __all__ = ["KnapsackInstance", "KnapsackPrunedSet", "prune_sdg_density",
            "extract_budget", "extract_budget_grid"]
@@ -60,14 +60,14 @@ class KnapsackInstance:
                 raise ValueError(f"query budget must be in (0, B], got {b}")
 
     def cost(self, S) -> float:
-        return float(sum(self.costs[int(e)] for e in S))
+        return add_left_to_right(self.costs[int(e)] for e in S)
 
     def to_dict(self) -> dict:
         return {"costs": list(self.costs), "B": self.B}
 
 
 @dataclass
-class KnapsackPrunedSet:
+class KnapsackPrunedSet(PrunedFile):
     """Pruned universe for a knapsack instance, with per-run provenance."""
 
     params: dict
@@ -75,11 +75,11 @@ class KnapsackPrunedSet:
     elements: list[int]
     runs: list[DensityRun]
     total_cost: float
-    stats: OracleStats
+    stats: OracleStats = field(default_factory=OracleStats)
     elapsed: float = 0.0
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+        return self._timed({
             "algorithm": "sdg_density",
             "params": self.params,
             "instance": self.instance.to_dict(),
@@ -87,16 +87,11 @@ class KnapsackPrunedSet:
             "runs": [r.to_dict() for r in self.runs],
             "total_cost": self.total_cost,
             "stats": self.stats.to_dict(),
-        }
-        if include_timing:
-            out["elapsed"] = self.elapsed
-        return out
+        }, include_timing)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "KnapsackPrunedSet":
-        runs = [DensityRun(r["picks"], r["gains"], r["costs"],
-                           [g / c for g, c in zip(r["gains"], r["costs"])],
-                           r["dummy_cost"])
+        runs = [DensityRun(r["picks"], r["gains"], r["costs"], r["dummy_cost"])
                 for r in payload["runs"]]
         return cls(
             params=payload["params"],
@@ -108,16 +103,8 @@ class KnapsackPrunedSet:
             elapsed=payload.get("elapsed", 0.0),
         )
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(include_timing=True), fh, indent=1, sort_keys=True)
 
-    @classmethod
-    def load(cls, path) -> "KnapsackPrunedSet":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-
+@metered
 def prune_sdg_density(obj: Objective, instance: KnapsackInstance,
                       ell: int | None = None, epsilon: float | None = None) -> KnapsackPrunedSet:
     """Sequential disjoint density-greedy pruning.
@@ -131,17 +118,11 @@ def prune_sdg_density(obj: Objective, instance: KnapsackInstance,
     """
     if instance.n != obj.n:
         raise ValueError(f"instance has {instance.n} costs, objective has n={obj.n}")
-    params = PruneParams(k=1, ell=ell, epsilon=epsilon)
-    ell = params.resolved_ell()
-    oracle = counting_wrap(obj)
-    t0 = time.perf_counter()
-    pool = set(range(obj.n))
-    runs: list[DensityRun] = []
-    for _ in range(ell):
-        run = density_greedy(oracle, pool, instance.costs,
-                             stop_cost=2.0 * instance.B, keep_cap=3.0 * instance.B)
-        runs.append(run)
-        pool -= set(run.picks)
+    ell = PruneParams(k=1, ell=ell, epsilon=epsilon).resolved_ell()
+    runs = disjoint_runs(lambda pool: density_greedy(obj, pool, instance.costs,
+                                                     stop_cost=2.0 * instance.B,
+                                                     keep_cap=3.0 * instance.B),
+                         range(obj.n), ell)
     elements = sorted({e for run in runs for e in run.picks})
     return KnapsackPrunedSet(
         params={"ell": ell, "B": instance.B, "n": obj.n},
@@ -149,8 +130,6 @@ def prune_sdg_density(obj: Objective, instance: KnapsackInstance,
         elements=elements,
         runs=runs,
         total_cost=instance.cost(elements),
-        stats=oracle.stats(),
-        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -159,19 +138,16 @@ def extract_budget(pruned: KnapsackPrunedSet, obj: Objective, b_prime: float) ->
 
     Routes: exact enumeration over P when |P| is small enough and the guard
     allows it, otherwise the best prefix of a density-greedy pass over P at
-    stop/keep = B' or the best feasible singleton, whichever is worth more.
-    The result always costs at most B'.
+    stop/keep = B' or the best feasible singleton, whichever ``eval`` rates
+    higher (the prefix on ties).  The result always costs at most B'.
     """
-    return _extract_many(pruned, obj, [b_prime])[0]
+    return extract_budget_grid(pruned, obj, [b_prime])[0]
 
 
 def extract_budget_grid(pruned: KnapsackPrunedSet, obj: Objective,
                         budgets) -> list[list[int]]:
     """Per-budget extraction sharing one enumeration sweep across the grid."""
-    return _extract_many(pruned, obj, list(budgets))
-
-
-def _extract_many(pruned, obj, budgets):
+    budgets = list(budgets)
     inst = pruned.instance
     inst.check_budgets(budgets)
     P = pruned.elements
@@ -182,26 +158,17 @@ def _extract_many(pruned, obj, budgets):
         except exact.GuardExceeded:
             pass
 
-    # density route: one pass per budget, scoring every prefix of the run,
-    # against the best feasible singleton
+    # density route: one pass per budget; its best prefix (the first maximum of
+    # the running sums; the pass accepts nothing past b) and the feasible
+    # singletons are compared by eval, the prefix and then the lowest id first.
     empty = float(obj.eval(()))
     singles = {e: float(obj.eval((e,))) for e in P}
     out = []
     for b in budgets:
         run = density_greedy(obj, P, inst.costs, stop_cost=b, keep_cap=b)
-        value = empty
-        best_val, best_prefix = empty, []
-        for i, gain in enumerate(run.gains):
-            value += gain
-            if value > best_val:
-                best_val, best_prefix = value, run.picks[: i + 1]
-        candidates = [(best_val, list(best_prefix))]
-        feas = [e for e in P if inst.costs[e] <= b]
-        if feas:
-            sv, se = max(((singles[e], e) for e in feas),
-                         key=lambda t: (t[0], -t[1]))
-            candidates.append((sv, [se]))
-        feasible = [(v, s) for v, s in candidates if inst.cost(s) <= b + REAL_TOL]
-        val, sel = max(feasible, key=lambda t: t[0])
-        out.append(sorted(sel))
+        values = run.prefix_values(empty)
+        prefix = run.picks[:values.index(max(values))]
+        candidates = [(float(obj.eval(prefix)), prefix)]
+        candidates += [(singles[e], [e]) for e in P if inst.costs[e] <= b]
+        out.append(sorted(max(candidates, key=lambda t: t[0])[1]))
     return out

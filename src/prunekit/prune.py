@@ -1,13 +1,15 @@
-"""Cardinality-constraint pruners.
+"""Cardinality-constraint pruners, and the skeleton the knapsack pruner shares.
 
 Each pruner reduces the ground set ``0..n-1`` to a smaller universe ``P``
 that keeps, for every downstream budget ``k' <= k``, a feasible subset worth
 a guaranteed (or empirically measured) fraction of the optimum.  Every run
 returns a :class:`PrunedSet` carrying the elements, the provenance structure
 the guarantee argument needs (disjoint runs, windows, or a threshold run),
-a query-count snapshot, and wall time.  Queries are counted as the engines
-in :mod:`prunekit.selection` count them: one per set value a candidate scan
-computes.
+a query-count snapshot, and wall time, all filled in by :func:`metered`.
+Queries are counted as the engines in :mod:`prunekit.selection` count them:
+one per set value a candidate scan computes.  Disjoint runs come from
+:func:`prunekit.selection.disjoint_runs` (``std_greedy`` is one run), and
+:class:`PrunedFile` writes and reads every pruned-set file.
 
 Guarantee handles used by the harness:
 
@@ -20,16 +22,17 @@ Guarantee handles used by the harness:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .objectives import Objective, OracleStats, counting_wrap
-from .selection import GreedyRun, greedy, threshold_greedy, threshold_stream, window_greedy
+from .selection import disjoint_runs, greedy, threshold_greedy, threshold_stream, window_greedy
 
 __all__ = [
     "PruneParams", "PrunedSet",
@@ -71,15 +74,45 @@ class PruneParams:
         raise ValueError("need ell or epsilon")
 
 
+def metered(prune):
+    """Run ``prune`` on a query-counting oracle over its objective (its first
+    argument) and fill in the result's ``stats`` and ``elapsed``."""
+    @functools.wraps(prune)
+    def run(obj, *args, **kwargs):
+        oracle = counting_wrap(obj)
+        t0 = time.perf_counter()
+        pruned = prune(oracle, *args, **kwargs)
+        pruned.elapsed = time.perf_counter() - t0
+        pruned.stats = oracle.stats()
+        return pruned
+    return run
+
+
+class PrunedFile:
+    """The pruned-set file: ``to_dict(include_timing=True)`` as sorted JSON."""
+
+    def _timed(self, body: dict, include_timing: bool) -> dict:
+        return {**body, "elapsed": self.elapsed} if include_timing else body
+
+    def save(self, path) -> None:
+        with open(path, "w") as fh:
+            json.dump(self.to_dict(include_timing=True), fh, indent=1, sort_keys=True)
+
+    @classmethod
+    def load(cls, path):
+        with open(path) as fh:
+            return cls.from_dict(json.load(fh))
+
+
 @dataclass
-class PrunedSet:
+class PrunedSet(PrunedFile):
     """A pruned universe with provenance, query stats, and timing."""
 
     algorithm: str
     params: dict
     elements: list[int]
     structure: dict
-    stats: OracleStats
+    stats: OracleStats = field(default_factory=OracleStats)
     elapsed: float = 0.0
     cap: int | None = None
 
@@ -93,17 +126,14 @@ class PrunedSet:
         return frozenset(self.elements)
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+        return self._timed({
             "algorithm": self.algorithm,
             "params": self.params,
             "elements": self.elements,
             "structure": self.structure,
             "stats": self.stats.to_dict(),
             "cap": self.cap,
-        }
-        if include_timing:
-            out["elapsed"] = self.elapsed
-        return out
+        }, include_timing)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PrunedSet":
@@ -123,18 +153,9 @@ class PrunedSet:
             cap=payload.get("cap"),
         )
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(include_timing=True), fh, indent=1, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "PrunedSet":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 def _empty_pruned(algorithm: str, params: dict) -> PrunedSet:
-    return PrunedSet(algorithm, params, [], {"kind": "flat"}, OracleStats(), 0.0, cap=0)
+    return PrunedSet(algorithm, params, [], {"kind": "flat"}, cap=0)
 
 
 def sdg_bound(ell: int) -> float:
@@ -147,6 +168,7 @@ def window_bound(omega: float, k: int) -> float:
     return (1.0 - 1.0 / (omega * k)) ** k / 2.0
 
 
+@metered
 def prune_seq_disjoint(obj: Objective, n: int, k: int, ell: int | None = None,
                        epsilon: float | None = None) -> PrunedSet:
     """Sequential disjoint greedy: ``ell`` greedy runs of size k, each on the
@@ -160,28 +182,18 @@ def prune_seq_disjoint(obj: Objective, n: int, k: int, ell: int | None = None,
     """
     if k == 0:
         return _empty_pruned("seq_disjoint", {"k": 0, "ell": ell})
-    params = PruneParams(k=k, ell=ell, epsilon=epsilon)
-    ell = params.resolved_ell()
-    oracle = counting_wrap(obj)
-    t0 = time.perf_counter()
-    pool = set(range(n))
-    runs: list[GreedyRun] = []
-    for _ in range(ell):
-        run = greedy(oracle, pool, k)
-        runs.append(run)
-        pool -= set(run.picks)
-    elements = [e for run in runs for e in run.picks]
+    ell = PruneParams(k=k, ell=ell, epsilon=epsilon).resolved_ell()
+    runs = disjoint_runs(lambda pool: greedy(obj, pool, k), range(n), ell)
     return PrunedSet(
         algorithm="seq_disjoint",
         params={"k": k, "ell": ell, "n": n},
-        elements=elements,
+        elements=[e for run in runs for e in run.picks],
         structure={"kind": "disjoint_runs", "runs": [r.picks for r in runs]},
-        stats=oracle.stats(),
-        elapsed=time.perf_counter() - t0,
         cap=ell * k,
     )
 
 
+@metered
 def prune_window(obj: Objective, n: int, k: int, omega: int, seed: int = 0,
                  pick: str = "random") -> PrunedSet:
     """Window pruning: k rounds, each keeping the top-min(omega*k, remaining)
@@ -189,8 +201,8 @@ def prune_window(obj: Objective, n: int, k: int, omega: int, seed: int = 0,
 
     ``pick="random"`` commits a uniformly random window element (the variant
     the expectation guarantee applies to); ``pick="argmax"`` commits the best
-    one.  P is the union of all windows plus the committed picks,
-    |P| <= k + omega * k^2.  Queries <= k * n + 1.
+    one.  P is the union of all windows, each of which holds its round's
+    pick, so |P| <= k + omega * k^2.  Queries <= k * n + 1.
     """
     if pick not in ("random", "argmax"):
         raise ValueError(f"pick must be 'random' or 'argmax', got {pick!r}")
@@ -198,27 +210,20 @@ def prune_window(obj: Objective, n: int, k: int, omega: int, seed: int = 0,
         return _empty_pruned("window", {"k": 0, "omega": omega, "pick": pick})
     PruneParams(k=k, omega=omega)
     rng = np.random.default_rng(seed)
-    oracle = counting_wrap(obj)
-    t0 = time.perf_counter()
     choose = (lambda width: int(rng.integers(width))) if pick == "random" else (lambda width: 0)
-    run, windows = window_greedy(oracle, range(n), k, omega * k, choose)
-    picks = run.picks
-    elements = set(picks)
-    for win in windows:
-        elements.update(win)
+    run, windows = window_greedy(obj, range(n), k, omega * k, choose)
     return PrunedSet(
         algorithm="window",
         params={"k": k, "omega": omega, "seed": seed, "pick": pick, "n": n},
-        elements=sorted(elements),
-        structure={"kind": "windows", "picks": picks, "windows": windows},
-        stats=oracle.stats(),
-        elapsed=time.perf_counter() - t0,
+        elements={e for window in windows for e in window},
+        structure={"kind": "windows", "picks": run.picks, "windows": windows},
         cap=k + omega * k * k,
     )
 
 
+@metered
 def prune_std_greedy(obj: Objective, n: int, p: int) -> PrunedSet:
-    """One plain greedy run of size min(p, n); P is its picks.
+    """One disjoint greedy run of size min(p, n); P is its picks.
 
     For monotone objectives the greedy prefix property makes this the
     canonical pruner; for non-monotone ones it is the baseline the
@@ -228,20 +233,17 @@ def prune_std_greedy(obj: Objective, n: int, p: int) -> PrunedSet:
         return _empty_pruned("std_greedy", {"p": 0})
     if p < 1:
         raise ValueError("p must be >= 1")
-    oracle = counting_wrap(obj)
-    t0 = time.perf_counter()
-    run = greedy(oracle, range(n), min(p, n))
+    runs = disjoint_runs(lambda pool: greedy(obj, pool, min(p, n)), range(n), 1)
     return PrunedSet(
         algorithm="std_greedy",
         params={"p": p, "n": n},
-        elements=run.picks,
-        structure={"kind": "disjoint_runs", "runs": [run.picks]},
-        stats=oracle.stats(),
-        elapsed=time.perf_counter() - t0,
+        elements=runs[0].picks,
+        structure={"kind": "disjoint_runs", "runs": [r.picks for r in runs]},
         cap=p,
     )
 
 
+@metered
 def prune_fast_budget_range(obj: Objective, n: int, k: int, epsilon: float) -> PrunedSet:
     """Near-linear-query pruning for monotone oracles.
 
@@ -254,16 +256,12 @@ def prune_fast_budget_range(obj: Objective, n: int, k: int, epsilon: float) -> P
         return _empty_pruned("fast_budget_range", {"k": 0, "epsilon": epsilon})
     PruneParams(k=k, epsilon=epsilon)
     eta = epsilon / 4.0
-    oracle = counting_wrap(obj)
-    t0 = time.perf_counter()
-    picks = threshold_greedy(oracle, range(n), k, eta).picks
+    picks = threshold_greedy(obj, range(n), k, eta).picks
     return PrunedSet(
         algorithm="fast_budget_range",
         params={"k": k, "epsilon": epsilon, "eta": eta, "n": n},
         elements=picks,
         structure={"kind": "threshold_run", "picks": picks},
-        stats=oracle.stats(),
-        elapsed=time.perf_counter() - t0,
         cap=k,
     )
 
@@ -314,6 +312,7 @@ def _run_picks(structure) -> list[int]:
     return picks
 
 
+@metered
 def prune_threshold_stream(obj: Objective, order: Sequence[int], k: int, p: int,
                            epsilon: float) -> PrunedSet:
     """Single-pass streaming threshold pruner (baseline reconstruction).
@@ -332,16 +331,11 @@ def prune_threshold_stream(obj: Objective, order: Sequence[int], k: int, p: int,
     order = [int(e) for e in order]
     if sorted(order) != list(range(obj.n)):
         raise ValueError("order must be a permutation of the ground set")
-    oracle = counting_wrap(obj)
-    t0 = time.perf_counter()
-    accepted = threshold_stream(oracle, order, k, p, epsilon)
     return PrunedSet(
         algorithm="threshold_stream",
         params={"k": k, "p": p, "epsilon": epsilon, "n": obj.n},
-        elements=accepted,
+        elements=threshold_stream(obj, order, k, p, epsilon),
         structure={"kind": "flat"},
-        stats=oracle.stats(),
-        elapsed=time.perf_counter() - t0,
         cap=p,
     )
 
@@ -351,14 +345,10 @@ def prune_random(n: int, p: int, seed: int = 0) -> PrunedSet:
     if p == 0:
         return _empty_pruned("random", {"p": 0, "seed": seed})
     rng = np.random.default_rng(seed)
-    take = min(p, n)
-    elements = sorted(rng.choice(n, size=take, replace=False).tolist())
     return PrunedSet(
         algorithm="random",
         params={"p": p, "seed": seed, "n": n},
-        elements=elements,
+        elements=rng.choice(n, size=min(p, n), replace=False).tolist(),
         structure={"kind": "flat"},
-        stats=OracleStats(),
-        elapsed=0.0,
         cap=p,
     )

@@ -16,12 +16,15 @@ those queries.
 
 :func:`greedy` and :func:`window_greedy` share one rank-and-commit loop:
 plain greedy commits the best candidate of a window one element wide.
+:func:`disjoint_runs` is the pruners' one pool-shrinking loop over any engine.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass, field
+from functools import reduce
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -29,7 +32,7 @@ import numpy as np
 from .objectives import CandidateScan, open_scan
 
 __all__ = ["GreedyRun", "DensityRun", "greedy", "threshold_greedy", "density_greedy",
-           "window_greedy", "threshold_stream"]
+           "window_greedy", "threshold_stream", "disjoint_runs"]
 
 
 @dataclass
@@ -41,36 +44,47 @@ class GreedyRun:
 
     def prefix_values(self, base: float = 0.0) -> list[float]:
         """Values of f(picks[:i]) for i = 0..len(picks), given f(empty)."""
-        vals = [base]
-        for g in self.gains:
-            vals.append(vals[-1] + g)
-        return vals
+        return list(accumulate(self.gains, initial=base))
 
     def to_dict(self) -> dict:
-        return {"picks": self.picks, "gains": self.gains}
+        return asdict(self)
 
 
 @dataclass
-class DensityRun:
+class DensityRun(GreedyRun):
     """Transcript of one density-greedy selection under a cost cap.
 
     ``dummy_cost`` is virtual zero-value padding recorded when the pool ran
     out before the stop cost was reached; dummies never become elements.
     """
 
-    picks: list[int]
-    gains: list[float]
-    costs: list[float]
-    densities: list[float]
-    dummy_cost: float
+    costs: list[float] = field(default_factory=list)
+    dummy_cost: float = 0.0
+
+    @property
+    def densities(self) -> list[float]:
+        return [g / c for g, c in zip(self.gains, self.costs)]
 
     @property
     def real_cost(self) -> float:
-        return float(sum(self.costs))
+        return add_left_to_right(self.costs)
 
-    def to_dict(self) -> dict:
-        return {"picks": self.picks, "gains": self.gains, "costs": self.costs,
-                "dummy_cost": self.dummy_cost}
+
+def add_left_to_right(values) -> float:
+    """Sum floats in order, as 3.11's builtin ``sum`` does (3.12's compensates)."""
+    return reduce(operator.add, values, 0.0)
+
+
+def disjoint_runs(engine: Callable[[set[int]], GreedyRun], pool: Iterable[int],
+                  ell: int) -> list[GreedyRun]:
+    """``ell`` runs of ``engine``, each on ``pool`` minus the picks of the
+    runs before it: the sequential disjoint passes of the pruners."""
+    pool = {int(e) for e in pool}
+    runs = []
+    for _ in range(ell):
+        runs.append(engine(pool))
+        pool -= set(runs[-1].picks)
+    return runs
 
 
 def greedy(oracle, pool: Iterable[int], size: int, stop_at_zero: bool = False) -> GreedyRun:
@@ -161,9 +175,11 @@ def density_greedy(oracle, pool: Iterable[int], costs, stop_cost: float,
     if stop_cost > keep_cap:
         raise ValueError("stop_cost must be <= keep_cap")
     scan, remaining = _open(oracle, pool)
-    cost_of = _cost_lookup(costs, remaining.tolist())
-    cost_vec = np.array([cost_of[e] for e in remaining.tolist()], dtype=float)
-    run = DensityRun([], [], [], [], 0.0)
+    cost_vec = np.array([float(costs[e]) for e in remaining.tolist()])  # mapping or sequence
+    for e, c in zip(remaining.tolist(), cost_vec.tolist()):
+        if not c > 0:
+            raise ValueError(f"cost of element {e} must be positive, got {c}")
+    run = DensityRun([], [])
     base = scan.empty_value()
     spent = 0.0
     vals = None  # candidate values at the current set
@@ -174,19 +190,18 @@ def density_greedy(oracle, pool: Iterable[int], costs, stop_cost: float,
         if vals is None:
             vals = scan.values(remaining)
         best = int(np.argmax(_gains(vals, base) / cost_vec))
-        e = int(remaining[best])
+        e, cost = int(remaining[best]), cost_vec[best].item()
         gain = vals[best].item() - base
         remaining, vals, cost_vec = (_drop(a, best) for a in (remaining, vals, cost_vec))
-        if spent + cost_of[e] > keep_cap:
+        if spent + cost > keep_cap:
             continue  # permanently skipped
         scan.add(e)
         base += gain
-        spent += cost_of[e]
+        spent += cost
         vals = None
         run.picks.append(e)
         run.gains.append(gain)
-        run.costs.append(cost_of[e])
-        run.densities.append(gain / cost_of[e])
+        run.costs.append(cost)
     return run
 
 
@@ -284,11 +299,3 @@ def _drop(a: np.ndarray, i: int) -> np.ndarray:
     """``a`` without entry ``i``; ``np.delete`` costs several times more on
     the short arrays of small pools."""
     return np.concatenate((a[:i], a[i + 1:]))
-
-
-def _cost_lookup(costs, elements: Sequence[int]) -> dict[int, float]:
-    lookup = {int(e): float(costs[e]) for e in elements}  # mapping or sequence
-    for e, c in lookup.items():
-        if not (c > 0) or math.isnan(c):
-            raise ValueError(f"cost of element {e} must be positive, got {c}")
-    return lookup

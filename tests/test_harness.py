@@ -263,3 +263,8 @@ class TestSpeedupProbe:
         obj = Modular(np.ones(30))
         result = speedup_probe(obj, 30, 5, full_universe(30))
         assert result.guard_limited
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_budget_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            speedup_probe(Modular([1.0, 2.0, 3.0]), 3, k, full_universe(3))

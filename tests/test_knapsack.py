@@ -22,6 +22,14 @@ class TestInstance:
         inst = KnapsackInstance([1.0, 2.0], 3.0)
         assert inst.cost({0, 1}) == 3.0
 
+    def test_costs_add_left_to_right(self):
+        # a compensated sum (the builtin on Python 3.12+) gives 1.0000000000000002
+        inst = KnapsackInstance((1.0, 1e-16, 1e-16), 1.0)
+        assert inst.cost([0, 1, 2]) == 1.0
+        run = density_greedy(Modular([3.0, 0.0, 0.0]), range(3), inst.costs,
+                             stop_cost=1.0 + 1e-15, keep_cap=1.0 + 1e-15)
+        assert run.costs == [1.0, 1e-16, 1e-16] and run.real_cost == 1.0
+
 
 class TestSdgDensity:
     def test_unit_cost_reduction(self):
