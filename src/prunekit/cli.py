@@ -249,7 +249,7 @@ def _load_pruned(path, kind: str, n: int):
         pruned = cls.from_dict(body)
     except KeyError as exc:
         raise instances.InputFormatError(path, 1, f"pruned-set body misses key {exc}")
-    except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, AttributeError) as exc:
         raise instances.InputFormatError(path, 1, f"malformed pruned-set body: {exc}")
     outside = [e for e in pruned.elements if not 0 <= e < n]
     if outside:

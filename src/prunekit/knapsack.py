@@ -93,6 +93,8 @@ class KnapsackPrunedSet(PrunedFile):
     def from_dict(cls, payload: dict) -> "KnapsackPrunedSet":
         runs = [DensityRun(r["picks"], r["gains"], r["costs"], r["dummy_cost"])
                 for r in payload["runs"]]
+        if not all(c > 0 for run in runs for c in run.costs):
+            raise ValueError("a run cost must be positive")
         return cls(
             params=payload["params"],
             instance=KnapsackInstance(**payload["instance"]),

@@ -75,8 +75,7 @@ class PruneParams:
 
 
 def metered(prune):
-    """Run ``prune`` on a query-counting oracle over its objective (its first
-    argument) and fill in the result's ``stats`` and ``elapsed``."""
+    """Run ``prune`` on its objective wrapped in a counting oracle; set stats and elapsed."""
     @functools.wraps(prune)
     def run(obj, *args, **kwargs):
         oracle = counting_wrap(obj)

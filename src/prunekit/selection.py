@@ -77,9 +77,8 @@ def add_left_to_right(values) -> float:
 
 def disjoint_runs(engine: Callable[[set[int]], GreedyRun], pool: Iterable[int],
                   ell: int) -> list[GreedyRun]:
-    """``ell`` runs of ``engine``, each on ``pool`` minus the picks of the
-    runs before it: the sequential disjoint passes of the pruners."""
-    pool = {int(e) for e in pool}
+    """``ell`` runs of ``engine``, each on ``pool`` minus the picks of the runs before it."""
+    pool = set(pool)
     runs = []
     for _ in range(ell):
         runs.append(engine(pool))

@@ -354,6 +354,14 @@ class TestMalformedPruned:
         assert main(argv) == EXIT_CONFIG
         assert self.error_kind(capsys) == "config_error"
 
+    @pytest.mark.parametrize("cost", [0.0, -0.3, "0.3"])
+    def test_knapsack_run_cost_not_positive_is_parse_error(self, tmp_path, graph_file,
+                                                           capsys, cost):
+        pruned, argv = self.knapsack(tmp_path, graph_file)
+        self.edit(pruned, lambda body: body["runs"][0]["costs"].__setitem__(0, cost))
+        assert main(argv) == EXIT_PARSE
+        assert self.error_kind(capsys) == "input_parse_error"
+
     def test_knapsack_instance_size_mismatch_is_config_error(self, tmp_path, graph_file,
                                                              capsys):
         pruned, argv = self.knapsack(tmp_path, graph_file)
