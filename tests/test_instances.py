@@ -129,6 +129,30 @@ def test_generated_instances_keep_their_bytes(name, n, m, seed, expected):
     assert hashlib.sha256(payload).hexdigest() == expected
 
 
+#: sha256 of the JSON edge lists of planted-partition graphs, pinned so that
+#: the pair draws keep their rng call sequence: (n, communities, keywords,
+#: seed, digest)
+PLANTED_DIGESTS = [
+    (20, 4, {}, 0, "f113165e22e8ccfb7d1dedfbab58fc1dfcca2578a4ebca18bafbf36d3d3e6591"),
+    (20, 0, {"community_size": 5}, 1,
+     "4c9583f545c39178592e4feb61097b4b838e201d52bd06d8260ef7782f6074b2"),
+    (58, 4, {"p_in": 0.9, "p_out": 0.2}, 2,
+     "cdbea7a9cc293a9d10320d7687f73124698d225a6e1cddf13d5571ce2ec41c97"),
+    (200, 0, {"community_size": 30}, 7919,
+     "8931396651b6a47bc861647f2532a04f2568bf638fd615f42d03054a9eaf1d38"),
+    (1000, 10, {}, 0, "2dc7c7cea63e952995537d9db655e696b9f00efcf458490bf8bb56f7724ec212"),
+    (1000, 0, {"community_size": 64, "p_in": 0.1, "p_out": 0.01}, 1,
+     "1a5335cd3aff75f3c661113503e5185088eb643f809cbeb7cb6911c88de4e21f"),
+    (1000, 7, {}, 7919, "0728abac269fdd4d805a0f6d33894bda30ff0a9b1588f9b6f9ca50f21538b41b"),
+]
+
+
+@pytest.mark.parametrize("n,communities,kwargs,seed,expected", PLANTED_DIGESTS)
+def test_planted_edge_lists_keep_their_bytes(n, communities, kwargs, seed, expected):
+    edges = gen_planted(n, communities, seed=seed, **kwargs)
+    assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == expected
+
+
 class TestLoaders:
     def test_edge_list_round_trip(self, tmp_path):
         path = tmp_path / "g.txt"
