@@ -14,6 +14,7 @@ Malformed lines raise :class:`InputFormatError` carrying the line number.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -39,6 +40,12 @@ INTERFERENCE_DEFAULTS = {
     "lambda_range": (0.5, 2.5),
     "cover_size_range": (3, 8),
 }
+
+#: most doubles a generator draws into one buffer: large enough to amortise
+#: the call, small enough that the buffer's Python floats (about 130 kB)
+#: leave peak memory alone, where one buffer for every possible draw of
+#: n = 1000 would hold a million
+_DRAW_CHUNK = 1 << 12
 
 
 class InputFormatError(ValueError):
@@ -84,24 +91,24 @@ def gen_planted(n: int, communities: int, p_in: float = 0.3, p_out: float = 0.05
     ``communities`` is the block count; pass ``community_size`` instead to fix
     the block size and derive the count.  The probability defaults are
     invented (the benchmark names only the sizes) and callers should echo
-    them in any serialized output.
+    them in any serialized output.  Each unordered pair draws one double,
+    in ascending pair order.
+
+    Raises ``ValueError`` for a block count outside ``[1, n]`` and for a
+    probability outside ``[0, 1]`` or NaN.
     """
     if community_size is not None:
         communities = math.ceil(n / community_size)
     if communities < 1 or communities > n:
         raise ValueError(f"communities must be in [1, n], got {communities}")
-    if not (0 <= p_in <= 1 and 0 <= p_out <= 1):
-        raise ValueError("probabilities must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    block_size = math.ceil(n / communities)
-    block = [min(i // block_size, communities - 1) for i in range(n)]
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            p = p_in if block[u] == block[v] else p_out
-            if rng.random() < p:
-                edges.append((u, v))
-    return edges
+    _check_probability(p_in)
+    _check_probability(p_out)
+    block = np.minimum(np.arange(n) // math.ceil(n / communities), communities - 1)
+    # one rng.random(size) call draws the doubles that size scalar calls would
+    us, vs = np.triu_indices(n, 1)
+    p = np.where(block[us] == block[vs], float(p_in), float(p_out))
+    hit = np.random.default_rng(seed).random(len(us)) < p
+    return list(zip(us[hit].tolist(), vs[hit].tolist()))
 
 
 def gen_interference(n: int, universe_m: int, seed: int = 0,
@@ -117,27 +124,30 @@ def gen_interference(n: int, universe_m: int, seed: int = 0,
     with the given probability and uniform intensity; the penalty weight is
     uniform on its range unless ``lam`` pins it.  Forcing
     ``interference_prob=0`` yields a plain monotone coverage objective.
+
+    Raises ``ValueError``, before any draw, for:
+
+    * an ``interference_prob`` outside ``[0, 1]`` or NaN;
+    * an ``intensity_range`` or ``lambda_range`` that is not finite, has a
+      negative end or has ``lo > hi``;
+    * a ``cover_size_range`` outside ``0 <= lo <= hi <= universe_m``;
+    * a ``universe_m`` below 8.
     """
-    rng = np.random.default_rng(seed)
-    covers = _draw_covers(rng, n, universe_m, cover_size_range)
     prob = INTERFERENCE_DEFAULTS["interference_prob"] if interference_prob is None \
         else interference_prob
-    lo_i, hi_i = intensity_range or INTERFERENCE_DEFAULTS["intensity_range"]
-    lo_l, hi_l = lambda_range or INTERFERENCE_DEFAULTS["lambda_range"]
-    intf = {}
-    if prob > 0:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < prob:
-                    intf[(i, j)] = float(rng.uniform(lo_i, hi_i))
-    if lam is None:
-        lam = float(rng.uniform(lo_l, hi_l))
-    return InterferenceCoverage(covers, intf, lam, m=universe_m)
+    _check_probability(prob)
+    intensity = _check_range("intensity_range", intensity_range)
+    lam_range = _check_range("lambda_range", lambda_range)
+    rng = np.random.default_rng(seed)
+    covers = _draw_covers(rng, n, universe_m, cover_size_range)
+    intf, drawn_lam = _draw_pairs(rng, n, prob, intensity, lam_range)
+    return InterferenceCoverage(covers, intf, drawn_lam if lam is None else lam, m=universe_m)
 
 
 def gen_coverage(n: int, universe_m: int, seed: int = 0,
                  cover_size_range: tuple[int, int] | None = None) -> Coverage:
-    """Random monotone coverage: the covers :func:`gen_interference` draws."""
+    """Random monotone coverage: the covers :func:`gen_interference` draws,
+    with its checks on ``cover_size_range`` and ``universe_m``."""
     covers = _draw_covers(np.random.default_rng(seed), n, universe_m, cover_size_range)
     return Coverage(covers, m=universe_m)
 
@@ -149,11 +159,53 @@ def _draw_covers(rng: np.random.Generator, n: int, universe_m: int,
     if universe_m < 8:
         raise ValueError("universe_m must be >= 8")
     lo_c, hi_c = cover_size_range or INTERFERENCE_DEFAULTS["cover_size_range"]
+    if not 0 <= lo_c <= hi_c <= universe_m:
+        raise ValueError(f"cover_size_range must satisfy 0 <= lo <= hi <= universe_m="
+                         f"{universe_m}, got {(lo_c, hi_c)}")
     covers = []
     for _ in range(n):
         size = int(rng.integers(lo_c, hi_c + 1))
         covers.append(sorted(rng.choice(universe_m, size=size, replace=False).tolist()))
     return covers
+
+
+def _check_probability(p: float) -> None:
+    if not 0 <= p <= 1:  # NaN fails too
+        raise ValueError("probabilities must be in [0, 1]")
+
+
+def _check_range(name: str, given: tuple[float, float] | None) -> tuple[float, float]:
+    """``given`` (or the recipe default) as floats ``0 <= lo <= hi < inf``."""
+    lo, hi = map(float, given or INTERFERENCE_DEFAULTS[name])
+    if not 0 <= lo <= hi < math.inf:
+        raise ValueError(f"{name} must be finite with 0 <= lo <= hi, got {(lo, hi)}")
+    return lo, hi
+
+
+def _draw_pairs(rng: np.random.Generator, n: int, prob: float,
+                intensity: tuple[float, float], lam_range: tuple[float, float]):
+    """``(intf, lam)``: each unordered pair in ascending order interferes
+    when its draw is below ``prob``, with a uniform intensity, and then a
+    uniform ``lam`` is drawn.
+
+    Every draw is one ``rng.random()`` double, read in stream order from
+    buffers of at most ``_DRAW_CHUNK``: one per pair (none when ``prob`` is
+    0), one more per interfering pair and one for ``lam``.  ``uniform(lo,
+    hi)`` is ``lo + (hi - lo) * random()`` bit for bit, so the values are
+    those of one ``random`` and ``uniform`` call per draw.  ``rng`` must not
+    be drawn from afterwards: the last buffer may be read only in part.
+    """
+    (lo_i, hi_i), (lo_l, hi_l) = intensity, lam_range
+    pairs = n * (n - 1) // 2 if prob > 0 else 0
+    size = min(_DRAW_CHUNK, 2 * pairs + 1)  # 2 * pairs + 1 draws always suffice
+    draw = itertools.chain.from_iterable(iter(lambda: rng.random(size).tolist(), None))
+    intf = {}
+    if pairs:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if next(draw) < prob:
+                    intf[i, j] = lo_i + (hi_i - lo_i) * next(draw)
+    return intf, lo_l + (hi_l - lo_l) * next(draw)
 
 
 _GENERATORS = {"gnm": gen_gnm, "planted": gen_planted,

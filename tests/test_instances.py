@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -11,7 +12,8 @@ from prunekit.instances import (GenSpec, InputFormatError, fit_penalty, gen_cove
                                 load_costs_csv, load_coverage_list, load_edge_list,
                                 load_penalty_csv, load_scores_csv, load_similarity_csv,
                                 pava_nonincreasing, save_edge_list)
-from prunekit.objectives import check_monotone, check_submodular
+from prunekit.instances import _DRAW_CHUNK
+from prunekit.objectives import InterferenceCoverage, check_monotone, check_submodular
 
 
 class TestGnm:
@@ -97,6 +99,36 @@ class TestInterference:
         with pytest.raises(ValueError):
             gen_interference(5, 7, seed=0)
 
+    @pytest.mark.parametrize("prob", [float("nan"), 1.5, -0.2])
+    def test_probability_outside_unit_interval_rejected(self, prob):
+        with pytest.raises(ValueError, match=r"probabilities must be in \[0, 1\]"):
+            gen_interference(6, 10, seed=0, interference_prob=prob)
+
+    @pytest.mark.parametrize("key,bad", [
+        ("intensity_range", (5.0, 1.0)),
+        ("intensity_range", (-1.0, 2.0)),
+        ("intensity_range", (1.0, float("inf"))),
+        ("intensity_range", (float("nan"), 2.0)),
+        ("lambda_range", (2.5, 0.5)),
+        ("lambda_range", (-0.5, 1.0)),
+        ("lambda_range", (0.5, float("nan"))),
+    ])
+    def test_bad_range_rejected_before_any_draw(self, key, bad):
+        # no pair and no lam is drawn, so only an up-front check can see it
+        with pytest.raises(ValueError, match=key):
+            gen_interference(6, 10, seed=0, interference_prob=0.0, lam=1.0, **{key: bad})
+
+    @pytest.mark.parametrize("bad", [(5, 3), (-1, 3), (3, 11)])
+    def test_bad_cover_size_range_rejected(self, bad):
+        for gen in (gen_interference, gen_coverage):
+            with pytest.raises(ValueError, match="cover_size_range"):
+                gen(1, 10, seed=0, cover_size_range=bad)
+
+    def test_degenerate_ranges_accepted(self):
+        obj = gen_interference(6, 10, seed=0, interference_prob=1.0, intensity_range=(2.0, 2.0),
+                               lambda_range=(0.0, 0.0), cover_size_range=(0, 10))
+        assert set(obj.intf.values()) == {2.0} and obj.lam == 0.0
+
     def test_gen_from_spec(self):
         spec = GenSpec("interference", {"n": 10, "universe_m": 12}, seed=3)
         assert gen_from_spec(spec).to_dict() == gen_interference(10, 12, seed=3).to_dict()
@@ -127,6 +159,44 @@ def test_generated_instances_keep_their_bytes(name, n, m, seed, expected):
     gen = {"gen_coverage": gen_coverage, "gen_interference": gen_interference}[name]
     payload = json.dumps(gen(n, m, seed=seed).to_dict(), sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == expected
+
+
+def scalar_interference(n, universe_m, seed=0, interference_prob=0.25,
+                        intensity_range=(1.0, 5.0), lambda_range=(0.5, 2.5), lam=None):
+    """The reference for gen_interference: one rng call per draw."""
+    rng = np.random.default_rng(seed)
+    covers = []
+    for _ in range(n):
+        size = int(rng.integers(3, 9))
+        covers.append(sorted(rng.choice(universe_m, size=size, replace=False).tolist()))
+    intf = {}
+    if interference_prob > 0:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < interference_prob:
+                    intf[(i, j)] = float(rng.uniform(*intensity_range))
+    if lam is None:
+        lam = float(rng.uniform(*lambda_range))
+    return InterferenceCoverage(covers, intf, lam, m=universe_m).to_dict()
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 57])
+@pytest.mark.parametrize("prob", [0.0, 0.25, 1.0])
+def test_buffered_pair_draws_equal_the_scalar_loop(n, prob):
+    for seed, lam, intensity in itertools.product(
+            range(5), [None, 1.5], [(1.0, 5.0), (0.125, 0.7)]):
+        got = gen_interference(n, 30, seed=seed, interference_prob=prob,
+                               intensity_range=intensity, lam=lam).to_dict()
+        assert got == scalar_interference(n, 30, seed, prob, intensity, lam=lam)
+
+
+@pytest.mark.parametrize("prob", [0.25, 1.0])
+def test_pair_draws_across_buffer_boundaries(prob):
+    n = 100
+    assert n * (n - 1) // 2 > _DRAW_CHUNK  # the stream spans several buffers
+    for seed in range(3):
+        got = gen_interference(n, 30, seed=seed, interference_prob=prob).to_dict()
+        assert got == scalar_interference(n, 30, seed, prob)
 
 
 #: sha256 of the JSON edge lists of planted-partition graphs, pinned so that
