@@ -13,9 +13,13 @@ selection in any order, padded anywhere with the empty-slot id ``n``.  It
 returns one float per row, equal bit for bit to ``eval`` of that row
 whatever else is in the batch: each kernel reduces every row on its own in
 the order ``eval`` does, and none uses a matmul, whose row results depend on
-the rows batched with them.  Cut's degrees and adjacency and the packed
-cover words are built lazily.  ``_value`` stays the scalar path: a small
-batch costs tens of microseconds, a scalar value a few.
+the rows batched with them.  The pair kernels of unweighted :class:`Cut`
+and :class:`InterferenceCoverage` read a flat pair table over the ranks of
+the ids the batch uses, so the table grows with those ids, not with ``n``;
+interference visits a row's column pairs in triu order over its sorted
+ranks, which is ascending pair order.  Cut's degrees and adjacency and the
+packed cover words are built lazily.  ``_value`` stays the scalar path: a
+small batch costs tens of microseconds, a scalar value a few.
 
 Power-set tables: :func:`power_set_values` gives ``f`` of every subset of a
 universe, indexed by subset mask, in blocks of masks that share their high
@@ -237,6 +241,16 @@ def _masked_row_sums(weights: np.ndarray, keep: np.ndarray) -> np.ndarray:
     terms = np.zeros(keep.shape)
     np.copyto(terms, weights, where=keep)
     return terms.sum(axis=1)
+
+
+def _ranks(used: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ranked, rank)``: the ids marked in the boolean ``used``, ascending,
+    and per id its rank among them (0 when unmarked).  Pair tables indexed
+    by rank grow with the ids a batch uses, not with ``n``."""
+    ranked = np.flatnonzero(used)
+    rank = np.zeros(len(used), dtype=np.intp)
+    rank[ranked] = np.arange(len(ranked))
+    return ranked, rank
 
 
 @functools.lru_cache(maxsize=32)
@@ -468,9 +482,7 @@ class Cut(Objective):
         ``side x side`` table over the ranks with the degrees on the
         diagonal and -2 times the edge counts off it.  The table grows with
         the enumerated universe, not with ``n``."""
-        ranked = np.flatnonzero(used)
-        rank = np.zeros(self.n + 1, dtype=np.intp)
-        rank[ranked] = np.arange(len(ranked))
+        ranked, rank = _ranks(used)
         side = len(ranked)
         inside = used[self._us] & used[self._vs]
         ru, rv = rank[self._us[inside]], rank[self._vs[inside]]
@@ -615,7 +627,10 @@ class InterferenceCoverage(_CoverObjective):
     ``intf`` maps unordered pairs to non-negative intensities (symmetric,
     zero diagonal).  Non-monotone for lam > 0.  The pairs are kept once, in
     ascending pair order, as end arrays ``_pi < _pj`` and weights ``_pw``;
-    every value path adds the weights of a set's pairs in that order.
+    every value path adds the weights of a set's pairs in that order: the
+    scalar path over the pairs inside the set, ``eval_ids`` over each row's
+    sorted column pairs, the scan over the pairs with an end in ``S`` and
+    the power set pair by pair.
     """
 
     def __init__(self, covers: Sequence[Iterable[int]],
@@ -668,30 +683,49 @@ class InterferenceCoverage(_CoverObjective):
         """Covered count minus ``lam`` times each row's pair penalty."""
         ids = np.asarray(ids)
         out = _covered_count(_union(self._words, ids))
-        if self.lam and len(self._pw):
-            # the pair loop works on one cell per row at a time
-            out -= self.lam * _by_blocks(ids, 1, self._penalties)
+        if self.lam and len(self._pw) and ids.shape[1] > 1:
+            out -= self.lam * self._penalties(ids)
         return out
 
-    def _penalties(self, block: np.ndarray) -> np.ndarray:
-        """Per row the weights of the pairs inside it, added one pair at a
-        time in pair order, as ``eval`` adds them."""
-        member = np.zeros((self.n + 1, len(block)), dtype=bool)  # one row per id
-        member[block, np.arange(len(block))[:, None]] = True
-        used = member.any(axis=1)
-        total = np.zeros(len(block))
-        inside = np.empty(len(block), dtype=bool)
-        for k in np.flatnonzero(used[self._pi] & used[self._pj]).tolist():
-            np.logical_and(member[self._pi[k]], member[self._pj[k]], out=inside)
-            np.add(total, self._pw[k], out=total, where=inside)
-        return total
+    def _penalties(self, ids: np.ndarray) -> np.ndarray:
+        """Per row the weights of the pairs inside it, added left to right in
+        pair order, as ``eval`` adds them.
+
+        Ids are replaced by their ranks among the ids the batch uses, and a
+        flat ``side x side`` table over the ranks holds each pair's weight
+        at ``(lower, higher)`` and 0.0 elsewhere.  With its ranks sorted,
+        the empty slot ``n`` goes last, and the column pairs ``a < b`` in
+        triu order visit the row's id pairs in ascending pair order.  So
+        each row adds its pairs' weights in ``eval``'s order, and 0.0 for
+        the rest; the partial sums are never negative, so the zeros change
+        no bit.  The ranks are laid out one contiguous row per column."""
+        used = np.zeros(self.n + 1, dtype=bool)
+        used[ids.reshape(-1)] = True
+        ranked, rank = _ranks(used)
+        side = len(ranked)
+        inside = used[self._pi] & used[self._pj]
+        table = np.zeros(side * side)
+        table[rank[self._pi[inside]] * side + rank[self._pj[inside]]] = self._pw[inside]
+        pairs = list(itertools.combinations(range(ids.shape[1]), 2))  # triu order
+
+        def kernel(block):
+            ranks = rank[np.ascontiguousarray(block.T)]  # (width, rows)
+            if not (ranks[:-1] <= ranks[1:]).all():  # the enumerator's rows come sorted
+                ranks.sort(axis=0)
+            firsts = ranks * side
+            total = np.zeros(len(block))
+            for a, b in pairs:
+                total += table[firsts[a] + ranks[b]]
+            return total
+
+        return _by_blocks(ids, ids.shape[1], kernel)
 
     def _power_set(self, universe, low):
         """Covered counts minus ``lam`` times the pair penalties.  Each
         block adds the weight of every pair with both ends in the universe,
         in pair order, to the masks holding both ends: the strided view
         over the low bits the pair sets, the whole block or nothing for its
-        high ends.  That is ``_penalties``' add sequence, mask by mask."""
+        high ends.  That is ``eval``'s add sequence, mask by mask."""
         bit = np.full(self.n, -1)
         bit[universe] = np.arange(len(universe))
         first, second = bit[self._pi], bit[self._pj]

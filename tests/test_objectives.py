@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_variants, scan_families, supermodular_counterexample
-from prunekit import objectives
+from prunekit import exact, objectives
 from prunekit.exact import GuardExceeded
 from prunekit.objectives import (REAL_TOL, Coverage, Cut, FacilityLocation,
                                  InterferenceCoverage, Modular, OracleStats,
@@ -165,6 +165,41 @@ class TestBatchEval:
         for _ in range(100):
             S = rng.choice(16, size=int(rng.integers(2, 17)), replace=False)
             assert reversed_intf.eval(S) == clone.eval(S) == obj.eval(S)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_interference_kernel_equals_scalar_bit_for_bit(self, seed):
+        # widths 1-8, ids in any order and empty slots anywhere, on a large
+        # instance, a dense one, one with lam = 0 and one with no pairs
+        big = gen_interference(300, 100, seed=seed)
+        objs = {"n300": big,
+                "dense": gen_interference(20, 30, seed=seed, interference_prob=0.9),
+                "lam0": InterferenceCoverage(big.covers, big.intf, 0.0, m=big.m),
+                "no_pairs": gen_interference(300, 100, seed=seed, interference_prob=0.0)}
+        rng = np.random.default_rng(seed)
+        for name, obj in objs.items():
+            n = obj.n
+            for width in range(1, 9):
+                ids = np.full((200, width), n)
+                for row in ids:
+                    picked = rng.choice(n, size=int(rng.integers(0, width + 1)), replace=False)
+                    row[rng.permutation(width)[:len(picked)]] = picked
+                for row, val in zip(ids, obj.eval_ids(ids)):
+                    assert val.hex() == obj.eval(row[row < n]).hex(), (name, width)
+
+    def test_interference_kernel_mixes_sorted_and_permuted_blocks(self):
+        # an enumerator batch, many kernel blocks long, with its second half
+        # permuted row by row: every row keeps its value
+        obj = gen_interference(20, 30, seed=5, interference_prob=0.6)
+        ids = max((b for b, _ in exact.subset_batches(list(range(20)), 20, 6)), key=len)
+        assert len(ids) > 2 * objectives._KERNEL_CELLS // ids.shape[1]
+        rng = np.random.default_rng(5)
+        mixed = ids.copy()
+        half = len(ids) // 2
+        mixed[half:] = rng.permuted(mixed[half:], axis=1)
+        vals = obj.eval_ids(ids)
+        assert [v.hex() for v in obj.eval_ids(mixed)] == [v.hex() for v in vals]
+        for r in rng.choice(len(ids), size=300, replace=False):
+            assert vals[r].hex() == obj.eval(ids[r][ids[r] < 20]).hex()
 
     def test_value_table_indexing(self, triangle):
         table = value_table(triangle)
