@@ -42,10 +42,10 @@ INTERFERENCE_DEFAULTS = {
 }
 
 #: most doubles a generator draws into one buffer: large enough to amortise
-#: the call, small enough that the buffer's Python floats (about 130 kB)
-#: leave peak memory alone, where one buffer for every possible draw of
-#: n = 1000 would hold a million
-_DRAW_CHUNK = 1 << 12
+#: the call, small enough that the buffer's Python floats (about 25 kB) leave
+#: peak memory alone, where one buffer for every possible draw of n = 1000
+#: would hold a million
+_DRAW_CHUNK = 1 << 10
 
 
 class InputFormatError(ValueError):
