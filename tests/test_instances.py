@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prunekit.instances import (GenSpec, InputFormatError, fit_penalty, gen_coverage,
-                                gen_from_spec, gen_gnm, gen_interference, gen_planted,
-                                load_costs_csv, load_coverage_list, load_edge_list,
-                                load_penalty_csv, load_scores_csv, load_similarity_csv,
-                                pava_nonincreasing, save_edge_list)
-from prunekit.instances import _DRAW_CHUNK
+from prunekit.instances import (_DRAW_CHUNK, GenSpec, InputFormatError, fit_penalty,
+                                gen_coverage, gen_from_spec, gen_gnm, gen_interference,
+                                gen_planted, load_costs_csv, load_coverage_list,
+                                load_edge_list, load_penalty_csv, load_scores_csv,
+                                load_similarity_csv, pava_nonincreasing, save_edge_list)
 from prunekit.objectives import InterferenceCoverage, check_monotone, check_submodular
 
 
