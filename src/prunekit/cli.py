@@ -143,9 +143,9 @@ def _resolve_objective(args) -> tuple[objectives.Objective, dict]:
         raise ConfigError("no objective source: pass --objective-file, --graph, "
                           "--coverage, --sim, or --gen-spec")
     wanted = getattr(args, "objective", None)
-    if wanted and wanted != "auto" and cfg.get("variant") not in (wanted,):
+    if wanted and wanted != "auto" and wanted != obj.variant:
         raise ConfigError(f"--objective {wanted} does not match resolved "
-                          f"variant {cfg.get('variant')}")
+                          f"variant {obj.variant}")
     return obj, cfg
 
 
@@ -240,15 +240,15 @@ def _load_pruned(path, kind: str, n: int):
     if kind == "cardinality" and is_knapsack:
         raise ConfigError(f"{path} holds a knapsack pruned set; pass --costs "
                           "and --budget to evaluate it")
-    elements = body.get("elements")
-    if not (isinstance(elements, list)
-            and all(isinstance(e, int) and not isinstance(e, bool) for e in elements)):
+    if not objectives._ids(body.get("elements")):
         raise instances.InputFormatError(path, 1, "'elements' must be a list of integer ids")
     cls = knapsack.KnapsackPrunedSet if is_knapsack else prune.PrunedSet
     try:
         pruned = cls.from_dict(body)
     except KeyError as exc:
         raise instances.InputFormatError(path, 1, f"pruned-set body misses key {exc}")
+    except IndexError as exc:  # an id outside the ground set the body's params name
+        raise ConfigError(f"{path}: {exc}")
     except (TypeError, ValueError, AttributeError) as exc:
         raise instances.InputFormatError(path, 1, f"malformed pruned-set body: {exc}")
     outside = [e for e in pruned.elements if not 0 <= e < n]

@@ -1,7 +1,10 @@
 """Exhaustive optimum oracles.
 
 These provide the denominators for containment ratios and the independent
-verification side of every guarantee check.  Enumeration is guarded: a call
+verification side of every guarantee check.  Both take an objective, not a
+counting wrapper, and read the universe by :func:`~prunekit.objectives.sorted_ids`
+(a non-integer id raises ``TypeError``, one outside ``0..n-1``
+``IndexError``, and a repeat counts once).  Enumeration is guarded: a call
 that would visit more than the guard's subset count is refused with
 :class:`GuardExceeded` so callers can fall back to a greedy reference.  The
 guard defaults to 10^8 subsets and can be overridden with the
@@ -59,7 +62,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .objectives import Objective, power_set_sums, power_set_values, unwrap
+from .objectives import Objective, power_set_sums, power_set_values, sorted_ids
 
 __all__ = ["GuardExceeded", "enumeration_guard", "cardinality_subset_count",
            "OptProfile", "opt_cardinality", "opt_knapsack", "check_guard",
@@ -245,15 +248,6 @@ def subset_batches(universe: Sequence[int], n: int, k: int):
         yield to_id[pos], runs
 
 
-def _sorted_universe(universe: Sequence[int], n: int) -> list[int]:
-    """Sorted distinct ids of ``universe``; rejects ids outside ``0..n-1``."""
-    ids = sorted(set(map(int, universe)))
-    if ids and (ids[0] < 0 or ids[-1] >= n):
-        bad = ids[0] if ids[0] < 0 else ids[-1]
-        raise IndexError(f"element id {bad} out of range [0, {n})")
-    return ids
-
-
 def check_guard(needed: int) -> None:
     """Raise :class:`GuardExceeded` if ``needed`` subsets exceed the guard."""
     if needed > (limit := enumeration_guard()):
@@ -270,8 +264,7 @@ def opt_cardinality(obj: Objective, universe: Sequence[int], k: int, *,
     order), which lets callers test "any optimal set contained" without tie
     ambiguity.
     """
-    raw = unwrap(obj)
-    universe = _sorted_universe(universe, raw.n)
+    universe = sorted_ids(universe, obj.n).tolist()
     u = len(universe)
     k = min(int(k), u)
     if k < 0:
@@ -281,8 +274,8 @@ def opt_cardinality(obj: Objective, universe: Sequence[int], k: int, *,
 
     # per size: its best value and its first optimal sets in enumeration order
     per_size: list[tuple[float, list[tuple[int, ...]]] | None] = [None] * (k + 1)
-    for ids, runs in subset_batches(universe, raw.n, k):
-        vals = np.asarray(raw.eval_ids(ids), dtype=float)
+    for ids, runs in subset_batches(universe, obj.n, k):
+        vals = np.asarray(obj.eval_ids(ids), dtype=float)
         for size, lo, hi in runs:
             seg = vals[lo:hi]
             first = int(seg.argmax())  # the first maximum in enumeration order
@@ -350,8 +343,7 @@ def opt_knapsack(obj: Objective, universe: Sequence[int], costs,
     budgets in descending order, keeping the tied optima that still fit, and
     takes a new masked maximum only when none does.
     """
-    raw = unwrap(obj)
-    universe = _sorted_universe(universe, raw.n)
+    universe = sorted_ids(universe, obj.n).tolist()
     u = len(universe)
     budgets = [float(b) for b in budgets]
     if not budgets:
@@ -368,7 +360,7 @@ def opt_knapsack(obj: Objective, universe: Sequence[int], costs,
     best_val = [-np.inf] * len(budgets)
     best_mask = [0] * len(budgets)
     start = 0
-    for spent, vals in zip(power_set_sums(cost, low), power_set_values(raw, universe, low)):
+    for spent, vals in zip(power_set_sums(cost, low), power_set_values(obj, universe, low)):
         ties = np.empty(0, dtype=np.intp)
         for j in descending:
             b = budgets[j]

@@ -70,7 +70,9 @@ class GenSpec:
 
 
 def gen_gnm(n: int, m: int, seed: int = 0) -> list[tuple[int, int]]:
-    """Uniform simple graph with exactly m edges on n vertices."""
+    """Uniform simple graph with exactly m edges on n >= 0 vertices."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     total = n * (n - 1) // 2
     if not (0 <= m <= total):
         raise ValueError(f"m must be in [0, {total}] for n={n}, got {m}")

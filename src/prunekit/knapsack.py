@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import exact
-from .objectives import Objective, OracleStats
+from .objectives import Objective, OracleStats, add_left_to_right, sorted_ids
 from .prune import PrunedFile, PruneParams, metered
-from .selection import DensityRun, add_left_to_right, density_greedy, disjoint_runs
+from .selection import DensityRun, density_greedy, disjoint_runs
 
 __all__ = ["KnapsackInstance", "KnapsackPrunedSet", "prune_sdg_density",
            "extract_budget", "extract_budget_grid"]
@@ -60,7 +60,9 @@ class KnapsackInstance:
                 raise ValueError(f"query budget must be in (0, B], got {b}")
 
     def cost(self, S) -> float:
-        return add_left_to_right(self.costs[int(e)] for e in S)
+        S = list(S)
+        sorted_ids(S, self.n)  # checks the ids; the costs add in S's order
+        return add_left_to_right(self.costs[e] for e in S)
 
     def to_dict(self) -> dict:
         return {"costs": list(self.costs), "B": self.B}

@@ -1,6 +1,8 @@
 """Set-function value oracles for containment pruning.
 
-Elements of a ground set are dense integer ids ``0..n-1``.  Every objective
+Elements of a ground set are dense integer ids ``0..n-1``; every id a caller
+passes is read by :func:`sorted_ids`, which raises ``TypeError`` for a float
+or a string and ``IndexError`` outside ``0..n-1``.  Every objective
 exposes ``eval`` (value of a set), ``marginal`` (value gain of one element)
 and one batched path.  Objectives copy their inputs once and are pure after
 construction; the :class:`CountingOracle` wrapper adds query accounting for
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -131,19 +134,30 @@ def _finite(values, what: str, copy: bool = True) -> np.ndarray:
     return arr
 
 
+def sorted_ids(ids: Iterable[int], n: int) -> np.ndarray:
+    """The distinct ids of ``ids`` ascending, as an intp array.  Each id is
+    read with ``operator.index``, so a float or a string raises
+    ``TypeError``; an id outside ``0..n-1`` raises ``IndexError``."""
+    s = sorted({operator.index(e) for e in ids})
+    if s and (s[0] < 0 or s[-1] >= n):
+        raise IndexError(f"element id {s[0] if s[0] < 0 else s[-1]} out of range [0, {n})")
+    return np.array(s, dtype=np.intp)
+
+
+def add_left_to_right(values) -> float:
+    """Sum floats in order, as 3.11's builtin ``sum`` does (3.12's compensates)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def _as_index_set(S: Iterable[int], n: int) -> frozenset[int]:
-    """Canonicalize a selection and reject out-of-range ids."""
-    s = frozenset(int(e) for e in S)
-    for e in s:
-        if e < 0 or e >= n:
-            raise IndexError(f"element id {e} out of range [0, {n})")
-    return s
+    return frozenset(sorted_ids(S, n).tolist())
 
 
 class Objective:
-    """Base value oracle.  Subclasses set ``n`` and implement ``_value``."""
+    """Base value oracle.  Subclasses set ``n`` and ``variant`` and implement ``_value``."""
 
     n: int
+    variant: str
     integer_valued: bool = False
 
     def eval(self, S: Iterable[int]):
@@ -155,7 +169,7 @@ class Objective:
     def marginal(self, e: int, S: Iterable[int]):
         """``f(S + e) - f(S)``.  Raises if ``e`` is already in ``S``."""
         s = _as_index_set(S, self.n)
-        e = int(e)
+        e, = sorted_ids([e], self.n).tolist()
         if e in s:
             raise ValueError(f"marginal: element {e} already in the set")
         return self.eval(s | {e}) - self.eval(s)
@@ -331,6 +345,7 @@ class Coverage(_CoverObjective):
     ``covers[e]`` lists the universe items element ``e`` covers; ``weights``
     (default all-ones) are per universe item and must be non-negative.
     """
+    variant = "coverage"
 
     def __init__(self, covers: Sequence[Iterable[int]], weights: Sequence[float] | None = None,
                  m: int | None = None):
@@ -381,7 +396,7 @@ class Coverage(_CoverObjective):
 
     def to_dict(self):
         return {
-            "variant": "coverage",
+            "variant": self.variant,
             "covers": [sorted(c) for c in self.covers],
             "weights": None if self.weights is None else self.weights.tolist(),
             "m": self.m,
@@ -393,6 +408,7 @@ class Cut(Objective):
 
     Non-monotone (the full vertex set cuts nothing) but submodular.
     """
+    variant = "cut"
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]],
                  weights: Sequence[float] | None = None):
@@ -493,7 +509,7 @@ class Cut(Objective):
 
     def to_dict(self):
         return {
-            "variant": "cut",
+            "variant": self.variant,
             "n": self.n,
             "edges": self.edges,
             "weights": None if self._ws is None else self._ws.tolist(),
@@ -508,6 +524,7 @@ class FacilityLocation(Objective):
     copy is ``_sim_t``, a row per element and a zero row for the empty slot
     ``n``; ``sim`` is a view of it.
     """
+    variant = "facility_location"
 
     def __init__(self, sim: np.ndarray):
         sim = _finite(sim, "similarities", copy=False)  # read once, into _sim_t
@@ -536,7 +553,7 @@ class FacilityLocation(Objective):
         return _best_sums(self._sim_t, np.asarray(ids))
 
     def to_dict(self):
-        return {"variant": "facility_location", "sim": self.sim.tolist()}
+        return {"variant": self.variant, "sim": self.sim.tolist()}
 
 
 class RestrictedFacilityLocation(FacilityLocation):
@@ -549,6 +566,7 @@ class RestrictedFacilityLocation(FacilityLocation):
     When no row passes the gate, ``sim`` is one all-zero row, so every
     value is 0.0.
     """
+    variant = "restricted_fl"
 
     def __init__(self, sim: np.ndarray, rel: Sequence[float], tau: float):
         rel = _finite(rel, "relevance scores")
@@ -561,7 +579,7 @@ class RestrictedFacilityLocation(FacilityLocation):
         self.m = self._sim_t.shape[1]
 
     def to_dict(self):
-        return {"variant": "restricted_fl", "sim": self.full_sim.tolist(),
+        return {"variant": self.variant, "sim": self.full_sim.tolist(),
                 "rel": self.rel.tolist(), "tau": self.tau}
 
 
@@ -574,7 +592,7 @@ class Proxy(Objective):
     restores non-negativity (exact via enumeration for n <= 20, the safe
     bound theta(n) otherwise).
     """
-
+    variant = "proxy"
     SHIFT_ENUM_LIMIT = 20
 
     def __init__(self, fl: FacilityLocation, penalty: PenaltyCurve,
@@ -607,15 +625,19 @@ class Proxy(Objective):
 
     def eval_ids(self, ids):
         ids = np.asarray(ids)
-        sizes = np.count_nonzero(ids < self.n, axis=1)
-        vals = self.fl.eval_ids(ids) - self.penalty.theta[sizes] + self.shift
-        return _clamped(vals) if self.clamp else vals
+        return self._penalised(self.fl.eval_ids(ids), np.count_nonzero(ids < self.n, axis=1))
+
+    def _penalised(self, fl_vals: np.ndarray, sizes) -> np.ndarray:
+        """FL values of sets of ``sizes`` elements minus ``theta``, plus the
+        shift; with ``clamp``, ``max(v, 0.0)``, -0.0 kept as ``eval`` keeps it."""
+        vals = fl_vals - self.penalty.theta[sizes] + self.shift
+        return np.where(vals < 0.0, 0.0, vals) if self.clamp else vals
 
     def scan(self):
         return _ProxyScan(self, self.fl._sim_t)
 
     def to_dict(self):
-        return {"variant": "proxy", "sim": self.fl.sim.tolist(),
+        return {"variant": self.variant, "sim": self.fl.sim.tolist(),
                 "penalty": self.penalty.to_dict(), "shift": self.shift,
                 "clamp": self.clamp}
 
@@ -632,6 +654,7 @@ class InterferenceCoverage(_CoverObjective):
     sorted column pairs, the scan over the pairs with an end in ``S`` and
     the power set pair by pair.
     """
+    variant = "interference_coverage"
 
     def __init__(self, covers: Sequence[Iterable[int]],
                  intf: Mapping[tuple[int, int], float], lam: float,
@@ -672,8 +695,7 @@ class InterferenceCoverage(_CoverObjective):
             member = np.zeros(self.n, dtype=bool)
             member[list(s)] = True
             inside = self._pw[member[self._pi] & member[self._pj]].tolist()
-            # left to right as the kernels add; the builtin sum compensates from 3.12
-            val -= self.lam * functools.reduce(float.__add__, inside, 0.0)
+            val -= self.lam * add_left_to_right(inside)  # in pair order, as the kernels add
         return val
 
     def scan(self):
@@ -744,7 +766,7 @@ class InterferenceCoverage(_CoverObjective):
 
     def to_dict(self):
         return {
-            "variant": "interference_coverage",
+            "variant": self.variant,
             "covers": [sorted(c) for c in self.covers],
             "intf": [[i, j, w] for (i, j), w in self.intf.items()],
             "lam": self.lam,
@@ -754,6 +776,7 @@ class InterferenceCoverage(_CoverObjective):
 
 class Modular(Objective):
     """Additive objective f(S) = sum of per-element weights."""
+    variant = "modular"
 
     def __init__(self, weights: Sequence[float]):
         w = _finite(weights, "modular weights")
@@ -772,7 +795,7 @@ class Modular(Objective):
             self.weights, ids_to_mask(block, self.n)))
 
     def to_dict(self):
-        return {"variant": "modular", "weights": self.weights.tolist()}
+        return {"variant": self.variant, "weights": self.weights.tolist()}
 
 
 class TableObjective(Objective):
@@ -943,14 +966,7 @@ class _ProxyScan(_FacilityScan):
     clamped as ``Proxy`` does it."""
 
     def _values(self, cands):
-        proxy = self.obj
-        vals = super()._values(cands) - proxy.penalty.theta[len(self.members) + 1] + proxy.shift
-        return _clamped(vals) if proxy.clamp else vals
-
-
-def _clamped(vals: np.ndarray) -> np.ndarray:
-    """``max(v, 0.0)`` per value, -0.0 kept as ``Proxy.eval`` keeps it."""
-    return np.where(vals < 0.0, 0.0, vals)
+        return self.obj._penalised(super()._values(cands), len(self.members) + 1)
 
 
 def objective_from_dict(payload: Mapping) -> Objective:
@@ -1037,10 +1053,10 @@ def _field(payload: Mapping, key: str, kind, default=...):
 class CountingOracle:
     """Query-counting wrapper: each :meth:`eval` is one query, and
     :meth:`record` adds the values a :class:`CandidateScan` computes.
-    Values are the wrapped objective's."""
+    Values are the wrapped objective's (a wrapper's own, when given one)."""
 
     def __init__(self, obj: Objective):
-        self.inner = obj
+        self.inner = obj.inner if isinstance(obj, CountingOracle) else obj
         self.n = obj.n
         self.integer_valued = obj.integer_valued
         self._queries = 0
@@ -1067,17 +1083,10 @@ def open_scan(oracle) -> CandidateScan:
     """A candidate scan at the empty set over the objective behind
     ``oracle``; when ``oracle`` is a :class:`CountingOracle`, the scan
     records its queries there."""
-    scan = unwrap(oracle).scan()
-    if isinstance(oracle, CountingOracle):
-        scan.counter = oracle
+    counted = isinstance(oracle, CountingOracle)
+    scan = (oracle.inner if counted else oracle).scan()
+    scan.counter = oracle if counted else None
     return scan
-
-
-def unwrap(oracle) -> Objective:
-    """Peel counting wrappers off an oracle."""
-    while isinstance(oracle, CountingOracle):
-        oracle = oracle.inner
-    return oracle
 
 
 def _doubling(empty, items, op) -> np.ndarray:
@@ -1144,7 +1153,7 @@ def power_set_values(obj: Objective, universe: Sequence[int], low: int):
     :class:`InterferenceCoverage` subtracts pair penalties added in pair
     order.  Every other family values each block with ``eval_ids`` over the
     exact enumerator's batches of the low ids plus the block's high ids."""
-    return unwrap(obj)._power_set(list(universe), low)
+    return obj._power_set(list(universe), low)
 
 
 def value_table(obj: Objective) -> np.ndarray:
@@ -1153,7 +1162,6 @@ def value_table(obj: Objective) -> np.ndarray:
     ``exact._CHUNK`` masks.  Requires n <= 24."""
     from .exact import block_bits
 
-    obj = unwrap(obj)
     n = obj.n
     if n > 24:
         raise ValueError(f"value table infeasible for n={n}")

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .objectives import Objective, OracleStats, counting_wrap
+from .objectives import Objective, OracleStats, _ids, counting_wrap, sorted_ids
 from .selection import disjoint_runs, greedy, threshold_greedy, threshold_stream, window_greedy
 
 __all__ = [
@@ -105,7 +105,7 @@ class PrunedFile:
 
 @dataclass
 class PrunedSet(PrunedFile):
-    """A pruned universe with provenance, query stats, and timing."""
+    """A pruned universe of ids below ``params["n"]``, with provenance, stats and timing."""
 
     algorithm: str
     params: dict
@@ -116,7 +116,7 @@ class PrunedSet(PrunedFile):
     cap: int | None = None
 
     def __post_init__(self):
-        self.elements = sorted(int(e) for e in self.elements)
+        self.elements = sorted_ids(self.elements, self.params.get("n", 0)).tolist()
         if self.cap is not None and len(self.elements) > self.cap:
             raise ValueError(
                 f"{self.algorithm}: |P| = {len(self.elements)} exceeds cap {self.cap}")
@@ -305,8 +305,7 @@ def _run_picks(structure) -> list[int]:
         picks = runs[max(runs, key=int)]
     else:
         raise ValueError(f"a fast-budget-range structure holds a threshold run, got {kind!r}")
-    if not (isinstance(picks, list)
-            and all(isinstance(e, int) and not isinstance(e, bool) for e in picks)):
+    if not _ids(picks):
         raise ValueError("a threshold run must be a list of integer ids")
     return picks
 
@@ -327,7 +326,7 @@ def prune_threshold_stream(obj: Objective, order: Sequence[int], k: int, p: int,
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if k == 0 or p == 0:
         return _empty_pruned("threshold_stream", {"k": k, "p": p, "epsilon": epsilon})
-    order = [int(e) for e in order]
+    order = list(order)
     if sorted(order) != list(range(obj.n)):
         raise ValueError("order must be a permutation of the ground set")
     return PrunedSet(

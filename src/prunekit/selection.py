@@ -3,7 +3,10 @@
 All engines are deterministic: ties are broken by lowest element id, and each
 records a transcript (picks, marginal gains at pick time) that can be
 replayed against the oracle.  They accept either a raw objective or a
-:class:`~prunekit.objectives.CountingOracle`.
+:class:`~prunekit.objectives.CountingOracle`.  Pools and stream orders are
+read by :func:`~prunekit.objectives.sorted_ids` (a non-integer id raises
+``TypeError``, one outside ``0..n-1`` ``IndexError``); an order that
+repeats an id raises ``ValueError``.
 
 Every engine scans candidates through one primitive, the objective's
 :class:`~prunekit.objectives.CandidateScan`: a scan returns ``f(S + e)`` for
@@ -21,15 +24,13 @@ plain greedy commits the best candidate of a window one element wide.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass, field
-from functools import reduce
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .objectives import CandidateScan, open_scan
+from .objectives import CandidateScan, add_left_to_right, open_scan, sorted_ids
 
 __all__ = ["GreedyRun", "DensityRun", "greedy", "threshold_greedy", "density_greedy",
            "window_greedy", "threshold_stream", "disjoint_runs"]
@@ -68,11 +69,6 @@ class DensityRun(GreedyRun):
     @property
     def real_cost(self) -> float:
         return add_left_to_right(self.costs)
-
-
-def add_left_to_right(values) -> float:
-    """Sum floats in order, as 3.11's builtin ``sum`` does (3.12's compensates)."""
-    return reduce(operator.add, values, 0.0)
 
 
 def disjoint_runs(engine: Callable[[set[int]], GreedyRun], pool: Iterable[int],
@@ -222,8 +218,11 @@ def threshold_stream(oracle, order: Sequence[int], k: int, p: int,
     an element is accepted while fewer than ``p`` are if its marginal
     against the accepted set is at least ``epsilon * d / k``.  Returns the
     accepted elements in order."""
-    order = np.asarray(order, dtype=np.intp)
     scan = open_scan(oracle)
+    order = list(order)
+    if len(sorted_ids(order, scan.obj.n)) < len(order):
+        raise ValueError("threshold_stream: order repeats an id")
+    order = np.array(order, dtype=np.intp)
     singles = scan.values(order)  # at the empty set, before any add
     accepted: list[int] = []
     current = None  # f(accepted), once needed
@@ -282,10 +281,7 @@ def _rank_and_commit(oracle, pool: Iterable[int], rounds: int, width: int,
 def _open(oracle, pool: Iterable[int]) -> tuple[CandidateScan, np.ndarray]:
     """A scan at the empty set and the pool as an ascending id array."""
     scan = open_scan(oracle)
-    ids = np.array(sorted({int(e) for e in pool}), dtype=np.intp)
-    if len(ids) and (ids[0] < 0 or ids[-1] >= scan.obj.n):
-        raise IndexError(f"pool ids must lie in [0, {scan.obj.n})")
-    return scan, ids
+    return scan, sorted_ids(pool, scan.obj.n)
 
 
 def _gains(vals: np.ndarray, base) -> np.ndarray:

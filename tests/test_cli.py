@@ -31,6 +31,11 @@ def graph_file(tmp_path):
 
 
 class TestGen:
+    def test_gnm_negative_n_is_config_error(self, tmp_path, capsys):
+        assert main(["gen", "--family", "gnm", "--n", "-1", "--m", "1",
+                     "--out", str(tmp_path / "g.txt")]) == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err.strip())["kind"] == "config_error"
+
     def test_gnm_writes_loadable_graph(self, graph_file):
         edges = load_edge_list(graph_file)
         assert len(edges) == 30
@@ -166,6 +171,16 @@ class TestObjectiveSources:
         assert main(["prune", "--gen-spec", str(spec), "--algo", "seq_disjoint",
                      "--k", "3", "--ell", "2", "--out", str(out)]) == EXIT_OK
         assert len(read_doc(out)["body"]["elements"]) <= 6
+
+    @pytest.mark.parametrize("wanted, code", [("coverage", EXIT_OK), ("auto", EXIT_OK),
+                                              ("cut", EXIT_CONFIG)])
+    def test_objective_flag_checks_the_gen_spec_variant(self, tmp_path, wanted, code):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"family": "coverage",
+                                    "params": {"n": 8, "universe_m": 12}}))
+        assert main(["prune", "--gen-spec", str(spec), "--objective", wanted,
+                     "--algo", "seq_disjoint", "--k", "2", "--ell", "2",
+                     "--out", str(tmp_path / "p.json")]) == code
 
     @pytest.mark.parametrize("spec", [
         {"params": {"n": 5}, "seed": 1},

@@ -38,6 +38,12 @@ class TestGnm:
         with pytest.raises(ValueError):
             gen_gnm(4, 7, seed=0)
 
+    @pytest.mark.parametrize("n, m", [(-1, 1), (-2, 0)])
+    def test_negative_n_rejected(self, n, m):
+        # m = 1 lies in [0, n(n-1)/2] at n = -1; m = 0 drew no edge at all
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            gen_gnm(n, m)
+
     def test_uniform_pair_coverage(self):
         # every pair should appear across enough seeds
         seen = set()

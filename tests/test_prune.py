@@ -5,7 +5,7 @@ import pytest
 
 from prunekit import exact
 from prunekit.instances import gen_coverage, gen_gnm, gen_interference
-from prunekit.objectives import Cut, Modular, counting_wrap
+from prunekit.objectives import CountingOracle, Cut, Modular, counting_wrap
 from prunekit.prune import (EPSILON_FLOOR, PruneParams, PrunedSet,
                             prune_fast_budget_range, prune_random, prune_seq_disjoint,
                             prune_std_greedy, prune_threshold_stream, prune_window,
@@ -21,6 +21,17 @@ class TestPruneParams:
             PruneParams(k=3, epsilon=0.7)
         assert PruneParams(k=3, epsilon=0.3).resolved_ell() == 4
         assert PruneParams(k=3, ell=2, epsilon=0.3).resolved_ell() == 2
+
+
+class TestMetered:
+    def test_a_handed_oracle_is_counted_once(self):
+        obj = gen_interference(12, 15, seed=1)
+        assert CountingOracle(counting_wrap(obj)).inner is obj
+        oracle = counting_wrap(obj)
+        pruned = prune_seq_disjoint(oracle, 12, 3, ell=2)
+        plain = prune_seq_disjoint(obj, 12, 3, ell=2)
+        assert (pruned.elements, pruned.stats) == (plain.elements, plain.stats)
+        assert pruned.stats.queries > 0 and oracle.stats().queries == 0
 
 
 class TestSeqDisjoint:
