@@ -306,6 +306,9 @@ def _eval_knapsack(args, obj, cfg) -> dict:
     inst = knapsack.KnapsackInstance(_cost_vector(args.costs, obj.n), args.budget)
     if args.pruned:
         pruned = _load_pruned(args.pruned, "knapsack", obj.n)
+        if pruned.instance.costs != inst.costs:  # P serves other budgets, not other costs
+            raise ConfigError(f"{args.pruned} was pruned under other costs than "
+                              f"those in {args.costs}")
     elif args.full:
         pruned = knapsack.KnapsackPrunedSet(
             params={"full": True, "B": inst.B, "n": obj.n}, instance=inst,
@@ -322,7 +325,7 @@ def _eval_knapsack(args, obj, cfg) -> dict:
     cfg.update({"B": inst.B, "budgets": [float(b) for b in grid]})
     inst.check_budgets(grid)  # before the guard and the sweep over N
     profile = exact.opt_knapsack(obj, range(obj.n), inst.costs, grid)
-    extracted = knapsack.extract_budget_grid(pruned, obj, grid)
+    extracted = knapsack.extract_budget_grid(pruned, obj, grid, full_profile=profile)
     alphas, values = [], []
     for b, opt, sel in zip(grid, profile.opt_by_budget, extracted):
         val = float(obj.eval(sel))

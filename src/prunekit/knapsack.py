@@ -13,6 +13,11 @@ enumeration guard allows it; otherwise it takes the better, by ``eval``, of
 the best prefix of a density-greedy pass and the best feasible singleton.
 The cap is read at call time, so a caller (a test forcing the density
 route, say) can patch it.
+
+A caller that already holds the exact profile over all of N (as a knapsack
+eval does, for its reference optima) passes it to
+:func:`extract_budget_grid`: when P is all of N the exact route reads that
+profile's witnesses instead of sweeping the same power set again.
 """
 
 from __future__ import annotations
@@ -148,16 +153,34 @@ def extract_budget(pruned: KnapsackPrunedSet, obj: Objective, b_prime: float) ->
     return extract_budget_grid(pruned, obj, [b_prime])[0]
 
 
-def extract_budget_grid(pruned: KnapsackPrunedSet, obj: Objective,
-                        budgets) -> list[list[int]]:
-    """Per-budget extraction sharing one enumeration sweep across the grid."""
+def extract_budget_grid(pruned: KnapsackPrunedSet, obj: Objective, budgets,
+                        full_profile: exact.OptProfile | None = None) -> list[list[int]]:
+    """Per-budget extraction sharing one enumeration sweep across the grid.
+
+    ``full_profile``, when given, must be what
+    ``exact.opt_knapsack(obj, range(obj.n), pruned.instance.costs, budgets)``
+    returned; a profile over other budgets or another universe size raises
+    ``ValueError``.  When P holds every id of N and the exact route applies,
+    its witnesses are the answer: ``opt_knapsack`` sorts its universe, so
+    the sweep over P would return them again.
+    """
     budgets = list(budgets)
     inst = pruned.instance
     inst.check_budgets(budgets)
+    if full_profile is not None:
+        if full_profile.budgets != [float(b) for b in budgets]:
+            raise ValueError(f"profile budgets {full_profile.budgets} are not the "
+                             f"queried grid {budgets}")
+        if full_profile.enumerated_count != 1 << obj.n:
+            raise ValueError(f"profile enumerated {full_profile.enumerated_count} subsets, "
+                             f"not the {1 << obj.n} of the power set of N")
     P = pruned.elements
     if len(P) <= EXHAUSTIVE_CAP:
         try:
-            profile = exact.opt_knapsack(obj, P, inst.costs, budgets)
+            if full_profile is not None and len(sorted_ids(P, obj.n)) == obj.n:
+                profile = full_profile
+            else:
+                profile = exact.opt_knapsack(obj, P, inst.costs, budgets)
             return [sorted(s) for s in profile.argmax_by_budget]
         except exact.GuardExceeded:
             pass

@@ -2,7 +2,9 @@
 
 Elements of a ground set are dense integer ids ``0..n-1``; every id a caller
 passes is read by :func:`sorted_ids`, which raises ``TypeError`` for a float
-or a string and ``IndexError`` outside ``0..n-1``.  Every objective
+or a string and ``IndexError`` outside ``0..n-1``.  Constructors read edge
+ends, pair ends, cover items and Cut's ``n`` by the same ``operator.index``
+rule.  Every objective
 exposes ``eval`` (value of a set), ``marginal`` (value gain of one element)
 and one batched path.  Objectives copy their inputs once and are pure after
 construction; the :class:`CountingOracle` wrapper adds query accounting for
@@ -312,7 +314,7 @@ class _CoverObjective(Objective):
     def __init__(self, covers: Sequence[Iterable[int]], m: int | None):
         if not covers:
             raise ValueError(f"{type(self).__name__} needs at least one element")
-        self.covers = [frozenset(int(v) for v in cov) for cov in covers]
+        self.covers = [frozenset(operator.index(v) for v in cov) for cov in covers]
         for i, cov in enumerate(self.covers):
             if cov and min(cov) < 0:
                 raise ValueError(f"cover of element {i}: negative item {min(cov)}")
@@ -412,12 +414,12 @@ class Cut(Objective):
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]],
                  weights: Sequence[float] | None = None):
-        self.n = int(n)
+        self.n = operator.index(n)
         if self.n < 1:
             raise ValueError("cut objective needs n >= 1")
         us, vs = [], []
         for (u, v) in edges:
-            u, v = int(u), int(v)
+            u, v = operator.index(u), operator.index(v)
             if u == v:
                 raise ValueError(f"self-loop ({u},{v}) not allowed")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -642,6 +644,45 @@ class Proxy(Objective):
                 "clamp": self.clamp}
 
 
+def _pair_arrays(intf: Mapping[tuple[int, int], float], n: int):
+    """``(pi, pj, pw)``: the distinct unordered pairs of ``intf`` in
+    ascending order, as end arrays ``pi < pj`` and weights ``pw`` (a pair
+    given twice keeps its last weight).
+
+    Ends are read by the id rule (``operator.index``: a float or a string
+    raises ``TypeError``).  A pair on the diagonal or out of range, a
+    negative or non-finite weight, or a pair given again with another weight
+    raises ``ValueError`` for the first such pair in mapping order."""
+    keys = list(intf)
+    ends = np.array(keys) if keys else np.empty((0, 2), dtype=np.int64)
+    if ends.dtype.kind not in "iu" or ends.shape[1:] != (2,):
+        ends = np.array([(operator.index(i), operator.index(j)) for i, j in keys])
+    w = np.fromiter(intf.values(), dtype=float, count=len(keys))
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    valid = (lo >= 0) & (hi < n) & (lo < hi) & (w >= 0) & (w < np.inf)
+    stop = len(keys) if valid.all() else int(valid.argmin())
+
+    # the valid pairs before ``stop`` by code lo * n + hi, stably
+    codes = (lo[:stop] * n + hi[:stop]).astype(np.int64)
+    order = np.argsort(codes, kind="stable")
+    codes, ws = codes[order], w[order]
+    same = codes[1:] == codes[:-1]
+    clash = same & (ws[1:] != ws[:-1])
+    if clash.any():  # the first pair whose weight differs from its pair's first one
+        t = int(order[1:][clash].min())
+        raise ValueError(f"asymmetric intensities for pair {(int(lo[t]), int(hi[t]))}")
+    if stop < len(keys):
+        a, b = (int(e) for e in ends[stop])
+        if a == b:
+            raise ValueError(f"interference diagonal ({a},{a}) must be absent")
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"interference pair ({a},{b}) out of range")
+        raise ValueError(f"interference intensities must be finite and non-negative, "
+                         f"got {w[stop]} for pair {(min(a, b), max(a, b))}")
+    last = np.append(~same, True)[:stop]  # each code's last occurrence
+    return codes[last] // n, codes[last] % n, ws[last]
+
+
 class InterferenceCoverage(_CoverObjective):
     """Coverage minus a weighted penalty on interfering pairs.
 
@@ -664,25 +705,7 @@ class InterferenceCoverage(_CoverObjective):
         if not 0 <= self.lam < float("inf"):
             raise ValueError(f"interference weight lam must be finite and non-negative, "
                              f"got {self.lam}")
-        pairs: dict[tuple[int, int], float] = {}
-        for (i, j), w in intf.items():
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"interference diagonal ({i},{i}) must be absent")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"interference pair ({i},{j}) out of range")
-            key = (min(i, j), max(i, j))
-            w = float(w)
-            if not 0 <= w < float("inf"):
-                raise ValueError(f"interference intensities must be finite and "
-                                 f"non-negative, got {w} for pair {key}")
-            if key in pairs and pairs[key] != w:
-                raise ValueError(f"asymmetric intensities for pair {key}")
-            pairs[key] = w
-        ends = sorted(pairs)
-        self._pi = np.array([i for i, _ in ends], dtype=np.int64)
-        self._pj = np.array([j for _, j in ends], dtype=np.int64)
-        self._pw = np.array([pairs[key] for key in ends], dtype=float)
+        self._pi, self._pj, self._pw = _pair_arrays(intf, self.n)
 
     @property
     def intf(self) -> dict[tuple[int, int], float]:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import prunekit
+from prunekit import exact
 from prunekit.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_PARSE, main
 from prunekit.instances import gen_interference, load_edge_list
 
@@ -159,6 +160,62 @@ class TestPruneEval:
     def test_missing_objective_is_config_error(self, tmp_path):
         assert main(["prune", "--algo", "random", "--k", "2", "--omega", "2",
                      "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
+
+
+class TestKnapsackEval:
+    """A knapsack eval extracts under the costs of its pruned file and sweeps
+    the power set of N once when P is all of N."""
+
+    def costs(self, tmp_path, name, lo, hi):
+        path = tmp_path / name
+        path.write_text("".join(f"{e},{lo + (hi - lo) * e / 13}\n" for e in range(14)))
+        return path
+
+    def prune(self, tmp_path, graph_file, costs, ell):
+        pruned = tmp_path / "kp.json"
+        assert main(["prune", "--graph", str(graph_file), "--algo", "sdg_density",
+                     "--costs", str(costs), "--budget", "1.0", "--ell", str(ell),
+                     "--out", str(pruned)]) == EXIT_OK
+        return pruned
+
+    def eval_argv(self, tmp_path, graph_file, costs, source, budget="1.0"):
+        return ["eval", "--graph", str(graph_file), *source, "--costs", str(costs),
+                "--budget", budget, "--budgets-grid", "4", "--out", str(tmp_path / "r.json")]
+
+    def test_pruned_under_other_costs_is_config_error(self, tmp_path, graph_file, capsys):
+        cheap = self.costs(tmp_path, "c1.csv", 0.01, 0.03)
+        dear = self.costs(tmp_path, "c2.csv", 0.3, 0.6)
+        pruned = self.prune(tmp_path, graph_file, cheap, ell=2)
+        argv = self.eval_argv(tmp_path, graph_file, dear, ["--pruned", str(pruned)])
+        assert main(argv) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["kind"] == "config_error"
+        assert "kp.json" in record["message"] and "c2.csv" in record["message"]
+
+    def test_a_smaller_budget_is_allowed(self, tmp_path, graph_file):
+        cheap = self.costs(tmp_path, "c1.csv", 0.01, 0.03)
+        pruned = self.prune(tmp_path, graph_file, cheap, ell=2)
+        argv = self.eval_argv(tmp_path, graph_file, cheap, ["--pruned", str(pruned)],
+                              budget="0.5")
+        assert main(argv) == EXIT_OK
+        assert max(read_doc(tmp_path / "r.json")["body"]["budgets"]) == 0.5
+
+    @pytest.mark.parametrize("source, lo, hi, size, sweeps", [
+        ("full", 0.3, 0.6, 14, 1), ("pruned", 0.01, 0.03, 14, 1), ("pruned", 0.3, 0.6, 6, 2),
+    ], ids=["full", "p_is_n", "p_strict"])
+    def test_power_set_of_n_swept_once(self, tmp_path, graph_file, monkeypatch,
+                                       source, lo, hi, size, sweeps):
+        costs = self.costs(tmp_path, "c.csv", lo, hi)
+        args = (["--full"] if source == "full" else
+                ["--pruned", str(self.prune(tmp_path, graph_file, costs, ell=1))])
+        universes = []
+        sweep = exact.opt_knapsack
+        monkeypatch.setattr(exact, "opt_knapsack",
+                            lambda obj, universe, *rest: universes.append(list(universe))
+                            or sweep(obj, universe, *rest))
+        assert main(self.eval_argv(tmp_path, graph_file, costs, args)) == EXIT_OK
+        assert read_doc(tmp_path / "r.json")["body"]["pruned_size"] == size
+        assert len(universes) == sweeps and universes[0] == list(range(14))
 
 
 class TestObjectiveSources:

@@ -7,7 +7,7 @@ import pytest
 
 from prunekit import exact
 from prunekit.knapsack import KnapsackInstance
-from prunekit.objectives import Cut
+from prunekit.objectives import Coverage, Cut, InterferenceCoverage
 from prunekit.prune import PrunedSet, prune_threshold_stream
 from prunekit.selection import (density_greedy, greedy, threshold_greedy, threshold_stream,
                                 window_greedy)
@@ -82,3 +82,29 @@ def test_pruned_set_checks_its_elements(elements, error):
 def test_pruned_set_reads_numpy_ids_as_ints():
     pruned = PrunedSet("flat", {"n": 5}, np.array([3, 0, 3]), {"kind": "flat"})
     assert pruned.elements == [0, 3] and all(type(e) is int for e in pruned.elements)
+
+
+#: per constructor, a build whose ids (edge ends, pair ends, cover items or
+#: Cut's ``n``) are the given values
+CONSTRUCTORS = {
+    "cut_edge": lambda a, b: Cut(3, [(a, b)]),
+    "cut_n": lambda a, b: Cut(b, [(0, 1)]),
+    "interference_pair": lambda a, b: InterferenceCoverage([[0], [1], [2]], {(a, b): 1.0}, 0.5),
+    "coverage_items": lambda a, b: Coverage([[a, b], [2]]),
+    "interference_items": lambda a, b: InterferenceCoverage([[a, b], [2]], {}, 0.5),
+}
+
+
+@pytest.mark.parametrize("build", CONSTRUCTORS)
+@pytest.mark.parametrize("ends", [(0.9, 2.2), (0.0, 2.0), ("0", "2"),
+                                  (np.float64(0), np.float64(2))],
+                         ids=["fractions", "whole_floats", "string", "numpy_float"])
+def test_constructors_read_ids_by_the_id_rule(build, ends):
+    with pytest.raises(TypeError):
+        CONSTRUCTORS[build](*ends)
+
+
+@pytest.mark.parametrize("build", CONSTRUCTORS)
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_constructors_take_numpy_integer_ids(build, kind):
+    assert CONSTRUCTORS[build](kind(0), kind(2)).to_dict() == CONSTRUCTORS[build](0, 2).to_dict()

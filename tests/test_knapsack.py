@@ -2,12 +2,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunekit import exact, knapsack
 from prunekit.instances import gen_coverage, gen_gnm, gen_interference
 from prunekit.knapsack import (KnapsackInstance, KnapsackPrunedSet, extract_budget,
                                extract_budget_grid, prune_sdg_density)
-from prunekit.objectives import Cut, Modular
+from prunekit.objectives import Coverage, Cut, Modular
 from prunekit.selection import density_greedy
 
 
@@ -180,6 +182,83 @@ class TestExtractBudget:
             sets = extract_budget_grid(pruned, obj, budgets)
             for b, o, q in zip(budgets, opt.opt_by_budget, sets):
                 assert obj.eval(q) >= (0.5 - eps) * o - 1e-9
+
+
+def full_pruned(inst: KnapsackInstance) -> KnapsackPrunedSet:
+    """The pruned set that is all of N, as ``eval --full`` builds it."""
+    return KnapsackPrunedSet(params={"full": True, "B": inst.B, "n": inst.n}, instance=inst,
+                             elements=list(range(inst.n)), runs=[],
+                             total_cost=inst.cost(range(inst.n)))
+
+
+SHARED_FAMILIES = {
+    "coverage": lambda n, seed: gen_coverage(n, 12, seed=seed),
+    "weighted_coverage": lambda n, seed: Coverage(
+        gen_coverage(n, 12, seed=seed).covers,
+        weights=np.random.default_rng(seed).uniform(0.1, 3.0, 12), m=12),
+    "interference": lambda n, seed: gen_interference(n, 12, seed=seed, interference_prob=0.5),
+    "modular": lambda n, seed: Modular(np.random.default_rng(seed).uniform(-1.0, 3.0, n)),
+}
+
+
+class TestSharedProfile:
+    """``extract_budget_grid(..., full_profile)`` reads the sweep over N
+    when P is all of N, and answers as the sweep over P would."""
+
+    @given(family=st.sampled_from(sorted(SHARED_FAMILIES)), n=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1), binding=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_profile_over_n_gives_the_sweep_over_p(self, family, n, seed, binding):
+        # slack: every budget admits all of N; binding: none does
+        obj = SHARED_FAMILIES[family](n, seed)
+        costs = np.random.default_rng(seed + 1).uniform(0.05, 1.0, n)
+        total = float(costs.sum())
+        inst = KnapsackInstance(costs, 2 * total)
+        budgets = [f * total for f in ((0.1, 0.3, 0.6) if binding else (1.0, 1.5, 2.0))]
+        pruned = full_pruned(inst)
+        profile = exact.opt_knapsack(obj, range(n), inst.costs, budgets)
+        with mock.patch.object(exact, "opt_knapsack", side_effect=AssertionError("swept")):
+            shared = extract_budget_grid(pruned, obj, budgets, full_profile=profile)
+        assert shared == extract_budget_grid(pruned, obj, budgets)
+
+    def test_a_strict_subset_still_sweeps_p(self):
+        obj = gen_coverage(12, 30, seed=0)
+        costs = np.random.default_rng(0).uniform(0.2, 1.0, size=12)
+        pruned = prune_sdg_density(obj, KnapsackInstance(costs, 1.0), ell=1)
+        assert len(pruned.elements) < 12
+        budgets = [0.5, 1.0]
+        profile = exact.opt_knapsack(obj, range(12), costs, budgets)
+        with mock.patch.object(exact, "opt_knapsack", wraps=exact.opt_knapsack) as sweeps:
+            shared = extract_budget_grid(pruned, obj, budgets, full_profile=profile)
+        assert [call.args[1] for call in sweeps.call_args_list] == [pruned.elements]
+        assert shared == extract_budget_grid(pruned, obj, budgets)
+
+    def test_density_route_ignores_the_profile(self):
+        # |P| = n above the patched cap: the density route runs, one pass per
+        # budget, and answers as without the profile
+        obj = gen_interference(10, 16, seed=3)
+        inst = KnapsackInstance(np.random.default_rng(3).uniform(0.1, 0.5, 10), 2.0)
+        budgets = [0.4, 1.0, 2.0]
+        pruned = full_pruned(inst)
+        profile = exact.opt_knapsack(obj, range(10), inst.costs, budgets)
+        with mock.patch.object(knapsack, "EXHAUSTIVE_CAP", 9):
+            with mock.patch.object(knapsack, "density_greedy", wraps=density_greedy) as runs:
+                shared = extract_budget_grid(pruned, obj, budgets, full_profile=profile)
+            assert runs.call_count == len(budgets)
+            assert shared == extract_budget_grid(pruned, obj, budgets)
+
+    def test_mismatched_profile_rejected(self):
+        obj = gen_coverage(6, 12, seed=1)
+        inst = KnapsackInstance([0.1] * 6, 1.0)
+        pruned = full_pruned(inst)
+        profile = exact.opt_knapsack(obj, range(6), inst.costs, [0.5, 1.0])
+        with pytest.raises(ValueError, match="budgets"):
+            extract_budget_grid(pruned, obj, [0.5], full_profile=profile)
+        with pytest.raises(ValueError, match="budgets"):
+            extract_budget_grid(pruned, obj, [1.0, 0.5], full_profile=profile)
+        over_five = exact.opt_knapsack(obj, range(5), inst.costs, [0.5, 1.0])
+        with pytest.raises(ValueError, match="enumerated 32 subsets"):
+            extract_budget_grid(pruned, obj, [0.5, 1], full_profile=over_five)
 
 
 class TestSerialization:

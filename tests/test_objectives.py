@@ -519,3 +519,71 @@ class TestCoverValidation:
         assert obj.m == 0
         assert obj.eval({0}) == 0 and obj.eval_ids(np.array([[0, 2]])).tolist() == [0.0]
         assert obj.scan().values([0, 1]).tolist() == [0, 0]
+
+
+def pair_arrays_loop(intf, n):
+    """Reference for ``InterferenceCoverage``'s pair arrays: one pair at a
+    time in mapping order, the first bad pair raising."""
+    pairs = {}
+    for (i, j), w in intf.items():
+        i, j = int(i), int(j)
+        if i == j:
+            raise ValueError(f"interference diagonal ({i},{i}) must be absent")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"interference pair ({i},{j}) out of range")
+        key = (min(i, j), max(i, j))
+        w = float(w)
+        if not 0 <= w < float("inf"):
+            raise ValueError(f"interference intensities must be finite and "
+                             f"non-negative, got {w} for pair {key}")
+        if key in pairs and pairs[key] != w:
+            raise ValueError(f"asymmetric intensities for pair {key}")
+        pairs[key] = w
+    ends = sorted(pairs)
+    return ([i for i, _ in ends], [j for _, j in ends],
+            np.array([pairs[key] for key in ends], dtype=float))
+
+
+def pair_outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestPairValidation:
+    N = 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-1, N), st.integers(-1, N),
+                              st.sampled_from([0.0, -0.0, 1.0, 2.5, -0.5, float("nan"),
+                                               float("inf")])), max_size=12))
+    def test_arrays_and_first_bad_pair_match_the_loop(self, triples):
+        intf = {(i, j): w for i, j, w in triples}
+        want = pair_outcome(lambda: pair_arrays_loop(intf, self.N))
+
+        def build():
+            obj = InterferenceCoverage([[0]] * self.N, intf, 0.5)
+            return obj._pi.tolist(), obj._pj.tolist(), obj._pw
+
+        got = pair_outcome(build)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got[:2] == want[:2]
+            assert got[2].dtype == want[2].dtype and got[2].tobytes() == want[2].tobytes()
+
+    def test_a_pair_given_both_ways_keeps_one_entry(self):
+        obj = InterferenceCoverage([[0], [1], [2]], {(2, 0): 1.5, (1, 2): 0.5, (0, 2): 1.5}, 1.0)
+        assert obj.intf == {(0, 2): 1.5, (1, 2): 0.5}
+        assert obj._pi.dtype == obj._pj.dtype == np.int64
+
+    @pytest.mark.parametrize("intf, message", [
+        ({(0, 1): 1.0, (2, 2): 1.0, (1, 0): 2.0}, r"diagonal \(2,2\)"),
+        ({(0, 1): 1.0, (1, 0): 2.0, (2, 2): 1.0}, r"asymmetric intensities for pair \(0, 1\)"),
+        ({(0, 1): 1.0, (0, 2**70): 1.0}, rf"pair \(0,{2**70}\) out of range"),
+        ({(1, 0): -1.0}, r"got -1.0 for pair \(0, 1\)"),
+    ], ids=["diagonal_first", "asymmetric_first", "huge_end", "negative"])
+    def test_first_bad_pair_in_mapping_order(self, intf, message):
+        with pytest.raises(ValueError, match=message):
+            InterferenceCoverage([[0], [1], [2]], intf, 1.0)
