@@ -229,7 +229,8 @@ def cmd_prune(args) -> int:
 def _load_pruned(path, kind: str, n: int):
     """The pruned set in ``path``.  A body with missing or ill-typed keys is
     an input parse error; element ids outside ``0..n-1`` are a config error,
-    as a costs file that misses elements is."""
+    as a costs file that misses elements and a body pruned for another
+    ground-set size are."""
     body = _load_json_body(path)
     if not isinstance(body, dict):
         raise instances.InputFormatError(path, 1, "pruned-set body must be a JSON object")
@@ -255,8 +256,9 @@ def _load_pruned(path, kind: str, n: int):
     if outside:
         raise ConfigError(f"{path}: element ids {outside[:8]} lie outside the "
                           f"ground set 0..{n - 1}")
-    if is_knapsack and pruned.instance.n != n:
-        raise ConfigError(f"{path}: pruned for {pruned.instance.n} elements, "
+    pruned_n = pruned.instance.n if is_knapsack else pruned.params.get("n", n)
+    if pruned_n != n:  # an empty k = 0 body names no n
+        raise ConfigError(f"{path}: pruned for {pruned_n} elements, "
                           f"the objective has n={n}")
     return pruned
 

@@ -91,6 +91,17 @@ def _greedy_reference_values(obj: Objective, pool, k: int) -> list[float]:
     return prefix
 
 
+def _at_budgets(profile: exact.OptProfile, budgets: list[int]):
+    """``(values, sets)`` of an exact profile at each budget.  A profile
+    stops at its universe's size, where ``OPT_k'`` stops growing, so a
+    larger budget reads its last entry (``f(empty)`` and ``()`` when the
+    universe is empty)."""
+    top = len(profile.opt_by_budget) - 1
+    at = [min(b, top) for b in budgets]
+    return ([float(profile.opt_by_budget[b]) for b in at],
+            [list(profile.argmax_by_budget[b]) for b in at])
+
+
 def containment_report(obj: Objective, pruned: PrunedSet, k: int,
                        reference: str = "exact") -> ContainmentReport:
     """Certify alpha(k') for every k' = 1..k.
@@ -110,8 +121,7 @@ def containment_report(obj: Objective, pruned: PrunedSet, k: int,
     inside_exact = True
     try:
         inside_profile = exact.opt_cardinality(obj, P, k)
-        best_inside = [float(v) for v in inside_profile.opt_by_budget[1:]]
-        best_sets = [list(s) for s in inside_profile.argmax_by_budget[1:]]
+        best_inside, best_sets = _at_budgets(inside_profile, budgets)
         inside_count = inside_profile.enumerated_count
     except exact.GuardExceeded:
         if reference == "exact":
@@ -124,7 +134,7 @@ def containment_report(obj: Objective, pruned: PrunedSet, k: int,
 
     if reference == "exact":
         full_profile = exact.opt_cardinality(obj, range(n), k)
-        denominators = [float(v) for v in full_profile.opt_by_budget[1:]]
+        denominators, _ = _at_budgets(full_profile, budgets)
         denom_count = full_profile.enumerated_count
     else:
         denominators = _greedy_reference_values(obj, range(n), k)

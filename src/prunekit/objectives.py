@@ -17,13 +17,14 @@ selection in any order, padded anywhere with the empty-slot id ``n``.  It
 returns one float per row, equal bit for bit to ``eval`` of that row
 whatever else is in the batch: each kernel reduces every row on its own in
 the order ``eval`` does, and none uses a matmul, whose row results depend on
-the rows batched with them.  The pair kernels of unweighted :class:`Cut`
-and :class:`InterferenceCoverage` read a flat pair table over the ranks of
-the ids the batch uses, so the table grows with those ids, not with ``n``;
-interference visits a row's column pairs in triu order over its sorted
-ranks, which is ascending pair order.  Cut's degrees and adjacency and the
-packed cover words are built lazily.  ``_value`` stays the scalar path: a
-small batch costs tens of microseconds, a scalar value a few.
+the rows batched with them.  Unweighted :class:`Cut` and
+:class:`InterferenceCoverage` share one pair kernel, :func:`_pair_sums`: a
+flat table of pair weights (edge counts, intensities) over the ranks of the
+ids the batch uses, so it grows with those ids, not with ``n``, read over a
+row's column pairs in triu order, which is ascending pair order.  Cut's
+degrees, adjacency and edge counts and the cover words are built lazily.
+``_value`` stays the scalar path: a small batch costs tens of microseconds,
+a scalar value a few.
 
 Power-set tables: :func:`power_set_values` gives ``f`` of every subset of a
 universe, indexed by subset mask, in blocks of masks that share their high
@@ -155,6 +156,15 @@ def _as_index_set(S: Iterable[int], n: int) -> frozenset[int]:
     return frozenset(sorted_ids(S, n).tolist())
 
 
+def _pair_ends(pairs: list) -> np.ndarray:
+    """The ends of ``pairs`` as an ``(m, 2)`` array, read by the id rule
+    (``operator.index``); ends too large for int64 stay Python ints."""
+    ends = np.array(pairs) if pairs else np.empty((0, 2), dtype=np.int64)
+    if ends.dtype.kind not in "iu" or ends.shape[1:] != (2,):
+        ends = np.array([(operator.index(i), operator.index(j)) for i, j in pairs])
+    return ends
+
+
 class Objective:
     """Base value oracle.  Subclasses set ``n`` and ``variant`` and implement ``_value``."""
 
@@ -259,20 +269,51 @@ def _masked_row_sums(weights: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def _ranks(used: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(ranked, rank)``: the ids marked in the boolean ``used``, ascending,
-    and per id its rank among them (0 when unmarked).  Pair tables indexed
-    by rank grow with the ids a batch uses, not with ``n``."""
-    ranked = np.flatnonzero(used)
-    rank = np.zeros(len(used), dtype=np.intp)
-    rank[ranked] = np.arange(len(ranked))
-    return ranked, rank
-
-
 @functools.lru_cache(maxsize=32)
-def _pairs(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column pairs i <= j of an id batch of the given width."""
-    return np.triu_indices(width)
+def _pairs(width: int) -> tuple[tuple[int, int], ...]:
+    """Column pairs a < b of an id batch of the given width, in triu order."""
+    return tuple(itertools.combinations(range(width), 2))
+
+
+def _pair_sums(ids: np.ndarray, n: int, pi: np.ndarray, pj: np.ndarray,
+               pw: np.ndarray) -> np.ndarray:
+    """Per row of ``ids`` the weights ``pw`` of the pairs ``pi < pj`` inside
+    it, added left to right in pair order, as ``eval`` adds them.  The pairs
+    are distinct.
+
+    Ids are replaced by their ranks among the ids the batch uses, and a
+    flat ``side x side`` table over the ranks holds each pair's weight
+    at ``(lower, higher)`` and 0.0 elsewhere, so the table grows with those
+    ids, not with ``n``.  With its ranks sorted, the empty slot ``n`` goes
+    last, and the column pairs ``a < b`` in triu order visit the row's id
+    pairs in ascending pair order.  So each row adds its pairs' weights in
+    ``eval``'s order, and 0.0 for the rest; the partial sums are never
+    negative, so the zeros change no bit.  The ranks are laid out one
+    contiguous row per column."""
+    if ids.shape[1] < 2:  # no pairs inside a row
+        return np.zeros(len(ids))
+    used = np.zeros(n + 1, dtype=bool)
+    used[ids.reshape(-1)] = True
+    ranked = np.flatnonzero(used)
+    rank = np.zeros(n + 1, dtype=np.intp)
+    rank[ranked] = np.arange(len(ranked))
+    side = len(ranked)
+    inside = used[pi] & used[pj]
+    table = np.zeros(side * side)
+    table[rank[pi[inside]] * side + rank[pj[inside]]] = pw[inside]
+    pairs = _pairs(ids.shape[1])
+
+    def kernel(block):
+        ranks = rank[np.ascontiguousarray(block.T)]  # (width, rows)
+        if not (ranks[:-1] <= ranks[1:]).all():  # the enumerator's rows come sorted
+            ranks.sort(axis=0)
+        firsts = ranks * side
+        total = np.zeros(len(block))
+        for a, b in pairs:
+            total += table[firsts[a] + ranks[b]]
+        return total
+
+    return _by_blocks(ids, ids.shape[1], kernel)
 
 
 def _cover_words(covers: Sequence[frozenset[int]], m: int) -> np.ndarray:
@@ -417,23 +458,21 @@ class Cut(Objective):
         self.n = operator.index(n)
         if self.n < 1:
             raise ValueError("cut objective needs n >= 1")
-        us, vs = [], []
-        for (u, v) in edges:
-            u, v = operator.index(u), operator.index(v)
+        ends = _pair_ends(list(edges))
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        bad = (lo == hi) | (lo < 0) | (hi >= self.n)
+        if bad.any():  # the first bad edge in input order
+            u, v = (int(e) for e in ends[int(bad.argmax())])
             if u == v:
                 raise ValueError(f"self-loop ({u},{v}) not allowed")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            us.append(u)
-            vs.append(v)
-        self._us = np.asarray(us, dtype=np.int64)
-        self._vs = np.asarray(vs, dtype=np.int64)
+            raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+        self._us, self._vs = np.ascontiguousarray(ends.T, dtype=np.int64)
         if weights is None:
             self._ws = None
             self.integer_valued = True
         else:
             w = _finite(weights, "edge weights")
-            if w.size != len(us):
+            if w.size != len(self._us):
                 raise ValueError("one weight per edge required")
             if w.size and w.min() < 0:
                 raise ValueError("edge weights must be non-negative")
@@ -470,44 +509,26 @@ class Cut(Objective):
     def scan(self):
         return _CutScan(self) if self._ws is None else CandidateScan(self)
 
+    @functools.cached_property
+    def _edge_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lo, hi, count)``: the distinct edges ascending, ``lo < hi``,
+        with their multiplicities as floats."""
+        codes, counts = np.unique(np.minimum(self._us, self._vs) * self.n
+                                  + np.maximum(self._us, self._vs), return_counts=True)
+        return codes // self.n, codes % self.n, counts.astype(float)
+
     def eval_ids(self, ids):
         """Unweighted cut of each row: its degree sum minus twice the edges
-        inside it, read from a pair table over the ids the batch uses.
-        Weighted: the weights of the cut edges summed along each row."""
+        inside it (small integers, exact in any order).  Weighted: the
+        weights of the cut edges summed along each row."""
         ids = np.asarray(ids)
         if self._ws is not None:
             return _by_blocks(ids, max(self.n, len(self._ws)), self._cut_weight)
-        if ids.shape[1] == 1:  # no pairs: a single vertex cuts its degree
-            return self._degrees[ids[:, 0]].astype(float)
-        used = np.zeros(self.n + 1, dtype=bool)
-        used[ids.reshape(-1)] = True
-        rank, weights, side = self._pair_table(used)
-        first, second = _pairs(ids.shape[1])
-
-        def block_values(block):
-            ranks = rank[block]
-            return weights[(ranks * side)[:, first] + ranks[:, second]].sum(axis=1, dtype=float)
-
-        return _by_blocks(ids, len(first), block_values)
+        return self._degrees[ids].sum(axis=1) - 2 * _pair_sums(ids, self.n, *self._edge_pairs)
 
     def _cut_weight(self, block: np.ndarray) -> np.ndarray:
         M = ids_to_mask(block, self.n)
         return _masked_row_sums(self._ws, M[:, self._us] != M[:, self._vs])
-
-    def _pair_table(self, used: np.ndarray):
-        """``(rank, weights, side)`` for the ids marked in ``used``: ``rank``
-        maps an id to its rank among them, and ``weights`` is a flat
-        ``side x side`` table over the ranks with the degrees on the
-        diagonal and -2 times the edge counts off it.  The table grows with
-        the enumerated universe, not with ``n``."""
-        ranked, rank = _ranks(used)
-        side = len(ranked)
-        inside = used[self._us] & used[self._vs]
-        ru, rv = rank[self._us[inside]], rank[self._vs[inside]]
-        weights = -2 * np.bincount(np.concatenate([ru * side + rv, rv * side + ru]),
-                                   minlength=side * side)
-        weights[::side + 1] = self._degrees[ranked]
-        return rank, weights, side
 
     def to_dict(self):
         return {
@@ -654,9 +675,7 @@ def _pair_arrays(intf: Mapping[tuple[int, int], float], n: int):
     negative or non-finite weight, or a pair given again with another weight
     raises ``ValueError`` for the first such pair in mapping order."""
     keys = list(intf)
-    ends = np.array(keys) if keys else np.empty((0, 2), dtype=np.int64)
-    if ends.dtype.kind not in "iu" or ends.shape[1:] != (2,):
-        ends = np.array([(operator.index(i), operator.index(j)) for i, j in keys])
+    ends = _pair_ends(keys)
     w = np.fromiter(intf.values(), dtype=float, count=len(keys))
     lo, hi = ends.min(axis=1), ends.max(axis=1)
     valid = (lo >= 0) & (hi < n) & (lo < hi) & (w >= 0) & (w < np.inf)
@@ -728,42 +747,9 @@ class InterferenceCoverage(_CoverObjective):
         """Covered count minus ``lam`` times each row's pair penalty."""
         ids = np.asarray(ids)
         out = _covered_count(_union(self._words, ids))
-        if self.lam and len(self._pw) and ids.shape[1] > 1:
-            out -= self.lam * self._penalties(ids)
+        if self.lam and len(self._pw):
+            out -= self.lam * _pair_sums(ids, self.n, self._pi, self._pj, self._pw)
         return out
-
-    def _penalties(self, ids: np.ndarray) -> np.ndarray:
-        """Per row the weights of the pairs inside it, added left to right in
-        pair order, as ``eval`` adds them.
-
-        Ids are replaced by their ranks among the ids the batch uses, and a
-        flat ``side x side`` table over the ranks holds each pair's weight
-        at ``(lower, higher)`` and 0.0 elsewhere.  With its ranks sorted,
-        the empty slot ``n`` goes last, and the column pairs ``a < b`` in
-        triu order visit the row's id pairs in ascending pair order.  So
-        each row adds its pairs' weights in ``eval``'s order, and 0.0 for
-        the rest; the partial sums are never negative, so the zeros change
-        no bit.  The ranks are laid out one contiguous row per column."""
-        used = np.zeros(self.n + 1, dtype=bool)
-        used[ids.reshape(-1)] = True
-        ranked, rank = _ranks(used)
-        side = len(ranked)
-        inside = used[self._pi] & used[self._pj]
-        table = np.zeros(side * side)
-        table[rank[self._pi[inside]] * side + rank[self._pj[inside]]] = self._pw[inside]
-        pairs = list(itertools.combinations(range(ids.shape[1]), 2))  # triu order
-
-        def kernel(block):
-            ranks = rank[np.ascontiguousarray(block.T)]  # (width, rows)
-            if not (ranks[:-1] <= ranks[1:]).all():  # the enumerator's rows come sorted
-                ranks.sort(axis=0)
-            firsts = ranks * side
-            total = np.zeros(len(block))
-            for a, b in pairs:
-                total += table[firsts[a] + ranks[b]]
-            return total
-
-        return _by_blocks(ids, ids.shape[1], kernel)
 
     def _power_set(self, universe, low):
         """Covered counts minus ``lam`` times the pair penalties.  Each

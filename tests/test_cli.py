@@ -441,6 +441,31 @@ class TestMalformedPruned:
         assert main(argv) == EXIT_CONFIG
         assert self.error_kind(capsys) == "config_error"
 
+    def test_cardinality_ground_set_size_mismatch_is_config_error(self, tmp_path, graph_file,
+                                                                  capsys):
+        # pruned on 14 vertices, evaluated on 20: every id fits, n does not
+        pruned, argv = self.cardinality(tmp_path, graph_file)
+        larger = tmp_path / "g20.txt"
+        assert main(["gen", "--family", "gnm", "--n", "20", "--m", "40", "--seed", "3",
+                     "--out", str(larger)]) == EXIT_OK
+        argv[argv.index(str(graph_file))] = str(larger)
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["kind"] == "config_error"
+        assert "pruned for 14 elements, the objective has n=20" in record["message"]
+
+    def test_empty_body_without_n_evaluates(self, tmp_path, graph_file):
+        # a k = 0 body names no ground-set size; every budget reads f(empty)
+        pruned = tmp_path / "p0.json"
+        assert main(["prune", "--graph", str(graph_file), "--algo", "seq_disjoint",
+                     "--k", "0", "--omega", "2", "--out", str(pruned)]) == EXIT_OK
+        assert "n" not in read_doc(pruned)["body"]["params"]
+        assert main(["eval", "--graph", str(graph_file), "--pruned", str(pruned), "--k", "2",
+                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        report = read_doc(tmp_path / "r.json")["body"]["report"]
+        assert report["alphas"] == [0.0, 0.0] and report["best_inside_sets"] == [[], []]
+
     def fast_budget_range(self, tmp_path, graph_file):
         pruned = tmp_path / "f.json"
         assert main(["prune", "--graph", str(graph_file), "--algo", "fast_budget_range",

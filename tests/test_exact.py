@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 from unittest import mock
@@ -8,7 +9,7 @@ from conftest import build_variants, scan_families
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prunekit import exact
+from prunekit import exact, objectives
 from prunekit.instances import gen_coverage, gen_gnm, gen_interference
 from prunekit.objectives import (REAL_TOL, Coverage, Cut, FacilityLocation,
                                  InterferenceCoverage, Modular, PenaltyCurve, Proxy,
@@ -441,18 +442,27 @@ class TestKernels:
 
 class TestCutPairTable:
     def test_table_spans_the_universe_not_n(self):
+        # the shared pair kernel's rank table, read from the closure of the
+        # row kernel it hands to ``_by_blocks``
         n = 5000
         obj = Cut(n, gen_gnm(n, 20000, seed=2))
         universe = sorted(np.random.default_rng(3).choice(n, size=12, replace=False).tolist())
-        profile = exact.opt_cardinality(obj, universe, 4, collect_ties=True)
+        tables = []
+
+        def spy(ids, per_row, kernel):
+            tables.append(inspect.getclosurevars(kernel).nonlocals)
+            return by_blocks(ids, per_row, kernel)
+
+        by_blocks = objectives._by_blocks
+        with mock.patch.object(objectives, "_by_blocks", spy):
+            profile = exact.opt_cardinality(obj, universe, 4, collect_ties=True)
         opt, argmax, ties, count = reference_cardinality(obj, universe, 4)
         assert profile.opt_by_budget == opt
         assert profile.argmax_by_budget == argmax
         assert profile.ties_at_top == ties
-        used = np.zeros(n + 1, dtype=bool)
-        used[universe + [n]] = True  # the universe and the empty slot
-        _, weights, side = obj._pair_table(used)
-        assert side == len(universe) + 1 and weights.size == side * side
+        # the universe and the empty slot
+        assert max(t["side"] for t in tables) == len(universe) + 1
+        assert all(t["table"].size == t["side"] ** 2 for t in tables)
 
     def test_single_vertex_rows_read_degrees(self):
         n = 3000

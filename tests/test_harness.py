@@ -53,6 +53,28 @@ class TestContainmentReport:
             report = containment_report(obj, pruned, 3)
             assert all(0.0 <= a <= 1.0 for a in report.alphas)
 
+    def test_budgets_past_the_pruned_set_read_its_whole_optimum(self):
+        # |P| = 2 < k = 5: OPT over P stops growing at |P|, and every budget
+        # keeps its alpha
+        obj = Cut(8, gen_gnm(8, 14, seed=1))
+        pruned = prune_random(8, 2, seed=0)
+        report = containment_report(obj, pruned, 5)
+        inside = exact.opt_cardinality(obj, pruned.elements, 2)
+        assert report.budgets == [1, 2, 3, 4, 5] and len(report.alphas) == 5
+        assert report.best_inside == [inside.opt_by_budget[min(b, 2)] for b in report.budgets]
+        assert report.best_inside_sets[-1] == list(inside.argmax_by_budget[2])
+        assert report.denominators == exact.opt_cardinality(obj, range(8), 5).opt_by_budget[1:]
+        assert report.alpha_at_k == report.alphas[-1] == 0.6
+
+    def test_empty_pruned_set_and_budgets_past_n(self):
+        # a path 0-1-2-3: OPT_k' over N is 2, then 3 from k' = 2 to k = 6 > n
+        obj = Cut(4, [(0, 1), (1, 2), (2, 3)])
+        report = containment_report(obj, prune_random(4, 0, seed=0), 6)
+        assert report.budgets == [1, 2, 3, 4, 5, 6]
+        assert report.best_inside == [0.0] * 6 and report.best_inside_sets == [[]] * 6
+        assert report.denominators == [2.0, 3.0, 3.0, 3.0, 3.0, 3.0]
+        assert report.alphas == [0.0] * 6
+
     def test_greedy_reference_can_exceed_one(self):
         # P = N with a non-monotone objective: best-in-P is the true optimum,
         # which can beat the greedy prefix reference

@@ -201,6 +201,27 @@ class TestBatchEval:
         for r in rng.choice(len(ids), size=300, replace=False):
             assert vals[r].hex() == obj.eval(ids[r][ids[r] < 20]).hex()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_cut_kernel_equals_scalar_on_multigraphs(self, data):
+        # repeated edges in both orientations, rows of every width with their
+        # ids permuted and empty slots anywhere
+        n = data.draw(st.integers(2, 8), label="n")
+        base = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                  .filter(lambda e: e[0] != e[1]), max_size=12), label="base")
+        edges = base + [e[::-1] for e in base[:data.draw(st.integers(0, len(base)))]] \
+            + base[:data.draw(st.integers(0, len(base)))]
+        edges = data.draw(st.permutations(edges), label="edges")
+        obj = Cut(n, edges)
+        width = data.draw(st.integers(1, n), label="width")
+        rows = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=width, unique=True)
+                                  .flatmap(lambda s: st.permutations(s + [n] * (width - len(s)))),
+                                  min_size=1, max_size=20), label="rows")
+        ids = np.array(rows, dtype=np.intp)
+        vals = obj.eval_ids(ids)
+        assert vals.dtype == float
+        assert vals.tolist() == [obj.eval([e for e in row if e < n]) for row in rows]
+
     def test_value_table_indexing(self, triangle):
         table = value_table(triangle)
         assert table[0b001] == 2 and table[0b111] == 0 and table[0b011] == 2
@@ -587,3 +608,28 @@ class TestPairValidation:
     def test_first_bad_pair_in_mapping_order(self, intf, message):
         with pytest.raises(ValueError, match=message):
             InterferenceCoverage([[0], [1], [2]], intf, 1.0)
+
+
+class TestCutEdgeValidation:
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (2, 2), (1, 5)], r"^self-loop \(2,2\) not allowed$"),
+        ([(0, 1), (1, 5), (2, 2)], r"^edge \(1,5\) out of range for n=3$"),
+        ([(1, 0), (-1, -1), (0, 9)], r"^self-loop \(-1,-1\) not allowed$"),
+        ([(0, -1), (2, 2)], r"^edge \(0,-1\) out of range for n=3$"),
+        ([(0, 2**70)], rf"^edge \(0,{2**70}\) out of range for n=3$"),
+    ], ids=["loop_first", "range_first", "negative_loop", "negative_end", "huge_end"])
+    def test_first_bad_edge_in_input_order(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Cut(3, edges)
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2.0)], [(0, 1), (np.float64(1), 2)]])
+    def test_float_end_raises_type_error(self, edges):
+        with pytest.raises(TypeError):
+            Cut(3, edges)
+
+    def test_edges_keep_input_order_and_orientation(self):
+        edges = [(2, 0), (0, 1), (0, 2), (2, 0)]
+        obj = Cut(3, np.array(edges, dtype=np.uint8))
+        assert obj.edges == edges and obj._us.dtype == obj._vs.dtype == np.int64
+        lo, hi, count = obj._edge_pairs
+        assert (lo.tolist(), hi.tolist(), count.tolist()) == ([0, 0], [1, 2], [1.0, 3.0])
