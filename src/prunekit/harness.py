@@ -259,6 +259,8 @@ def sweep(instances: Sequence[tuple[str, object]], algorithms: Sequence[dict],
     """
     if not instances or not algorithms or not seeds:
         raise ValueError("sweep needs at least one instance, algorithm, and seed")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     cells = []
     for inst_id, payload in instances:
         for algo in algorithms:
@@ -428,6 +430,8 @@ def paired_bootstrap(diffs: Sequence[float], resamples: int = 10000,
     arr = np.asarray(list(diffs), dtype=float)
     if arr.size == 0:
         raise ValueError("paired_bootstrap needs a non-empty difference list")
+    if resamples < 1:
+        raise ValueError(f"resamples must be >= 1, got {resamples}")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, arr.size, size=(resamples, arr.size))
     means = arr[idx].mean(axis=1)

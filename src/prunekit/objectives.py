@@ -26,27 +26,32 @@ degrees, adjacency and edge counts and the cover words are built lazily.
 ``_value`` stays the scalar path: a small batch costs tens of microseconds,
 a scalar value a few.
 
+One fold layer serves :class:`Coverage`, :class:`InterferenceCoverage` and
+the facility-location families: a set's rows (cover words; similarities)
+folded by an exact, order-free ``op`` (OR; max), then finished (a covered
+count or weight; a pairwise row sum).  ``eval_ids``, the scans and the
+power-set tables all fold, so they agree bit for bit.
+
 Power-set tables: :func:`power_set_values` gives ``f`` of every subset of a
 universe, indexed by subset mask, in blocks of masks that share their high
-bits; only one block is held at a time.  The coverage families build it by
-doubling, ``tab[h:2h] = tab[:h] (+) element j``, over cover words and pair
-penalties; the others value the exact enumerator's batches with
-``eval_ids``.  :func:`value_table` and ``exact.opt_knapsack`` read it.
+bits; only one block is held at a time.  The fold families build it by
+doubling, ``tab[h:2h] = tab[:h] (+) element j``, over their rows (less
+interference's pair penalties); the others value the exact enumerator's
+batches with ``eval_ids``.  :func:`value_table` and ``exact.opt_knapsack``
+read it.
 
 Candidate scans:
 
 * ``scan()`` opens a :class:`CandidateScan`, the primitive every greedy
   engine runs on.  Over a set ``S`` that starts empty and grows by
   ``add(e)``, ``values(cands)`` returns ``f(S + e)`` for a whole array of
-  candidates, equal bit for bit to ``eval``.  Unweighted :class:`Cut` and
-  :class:`Coverage` keep a batched state (edges into ``S``, the union's
-  cover words).  The facility-location families (:class:`Proxy` too) keep
-  the best similarity per point and run ``eval_ids``' kernel on it.
-  :class:`InterferenceCoverage` extends the coverage scan with ``S``'s
-  membership: each candidate's penalty sums the weights of the pairs with
-  an end in ``S``, in pair order as ``eval`` sums them, for all candidates
-  at once.  The other families value the rows ``S + e`` with one
-  ``eval_ids`` call.
+  candidates, equal bit for bit to ``eval``.  Unweighted :class:`Cut` keeps
+  the edges into ``S``.  The fold families (:class:`Proxy` too, over its
+  facility location) keep ``S``'s folded state and fold each candidate's
+  row onto it.  :class:`InterferenceCoverage` adds ``S``'s membership: each
+  candidate's penalty sums the weights of the pairs with an end in ``S``,
+  in pair order as ``eval`` sums them, for all candidates at once.  The
+  other families value the rows ``S + e`` with one ``eval_ids`` call.
 
 Built-in families:
 
@@ -244,22 +249,6 @@ def _by_blocks(ids: np.ndarray, per_row: int, kernel) -> np.ndarray:
     return np.concatenate([kernel(ids[lo:lo + step]) for lo in range(0, len(ids), step)])
 
 
-def _best_sums(sim_t: np.ndarray, ids: np.ndarray, best: np.ndarray | None = None) -> np.ndarray:
-    """The facility-location kernel over ``sim_t``, one contiguous row per
-    id: per row of ``ids`` the running maximum of its ids' rows, folded with
-    ``best`` when given, summed pairwise over the points as ``eval`` sums."""
-
-    def kernel(block):
-        rows = sim_t[block[:, 0]]  # (rows, points)
-        for j in range(1, block.shape[1]):
-            np.maximum(rows, sim_t[block[:, j]], out=rows)
-        if best is not None:
-            np.maximum(rows, best, out=rows)
-        return rows.sum(axis=1)
-
-    return _by_blocks(ids, sim_t.shape[1], kernel)
-
-
 def _masked_row_sums(weights: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Per row of the boolean matrix ``keep``, ``weights`` summed with zeros
     where it is false.  In a C-contiguous array numpy sums each row pairwise
@@ -327,30 +316,67 @@ def _cover_words(covers: Sequence[frozenset[int]], m: int) -> np.ndarray:
     return np.packbits(bits, axis=1).view(np.uint64)
 
 
-def _union(words: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """The cover words of each id row OR-ed together."""
-    union = words[ids[:, 0]]
-    for j in range(1, ids.shape[1]):
-        union |= words[ids[:, j]]
-    return union
-
-
-def _covered_count(union: np.ndarray, dtype=float) -> np.ndarray:
-    """Number of universe items set in each row of union words, in
-    ``dtype``: the popcounts of the word columns added one column at a
-    time.  Counts are small integers, exact in either dtype."""
+def _covered_count(union: np.ndarray) -> np.ndarray:
+    """Number of universe items set in each row of union words, as floats:
+    the popcounts of the word columns added one column at a time."""
     counts = np.bitwise_count(union)
-    out = counts[:, 0].astype(dtype)
+    out = counts[:, 0].astype(float)
     for col in range(1, union.shape[1]):
         out += counts[:, col]
     return out
 
 
-class _CoverObjective(Objective):
+class _FoldObjective(Objective):
+    """A family valued by one fold: ``f(S)`` is ``_finish`` (one value per
+    row of states) of ``_op`` folded over the rows ``_rows[e]`` of ``S``'s
+    elements, from the empty slot's identity row ``_rows[n]``.  ``_op`` is
+    exact and order-free, so every fold of a set gives the same state."""
+
+    _rows: np.ndarray  # (n + 1, width), C-contiguous
+    _op: np.ufunc
+    #: the dtype of scan values; ``eval_ids`` returns floats
+    _scan_dtype = float
+
+    def eval_ids(self, ids):
+        return self._fold_values(np.asarray(ids))
+
+    def _fold_values(self, ids: np.ndarray, state: np.ndarray | None = None) -> np.ndarray:
+        """``_finish`` of the rows of each row of ``ids`` folded together,
+        and onto ``state`` when given."""
+        rows, op = self._rows, self._op
+
+        def kernel(block):
+            folded = rows[block[:, 0]]
+            for j in range(1, block.shape[1]):
+                op(folded, rows[block[:, j]], out=folded)
+            if state is not None:
+                op(folded, state, out=folded)
+            return self._finish(folded)
+
+        return _by_blocks(ids, rows.shape[1], kernel)
+
+    def scan(self):
+        return _FoldScan(self)
+
+    def _power_set(self, universe, low):
+        """Blocks of :func:`power_set_values`, each ``2^(low - sub)``
+        finished sub-blocks of :func:`_folded`: ``sub <= low`` as large as
+        keeps a doubling table within ``2^low`` cells."""
+        rows = self._rows
+        sub = max(0, low - (rows.shape[1] - 1).bit_length())
+        states = _folded(rows[self.n], rows[universe], sub, self._op)
+        for _ in range(1 << (len(universe) - low)):
+            parts = [self._finish(next(states)) for _ in range(1 << (low - sub))]
+            yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+class _CoverObjective(_FoldObjective):
     """The cover tables of the coverage families: ``covers[e]`` is the set
     of universe items ``0..m-1`` element ``e`` covers.  The scalar path
-    counts from these sets; the kernels and scans read them packed into
-    words."""
+    counts from these sets; the fold ORs them packed into words and counts
+    the covered items."""
+
+    _op = np.bitwise_or
 
     def __init__(self, covers: Sequence[Iterable[int]], m: int | None):
         if not covers:
@@ -370,16 +396,11 @@ class _CoverObjective(Objective):
         return len(frozenset().union(*[self.covers[e] for e in s]))
 
     @functools.cached_property
-    def _words(self) -> np.ndarray:
+    def _rows(self) -> np.ndarray:
         return _cover_words(self.covers, self.m)
 
-    def _power_set_unions(self, universe: list[int], low: int):
-        """Per block of :func:`power_set_values`, the union words of its
-        subsets: a low table OR-ed by doubling, then the high ids' words."""
-        words = self._words
-        table = _doubling(words[self.n], words[universe[:low]], np.bitwise_or)
-        for high in _power_set_blocks(universe, low):
-            yield _fold(table, words[high], np.bitwise_or)
+    def _finish(self, union):
+        return _covered_count(union)
 
 
 class Coverage(_CoverObjective):
@@ -396,6 +417,7 @@ class Coverage(_CoverObjective):
         if weights is None:
             self.weights = None
             self.integer_valued = True
+            self._scan_dtype = np.int64  # as ``eval``, so greedy gains stay ints
         else:
             w = _finite(weights, "coverage weights")
             if w.size != self.m:
@@ -410,32 +432,18 @@ class Coverage(_CoverObjective):
             return self._covered(s)
         return self._kernel_value(s)
 
-    def eval_ids(self, ids):
+    def _finish(self, union):
         """Unweighted: the covered count.  Weighted: the covered items'
-        weights added one item at a time in ascending order."""
-        ids = np.asarray(ids)
-        if self.weights is None:
-            return _covered_count(_union(self._words, ids))
-        return _by_blocks(ids, self.m,
-                          lambda block: self._covered_weight(_union(self._words, block)))
+        weights added one item at a time in ascending order, in row blocks
+        small enough for their unpacked items."""
+        if self.weights is None or not self.m:  # no item to weigh: the count 0.0
+            return _covered_count(union)
 
-    def _power_set(self, universe, low):
-        for union in self._power_set_unions(universe, low):
-            if self.weights is None:
-                yield _covered_count(union)
-            else:
-                yield _by_blocks(union, self.m, self._covered_weight)
+        def weigh(block):
+            covered = np.unpackbits(block.view(np.uint8), axis=1, count=self.m)
+            return np.where(covered, self.weights, 0.0).cumsum(axis=1)[:, -1]
 
-    def _covered_weight(self, union: np.ndarray) -> np.ndarray:
-        """Per row of union words, the covered items' weights added one
-        item at a time in ascending order."""
-        if not self.m:
-            return np.zeros(len(union))
-        covered = np.unpackbits(union.view(np.uint8), axis=1, count=self.m)
-        return np.where(covered, self.weights, 0.0).cumsum(axis=1)[:, -1]
-
-    def scan(self):
-        return _CoverageScan(self) if self.weights is None else CandidateScan(self)
+        return _by_blocks(union, self.m, weigh)
 
     def to_dict(self):
         return {
@@ -539,15 +547,17 @@ class Cut(Objective):
         }
 
 
-class FacilityLocation(Objective):
+class FacilityLocation(_FoldObjective):
     """f(S) = sum over covered points v of max_{s in S} sim[v, s]; f({}) = 0.
 
     ``sim`` is an (m, n) non-negative similarity matrix: rows are covered
     points, columns are selectable elements.  Monotone submodular.  The one
     copy is ``_sim_t``, a row per element and a zero row for the empty slot
-    ``n``; ``sim`` is a view of it.
+    ``n``; ``sim`` is a view of it.  The fold takes the running maximum of
+    these rows and sums the best similarities pairwise, as ``eval`` sums.
     """
     variant = "facility_location"
+    _op = np.maximum
 
     def __init__(self, sim: np.ndarray):
         sim = _finite(sim, "similarities", copy=False)  # read once, into _sim_t
@@ -568,12 +578,10 @@ class FacilityLocation(Objective):
             return 0.0
         return float(self._sim_t[sorted(s)].max(axis=0).sum())
 
-    def scan(self):
-        return _FacilityScan(self, self._sim_t)
+    _rows = property(operator.attrgetter("_sim_t"))
 
-    def eval_ids(self, ids):
-        """:func:`_best_sums` of each row."""
-        return _best_sums(self._sim_t, np.asarray(ids))
+    def _finish(self, best):
+        return best.sum(axis=1)
 
     def to_dict(self):
         return {"variant": self.variant, "sim": self.sim.tolist()}
@@ -657,7 +665,7 @@ class Proxy(Objective):
         return np.where(vals < 0.0, 0.0, vals) if self.clamp else vals
 
     def scan(self):
-        return _ProxyScan(self, self.fl._sim_t)
+        return _ProxyScan(self, self.fl)
 
     def to_dict(self):
         return {"variant": self.variant, "sim": self.fl.sim.tolist(),
@@ -746,7 +754,7 @@ class InterferenceCoverage(_CoverObjective):
     def eval_ids(self, ids):
         """Covered count minus ``lam`` times each row's pair penalty."""
         ids = np.asarray(ids)
-        out = _covered_count(_union(self._words, ids))
+        out = super().eval_ids(ids)
         if self.lam and len(self._pw):
             out -= self.lam * _pair_sums(ids, self.n, self._pi, self._pj, self._pw)
         return out
@@ -762,8 +770,7 @@ class InterferenceCoverage(_CoverObjective):
         first, second = bit[self._pi], bit[self._pj]
         both = (first >= 0) & (second >= 0)
         pairs = list(zip(first[both].tolist(), second[both].tolist(), self._pw[both].tolist()))
-        for prefix, union in enumerate(self._power_set_unions(universe, low)):
-            out = _covered_count(union)
+        for prefix, out in enumerate(super()._power_set(universe, low)):
             if self.lam and pairs:
                 total = np.zeros(len(out))
                 for p, q, w in pairs:
@@ -898,24 +905,26 @@ class _CutScan(CandidateScan):
         np.add.at(self._inside, nbrs[indptr[e]:indptr[e + 1]], 1)
 
 
-class _CoverageScan(CandidateScan):
-    """Coverage counts: the covered count of the cover words of ``e`` OR
-    the union of ``S``'s."""
+class _FoldScan(CandidateScan):
+    """The scan of the fold family ``fold`` (``obj`` by default): ``S``'s
+    folded state, ``None`` while ``S`` is empty, folded in place onto each
+    candidate's row."""
 
-    def __init__(self, obj: _CoverObjective):
+    def __init__(self, obj: Objective, fold: _FoldObjective | None = None):
         super().__init__(obj)
-        self._union = np.zeros(obj._words.shape[1], dtype=np.uint64)
+        self._fold = obj if fold is None else fold
+        self._state = None
 
     def _values(self, cands):
-        words, union = self.obj._words, self._union
-        return _by_blocks(cands, words.shape[1],
-                          lambda block: _covered_count(words[block] | union, np.int64))
+        fold = self._fold
+        return fold._fold_values(cands[:, None], self._state).astype(fold._scan_dtype, copy=False)
 
     def _grow(self, e):
-        self._union |= self.obj._words[e]
+        row, state = self._fold._rows[e], self._state
+        self._state = row.copy() if state is None else self._fold._op(state, row, out=state)
 
 
-class _InterferenceScan(_CoverageScan):
+class _InterferenceScan(_FoldScan):
     """Interference coverage: the covered count minus ``lam`` times each
     candidate's pair penalty.  Only a pair with an end in ``S`` can lie
     inside a row ``S + e``: one with both ends in ``S`` lies inside every
@@ -930,7 +939,7 @@ class _InterferenceScan(_CoverageScan):
 
     def _values(self, cands):
         obj, member = self.obj, self._in
-        out = super()._values(cands).astype(float)
+        out = super()._values(cands)
         if not (obj.lam and self.members):  # no penalty: lam is 0 or |S + e| = 1
             return out
         touch = (member[obj._pi] | member[obj._pj]).nonzero()[0]
@@ -952,27 +961,9 @@ class _InterferenceScan(_CoverageScan):
         self._in[e] = True
 
 
-class _FacilityScan(CandidateScan):
-    """Facility location over ``sim_t`` (one contiguous row per element):
-    per point the best similarity in ``S``, folded into each candidate's row
-    by :func:`_best_sums`, ``eval_ids``' kernel, so values match ``eval``."""
-
-    def __init__(self, obj: Objective, sim_t: np.ndarray):
-        super().__init__(obj)
-        self._sim_t = sim_t
-        self._best = None  # while S is empty
-
-    def _values(self, cands):
-        return _best_sums(self._sim_t, cands[:, None], self._best)
-
-    def _grow(self, e):
-        row = self._sim_t[e]
-        self._best = row.copy() if self._best is None else np.maximum(self._best, row)
-
-
-class _ProxyScan(_FacilityScan):
-    """Facility location minus the penalty at ``|S| + 1``, shifted and
-    clamped as ``Proxy`` does it."""
+class _ProxyScan(_FoldScan):
+    """The scan of the proxy's facility location, minus the penalty at
+    ``|S| + 1``, shifted and clamped as ``Proxy`` does it."""
 
     def _values(self, cands):
         return self.obj._penalised(super()._values(cands), len(self.members) + 1)
@@ -1112,11 +1103,16 @@ def _doubling(empty, items, op) -> np.ndarray:
     return table
 
 
-def _fold(table: np.ndarray, items, op) -> np.ndarray:
-    """``table`` with ``op(., item)`` applied for each of ``items`` in order."""
-    for item in items:
-        table = op(table, item)
-    return table
+def _folded(empty, items, low: int, op):
+    """Per block of :func:`_power_set_blocks` over ``items``, ``op`` folded
+    from ``empty`` over each mask's items in ascending bit order: the low
+    items' table by doubling, then, into a copy, the block's high items."""
+    table = _doubling(empty, items[:low], op)
+    for high in _power_set_blocks(items, low):
+        block = op(table, high[0]) if high else table
+        for item in high[1:]:
+            op(block, item, out=block)
+        yield block
 
 
 def _with_bits(table: np.ndarray, bits: list[int]) -> np.ndarray:
@@ -1145,9 +1141,7 @@ def power_set_sums(values: np.ndarray, low: int):
     each mask's set bits, added in ascending bit order as a row sum of
     ascending ids adds them: the low table by doubling, then the high
     values one by one."""
-    table = _doubling(0.0, values[:low], np.add)
-    for high in _power_set_blocks(values, low):
-        yield _fold(table, high, np.add)
+    return _folded(0.0, values, low, np.add)
 
 
 def power_set_values(obj: Objective, universe: Sequence[int], low: int):
@@ -1157,23 +1151,23 @@ def power_set_values(obj: Objective, universe: Sequence[int], low: int):
     float array equal bit for bit to ``eval`` of its subsets; ``low`` is at
     most ``u``.
 
-    Unweighted :class:`Coverage` counts cover words OR-ed by doubling;
-    weighted coverage takes ``_covered_weight`` of the same union words;
-    :class:`InterferenceCoverage` subtracts pair penalties added in pair
-    order.  Every other family values each block with ``eval_ids`` over the
-    exact enumerator's batches of the low ids plus the block's high ids."""
+    The fold families finish states folded by doubling;
+    :class:`InterferenceCoverage` then subtracts pair penalties added in
+    pair order.  Every other family values each block with ``eval_ids`` over
+    the exact enumerator's batches of the low ids plus the block's high ids."""
     return obj._power_set(list(universe), low)
 
 
 def value_table(obj: Objective) -> np.ndarray:
     """Values for all 2^n subsets, indexed by bitmask, from
     :func:`power_set_values` over ``range(n)`` in blocks of at most
-    ``exact._CHUNK`` masks.  Requires n <= 24."""
-    from .exact import block_bits
+    ``exact._CHUNK`` masks.  Requires n <= 24 and 2^n within the guard."""
+    from .exact import block_bits, check_guard
 
     n = obj.n
     if n > 24:
         raise ValueError(f"value table infeasible for n={n}")
+    check_guard(1 << n)
     low = block_bits(n)
     out = np.empty(1 << n)
     for b, vals in enumerate(power_set_values(obj, range(n), low)):

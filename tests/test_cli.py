@@ -359,6 +359,20 @@ class TestErrors:
                      "--budget", "1.0", "--budgets", grid,
                      "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
 
+    def test_proxy_shift_beyond_the_guard(self, tmp_path, monkeypatch):
+        # the shift enumerates the facility location's 2^12 subsets
+        monkeypatch.setenv("PRUNEKIT_GUARD", "1000")
+        sim = tmp_path / "sim.csv"
+        sim.write_text("".join(",".join(f"{(3 * i + 7 * j) % 10 / 10 + 0.1:.1f}"
+                                        for j in range(12)) + "\n" for i in range(3)))
+        pen = tmp_path / "pen.csv"
+        pen.write_text("".join(f"{s},{0.01 * s * s}\n" for s in range(13)))
+        args = ["prune", "--sim", str(sim), "--penalty", str(pen),
+                "--algo", "seq_disjoint", "--k", "2", "--ell", "2"]
+        assert main([*args, "--out", str(tmp_path / "plain.json")]) == EXIT_OK
+        assert main([*args, "--shift", "--out", str(tmp_path / "shifted.json")]) == EXIT_GUARD
+        assert not (tmp_path / "shifted.json").exists()
+
     def test_unknown_flag_exit_two(self):
         assert main(["prune", "--nope"]) == EXIT_CONFIG
 
@@ -614,6 +628,15 @@ class TestSweep:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"record": "error", "kind": "config_error",
                           "message": "gnm needs --n and --m"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_k_below_one_is_config_error(self, tmp_path, graph_file, capsys, k):
+        out = tmp_path / "sweep.jsonl"
+        assert main(["sweep", "--graph", str(graph_file), "--algo", "random",
+                     "--k", k, "--omegas", "2", "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["message"] == f"k must be >= 1, got {k}"
         assert not out.exists()
 
     def test_jsonl_bodies_reproducible(self, tmp_path, graph_file):

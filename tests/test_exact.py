@@ -91,6 +91,19 @@ class TestGuard:
     def test_subset_count(self):
         assert exact.cardinality_subset_count(24, 4) == 1 + 24 + 276 + 2024 + 10626
 
+    def test_value_table_and_proxy_shift_obey_the_guard(self, monkeypatch):
+        # both enumerate the 2^12 subsets of the facility location
+        fl = FacilityLocation(np.random.default_rng(0).random((3, 12)))
+        flat = PenaltyCurve(np.zeros(13))
+        monkeypatch.setenv(exact.GUARD_ENV, "1000")
+        with pytest.raises(exact.GuardExceeded):
+            value_table(fl)
+        with pytest.raises(exact.GuardExceeded):
+            Proxy(fl, flat, shift=True)
+        assert Proxy(fl, flat).shift == 0.0  # no shift: nothing is enumerated
+        monkeypatch.setenv(exact.GUARD_ENV, "4096")
+        assert value_table(fl).size == 4096
+
 
 class TestOptKnapsack:
     def test_unit_costs_match_cardinality(self):
@@ -415,9 +428,9 @@ class TestKernels:
         assert "_adjacency" in vars(cut)
         cov = Coverage([[0, 1], [1, 2]])
         cov.eval(range(2))
-        assert "_words" not in vars(cov)
+        assert "_rows" not in vars(cov)
         cov.eval_ids(np.array([[0, 2]]))
-        assert "_words" in vars(cov)
+        assert "_rows" in vars(cov)
         # facility location keeps one array, built at once: sim is a view of it
         fl = FacilityLocation(np.ones((3, 4)))
         assert np.shares_memory(fl.sim, fl._sim_t)
@@ -493,6 +506,79 @@ def non_dyadic_families(n, seed):
 
 
 NON_DYADIC = ["coverage", "facility_location", "interference", "weighted_coverage"]
+
+
+def fold_families(n, seed):
+    """Every family on the fold layer: Coverage over one word and over four
+    (unweighted and weighted), interference, and facility location over
+    many points, plain, gated and with no gated row."""
+    rng = np.random.default_rng(seed)
+    wide = [rng.choice(200, size=rng.integers(0, 60), replace=False).tolist()
+            for _ in range(n)]
+    sim = rng.random((n + 3, n))
+    return {
+        "coverage": gen_coverage(n, 3 * n, seed=seed),
+        "multi_word_coverage": Coverage(wide, m=200),
+        "weighted_coverage": Coverage(wide, m=200, weights=rng.random(200)),
+        "interference": gen_interference(n, 12, seed=seed, interference_prob=0.5),
+        "facility_location": FacilityLocation(rng.random((40, n))),
+        "restricted_fl": RestrictedFacilityLocation(sim, rng.random(n + 3), tau=0.5),
+        "restricted_fl_ungated": RestrictedFacilityLocation(sim, np.zeros(n + 3), tau=1.0),
+    }
+
+
+FOLD_FAMILIES = sorted(fold_families(4, 0))
+
+
+class TestFoldPowerSets:
+    """The fold families' doubling tables against the lex route, their
+    table sizes, and no lex batches on the way."""
+
+    @pytest.mark.parametrize("name", FOLD_FAMILIES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_doubling_equals_the_lex_route(self, name, seed):
+        n = 10
+        obj = fold_families(n, seed)[name]
+        universe = sorted(np.random.default_rng(300 + seed).choice(n, size=7, replace=False)
+                          .tolist())
+        for chunk in (exact._CHUNK, 32, 8):  # one block; blocks of 5 and of 3 low bits
+            with mock.patch.object(exact, "_CHUNK", chunk):
+                low = exact.block_bits(len(universe))
+                doubled = list(obj._power_set(universe, low))
+                lex = list(objectives.Objective._power_set(obj, universe, low))
+            assert len(doubled) == len(lex) == 1 << (len(universe) - low)
+            for a, b in zip(doubled, lex):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, chunk)
+
+    @pytest.mark.parametrize("chunk", [exact._CHUNK, 1 << 10])
+    def test_tables_hold_at_most_a_block_of_cells(self, chunk):
+        n = 12
+        obj = FacilityLocation(np.random.default_rng(1).random((300, n)))
+        sizes, doubling = [], objectives._doubling
+
+        def spy(empty, items, op):
+            table = doubling(empty, items, op)
+            sizes.append(table.size)
+            return table
+
+        with mock.patch.object(exact, "_CHUNK", chunk), \
+                mock.patch.object(objectives, "_doubling", spy):
+            table = value_table(obj)
+            low = exact.block_bits(n)
+        assert sizes and max(sizes) <= 1 << low
+        for mask in np.random.default_rng(2).integers(0, 1 << n, size=50).tolist():
+            assert table[mask] == obj.eval([i for i in range(n) if mask >> i & 1])
+
+    @pytest.mark.parametrize("name", ["facility_location", "restricted_fl",
+                                      "restricted_fl_ungated"])
+    def test_no_lex_batches(self, name):
+        n = 10
+        obj = fold_families(n, 1)[name]
+        with mock.patch.object(exact, "subset_batches",
+                               side_effect=AssertionError("lex batches")) as spy:
+            value_table(obj)
+            exact.opt_knapsack(obj, range(n), np.ones(n), [3.0])
+        spy.assert_not_called()
 
 
 class TestPowerSetTablesBitForBit:

@@ -210,6 +210,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([], [{"algo": "random", "omega": 2}], 2, [0])
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_rejected_before_any_cell(self, k):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            sweep([("inst", gen_coverage(6, 8, seed=1))], [{"algo": "random", "omega": 2}],
+                  k=k, seeds=[0])
+
     def test_gen_spec_instance_payload(self):
         spec = GenSpec("gnm", {"n": 10, "m": 20}, seed=4)
         result = sweep([("g", spec)], [{"algo": "std_greedy", "omega": 2}],
@@ -271,6 +277,10 @@ class TestBootstrap:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             paired_bootstrap([])
+
+    def test_no_resamples_rejected(self):
+        with pytest.raises(ValueError, match="resamples must be >= 1, got 0"):
+            paired_bootstrap([0.1, 0.2], resamples=0)
 
 
 class TestSpeedupProbe:

@@ -292,7 +292,7 @@ class TestMultiWordCovers:
     def test_kernels_and_scan_match_eval(self, name, m, seed):
         n = 8
         obj = cover_families(n, m, seed)[name]
-        assert obj._words.shape[1] == -(-m // 64)
+        assert obj._rows.shape[1] == -(-m // 64)
         rng = np.random.default_rng(seed)
         rows = []
         for _ in range(30):  # distinct ids padded with n anywhere
