@@ -10,25 +10,32 @@ that would visit more than the guard's subset count is refused with
 guard defaults to 10^8 subsets and can be overridden with the
 ``PRUNEKIT_GUARD`` environment variable, the one place it is set.
 
-:func:`opt_cardinality` enumerates with :func:`subset_batches`.  It builds
-subsets as numpy ``(batch, width)`` id arrays, never as Python tuples, in
-size-ascending lexicographic order (the order of ``itertools.combinations``).
-Rows shorter than the batch width are padded with the empty-slot id ``n``.
+:func:`opt_cardinality` enumerates the universe reflected (position ``p``
+is the ``p``-th largest id), each size in colex order (Knuth, *TAOCP* 4A,
+7.2.1.3): the ``s``-subsets whose largest position is ``j`` are the first
+``C(j, s-1)`` rows of the ``(s-1)``-table plus ``j``.  So one generator,
+:func:`_sweep`, grows each size table from prefixes of the last whole one,
+one broadcast per block (:func:`_leaves`): ascending id rows (the new id
+comes first), valued by ``Objective.eval_ids``; the fold states of the
+fold families (interference's cover words and :class:`~prunekit.objectives.Proxy`'s
+facility location too), extended by the family's exact ``op``; and the
+flags of the rows inside an ``inside`` set, extended by ``and``.  A family
+names what it reads (``_sweep_fold``, ``_sweep_ids``) and values it in
+``_sweep_values``, bit for bit as ``eval`` (the contract in
+:mod:`prunekit.objectives`), so no optimum depends on the batching.
 
-Each batch is valued by one call to the objective's batched kernel,
-``Objective.eval_ids`` (contract in :mod:`prunekit.objectives`).  The
-kernel returns, bit for bit, what ``eval`` returns for each row, whatever
-else is in the batch, so the optima, the canonical argmaxes and
-``ties_at_top`` are values ``eval`` gives their witnesses and do not
-depend on how subsets are batched.
-
-Each size comes from one builder, :func:`_lex_pieces`: a whole table when it
-has at most ``_CHUNK`` rows, else consecutive pieces of at most ``_CHUNK``
-rows, split by leading ids.  One rule batches them: pieces of at most
-``_GROUP_ROWS`` rows share a padded batch, in order, until the next piece
-would not fit; a larger piece comes alone as soon as it is built.
-Enumerations that fit one batch are built once per (universe size, k) and
-reused.
+Lexicographic order is the reverse of this order (``A`` precedes ``B`` when
+``min(A ^ B)`` lies in ``A``), so a size's canonical witness, its
+lexicographically smallest optimum, is its *last* maximum, read back from
+its colex rank; ``collect_ties`` keeps the last ``TIE_CAP`` maxima.  The
+flagged rows give the profile over ``inside`` from the same sweep, so
+:func:`~prunekit.harness.containment_report` enumerates ``N`` once, not
+``N`` and then ``P``.  Memory stays bounded: a size table is whole only up
+to ``_CHUNK`` rows and ``_STATE_CELLS`` folded cells, only the last whole
+table is held, and larger tables come in batches of leaves of at most
+``_GROUP_ROWS`` rows, in two buffers per table kind reused batch after
+batch.  An enumeration of at most ``_GROUP_ROWS`` subsets is one cached id
+batch, padded with the empty-slot id ``n``: one ``eval_ids`` call.
 
 :func:`opt_knapsack` builds no id tables.  It reads two power-set tables
 indexed by the subset mask over the sorted universe (bit ``i`` stands for
@@ -47,18 +54,20 @@ budgets from the largest down: the feasible sets shrink, so a budget keeps
 the last maximum and its tied masks that still fit, and pays a full masked
 pass over the block only when none of them does.
 
-The module constants ``_CHUNK``, ``_GROUP_ROWS`` and :data:`TIE_CAP` (the
-most optimal sets a ``collect_ties`` profile keeps) are read at call time,
-so tests patch them instead of passing them as arguments.
+The module constants ``_CHUNK``, ``_GROUP_ROWS``, ``_STATE_CELLS`` and
+:data:`TIE_CAP` (the most optimal sets a ``collect_ties`` profile keeps) are
+read at call time, so tests patch them instead of passing them as
+arguments.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,12 +80,15 @@ __all__ = ["GuardExceeded", "enumeration_guard", "cardinality_subset_count",
 DEFAULT_GUARD = 10**8
 GUARD_ENV = "PRUNEKIT_GUARD"
 
-#: a size table larger than this comes in pieces of at most this many rows,
-#: and a power-set table in blocks of at most this many masks
+#: a size table larger than this comes in batches, and a power-set table in
+#: blocks of at most this many masks
 _CHUNK = 1 << 17
-#: pieces share one padded batch up to this many rows, so that small
-#: enumerations cost one kernel call; larger pieces come alone
+#: an enumeration of at most this many subsets is one cached batch, valued
+#: by one kernel call; a table that is not whole comes in batches this large
 _GROUP_ROWS = 1 << 12
+#: most cells (rows x state width) a table of fold states holds: the
+#: tables of a sweep then stay few and small enough to be reused in cache
+_STATE_CELLS = 1 << 16
 #: most optimal sets ``opt_cardinality(..., collect_ties=True)`` keeps
 TIE_CAP = 256
 
@@ -127,6 +139,8 @@ class OptProfile:
     argmax_by_budget: list[tuple[int, ...]]
     enumerated_count: int
     ties_at_top: list[tuple[int, ...]] | None = None
+    #: the profile over a subset of the universe, read off the same sweep
+    inside: "OptProfile | None" = None
 
     def opt(self, budget) -> float:
         return self.opt_by_budget[self.budgets.index(budget)]
@@ -140,112 +154,242 @@ class OptProfile:
         }
 
 
-def _lex_pieces(m: int, s: int, chunk: int) -> Iterator[np.ndarray]:
-    """The ``s``-subsets of ``range(m)`` in lexicographic order, as
-    consecutive tables of at most ``chunk`` rows, split by leading id.
+def _leaves(s: int, m: int, base: int, tail: tuple[int, ...] = ()):
+    """The ``s``-subsets of ``range(m)`` in colex order, as leaves
+    ``(rows, tail)``: the first ``rows`` rows of the size-``base`` table,
+    each with the positions ``tail`` (ascending, all above the rows') added.
 
-    A table that fits ``chunk`` grows from the (s-1)-table of ``range(m-1)``
-    (see :func:`_led`): along a diagonal of Pascal's triangle, every table
-    built on the way is no larger than the result.
-    """
-    if s == 0:
-        yield np.empty((1, 0), dtype=np.intp)
-    elif s == 1 and m <= chunk:  # the first table of the diagonal
-        yield np.arange(m, dtype=np.intp)[:, None]
-    elif math.comb(m, s) <= chunk:
-        yield _led_table(0, [sub for _, sub in _led(m, s, chunk)], s)
+    The ``s``-subsets whose largest position is ``j`` are the first
+    ``C(j, s-1)`` rows of the ``(s-1)``-table plus ``j``; below ``s - 1``
+    the split recurses down to ``base``."""
+    if s == base:
+        yield math.comb(m, s), tail
     else:
-        for a, sub in _led(m, s, chunk):
-            yield _led_table(a, [sub], s)
+        for j in range(s - 1, m):
+            yield from _leaves(s - 1, j, base, (j, *tail))
 
 
-def _led(m: int, s: int, chunk: int) -> Iterator[tuple[int, np.ndarray]]:
-    """``(a, sub)`` pairs in lexicographic order: the ``s``-subsets of
-    ``range(m)`` led by ``a`` are ``a`` followed by 1 + the rows of ``sub``,
-    the (s-1)-subsets of ``range(a, m - 1)``.  Those are a suffix of the
-    (s-1)-table of ``range(m - 1)`` when that table fits ``chunk``."""
-    if math.comb(m - 1, s - 1) <= chunk:
-        tail, = _lex_pieces(m - 1, s - 1, chunk)
-        for a in range(m - s + 1):
-            yield a, tail[len(tail) - math.comb(m - 1 - a, s - 1):]
-    else:
-        for a in range(m - s + 1):
-            for sub in _lex_pieces(m - a - 1, s - 1, chunk):
-                yield a, sub + a
-
-
-def _led_table(first: int, subs: list[np.ndarray], s: int) -> np.ndarray:
-    """One table holding, for each ``i``, the rows ``first + i`` then
-    1 + ``subs[i]``."""
-    counts = [len(sub) for sub in subs]
-    table = np.empty((sum(counts), s), dtype=np.intp)
-    table[:, 0] = np.repeat(np.arange(first, first + len(subs)), counts)
-    np.add(subs[0] if len(subs) == 1 else np.concatenate(subs), 1, out=table[:, 1:])
-    return table
-
-
-def _padded(group: list[tuple[int, np.ndarray]], pad: int):
-    """Stack ``(size, table)`` pieces into one batch padded with ``pad``."""
-    width = max(1, max(s for s, _ in group))
-    pos = np.full((sum(len(t) for _, t in group), width), pad, dtype=np.intp)
-    runs, row = [], 0
-    for s, table in group:
-        pos[row:row + len(table), :s] = table
-        runs.append((s, row, row + len(table)))
-        row += len(table)
-    return pos, tuple(runs)
-
-
-def _position_batches(u: int, k: int):
-    """Batches over the subsets of ``range(u)`` with at most ``k`` elements:
-    ``(positions, runs)`` with empty slot ``u`` and ``runs`` the
-    ``(size, start, stop)`` row range of each piece in the batch."""
-    group: list[tuple[int, np.ndarray]] = []
-    rows, group_rows = 0, min(_CHUNK, _GROUP_ROWS)
-    for s in range(k + 1):
-        for table in _lex_pieces(u, s, _CHUNK):
-            if group and rows + len(table) > group_rows:
-                yield _padded(group, u)
+def _batches(leaves, cap: int):
+    """Consecutive leaves in groups ``[(start, stop, tail), ...]`` of at most
+    ``cap`` rows: the prefix rows ``start:stop`` of each leaf, a larger leaf
+    cut into slices."""
+    group, rows = [], 0
+    for count, tail in leaves:
+        for start in range(0, count, cap):
+            stop = min(count, start + cap)
+            if rows + stop - start > cap:
+                yield group, rows
                 group, rows = [], 0
-            if len(table) > group_rows:
-                yield table, ((s, 0, len(table)),)
-            else:
-                group.append((s, table))
-                rows += len(table)
+            group.append((start, stop, tail))
+            rows += stop - start
     if group:
-        yield _padded(group, u)
+        yield group, rows
+
+
+class _IdRows:
+    """Ascending id rows: a leaf's tail ids, then its prefix rows.
+    ``to_id[p]`` is the id at position ``p``."""
+
+    cells = 0
+
+    def __init__(self, to_id: list[int]):
+        self.to_id, self.start = to_id, np.empty((1, 0), dtype=np.intp)
+
+    def width(self, s: int) -> int:
+        return s
+
+    def fill(self, out, prefix, tail):
+        out[:, :len(tail)] = [self.to_id[p] for p in reversed(tail)]
+        out[:, len(tail):] = prefix
+
+
+class _Folded:
+    """Per subset, ``op`` folded over the rows of its positions (``rows[p]``,
+    the identity row last): a leaf's prefix states folded with its tail's
+    rows, one broadcast per leaf.  Fold states, and with ``logical_and``
+    the flags of the subsets inside a set."""
+
+    def __init__(self, rows: np.ndarray, op: np.ufunc):
+        self.rows, self.op, self.start, self.cells = rows, op, rows[-1:], rows.shape[1]
+
+    def width(self, s: int) -> int:
+        return self.cells
+
+    def fill(self, out, prefix, tail):
+        row = self.rows[tail[0]]
+        for p in tail[1:]:
+            row = self.op(row, self.rows[p])
+        self.op(prefix, row, out=out)
+
+
+def _sweep(u: int, k: int, channels: dict):
+    """Every subset of the positions ``range(u)`` with at most ``k``
+    elements, size by size in colex order, as ``(size, rank, tables)``:
+    ``tables`` maps each channel's name to its table for the batch's rows,
+    whose first row has colex rank ``rank`` within its size.  A table is
+    valid until the next batch is drawn: each channel writes into two
+    buffers, one holding the prefix table and one for the rest.
+
+    A size table comes whole when it holds at most ``_CHUNK`` rows and
+    ``_STATE_CELLS`` folded cells; the last whole table is kept, and each
+    later size grows from its prefixes (:func:`_leaves`).  A larger table
+    comes in batches of leaves, cut to at most ``min(_CHUNK, _GROUP_ROWS)``
+    rows and ``_STATE_CELLS`` cells each.
+    """
+    base, held = 0, {name: ch.start for name, ch in channels.items()}
+    held_buf, spare = (dict.fromkeys(channels, np.empty(0)) for _ in range(2))
+    yield 0, 0, held
+    cells = sum(ch.cells for ch in channels.values())
+    cap = max(1, min(_CHUNK, _GROUP_ROWS, _STATE_CELLS // max(1, cells)))
+    for s in range(1, k + 1):
+        total = math.comb(u, s)
+        whole = total <= _CHUNK and total * cells <= _STATE_CELLS
+        rank = 0
+        for group, rows in _batches(_leaves(s, u, base), total if whole else cap):
+            tables = {}
+            for name, ch in channels.items():
+                size = rows * ch.width(s)
+                if spare[name].size < size:
+                    spare[name] = np.empty(size, dtype=ch.start.dtype)
+                tables[name] = spare[name][:size].reshape(rows, -1)
+            lo = 0
+            for start, stop, tail in group:
+                hi = lo + stop - start
+                for name, ch in channels.items():
+                    ch.fill(tables[name][lo:hi], held[name][start:stop], tail)
+                lo = hi
+            yield s, rank, tables
+            rank += rows
+        if whole:
+            held_buf, spare = spare, held_buf
+            base, held = s, tables
 
 
 @functools.lru_cache(maxsize=16)
-def _cached_batch(u: int, k: int):
-    """The single batch of an enumeration of at most ``_GROUP_ROWS`` subsets."""
-    (pos, runs), = _position_batches(u, k)
+def _small_batch(u: int, k: int):
+    """The one batch of an enumeration of at most ``_GROUP_ROWS`` subsets:
+    the position rows of every size, padded with ``u``, and each size's
+    ``(size, start, stop)`` row range."""
+    pos = np.full((cardinality_subset_count(u, k), max(1, k)), u, dtype=np.intp)
+    runs, row = [], 0
+    for s, _, tables in _sweep(u, k, {"ids": _IdRows(list(range(u)))}):
+        pos[row:row + len(tables["ids"]), :s] = tables["ids"]
+        runs.append((s, row, row + len(tables["ids"])))
+        row = runs[-1][2]
     pos.flags.writeable = False
-    return pos, runs
+    return pos, tuple(runs)
 
 
 def subset_batches(universe: Sequence[int], n: int, k: int):
     """Every subset of ``universe`` with at most ``k`` elements, as id batches.
 
     ``universe`` is a sorted list of distinct ids in ``0..n-1``.  Yields
-    ``(ids, runs)``: ``ids`` is a ``(batch, width)`` intp array whose rows
-    come in size-ascending lexicographic order, padded with the empty-slot
-    id ``n``; ``runs`` lists the ``(size, start, stop)`` row range of each
-    piece in the batch (a size split into pieces has one run per piece).
-    The arrays may be shared with later calls and must not be written to.
+    ``(ids, runs)``: ``ids`` is a ``(batch, width)`` intp array of ascending
+    id rows, in size-ascending order and, within a size, in reverse
+    lexicographic order (colex order over the reflected universe);
+    ``runs`` lists the ``(size, start, stop)`` row range of each size in the
+    batch.  A small enumeration is one batch padded with the empty-slot id
+    ``n``; otherwise each batch holds one size's rows, unpadded.  The
+    arrays may be shared with later calls and must not be written to.
     """
     u = len(universe)
     k = min(k, u)
+    to_id = [*reversed(universe), n]
     if cardinality_subset_count(u, k) <= min(_CHUNK, _GROUP_ROWS):
-        batches = iter([_cached_batch(u, k)])
-    else:
-        batches = _position_batches(u, k)
-    if u == n:  # the universe is range(n): positions are ids
-        yield from batches
+        pos, runs = _small_batch(u, k)
+        yield np.array(to_id, dtype=np.intp)[pos], runs
         return
-    to_id = np.array([*universe, n], dtype=np.intp)
-    for pos, runs in batches:
-        yield to_id[pos], runs
+    for s, _, tables in _sweep(u, k, {"ids": _IdRows(to_id)}):
+        yield tables["ids"].copy(), ((s, 0, len(tables["ids"])),)
+
+
+def _valued(obj: Objective, to_id: list[int], k: int, inside: set | None):
+    """``(batches, subset)`` over every subset with at most ``k`` elements of
+    the universe whose position ``p`` holds the id ``to_id[p]`` (the empty
+    slot last): ``batches`` yields ``(size, rank, values, flags)`` in
+    :func:`_sweep` order, ``flags`` marking the subsets inside ``inside``
+    (None when it is None), and ``subset(size, rank)`` gives the ids of a
+    row."""
+    u = len(to_id) - 1
+    in_pos = None if inside is None else np.array([e in inside for e in to_id[:-1]] + [True])
+    if cardinality_subset_count(u, k) <= min(_CHUNK, _GROUP_ROWS):
+        pos, runs = _small_batch(u, k)
+        ids = np.array(to_id, dtype=np.intp)[pos]
+        vals = np.asarray(obj.eval_ids(ids), dtype=float)
+        flags = None if inside is None else in_pos[pos].all(axis=1)
+        return ([(size, 0, vals[lo:hi], None if flags is None else flags[lo:hi])
+                 for size, lo, hi in runs],
+                lambda size, rank: tuple(ids[runs[size][1] + rank, :size].tolist()))
+    fold, channels = obj._sweep_fold, {}
+    if fold is None or obj._sweep_ids:
+        channels["ids"] = _IdRows(to_id)
+    if fold is not None:
+        channels["states"] = _Folded(fold._rows[to_id], fold._op)
+    if inside is not None:
+        channels["flags"] = _Folded(in_pos[:, None], np.logical_and)
+    batches = ((size, rank, np.asarray(obj._sweep_values(t.get("ids"), t.get("states"), size),
+                                       dtype=float), None if inside is None else t["flags"][:, 0])
+               for size, rank, t in _sweep(u, k, channels))
+    return batches, functools.partial(_colex_set, to_id=to_id)
+
+
+class _SizeBest:
+    """One size's best value so far, the colex rank of its last maximum and,
+    when ties are kept, the ranks of its last ``TIE_CAP`` maxima."""
+
+    __slots__ = ("value", "rank", "ties")
+
+    def __init__(self):
+        self.value = None
+        self.ties: list[int] = []
+
+    def update(self, vals: np.ndarray, rank: int, ties: bool) -> None:
+        last = vals.size - 1 - int(vals[::-1].argmax())
+        top = vals.item(last)
+        if self.value is None or top > self.value:
+            self.value, self.ties = top, []
+        elif top < self.value:
+            return
+        self.rank = rank + last
+        if ties:
+            self.ties = (self.ties + (rank + np.flatnonzero(vals == top)).tolist())[-TIE_CAP:]
+
+
+def _colex_set(size: int, rank: int, *, to_id: list[int]) -> tuple[int, ...]:
+    """The ids of the ``size``-subset of colex rank ``rank`` over the
+    positions ``range(len(to_id) - 1)``: its positions ``c_size > ... > c_1``
+    satisfy ``rank = sum C(c_i, i)``, each the largest that fits (ascending
+    ids)."""
+    out, c = [], len(to_id) - 2
+    for i in range(size, 0, -1):
+        binom = math.comb(c, i)
+        while binom > rank:
+            binom, c = binom * (c - i) // c, c - 1  # C(c - 1, i)
+        rank -= binom
+        out.append(to_id[c])
+        c -= 1
+    return tuple(out)
+
+
+def _profile(best: list[_SizeBest], subset, count: int, ties: bool) -> OptProfile:
+    """The profile over sizes ``0..len(best) - 1``: per budget the best value
+    of any size up to it, witnessed by the lexicographically smallest set
+    among the sizes that reach it; ``subset(size, rank)`` reads a set."""
+    sets = [subset(size, b.rank) for size, b in enumerate(best)]
+    profile: list[float] = []
+    argmax: list[tuple[int, ...]] = []
+    for size_best, cand in zip(best, sets):
+        if not profile or size_best.value > best_val:
+            best_val, best_set = size_best.value, cand
+        elif size_best.value == best_val and cand < best_set:
+            best_set = cand
+        profile.append(float(best_val))
+        argmax.append(best_set)
+    top = None
+    if ties:
+        top = sorted(subset(size, r) for size, b in enumerate(best)
+                     if b.value == best_val for r in b.ties)[:TIE_CAP]
+    return OptProfile(list(range(len(best))), profile, argmax, count, top)
 
 
 def check_guard(needed: int) -> None:
@@ -255,58 +399,48 @@ def check_guard(needed: int) -> None:
 
 
 def opt_cardinality(obj: Objective, universe: Sequence[int], k: int, *,
-                    collect_ties: bool = False) -> OptProfile:
+                    collect_ties: bool = False,
+                    inside: Sequence[int] | None = None) -> OptProfile:
     """Exact OPT_j = max_{|T| <= j} f(T) for every j = 0..k, in one sweep.
 
-    Deterministic: the recorded argmax is the lexicographically smallest
-    optimal set.  With ``collect_ties`` the profile also retains every
-    optimal set at the top budget (the first ``TIE_CAP`` in lexicographic
-    order), which lets callers test "any optimal set contained" without tie
-    ambiguity.
+    ``k`` is read with ``operator.index`` (a float or a string raises
+    ``TypeError``) and capped at the universe's size.  Deterministic: the
+    recorded argmax is the lexicographically smallest optimal set.  With
+    ``collect_ties`` the profile also retains every optimal set at the top
+    budget (the first ``TIE_CAP`` in lexicographic order), which lets
+    callers test "any optimal set contained" without tie ambiguity.
+
+    With ``inside``, a subset of the universe, the same sweep also gives
+    the profile over ``inside`` (as ``opt_cardinality(obj, inside, k)``
+    would), in the result's ``inside`` field.  The guard counts the
+    enumeration over ``inside`` first, then over the universe.
     """
     universe = sorted_ids(universe, obj.n).tolist()
     u = len(universe)
-    k = min(int(k), u)
+    k = min(operator.index(k), u)
     if k < 0:
         raise ValueError("k must be >= 0")
+    if inside is not None:
+        inside = set(sorted_ids(inside, obj.n).tolist())
+        if not inside <= set(universe):
+            raise ValueError("inside must be a subset of the universe")
+        k_in = min(k, len(inside))
+        check_guard(inside_total := cardinality_subset_count(len(inside), k_in))
     total = cardinality_subset_count(u, k)
     check_guard(total)
 
-    # per size: its best value and its first optimal sets in enumeration order
-    per_size: list[tuple[float, list[tuple[int, ...]]] | None] = [None] * (k + 1)
-    for ids, runs in subset_batches(universe, obj.n, k):
-        vals = np.asarray(obj.eval_ids(ids), dtype=float)
-        for size, lo, hi in runs:
-            seg = vals[lo:hi]
-            first = int(seg.argmax())  # the first maximum in enumeration order
-            vmax = float(seg[first])
-            if per_size[size] is None or vmax > per_size[size][0]:
-                per_size[size] = (vmax, [])
-            size_best, size_sets = per_size[size]
-            if vmax != size_best:
-                continue
-            if collect_ties:
-                rows = lo + np.flatnonzero(seg == vmax)[:TIE_CAP - len(size_sets)]
-                size_sets.extend(tuple(row[:size]) for row in ids[rows].tolist())
-            elif not size_sets:
-                size_sets.append(tuple(ids[lo + first, :size].tolist()))
+    best = [_SizeBest() for _ in range(k + 1)]
+    best_in = [] if inside is None else [_SizeBest() for _ in range(k_in + 1)]
+    batches, subset = _valued(obj, [*reversed(universe), obj.n], k, inside)
+    for size, rank, vals, flags in batches:
+        best[size].update(vals, rank, collect_ties)
+        if size < len(best_in) and flags.any():
+            best_in[size].update(np.where(flags, vals, -np.inf), rank, collect_ties)
 
-    profile: list[float] = []
-    argmax: list[tuple[int, ...]] = []
-    for size_best, size_sets in per_size:
-        cand = size_sets[0]  # the lexicographically smallest optimum of this size
-        if not profile or size_best > best_val:
-            best_val, best_set = size_best, cand
-        elif size_best == best_val and cand < best_set:
-            best_set = cand
-        profile.append(best_val)
-        argmax.append(best_set)
-
-    ties = None
-    if collect_ties:
-        ties = sorted(s for v, size_sets in per_size if v == best_val
-                      for s in size_sets)[:TIE_CAP]
-    return OptProfile(list(range(k + 1)), profile, argmax, total, ties)
+    profile = _profile(best, subset, total, collect_ties)
+    if inside is not None:
+        profile.inside = _profile(best_in, subset, inside_total, collect_ties)
+    return profile
 
 
 def block_bits(u: int) -> int:

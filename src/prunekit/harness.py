@@ -106,8 +106,10 @@ def containment_report(obj: Objective, pruned: PrunedSet, k: int,
                        reference: str = "exact") -> ContainmentReport:
     """Certify alpha(k') for every k' = 1..k.
 
-    ``reference="exact"`` enumerates both the full universe and the pruned
-    set (guard enforced on both); ``reference="greedy"`` uses greedy prefix
+    ``reference="exact"`` enumerates the full universe once and reads the
+    best sets inside the pruned set off the same sweep (guard enforced on
+    both, the pruned set's count first); ``resources.eval_enumerated``
+    counts the subsets of both.  ``reference="greedy"`` uses greedy prefix
     values on the full set as the denominator and greedy-on-P for the
     numerator when P itself is too large to enumerate.
     """
@@ -119,26 +121,22 @@ def containment_report(obj: Objective, pruned: PrunedSet, k: int,
     t0 = time.perf_counter()
 
     inside_exact = True
-    try:
-        inside_profile = exact.opt_cardinality(obj, P, k)
-        best_inside, best_sets = _at_budgets(inside_profile, budgets)
-        inside_count = inside_profile.enumerated_count
-    except exact.GuardExceeded:
-        if reference == "exact":
-            raise
-        inside_exact = False
-        vals = _greedy_reference_values(obj, P, k)
-        best_inside = vals
-        best_sets = [[] for _ in vals]
-        inside_count = 0
-
     if reference == "exact":
-        full_profile = exact.opt_cardinality(obj, range(n), k)
+        full_profile = exact.opt_cardinality(obj, range(n), k, inside=P)
         denominators, _ = _at_budgets(full_profile, budgets)
-        denom_count = full_profile.enumerated_count
+        best_inside, best_sets = _at_budgets(full_profile.inside, budgets)
+        enumerated = full_profile.enumerated_count + full_profile.inside.enumerated_count
     else:
+        try:
+            inside_profile = exact.opt_cardinality(obj, P, k)
+            best_inside, best_sets = _at_budgets(inside_profile, budgets)
+            enumerated = inside_profile.enumerated_count
+        except exact.GuardExceeded:
+            inside_exact = False
+            best_inside = _greedy_reference_values(obj, P, k)
+            best_sets = [[] for _ in best_inside]
+            enumerated = 0
         denominators = _greedy_reference_values(obj, range(n), k)
-        denom_count = 0
 
     alphas = [_alpha(v, d) for v, d in zip(best_inside, denominators)]
     elapsed = time.perf_counter() - t0
@@ -152,7 +150,7 @@ def containment_report(obj: Objective, pruned: PrunedSet, k: int,
         inside_exact=inside_exact,
         resources={
             "prune_queries": pruned.stats.queries,
-            "eval_enumerated": inside_count + denom_count,
+            "eval_enumerated": enumerated,
         },
         timing={"prune_elapsed": pruned.elapsed, "eval_elapsed": elapsed},
     )

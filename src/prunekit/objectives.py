@@ -18,7 +18,7 @@ returns one float per row, equal bit for bit to ``eval`` of that row
 whatever else is in the batch: each kernel reduces every row on its own in
 the order ``eval`` does, and none uses a matmul, whose row results depend on
 the rows batched with them.  Unweighted :class:`Cut` and
-:class:`InterferenceCoverage` share one pair kernel, :func:`_pair_sums`: a
+:class:`InterferenceCoverage` share one pair kernel, :class:`_PairTable`: a
 flat table of pair weights (edge counts, intensities) over the ranks of the
 ids the batch uses, so it grows with those ids, not with ``n``, read over a
 row's column pairs in triu order, which is ascending pair order.  Cut's
@@ -29,8 +29,10 @@ a scalar value a few.
 One fold layer serves :class:`Coverage`, :class:`InterferenceCoverage` and
 the facility-location families: a set's rows (cover words; similarities)
 folded by an exact, order-free ``op`` (OR; max), then finished (a covered
-count or weight; a pairwise row sum).  ``eval_ids``, the scans and the
-power-set tables all fold, so they agree bit for bit.
+count or weight; a pairwise row sum).  ``eval_ids``, the scans, the
+power-set tables and the exact enumerator (which folds each subset's new
+element onto its prefix's state, see ``_sweep_values``) all fold, so they
+agree bit for bit.
 
 Power-set tables: :func:`power_set_values` gives ``f`` of every subset of a
 universe, indexed by subset mask, in blocks of masks that share their high
@@ -205,6 +207,17 @@ class Objective:
         ``eval_ids``."""
         return CandidateScan(self)
 
+    #: the fold whose states the exact enumerator extends from each
+    #: subset's prefix (None: it values id rows), and whether
+    #: ``_sweep_values`` reads the id rows too
+    _sweep_fold: "_FoldObjective | None" = None
+    _sweep_ids = True
+
+    def _sweep_values(self, ids, states, size: int) -> np.ndarray:
+        """``f`` of one size's rows as the exact enumerator builds them: their
+        id rows and, under ``_sweep_fold``, their folded states."""
+        return self.eval_ids(ids)
+
     def _value(self, s: frozenset[int]):
         raise NotImplementedError
 
@@ -264,11 +277,10 @@ def _pairs(width: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(width), 2))
 
 
-def _pair_sums(ids: np.ndarray, n: int, pi: np.ndarray, pj: np.ndarray,
-               pw: np.ndarray) -> np.ndarray:
-    """Per row of ``ids`` the weights ``pw`` of the pairs ``pi < pj`` inside
-    it, added left to right in pair order, as ``eval`` adds them.  The pairs
-    are distinct.
+class _PairTable:
+    """Per row of an id batch, the weights ``pw`` of the pairs ``pi < pj``
+    inside it, added left to right in pair order, as ``eval`` adds them
+    (:meth:`sums`).  The pairs are distinct.
 
     Ids are replaced by their ranks among the ids the batch uses, and a
     flat ``side x side`` table over the ranks holds each pair's weight
@@ -278,31 +290,41 @@ def _pair_sums(ids: np.ndarray, n: int, pi: np.ndarray, pj: np.ndarray,
     pairs in ascending pair order.  So each row adds its pairs' weights in
     ``eval``'s order, and 0.0 for the rest; the partial sums are never
     negative, so the zeros change no bit.  The ranks are laid out one
-    contiguous row per column."""
-    if ids.shape[1] < 2:  # no pairs inside a row
-        return np.zeros(len(ids))
-    used = np.zeros(n + 1, dtype=bool)
-    used[ids.reshape(-1)] = True
-    ranked = np.flatnonzero(used)
-    rank = np.zeros(n + 1, dtype=np.intp)
-    rank[ranked] = np.arange(len(ranked))
-    side = len(ranked)
-    inside = used[pi] & used[pj]
-    table = np.zeros(side * side)
-    table[rank[pi[inside]] * side + rank[pj[inside]]] = pw[inside]
-    pairs = _pairs(ids.shape[1])
+    contiguous row per column.  The last table is kept and serves the next
+    batch over the same ids."""
 
-    def kernel(block):
-        ranks = rank[np.ascontiguousarray(block.T)]  # (width, rows)
-        if not (ranks[:-1] <= ranks[1:]).all():  # the enumerator's rows come sorted
-            ranks.sort(axis=0)
-        firsts = ranks * side
-        total = np.zeros(len(block))
-        for a, b in pairs:
-            total += table[firsts[a] + ranks[b]]
-        return total
+    def __init__(self, n: int, pi: np.ndarray, pj: np.ndarray, pw: np.ndarray):
+        self.n, self.pi, self.pj, self.pw = n, pi, pj, pw
+        self._last = (np.zeros(0, dtype=bool), None, 0, None)  # (used, rank, side, table)
 
-    return _by_blocks(ids, ids.shape[1], kernel)
+    def sums(self, ids: np.ndarray) -> np.ndarray:
+        if ids.shape[1] < 2:  # no pairs inside a row
+            return np.zeros(len(ids))
+        used = np.zeros(self.n + 1, dtype=bool)
+        used[ids.reshape(-1)] = True
+        _, rank, side, table = last = self._last
+        if not np.array_equal(last[0], used):
+            ranked = np.flatnonzero(used)
+            rank = np.zeros(self.n + 1, dtype=np.intp)
+            rank[ranked] = np.arange(len(ranked))
+            side = len(ranked)
+            inside = used[self.pi] & used[self.pj]
+            table = np.zeros(side * side)
+            table[rank[self.pi[inside]] * side + rank[self.pj[inside]]] = self.pw[inside]
+            self._last = used, rank, side, table
+        pairs = _pairs(ids.shape[1])
+
+        def kernel(block):
+            ranks = rank[np.ascontiguousarray(block.T)]  # (width, rows)
+            if not (ranks[:-1] <= ranks[1:]).all():  # the enumerator's rows come sorted
+                ranks.sort(axis=0)
+            firsts = ranks * side
+            total = np.zeros(len(block))
+            for a, b in pairs:
+                total += table[firsts[a] + ranks[b]]
+            return total
+
+        return _by_blocks(ids, ids.shape[1], kernel)
 
 
 def _cover_words(covers: Sequence[frozenset[int]], m: int) -> np.ndarray:
@@ -357,6 +379,12 @@ class _FoldObjective(Objective):
 
     def scan(self):
         return _FoldScan(self)
+
+    _sweep_fold = property(lambda self: self)
+    _sweep_ids = False
+
+    def _sweep_values(self, ids, states, size):
+        return self._finish(states)
 
     def _power_set(self, universe, low):
         """Blocks of :func:`power_set_values`, each ``2^(low - sub)``
@@ -525,6 +553,10 @@ class Cut(Objective):
                                   + np.maximum(self._us, self._vs), return_counts=True)
         return codes // self.n, codes % self.n, counts.astype(float)
 
+    @functools.cached_property
+    def _pair_table(self) -> _PairTable:
+        return _PairTable(self.n, *self._edge_pairs)
+
     def eval_ids(self, ids):
         """Unweighted cut of each row: its degree sum minus twice the edges
         inside it (small integers, exact in any order).  Weighted: the
@@ -532,7 +564,7 @@ class Cut(Objective):
         ids = np.asarray(ids)
         if self._ws is not None:
             return _by_blocks(ids, max(self.n, len(self._ws)), self._cut_weight)
-        return self._degrees[ids].sum(axis=1) - 2 * _pair_sums(ids, self.n, *self._edge_pairs)
+        return self._degrees[ids].sum(axis=1) - 2 * self._pair_table.sums(ids)
 
     def _cut_weight(self, block: np.ndarray) -> np.ndarray:
         M = ids_to_mask(block, self.n)
@@ -658,6 +690,12 @@ class Proxy(Objective):
         ids = np.asarray(ids)
         return self._penalised(self.fl.eval_ids(ids), np.count_nonzero(ids < self.n, axis=1))
 
+    _sweep_fold = property(operator.attrgetter("fl"))
+    _sweep_ids = False
+
+    def _sweep_values(self, ids, states, size):
+        return self._penalised(self.fl._finish(states), size)
+
     def _penalised(self, fl_vals: np.ndarray, sizes) -> np.ndarray:
         """FL values of sets of ``sizes`` elements minus ``theta``, plus the
         shift; with ``clamp``, ``max(v, 0.0)``, -0.0 kept as ``eval`` keeps it."""
@@ -733,6 +771,7 @@ class InterferenceCoverage(_CoverObjective):
             raise ValueError(f"interference weight lam must be finite and non-negative, "
                              f"got {self.lam}")
         self._pi, self._pj, self._pw = _pair_arrays(intf, self.n)
+        self._pair_table = _PairTable(self.n, self._pi, self._pj, self._pw)
 
     @property
     def intf(self) -> dict[tuple[int, int], float]:
@@ -754,10 +793,17 @@ class InterferenceCoverage(_CoverObjective):
     def eval_ids(self, ids):
         """Covered count minus ``lam`` times each row's pair penalty."""
         ids = np.asarray(ids)
-        out = super().eval_ids(ids)
+        return self._less_penalties(super().eval_ids(ids), ids)
+
+    _sweep_ids = True
+
+    def _sweep_values(self, ids, states, size):
+        return self._less_penalties(self._finish(states), ids)
+
+    def _less_penalties(self, counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
         if self.lam and len(self._pw):
-            out -= self.lam * _pair_sums(ids, self.n, self._pi, self._pj, self._pw)
-        return out
+            counts -= self.lam * self._pair_table.sums(ids)
+        return counts
 
     def _power_set(self, universe, low):
         """Covered counts minus ``lam`` times the pair penalties.  Each

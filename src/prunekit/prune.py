@@ -6,6 +6,8 @@ a guaranteed (or empirically measured) fraction of the optimum.  Every run
 returns a :class:`PrunedSet` carrying the elements, the provenance structure
 the guarantee argument needs (disjoint runs, windows, or a threshold run),
 a query-count snapshot, and wall time, all filled in by :func:`metered`.
+Budgets and sizes (``k``, ``p``, ``omega``, ``ell``) are read with
+``operator.index``, as ids are: a float or a string raises ``TypeError``.
 Queries are counted as the engines in :mod:`prunekit.selection` count them:
 one per set value a candidate scan computes.  Disjoint runs come from
 :func:`prunekit.selection.disjoint_runs` (``std_greedy`` is one run), and
@@ -25,6 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -57,6 +60,9 @@ class PruneParams:
     ell: int | None = None
 
     def __post_init__(self):
+        for size in (self.k, self.omega, self.ell):
+            if size is not None:
+                operator.index(size)  # a float or a string raises TypeError
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.omega is not None and self.omega < 1:
@@ -179,7 +185,7 @@ def prune_seq_disjoint(obj: Objective, n: int, k: int, ell: int | None = None,
     per remaining candidate per step, so queries <= ell * k * n for k >= 2
     (ell * n + 1 when k = 1).
     """
-    if k == 0:
+    if operator.index(k) == 0:
         return _empty_pruned("seq_disjoint", {"k": 0, "ell": ell})
     ell = PruneParams(k=k, ell=ell, epsilon=epsilon).resolved_ell()
     runs = disjoint_runs(lambda pool: greedy(obj, pool, k), range(n), ell)
@@ -205,7 +211,7 @@ def prune_window(obj: Objective, n: int, k: int, omega: int, seed: int = 0,
     """
     if pick not in ("random", "argmax"):
         raise ValueError(f"pick must be 'random' or 'argmax', got {pick!r}")
-    if k == 0:
+    if operator.index(k) == 0:
         return _empty_pruned("window", {"k": 0, "omega": omega, "pick": pick})
     PruneParams(k=k, omega=omega)
     rng = np.random.default_rng(seed)
@@ -228,7 +234,7 @@ def prune_std_greedy(obj: Objective, n: int, p: int) -> PrunedSet:
     canonical pruner; for non-monotone ones it is the baseline the
     disjoint-run pruner is measured against.  Queries <= p * n + 1.
     """
-    if p == 0:
+    if operator.index(p) == 0:
         return _empty_pruned("std_greedy", {"p": 0})
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -251,7 +257,7 @@ def prune_fast_budget_range(obj: Objective, n: int, k: int, epsilon: float) -> P
     in pick order so :func:`witness` can answer any k' <= k with a prefix.
     Queries are O((n/eta) log(n/eta)).
     """
-    if k == 0:
+    if operator.index(k) == 0:
         return _empty_pruned("fast_budget_range", {"k": 0, "epsilon": epsilon})
     PruneParams(k=k, epsilon=epsilon)
     eta = epsilon / 4.0
@@ -324,7 +330,7 @@ def prune_threshold_stream(obj: Objective, order: Sequence[int], k: int, p: int,
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    if k == 0 or p == 0:
+    if 0 in (operator.index(k), operator.index(p)):
         return _empty_pruned("threshold_stream", {"k": k, "p": p, "epsilon": epsilon})
     order = list(order)
     if sorted(order) != list(range(obj.n)):
@@ -340,7 +346,7 @@ def prune_threshold_stream(obj: Objective, order: Sequence[int], k: int, p: int,
 
 def prune_random(n: int, p: int, seed: int = 0) -> PrunedSet:
     """Uniform random p-subset (clamped to n); the no-structure baseline."""
-    if p == 0:
+    if operator.index(p) == 0:
         return _empty_pruned("random", {"p": 0, "seed": seed})
     rng = np.random.default_rng(seed)
     return PrunedSet(

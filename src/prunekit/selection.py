@@ -6,7 +6,9 @@ replayed against the oracle.  They accept either a raw objective or a
 :class:`~prunekit.objectives.CountingOracle`.  Pools and stream orders are
 read by :func:`~prunekit.objectives.sorted_ids` (a non-integer id raises
 ``TypeError``, one outside ``0..n-1`` ``IndexError``); an order that
-repeats an id raises ``ValueError``.
+repeats an id raises ``ValueError``.  Sizes and budgets (``size``,
+``rounds``, ``width``, ``k``, ``p``) are read with ``operator.index`` too,
+so a float or a string raises ``TypeError`` instead of being rounded.
 
 Every engine scans candidates through one primitive, the objective's
 :class:`~prunekit.objectives.CandidateScan`: a scan returns ``f(S + e)`` for
@@ -24,6 +26,7 @@ plain greedy commits the best candidate of a window one element wide.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
@@ -92,7 +95,7 @@ def greedy(oracle, pool: Iterable[int], size: int, stop_at_zero: bool = False) -
     ``stop_at_zero=True`` to stop once the best gain is <= 0 (monotone use).
     Queries: ``f(empty)`` plus ``|pool| - i`` candidate values at step i.
     """
-    if size < 0:
+    if operator.index(size) < 0:
         raise ValueError("size must be >= 0")
     return _rank_and_commit(oracle, pool, size, 1, lambda width: 0, stop_at_zero)[0]
 
@@ -111,7 +114,7 @@ def threshold_greedy(oracle, pool: Iterable[int], size: int, eta: float) -> Gree
     """
     if not (0 < eta < 1):
         raise ValueError(f"eta must be in (0, 1), got {eta}")
-    if size < 0:
+    if operator.index(size) < 0:
         raise ValueError("size must be >= 0")
     scan, remaining = _open(oracle, pool)
     run = GreedyRun([], [])
@@ -218,6 +221,7 @@ def threshold_stream(oracle, order: Sequence[int], k: int, p: int,
     an element is accepted while fewer than ``p`` are if its marginal
     against the accepted set is at least ``epsilon * d / k``.  Returns the
     accepted elements in order."""
+    k, p = operator.index(k), operator.index(p)
     scan = open_scan(oracle)
     order = list(order)
     if len(sorted_ids(order, scan.obj.n)) < len(order):
@@ -252,6 +256,7 @@ def _rank_and_commit(oracle, pool: Iterable[int], rounds: int, width: int,
     """The loop of :func:`greedy` and :func:`window_greedy`.  A window one
     element wide is the first ``argmax``, which a stable sort would also
     rank first, at less cost."""
+    rounds, width = operator.index(rounds), operator.index(width)
     scan, remaining = _open(oracle, pool)
     run = GreedyRun([], [])
     windows: list[list[int]] = []

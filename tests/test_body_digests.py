@@ -72,6 +72,30 @@ def test_sdg_density_coverage_bodies(tmp_path, coverage_source):
     assert digest(body(report)) == REPORT_KNAPSACK
 
 
+@pytest.fixture
+def exact_sources(tmp_path):
+    """Instances whose enumerations over N and over P outgrow one small
+    batch: interference, facility location on random reals, unweighted
+    coverage."""
+    intf, cov, sim = tmp_path / "intf.json", tmp_path / "cov.json", tmp_path / "sim.csv"
+    run("gen", "--family", "interference", "--n", 20, "--universe-m", 30, "--seed", 4,
+        "--out", intf)
+    run("gen", "--family", "coverage", "--n", 20, "--universe-m", 30, "--seed", 6, "--out", cov)
+    np.savetxt(sim, np.random.default_rng(8).uniform(size=(40, 20)), delimiter=",")
+    return {"interference": ["--objective-file", intf], "coverage": ["--objective-file", cov],
+            "facility_location": ["--sim", sim]}
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+@pytest.mark.parametrize("name", ["coverage", "facility_location", "interference"])
+def test_exact_eval_bodies(tmp_path, exact_sources, name, ell):
+    source = exact_sources[name]
+    pruned, report = tmp_path / "p.json", tmp_path / "r.json"
+    run("prune", *source, "--algo", "seq_disjoint", "--ell", ell, "--k", 5, "--out", pruned)
+    run("eval", *source, "--pruned", pruned, "--k", 5, "--out", report)
+    assert [digest(body(pruned)), digest(body(report))] == EXACT_EVAL_BODIES[name, ell]
+
+
 PRUNER_ARGS = {
     "window_rand": ["--algo", "window_rand", "--k", 4, "--omega", 2, "--seed", 5],
     "window_max": ["--algo", "window_max", "--k", 4, "--omega", 2],
@@ -231,3 +255,19 @@ GNM_EDGES = [
     "9cdcb9b60ba8c04da9566d2d77ab531876b403f4671aaddb7a4c42e421353742",
     "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
 ]
+EXACT_EVAL_BODIES = {
+    ("coverage", 2): ["30e4248838014922ca007d29731e14a4d2aedd0b5e91ce2bea9a2c338802200c",
+                      "e32046dc95b0ea576b716e5b52507ba44d1c2c0c864a41a393ca47ea0ab4c089"],
+    ("coverage", 3): ["0471feb802705fb277693f0bed359601829ab9c120dae4406940ce0da8cfc90e",
+                      "ab96f07e4c6b2129758bdde686ad211d9c84ab2a2efe96cfc1cc8428aa676782"],
+    ("facility_location", 2): [
+        "1a57bf3684788c154bb6340b115822ce6a07a58cbc0964be99aef3694f3f5ba7",
+        "41adcfc0067e87949dc56a2c8e2092cc07f90405dfe552cacd60c21af42f573f"],
+    ("facility_location", 3): [
+        "e24316fd208e85dd93ab346cd9a7334a5fbdacc33deb113508df54db0cd2cc98",
+        "1a1cf8d4403cab6647da26d343dd59d8580811cd8f375ee4850484c637607064"],
+    ("interference", 2): ["8cc53f9bf9491a558805a16de10ac66d3daa6d3b5b71e8990da989f839e79511",
+                          "5a696cfe6703c6f7561aa2dcebb3828d0254df556259e39d7780059ce50a46c0"],
+    ("interference", 3): ["508eb8e1947c7c6b977355cef7b65b264c4f50c5f41bf92851bd2877018b4972",
+                          "055a2dd8cb29a66bc57d4028337725a18de90f77c1546562d931e6f6517b9d8c"],
+}

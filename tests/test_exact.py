@@ -317,16 +317,74 @@ class TestEngineAgainstReference:
             exact.opt_knapsack(Modular([1, 2]), [-1, 0], [1.0, 1.0], budgets=[1.0])
 
 
+def profile_fields(prof):
+    return prof.opt_by_budget, prof.argmax_by_budget, prof.ties_at_top, prof.enumerated_count
+
+
+class TestInsideProfiles:
+    """``opt_cardinality(obj, U, k, inside=P)`` reads the profile over P off
+    the sweep over U: both equal separate calls and the
+    ``itertools.combinations`` reference bit for bit, for every family, at
+    any chunk size, on sparse universes, at k = 0 and k >= |U|."""
+
+    @given(data=st.data(), n=st.integers(2, 8), seed=st.integers(0, 2**16),
+           chunk=st.sampled_from([1, 5, 100, exact._CHUNK]), ties=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_inside_equals_separate_calls_and_reference(self, data, n, seed, chunk, ties):
+        fams = scan_families(n, seed)
+        name = data.draw(st.sampled_from(sorted(fams)), label="family")
+        obj = fams[name]
+        universe = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="universe")
+        k = data.draw(st.integers(0, len(universe) + 2), label="k")
+        inside = data.draw(st.sampled_from(["empty", "all", "some"]), label="inside")
+        P = {"empty": [], "all": universe}.get(inside) or data.draw(
+            st.lists(st.sampled_from(universe), unique=True) if universe else st.just([]),
+            label="P")
+        with mock.patch.object(exact, "_CHUNK", chunk):
+            prof = exact.opt_cardinality(obj, universe, k, collect_ties=ties, inside=P)
+            alone = exact.opt_cardinality(obj, P, k, collect_ties=ties)
+            full = exact.opt_cardinality(obj, universe, k, collect_ties=ties)
+        for got, ground, want in ((prof, universe, full), (prof.inside, P, alone)):
+            opt, argmax, top, count = reference_cardinality(obj, ground, k)
+            assert profile_fields(got) == profile_fields(want), name
+            assert got.opt_by_budget == opt and got.argmax_by_budget == argmax, name
+            assert got.enumerated_count == count, name
+            assert got.ties_at_top == (top if ties else None), name
+        assert alone.inside is None and full.inside is None
+
+    def test_inside_must_lie_in_the_universe(self):
+        with pytest.raises(ValueError, match="inside"):
+            exact.opt_cardinality(Modular([1, 2, 3]), [0, 1], 2, inside=[2])
+
+    def test_guard_counts_p_first(self, monkeypatch):
+        # P alone exceeds the guard: the refusal names P's count, as a
+        # separate call over P would
+        monkeypatch.setenv(exact.GUARD_ENV, "20")
+        with pytest.raises(exact.GuardExceeded) as err:
+            exact.opt_cardinality(Modular(np.ones(8)), range(8), 2, inside=range(6))
+        assert err.value.needed == exact.cardinality_subset_count(6, 2)
+
+
+def colex_order(universe, k):
+    """Every subset of at most k ids, sizes ascending, each size in reverse
+    lexicographic order: colex order over the reflected universe."""
+    return [c for size in range(k + 1)
+            for c in reversed(list(itertools.combinations(universe, size)))]
+
+
 class TestSubsetBatches:
     @pytest.mark.parametrize("m,s", [(0, 0), (5, 0), (5, 1), (6, 3), (9, 9), (12, 5)])
     def test_lex_table_is_combinations_order(self, m, s):
-        table, = exact._lex_pieces(m, s, exact._CHUNK)  # one table: it fits a chunk
-        assert [tuple(r) for r in table.tolist()] == list(itertools.combinations(range(m), s))
+        """Read backwards, in lexicographic order, a size table is the
+        order of ``itertools.combinations``."""
+        rows = [tuple(r[:size]) for ids, runs in exact.subset_batches(range(m), m, s)
+                for size, lo, hi in runs if size == s for r in ids[lo:hi].tolist()]
+        assert rows[::-1] == list(itertools.combinations(range(m), s))
 
     @pytest.mark.parametrize("chunk,universe,n,k", [
         pytest.param(chunk, [1, 2, 4, 7, 8, 9, 11], 12, 4, id=str(chunk))
         for chunk in [1, 4, 10, 35, exact._CHUNK]
-    ] + [pytest.param(100, range(12), 12, 6, id="100-full12-k6")])  # recursive pieces
+    ] + [pytest.param(100, range(12), 12, 6, id="100-full12-k6")])  # recursive leaves
     def test_batches_cover_subsets_in_order(self, chunk, universe, n, k):
         rows, sizes = [], []
         with mock.patch.object(exact, "_CHUNK", chunk):
@@ -337,24 +395,25 @@ class TestSubsetBatches:
             for size, lo, hi in runs:
                 block = ids[lo:hi]
                 assert np.all(block[:, size:] == n) and np.all(block[:, :size] < n)
+                assert np.all(np.diff(block[:, :size], axis=1) > 0)  # ascending ids
                 rows += [tuple(r[:size]) for r in block.tolist()]
                 sizes.append(size)
-        expected = [c for size in range(k + 1) for c in itertools.combinations(universe, size)]
-        assert rows == expected
+        assert rows == colex_order(universe, k)
         assert sizes == sorted(sizes)
 
     @pytest.mark.parametrize("chunk,group", [(100, exact._GROUP_ROWS), (100, 30), (7, 5)])
     def test_adjacent_batches_do_not_fit_one(self, chunk, group):
-        """Pieces of a split size table share batches like whole tables do:
-        a batch ends only where the next piece would not fit it."""
+        """The leaves of a split size table share batches: a batch ends only
+        where the next leaf would not fit it."""
         with mock.patch.object(exact, "_CHUNK", chunk), \
                 mock.patch.object(exact, "_GROUP_ROWS", group):
             batches = list(exact.subset_batches(range(12), 12, 6))
         rows = [tuple(r[:size]) for ids, runs in batches
                 for size, lo, hi in runs for r in ids[lo:hi].tolist()]
-        assert rows == [c for size in range(7) for c in itertools.combinations(range(12), size)]
-        lengths = [len(ids) for ids, _ in batches]
-        assert all(a + b > min(chunk, group) for a, b in zip(lengths, lengths[1:]))
+        assert rows == colex_order(range(12), 6)
+        sized = [(runs[0][0], len(ids)) for ids, runs in batches]
+        assert all(a + b > min(chunk, group)
+                   for (s, a), (t, b) in zip(sized, sized[1:]) if s == t)
 
 
 # --------------------------------------------------------------------------

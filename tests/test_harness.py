@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import pickle
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,37 @@ from prunekit.objectives import OracleStats
 def full_universe(n):
     return PrunedSet("full_universe", {"n": n}, list(range(n)), {"kind": "flat"},
                      OracleStats())
+
+
+class TestOneSweep:
+    """An exact containment report enumerates N once, with P's profile read
+    off that sweep, and never P on its own; it still counts both sweeps."""
+
+    def sweeps(self, run):
+        with mock.patch.object(exact, "opt_cardinality", wraps=exact.opt_cardinality) as spy:
+            out = run()
+        return [(list(call.args[1]), sorted(call.kwargs.get("inside", ()))) for call in
+                spy.call_args_list], out
+
+    def test_containment_report(self):
+        obj = gen_interference(12, 20, seed=2)
+        pruned = prune_seq_disjoint(obj, 12, 3, ell=2)
+        calls, report = self.sweeps(lambda: containment_report(obj, pruned, 3))
+        assert calls == [(list(range(12)), pruned.elements)]
+        counts = [exact.cardinality_subset_count(u, 3) for u in (6, 12)]
+        assert report.resources["eval_enumerated"] == sum(counts)
+
+    def test_cli_eval(self, tmp_path):
+        from prunekit.cli import main
+        graph, pfile, rfile = (str(tmp_path / f) for f in ("g.txt", "p.json", "r.json"))
+        assert main(["gen", "--family", "gnm", "--n", "14", "--m", "30", "--out", graph]) == 0
+        assert main(["prune", "--graph", graph, "--algo", "seq_disjoint", "--ell", "2",
+                     "--k", "3", "--out", pfile]) == 0
+        calls, code = self.sweeps(lambda: main(["eval", "--graph", graph, "--pruned", pfile,
+                                                "--k", "3", "--out", rfile]))
+        assert code == 0
+        with open(pfile) as fh:
+            assert calls == [(list(range(14)), json.load(fh)["body"]["elements"])]
 
 
 class TestContainmentReport:

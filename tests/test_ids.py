@@ -1,14 +1,17 @@
 """One id rule at every public entry point that takes element ids: an id is
 read with ``operator.index`` (numpy integers pass, floats and strings raise
-``TypeError``) and must lie in ``0..n-1`` (``IndexError`` otherwise)."""
+``TypeError``) and must lie in ``0..n-1`` (``IndexError`` otherwise).  The
+budgets and sizes those entry points take are read by the same rule."""
 
 import numpy as np
 import pytest
 
 from prunekit import exact
-from prunekit.knapsack import KnapsackInstance
-from prunekit.objectives import Coverage, Cut, InterferenceCoverage
-from prunekit.prune import PrunedSet, prune_threshold_stream
+from prunekit.knapsack import KnapsackInstance, prune_sdg_density
+from prunekit.objectives import Coverage, Cut, InterferenceCoverage, Modular
+from prunekit.prune import (PrunedSet, prune_fast_budget_range, prune_random,
+                            prune_seq_disjoint, prune_std_greedy, prune_threshold_stream,
+                            prune_window)
 from prunekit.selection import (density_greedy, greedy, threshold_greedy, threshold_stream,
                                 window_greedy)
 
@@ -108,3 +111,45 @@ def test_constructors_read_ids_by_the_id_rule(build, ends):
 @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
 def test_constructors_take_numpy_integer_ids(build, kind):
     assert CONSTRUCTORS[build](kind(0), kind(2)).to_dict() == CONSTRUCTORS[build](0, 2).to_dict()
+
+
+MOD = Modular([1.0, 2.0, 3.0])
+
+#: per entry point, a call with the budget or size ``b``
+BUDGETS = {
+    "opt_cardinality": lambda b: exact.opt_cardinality(MOD, range(3), b),
+    "greedy": lambda b: greedy(MOD, range(3), b),
+    "threshold_greedy": lambda b: threshold_greedy(MOD, range(3), b, 0.1),
+    "window_greedy_rounds": lambda b: window_greedy(MOD, range(3), b, 1, lambda width: 0),
+    "window_greedy_width": lambda b: window_greedy(MOD, range(3), 2, b, lambda width: 0),
+    "threshold_stream_k": lambda b: threshold_stream(MOD, range(3), b, 2, 0.1),
+    "threshold_stream_p": lambda b: threshold_stream(MOD, range(3), 2, b, 0.1),
+    "prune_seq_disjoint_k": lambda b: prune_seq_disjoint(MOD, 3, b, ell=1),
+    "prune_seq_disjoint_ell": lambda b: prune_seq_disjoint(MOD, 3, 1, ell=b),
+    "prune_window_k": lambda b: prune_window(MOD, 3, b, 1),
+    "prune_window_omega": lambda b: prune_window(MOD, 3, 1, b),
+    "prune_std_greedy": lambda b: prune_std_greedy(MOD, 3, b),
+    "prune_fast_budget_range": lambda b: prune_fast_budget_range(MOD, 3, b, 0.1),
+    "prune_threshold_stream_k": lambda b: prune_threshold_stream(MOD, range(3), b, 2, 0.1),
+    "prune_threshold_stream_p": lambda b: prune_threshold_stream(MOD, range(3), 2, b, 0.1),
+    "prune_random": lambda b: prune_random(3, b),
+    "prune_sdg_density_ell": lambda b: prune_sdg_density(MOD, KnapsackInstance([0.5] * 3, 1.0),
+                                                         ell=b),
+}
+
+
+@pytest.mark.parametrize("entry", BUDGETS)
+@pytest.mark.parametrize("budget", [2.7, 2.0, "2", np.float64(2.0)],
+                         ids=["fraction", "float", "string", "numpy_float"])
+def test_non_integer_budget_raises_type_error(entry, budget):
+    # 2.7 used to run as 2 (opt_cardinality), as 3 (greedy's picks) or fail
+    # on a float cap (prune_std_greedy)
+    with pytest.raises(TypeError):
+        BUDGETS[entry](budget)
+
+
+@pytest.mark.parametrize("entry", BUDGETS)
+def test_numpy_integer_budget_acts_as_an_int(entry):
+    got, want = BUDGETS[entry](np.int64(2)), BUDGETS[entry](2)
+    assert (got.to_dict() if hasattr(got, "to_dict") else got) == \
+        (want.to_dict() if hasattr(want, "to_dict") else want)
