@@ -10,10 +10,11 @@ that would visit more than the guard's subset count is refused with
 guard defaults to 10^8 subsets and can be overridden with the
 ``PRUNEKIT_GUARD`` environment variable, the one place it is set.
 
-:func:`opt_cardinality` enumerates the universe reflected (position ``p``
-is the ``p``-th largest id), each size in colex order (Knuth, *TAOCP* 4A,
-7.2.1.3): the ``s``-subsets whose largest position is ``j`` are the first
-``C(j, s-1)`` rows of the ``(s-1)``-table plus ``j``.  So one generator,
+The colex sweep serves :func:`opt_cardinality` alone.  It enumerates the
+universe reflected (position ``p`` is the ``p``-th largest id), each size
+in colex order (Knuth, *TAOCP* 4A, 7.2.1.3): the ``s``-subsets whose
+largest position is ``j`` are the first ``C(j, s-1)`` rows of the
+``(s-1)``-table plus ``j``.  So one generator,
 :func:`_sweep`, grows each size table from prefixes of the last whole one,
 one broadcast per block (:func:`_leaves`): ascending id rows (the new id
 comes first), valued by ``Objective.eval_ids``; the fold states of the
@@ -39,11 +40,12 @@ batch, padded with the empty-slot id ``n``: one ``eval_ids`` call.
 
 :func:`opt_knapsack` builds no id tables.  It reads two power-set tables
 indexed by the subset mask over the sorted universe (bit ``i`` stands for
-the ``i``-th smallest id): costs from
-:func:`~prunekit.objectives.power_set_sums` and values from
-:func:`~prunekit.objectives.power_set_values`, whose doubling steps
-``tab[h:2h] = tab[:h] (+) element j`` (``h = 2^j``) add costs in ascending
-id order, as a row sum does, so every feasibility test keeps its bits.
+the ``i``-th smallest id): values from
+:func:`~prunekit.objectives.power_set_values`, which each family builds in
+the layer that values it, and costs from
+:func:`~prunekit.objectives.power_set_sums`, whose doubling steps
+``tab[h:2h] = tab[:h] + c_j`` (``h = 2^j``) add costs in ascending id
+order, as a row sum does, so every feasibility test keeps its bits.
 Both come in blocks of at most ``_CHUNK`` masks: the low bits span one
 table, built once, and each block fixes the high bits, folding the high
 elements onto it in ascending order.  The argmax per budget is the first
@@ -74,8 +76,7 @@ import numpy as np
 from .objectives import Objective, power_set_sums, power_set_values, sorted_ids
 
 __all__ = ["GuardExceeded", "enumeration_guard", "cardinality_subset_count",
-           "OptProfile", "opt_cardinality", "opt_knapsack", "check_guard",
-           "subset_batches"]
+           "OptProfile", "opt_cardinality", "opt_knapsack", "check_guard"]
 
 DEFAULT_GUARD = 10**8
 GUARD_ENV = "PRUNEKIT_GUARD"
@@ -278,29 +279,6 @@ def _small_batch(u: int, k: int):
         row = runs[-1][2]
     pos.flags.writeable = False
     return pos, tuple(runs)
-
-
-def subset_batches(universe: Sequence[int], n: int, k: int):
-    """Every subset of ``universe`` with at most ``k`` elements, as id batches.
-
-    ``universe`` is a sorted list of distinct ids in ``0..n-1``.  Yields
-    ``(ids, runs)``: ``ids`` is a ``(batch, width)`` intp array of ascending
-    id rows, in size-ascending order and, within a size, in reverse
-    lexicographic order (colex order over the reflected universe);
-    ``runs`` lists the ``(size, start, stop)`` row range of each size in the
-    batch.  A small enumeration is one batch padded with the empty-slot id
-    ``n``; otherwise each batch holds one size's rows, unpadded.  The
-    arrays may be shared with later calls and must not be written to.
-    """
-    u = len(universe)
-    k = min(k, u)
-    to_id = [*reversed(universe), n]
-    if cardinality_subset_count(u, k) <= min(_CHUNK, _GROUP_ROWS):
-        pos, runs = _small_batch(u, k)
-        yield np.array(to_id, dtype=np.intp)[pos], runs
-        return
-    for s, _, tables in _sweep(u, k, {"ids": _IdRows(to_id)}):
-        yield tables["ids"].copy(), ((s, 0, len(tables["ids"])),)
 
 
 def _valued(obj: Objective, to_id: list[int], k: int, inside: set | None):

@@ -104,7 +104,7 @@ def _at_budgets(profile: exact.OptProfile, budgets: list[int]):
 
 def containment_report(obj: Objective, pruned: PrunedSet, k: int,
                        reference: str = "exact") -> ContainmentReport:
-    """Certify alpha(k') for every k' = 1..k.
+    """Certify alpha(k') for every k' = 1..k; ``k`` below 1 raises ``ValueError``.
 
     ``reference="exact"`` enumerates the full universe once and reads the
     best sets inside the pruned set off the same sweep (guard enforced on
@@ -115,6 +115,8 @@ def containment_report(obj: Objective, pruned: PrunedSet, k: int,
     """
     if reference not in ("exact", "greedy"):
         raise ValueError(f"reference must be 'exact' or 'greedy', got {reference}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     n = obj.n
     P = pruned.elements
     budgets = list(range(1, k + 1))
@@ -251,7 +253,8 @@ def sweep(instances: Sequence[tuple[str, object]], algorithms: Sequence[dict],
     ``instances`` holds (id, instance) pairs, where an instance is an
     objective, a :class:`~prunekit.instances.GenSpec`, or the dict form of
     either; specs and dicts are materialized in the cell, so with
-    ``jobs > 1`` each worker builds its own.  Per-cell errors are recorded,
+    ``jobs > 1`` each worker builds its own.  ``jobs`` must be at least 1;
+    the pool holds at most one worker per cell.  Per-cell errors are recorded,
     not fatal.  Deterministic given seeds; rows are ordered by
     (instance, algorithm index, seed).
     """
@@ -259,6 +262,8 @@ def sweep(instances: Sequence[tuple[str, object]], algorithms: Sequence[dict],
         raise ValueError("sweep needs at least one instance, algorithm, and seed")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     cells = []
     for inst_id, payload in instances:
         for algo in algorithms:
@@ -267,8 +272,9 @@ def sweep(instances: Sequence[tuple[str, object]], algorithms: Sequence[dict],
                               "algorithm": dict(algo), "k": k, "seed": int(seed),
                               "reference": reference})
     rows, errors = [], []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cells))  # a fork pool starts every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_cell_safe, cells))
     else:
         outcomes = [_sweep_cell_safe(c) for c in cells]

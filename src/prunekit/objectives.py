@@ -36,11 +36,13 @@ agree bit for bit.
 
 Power-set tables: :func:`power_set_values` gives ``f`` of every subset of a
 universe, indexed by subset mask, in blocks of masks that share their high
-bits; only one block is held at a time.  The fold families build it by
-doubling, ``tab[h:2h] = tab[:h] (+) element j``, over their rows (less
-interference's pair penalties); the others value the exact enumerator's
-batches with ``eval_ids``.  :func:`value_table` and ``exact.opt_knapsack``
-read it.
+bits; only one block is held at a time.  The layer that values a family
+builds them: the fold by doubling, ``tab[h:2h] = tab[:h] (+) element j``
+(:class:`Proxy` penalises its facility location's), and the pair layer by
+adding each pair's weight to the masks that hold it, in pair order
+(interference's penalties, unweighted Cut's inner edges).  Weighted Cut,
+:class:`Modular` and :class:`TableObjective` fill membership rows from the
+masks for ``_mask_values``, the hook behind their ``eval_ids``.
 
 Candidate scans:
 
@@ -196,10 +198,20 @@ class Objective:
     def eval_ids(self, ids: np.ndarray) -> np.ndarray:
         """One float per row of ``ids``, a (batch, width) array of distinct
         ids per row padded with ``n``, equal to ``eval`` of the row.  Families
-        with a kernel override this; the default calls ``_value`` per row."""
-        n = self.n
-        rows = [frozenset(e for e in row if e < n) for row in np.asarray(ids).tolist()]
-        return np.fromiter((self._value(s) for s in rows), dtype=float, count=len(rows))
+        with a kernel override this; the default values the rows' membership
+        masks with ``_mask_values``."""
+        ids = np.asarray(ids)
+        M = np.zeros((len(ids), self.n + 1), dtype=bool)  # the empty slot's column last
+        M[np.arange(len(ids))[:, None], ids] = True
+        return _by_blocks(M[:, :self.n], self._mask_width, self._mask_values)
+
+    _mask_width = property(operator.attrgetter("n"))  # cells a mask row gathers
+
+    def _mask_values(self, M: np.ndarray) -> np.ndarray:
+        """``f`` of each row of the ``(rows, n)`` membership matrix ``M``.
+        The default calls ``_value`` per row."""
+        return np.fromiter((self._value(frozenset(np.flatnonzero(row).tolist())) for row in M),
+                           dtype=float, count=len(M))
 
     def scan(self) -> "CandidateScan":
         """A candidate scan at the empty set.  Families with a batched scan
@@ -222,20 +234,16 @@ class Objective:
         raise NotImplementedError
 
     def _power_set(self, universe: list[int], low: int):
-        """The blocks of :func:`power_set_values`.  The default values each
-        block with ``eval_ids`` over the exact enumerator's id batches of
-        the low ids, the block's high ids appended to every row."""
-        from .exact import subset_batches
-
-        bit = np.zeros(self.n + 1, dtype=np.int64)  # the empty slot sets no bit
-        bit[universe[:low]] = np.left_shift(1, np.arange(low, dtype=np.int64))
+        """The blocks of :func:`power_set_values`.  The default fills each
+        block's membership rows straight from its masks and values them with
+        ``_mask_values``, in row blocks as ``eval_ids`` cuts them."""
+        masks = np.arange(1 << low, dtype="<u4")[:, None].view(np.uint8)
+        low_bits = np.unpackbits(masks, axis=1, count=low, bitorder="little")
         for high in _power_set_blocks(universe, low):
-            block = np.empty(1 << low)
-            for ids, _ in subset_batches(universe[:low], self.n, low):
-                rows = np.hstack([ids, np.broadcast_to(high, (len(ids), len(high)))]) \
-                    if high else ids
-                block[bit[ids].sum(axis=1)] = self.eval_ids(rows)
-            yield block
+            M = np.zeros((1 << low, self.n), dtype=bool)
+            M[:, universe[:low]] = low_bits
+            M[:, high] = True
+            yield _by_blocks(M, self._mask_width, self._mask_values)
 
     def _kernel_value(self, s: frozenset[int]) -> float:
         """``f(s)`` as a one-row ``eval_ids`` call: the scalar path of the
@@ -244,13 +252,6 @@ class Objective:
 
     def to_dict(self) -> dict:
         raise NotImplementedError(f"{type(self).__name__} has no serial form")
-
-
-def ids_to_mask(ids: np.ndarray, n: int) -> np.ndarray:
-    """(batch, n) membership matrix of padded id rows."""
-    M = np.zeros((len(ids), n + 1), dtype=bool)
-    M[np.arange(len(ids))[:, None], ids] = True
-    return M[:, :n]
 
 
 def _by_blocks(ids: np.ndarray, per_row: int, kernel) -> np.ndarray:
@@ -326,6 +327,25 @@ class _PairTable:
 
         return _by_blocks(ids, ids.shape[1], kernel)
 
+    def power_set(self, universe: list[int], low: int):
+        """Per block of :func:`_power_set_blocks` over ``universe``, the
+        weights of the pairs inside each mask, added in pair order: each
+        pair with both ends in the universe adds its weight to the strided
+        view over the low bits it sets, in the blocks that hold its high
+        ends.  That is ``sums``' add sequence, mask by mask."""
+        bit = np.full(self.n, -1)
+        bit[universe] = np.arange(len(universe))
+        first, second = bit[self.pi], bit[self.pj]
+        both = (first >= 0) & (second >= 0)
+        pairs = list(zip(first[both].tolist(), second[both].tolist(), self.pw[both].tolist()))
+        for prefix in range(1 << (len(universe) - low)):
+            total = np.zeros(1 << low)
+            for p, q, w in pairs:
+                if all(prefix >> (b - low) & 1 for b in (p, q) if b >= low):
+                    view = _with_bits(total, [b for b in (p, q) if b < low])
+                    view += w
+            yield total
+
 
 def _cover_words(covers: Sequence[frozenset[int]], m: int) -> np.ndarray:
     """Covers packed into uint64 words, one row per element plus an all-zero
@@ -366,6 +386,8 @@ class _FoldObjective(Objective):
         """``_finish`` of the rows of each row of ``ids`` folded together,
         and onto ``state`` when given."""
         rows, op = self._rows, self._op
+        if not ids.shape[1]:  # rows of no ids: the empty slot's identity row
+            ids = np.full((len(ids), 1), self.n)
 
         def kernel(block):
             folded = rows[block[:, 0]]
@@ -559,16 +581,24 @@ class Cut(Objective):
 
     def eval_ids(self, ids):
         """Unweighted cut of each row: its degree sum minus twice the edges
-        inside it (small integers, exact in any order).  Weighted: the
-        weights of the cut edges summed along each row."""
-        ids = np.asarray(ids)
+        inside it (small integers, exact in any order)."""
         if self._ws is not None:
-            return _by_blocks(ids, max(self.n, len(self._ws)), self._cut_weight)
+            return super().eval_ids(ids)
+        ids = np.asarray(ids)
         return self._degrees[ids].sum(axis=1) - 2 * self._pair_table.sums(ids)
 
-    def _cut_weight(self, block: np.ndarray) -> np.ndarray:
-        M = ids_to_mask(block, self.n)
+    _mask_width = property(lambda self: max(self.n, len(self._us)))
+
+    def _mask_values(self, M):
+        """Weighted: the weights of the cut edges summed along each row."""
         return _masked_row_sums(self._ws, M[:, self._us] != M[:, self._vs])
+
+    def _power_set(self, universe, low):
+        """Unweighted: degree sums less twice the edges inside, as ``eval_ids``."""
+        if self._ws is not None:
+            return super()._power_set(universe, low)
+        return (deg - 2 * inside for deg, inside in zip(power_set_sums(
+            self._degrees[universe], low), self._pair_table.power_set(universe, low)))
 
     def to_dict(self):
         return {
@@ -696,6 +726,11 @@ class Proxy(Objective):
     def _sweep_values(self, ids, states, size):
         return self._penalised(self.fl._finish(states), size)
 
+    def _power_set(self, universe, low):
+        """The facility location's blocks, penalised at each mask's size."""
+        for b, fl_vals in enumerate(self.fl._power_set(universe, low)):
+            yield self._penalised(fl_vals, np.bitwise_count(np.arange(b << low, (b + 1) << low)))
+
     def _penalised(self, fl_vals: np.ndarray, sizes) -> np.ndarray:
         """FL values of sets of ``sizes`` elements minus ``theta``, plus the
         shift; with ``clamp``, ``max(v, 0.0)``, -0.0 kept as ``eval`` keeps it."""
@@ -806,24 +841,10 @@ class InterferenceCoverage(_CoverObjective):
         return counts
 
     def _power_set(self, universe, low):
-        """Covered counts minus ``lam`` times the pair penalties.  Each
-        block adds the weight of every pair with both ends in the universe,
-        in pair order, to the masks holding both ends: the strided view
-        over the low bits the pair sets, the whole block or nothing for its
-        high ends.  That is ``eval``'s add sequence, mask by mask."""
-        bit = np.full(self.n, -1)
-        bit[universe] = np.arange(len(universe))
-        first, second = bit[self._pi], bit[self._pj]
-        both = (first >= 0) & (second >= 0)
-        pairs = list(zip(first[both].tolist(), second[both].tolist(), self._pw[both].tolist()))
-        for prefix, out in enumerate(super()._power_set(universe, low)):
-            if self.lam and pairs:
-                total = np.zeros(len(out))
-                for p, q, w in pairs:
-                    if all(prefix >> (b - low) & 1 for b in (p, q) if b >= low):
-                        view = _with_bits(total, [b for b in (p, q) if b < low])
-                        view += w
-                out -= self.lam * total
+        """Covered counts minus ``lam`` times the pair table's penalties."""
+        for out, pens in zip(super()._power_set(universe, low),
+                             self._pair_table.power_set(universe, low)):
+            out -= self.lam * pens
             yield out
 
     def to_dict(self):
@@ -851,10 +872,9 @@ class Modular(Objective):
     def _value(self, s):
         return self._kernel_value(s)
 
-    def eval_ids(self, ids):
+    def _mask_values(self, M):
         """The selected elements' weights summed along each row."""
-        return _by_blocks(np.asarray(ids), self.n, lambda block: _masked_row_sums(
-            self.weights, ids_to_mask(block, self.n)))
+        return _masked_row_sums(self.weights, M)
 
     def to_dict(self):
         return {"variant": self.variant, "weights": self.weights.tolist()}
@@ -872,11 +892,9 @@ class TableObjective(Objective):
 
     @classmethod
     def from_function(cls, n: int, fn) -> "TableObjective":
-        from itertools import combinations
-
         table = {}
         for size in range(n + 1):
-            for combo in combinations(range(n), size):
+            for combo in itertools.combinations(range(n), size):
                 table[frozenset(combo)] = fn(frozenset(combo))
         return cls(n, table)
 
@@ -1195,12 +1213,8 @@ def power_set_values(obj: Objective, universe: Sequence[int], low: int):
     indexed by mask: bit ``i`` stands for ``universe[i]``.  Yields the
     ``2^(u - low)`` blocks of :func:`_power_set_blocks` in mask order, each a
     float array equal bit for bit to ``eval`` of its subsets; ``low`` is at
-    most ``u``.
-
-    The fold families finish states folded by doubling;
-    :class:`InterferenceCoverage` then subtracts pair penalties added in
-    pair order.  Every other family values each block with ``eval_ids`` over
-    the exact enumerator's batches of the low ids plus the block's high ids."""
+    most ``u``.  Each family's ``_power_set`` builds them (see the module
+    docstring)."""
     return obj._power_set(list(universe), low)
 
 

@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import prunekit
@@ -111,6 +112,15 @@ class TestPruneEval:
         assert main(["eval", "--graph", str(graph_file), "--full", "--k", "3",
                      "--out", str(report)]) == EXIT_OK
         assert read_doc(report)["body"]["report"]["alphas"] == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_config_error(self, tmp_path, graph_file, capsys, k):
+        report = tmp_path / "r.json"
+        assert main(["eval", "--graph", str(graph_file), "--full", "--k", k,
+                     "--out", str(report)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["message"] == f"k must be >= 1, got {k}"
+        assert not report.exists()
 
     def test_reproducible_bodies(self, tmp_path, graph_file):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -591,6 +601,18 @@ class TestCheck:
         assert body["submodular"]["ok"] and not body["monotone"]["ok"]
         assert body["submodular"]["exhaustive"]
 
+    def test_exhaustive_proxy_check_over_13_elements(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        sim, pen = tmp_path / "sim.csv", tmp_path / "pen.csv"
+        sim.write_text("".join(",".join(f"{v:.3f}" for v in row) + "\n"
+                               for row in rng.random((5, 13))))
+        pen.write_text("".join(f"{s},{0.01 * s * s}\n" for s in range(14)))
+        out = tmp_path / "check.json"
+        assert main(["check", "--sim", str(sim), "--penalty", str(pen), "--trials", "10",
+                     "--exhaustive-limit", "13", "--out", str(out)]) == EXIT_OK
+        assert "submodular: pass" in capsys.readouterr().out
+        assert read_doc(out)["body"]["submodular"]["exhaustive"]
+
     def test_exhaustive_check_beyond_the_guard_exits_three_at_once(self, tmp_path,
                                                                     monkeypatch):
         monkeypatch.delenv("PRUNEKIT_GUARD", raising=False)  # 10^8 < 3^17
@@ -637,6 +659,15 @@ class TestSweep:
                      "--k", k, "--omegas", "2", "--out", str(out)]) == EXIT_CONFIG
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["message"] == f"k must be >= 1, got {k}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_config_error(self, tmp_path, graph_file, capsys, jobs):
+        out = tmp_path / "sweep.jsonl"
+        assert main(["sweep", "--graph", str(graph_file), "--algo", "random",
+                     "--k", "2", "--omegas", "2", "--jobs", jobs, "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["message"] == f"jobs must be >= 1, got {jobs}"
         assert not out.exists()
 
     def test_jsonl_bodies_reproducible(self, tmp_path, graph_file):

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import math
@@ -372,12 +373,23 @@ def colex_order(universe, k):
             for c in reversed(list(itertools.combinations(universe, size)))]
 
 
+def id_batches(universe, n, k):
+    """The id batches of ``exact._sweep`` over every subset of at most ``k``
+    ids of ``universe``, as ``(ids, runs)``: each batch holds the rows of
+    one size, copied before the sweep reuses its buffers."""
+    universe = list(universe)
+    to_id = [*reversed(universe), n]
+    for s, _, tables in exact._sweep(len(universe), min(k, len(universe)),
+                                     {"ids": exact._IdRows(to_id)}):
+        yield tables["ids"].copy(), ((s, 0, len(tables["ids"])),)
+
+
 class TestSubsetBatches:
     @pytest.mark.parametrize("m,s", [(0, 0), (5, 0), (5, 1), (6, 3), (9, 9), (12, 5)])
     def test_lex_table_is_combinations_order(self, m, s):
         """Read backwards, in lexicographic order, a size table is the
         order of ``itertools.combinations``."""
-        rows = [tuple(r[:size]) for ids, runs in exact.subset_batches(range(m), m, s)
+        rows = [tuple(r[:size]) for ids, runs in id_batches(range(m), m, s)
                 for size, lo, hi in runs if size == s for r in ids[lo:hi].tolist()]
         assert rows[::-1] == list(itertools.combinations(range(m), s))
 
@@ -388,7 +400,7 @@ class TestSubsetBatches:
     def test_batches_cover_subsets_in_order(self, chunk, universe, n, k):
         rows, sizes = [], []
         with mock.patch.object(exact, "_CHUNK", chunk):
-            batches = list(exact.subset_batches(universe, n, k))
+            batches = list(id_batches(universe, n, k))
         for ids, runs in batches:
             assert len(ids) <= chunk
             assert [lo for _, lo, _ in runs][0] == 0 and runs[-1][2] == len(ids)
@@ -407,7 +419,7 @@ class TestSubsetBatches:
         where the next leaf would not fit it."""
         with mock.patch.object(exact, "_CHUNK", chunk), \
                 mock.patch.object(exact, "_GROUP_ROWS", group):
-            batches = list(exact.subset_batches(range(12), 12, 6))
+            batches = list(id_batches(range(12), 12, 6))
         rows = [tuple(r[:size]) for ids, runs in batches
                 for size, lo, hi in runs for r in ids[lo:hi].tolist()]
         assert rows == colex_order(range(12), 6)
@@ -459,6 +471,13 @@ class TestKernels:
             assert [obj.eval_ids(ids[r:r + 1])[0] for r in range(rows)] == want, name
             assert obj.eval_ids(wide).tolist() == want, name
 
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_rows_of_width_zero_are_empty_sets(self, rows):
+        for name, obj in scan_families(6, 2).items():
+            vals = obj.eval_ids(np.empty((rows, 0), dtype=np.intp))
+            assert vals.dtype == float, name
+            assert [v.hex() for v in vals] == [float(obj.eval(())).hex()] * rows, name
+
     def test_rows_do_not_depend_on_other_sizes_in_the_batch(self):
         # a mixed-size batch gives each size the values it gets alone, so a
         # BLAS matmul sees the same rows as a one-size-per-batch enumeration
@@ -471,11 +490,13 @@ class TestKernels:
         # sizes of 6 and 7 ids give runs whose lengths leave 2 or 3 rows over
         # a multiple of 4, where a BLAS matmul changes its row kernel
         for universe in (range(6), range(1, 8), range(10)):
+            # the enumerator's one padded batch of every size
+            pos, runs = exact._small_batch(len(universe), 5)
+            ids = np.array([*reversed(universe), 10])[pos]
             for name, obj in objs.items():
-                for ids, runs in exact.subset_batches(universe, 10, 5):
-                    vals = obj.eval_ids(ids)
-                    for _, lo, hi in runs:
-                        assert np.array_equal(vals[lo:hi], obj.eval_ids(ids[lo:hi])), name
+                vals = obj.eval_ids(ids)
+                for _, lo, hi in runs:
+                    assert np.array_equal(vals[lo:hi], obj.eval_ids(ids[lo:hi])), name
 
     def test_kernel_arrays_are_built_lazily(self):
         cut = Cut(4, [(0, 1), (1, 2), (2, 3)])
@@ -590,8 +611,9 @@ FOLD_FAMILIES = sorted(fold_families(4, 0))
 
 
 class TestFoldPowerSets:
-    """The fold families' doubling tables against the lex route, their
-    table sizes, and no lex batches on the way."""
+    """The fold families' doubling tables against the fallback route (the
+    default ``Objective._power_set``, ``_value`` per membership row), their
+    table sizes, and no fallback on the way."""
 
     @pytest.mark.parametrize("name", FOLD_FAMILIES)
     @pytest.mark.parametrize("seed", range(3))
@@ -604,9 +626,9 @@ class TestFoldPowerSets:
             with mock.patch.object(exact, "_CHUNK", chunk):
                 low = exact.block_bits(len(universe))
                 doubled = list(obj._power_set(universe, low))
-                lex = list(objectives.Objective._power_set(obj, universe, low))
-            assert len(doubled) == len(lex) == 1 << (len(universe) - low)
-            for a, b in zip(doubled, lex):
+                fallback = list(objectives.Objective._power_set(obj, universe, low))
+            assert len(doubled) == len(fallback) == 1 << (len(universe) - low)
+            for a, b in zip(doubled, fallback):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, chunk)
 
     @pytest.mark.parametrize("chunk", [exact._CHUNK, 1 << 10])
@@ -628,16 +650,93 @@ class TestFoldPowerSets:
         for mask in np.random.default_rng(2).integers(0, 1 << n, size=50).tolist():
             assert table[mask] == obj.eval([i for i in range(n) if mask >> i & 1])
 
-    @pytest.mark.parametrize("name", ["facility_location", "restricted_fl",
-                                      "restricted_fl_ungated"])
+    @pytest.mark.parametrize("name", [*FOLD_FAMILIES, "cut", "tie_cut", "proxy", "proxy_shift",
+                                      "proxy_clamp"])
     def test_no_lex_batches(self, name):
+        # every fold family, unweighted Cut and Proxy value their power
+        # sets through their own layer, never through the fallback
         n = 10
-        obj = fold_families(n, 1)[name]
-        with mock.patch.object(exact, "subset_batches",
-                               side_effect=AssertionError("lex batches")) as spy:
+        obj = {**fold_families(n, 1), **scan_families(n, 1)}[name]
+        with mock.patch.object(objectives.Objective, "_power_set",
+                               side_effect=AssertionError("fallback route")) as spy:
             value_table(obj)
             exact.opt_knapsack(obj, range(n), np.ones(n), [3.0])
         spy.assert_not_called()
+
+
+def power_set_families(n, seed):
+    """Every power-set route: the fold families, unweighted Cut on a
+    multigraph (repeated edges, both orientations), weighted Cut,
+    ``Modular``, a value table and Proxy plain, shifted and clamped."""
+    fams = {**fold_families(n, seed), **{
+        name: obj for name, obj in scan_families(n, seed).items()
+        if name in ("weighted_cut", "modular", "table", "proxy", "proxy_shift", "proxy_clamp")}}
+    base = gen_gnm(n, 3 * n, seed=seed)
+    fams["multigraph_cut"] = Cut(n, base + [e[::-1] for e in base[:n]] + base[:n // 2])
+    return fams
+
+
+#: (universe, _CHUNK) per case: one block, blocks of 5 low bits, a sparse
+#: universe in blocks of 3 low bits, and the empty universe
+POWER_SET_CASES = [(list(range(12)), exact._CHUNK), (list(range(12)), 32),
+                   ([0, 2, 3, 5, 8, 9, 11], 8), ([], exact._CHUNK)]
+
+#: per family and case, sha256 of the dtype and bytes of every block, pinned
+#: from the route that valued the enumerator's id batches with ``eval_ids``
+#: (Cut, Proxy, ``Modular``, the table) and from the fold and pair passes
+POWER_SET_DIGESTS = {
+    'coverage': ('545b6f1cbc5e35ce', 'e4b512b3edd3e701', 'f181c982d9e5e835', 'e1300c5538868063'),
+    'facility_location': ('2c594678e048661b', '8f88a2bbc7eba88e', '665b2a21a9a9dbc1', 'e1300c5538868063'),
+    'interference': ('e3f46f656332433c', '4cd08218c2f44b2b', '4dcaf52a8ca8e784', 'e1300c5538868063'),
+    'modular': ('7104c7bc55630179', '9e6ca79ebbcfa14e', 'a22794b217cf497d', 'e1300c5538868063'),
+    'multi_word_coverage': ('1ec0290b65d3e0d3', '3da084d831cf1e83', 'db776162086f30a5', 'e1300c5538868063'),
+    'multigraph_cut': ('4b2a2fc7891b561a', '398845d63cd79420', 'c8f28d7efe0aa0b5', 'e1300c5538868063'),
+    'proxy': ('c08de0e9f7646a28', '074acf406f0b97b6', '4df06cb56a4bb0b4', 'e1300c5538868063'),
+    'proxy_clamp': ('8feea6381f74a144', 'e6b96f4331145a52', 'b4e51fd2a600bb98', 'e1300c5538868063'),
+    'proxy_shift': ('9af0158f2ec2ce04', '5cbf4143eb4c94d8', '9bd8006c80cb18d6', '6e57f164085b9c0f'),
+    'restricted_fl': ('53fe7930f86ebd6e', 'b82c49a0706e242c', '87877ceb38a06a5f', 'e1300c5538868063'),
+    'restricted_fl_ungated': ('9fc8e52c55a7bbca', '89d20043a711f0a6', '09e12cc6e63c1c0d', 'e1300c5538868063'),
+    'table': ('2ac249195ad9a267', 'bd394d04750e949a', '8689bab6e6fbede8', 'e1300c5538868063'),
+    'weighted_coverage': ('03f0c6e75c15522c', '07cd383d9e853b22', '18ed26d21b13de59', 'e1300c5538868063'),
+    'weighted_cut': ('d2a81bc038c59dea', '5feec456808c539e', 'e4a62671e798d5bb', 'e1300c5538868063'),
+}
+
+
+def power_set_digest(obj, universe, chunk):
+    digest = hashlib.sha256()
+    with mock.patch.object(exact, "_CHUNK", chunk):
+        for block in objectives.power_set_values(obj, universe, exact.block_bits(len(universe))):
+            digest.update(block.dtype.str.encode() + block.tobytes())
+    return digest.hexdigest()[:16]
+
+
+class TestPowerSetRoutes:
+    @pytest.mark.parametrize("name", sorted(POWER_SET_DIGESTS))
+    def test_blocks_keep_their_bytes(self, name):
+        obj = power_set_families(12, 5)[name]
+        got = tuple(power_set_digest(obj, universe, chunk) for universe, chunk in POWER_SET_CASES)
+        assert got == POWER_SET_DIGESTS[name]
+
+
+    @pytest.mark.parametrize("u", [13, 16])
+    @pytest.mark.parametrize("name", ["proxy", "proxy_shift", "proxy_clamp"])
+    def test_proxy_beyond_one_cached_batch(self, name, u):
+        # more than _GROUP_ROWS subsets: the id batches held a size-0 batch of
+        # width 0 here, which the facility location's kernel could not read
+        obj = scan_families(u, 2)[name]
+        masks = np.random.default_rng(u).integers(0, 1 << u, size=200).tolist()
+        want = [obj.eval(_bits_of(mask)) for mask in masks]
+        table = value_table(obj)
+        assert [table[mask].hex() for mask in masks] == [v.hex() for v in want]
+        costs = np.random.default_rng(1).uniform(0.5, 1.5, size=u)
+        prof = exact.opt_knapsack(obj, range(u), costs, [2.0, 4.5, float(u)])
+        for opt, argmax in zip(prof.opt_by_budget, prof.argmax_by_budget):
+            assert opt.hex() == obj.eval(argmax).hex()
+            assert opt == table[sum(1 << e for e in argmax)]
+
+
+def _bits_of(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 class TestPowerSetTablesBitForBit:

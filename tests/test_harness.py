@@ -72,6 +72,13 @@ class TestContainmentReport:
         again = containment_report(obj, full_universe(10), 3)
         assert again.to_dict() == report.to_dict()
 
+    @pytest.mark.parametrize("reference", ["exact", "greedy"])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, reference, k):
+        obj = gen_coverage(6, 8, seed=1)
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            containment_report(obj, full_universe(6), k, reference=reference)
+
     def test_zero_denominator_convention(self):
         obj = Modular([0.0, 0.0, 0.0])
         report = containment_report(obj, prune_random(3, 2, seed=0), 2)
@@ -248,6 +255,39 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
             sweep([("inst", gen_coverage(6, 8, seed=1))], [{"algo": "random", "omega": 2}],
                   k=k, seeds=[0])
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected_before_any_cell(self, jobs):
+        with mock.patch("prunekit.harness._sweep_cell_safe") as cell:
+            with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+                sweep([("inst", gen_coverage(6, 8, seed=1))],
+                      [{"algo": "random", "omega": 2}], k=2, seeds=[0], jobs=jobs)
+        cell.assert_not_called()
+
+    @pytest.mark.parametrize("jobs,cells,workers", [(64, 3, 3), (2, 3, 2), (64, 1, None)])
+    def test_pool_holds_at_most_one_worker_per_cell(self, jobs, cells, workers):
+        # a spy in place of the pool: it records its size and maps in process
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        inst = ("inst", gen_coverage(6, 8, seed=1))
+        algos = [{"algo": "random", "omega": 2}]
+        with mock.patch("prunekit.harness.ProcessPoolExecutor", Pool):
+            result = sweep([inst], algos, k=2, seeds=list(range(cells)), jobs=jobs)
+        assert sizes == ([] if workers is None else [workers])
+        assert result.rows == sweep([inst], algos, k=2, seeds=list(range(cells))).rows
 
     def test_gen_spec_instance_payload(self):
         spec = GenSpec("gnm", {"n": 10, "m": 20}, seed=4)

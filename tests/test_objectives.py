@@ -1,3 +1,4 @@
+import itertools
 import json
 from unittest import mock
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_variants, scan_families, supermodular_counterexample
-from prunekit import exact, objectives
+from prunekit import objectives
 from prunekit.exact import GuardExceeded
 from prunekit.objectives import (REAL_TOL, Coverage, Cut, FacilityLocation,
                                  InterferenceCoverage, Modular, OracleStats,
@@ -187,10 +188,10 @@ class TestBatchEval:
                     assert val.hex() == obj.eval(row[row < n]).hex(), (name, width)
 
     def test_interference_kernel_mixes_sorted_and_permuted_blocks(self):
-        # an enumerator batch, many kernel blocks long, with its second half
-        # permuted row by row: every row keeps its value
+        # the ascending rows of every 6-subset, many kernel blocks long, with
+        # the second half permuted row by row: every row keeps its value
         obj = gen_interference(20, 30, seed=5, interference_prob=0.6)
-        ids = max((b for b, _ in exact.subset_batches(list(range(20)), 20, 6)), key=len)
+        ids = np.array(list(itertools.combinations(range(20), 6)))
         assert len(ids) > 2 * objectives._KERNEL_CELLS // ids.shape[1]
         rng = np.random.default_rng(5)
         mixed = ids.copy()
