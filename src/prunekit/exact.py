@@ -16,14 +16,15 @@ in colex order (Knuth, *TAOCP* 4A, 7.2.1.3): the ``s``-subsets whose
 largest position is ``j`` are the first ``C(j, s-1)`` rows of the
 ``(s-1)``-table plus ``j``.  So one generator,
 :func:`_sweep`, grows each size table from prefixes of the last whole one,
-one broadcast per block (:func:`_leaves`): ascending id rows (the new id
-comes first), valued by ``Objective.eval_ids``; the fold states of the
-fold families (interference's cover words and :class:`~prunekit.objectives.Proxy`'s
-facility location too), extended by the family's exact ``op``; and the
-flags of the rows inside an ``inside`` set, extended by ``and``.  A family
-names what it reads (``_sweep_fold``, ``_sweep_ids``) and values it in
-``_sweep_values``, bit for bit as ``eval`` (the contract in
-:mod:`prunekit.objectives`), so no optimum depends on the batching.
+one broadcast per block (:func:`_leaves`): the fold states of the family's
+``_fold`` (its own, :class:`~prunekit.objectives.Proxy`'s facility
+location), extended by the fold's exact ``op``; ascending id rows (the new
+id comes first) for unweighted Cut, which has no fold, and for
+interference's pair penalties; and the flags of the rows inside an
+``inside`` set, extended by ``and``.  A family names what it reads
+(``_fold``, ``_sweep_ids``) and values it in ``_sweep_values``, bit for
+bit as ``eval`` (the contract in :mod:`prunekit.objectives`), so no
+optimum depends on the batching.
 
 Lexicographic order is the reverse of this order (``A`` precedes ``B`` when
 ``min(A ^ B)`` lies in ``A``), so a size's canonical witness, its
@@ -298,7 +299,7 @@ def _valued(obj: Objective, to_id: list[int], k: int, inside: set | None):
         return ([(size, 0, vals[lo:hi], None if flags is None else flags[lo:hi])
                  for size, lo, hi in runs],
                 lambda size, rank: tuple(ids[runs[size][1] + rank, :size].tolist()))
-    fold, channels = obj._sweep_fold, {}
+    fold, channels = obj._fold, {}
     if fold is None or obj._sweep_ids:
         channels["ids"] = _IdRows(to_id)
     if fold is not None:

@@ -1,8 +1,9 @@
 """Containment evaluation and experiment harness.
 
 ``containment_report`` certifies a pruned set: for every downstream budget it
-compares the best feasible subset found inside P against a reference optimum
-(exact enumeration when the guard allows, greedy-on-the-full-set otherwise).
+compares the best feasible subset found inside P against a reference optimum,
+by exact enumeration (a call beyond the guard raises ``GuardExceeded``) or,
+as an explicit ``reference="greedy"`` choice, greedy on the full set.
 ``sweep`` runs (instance x algorithm x seed) grids over objectives or
 generator specs, which reach worker processes as they are (pickled), not
 through a serial form.  ``separation_study`` reproduces the

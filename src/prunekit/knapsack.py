@@ -38,7 +38,7 @@ EXHAUSTIVE_CAP = 22
 
 @dataclass(frozen=True)
 class KnapsackInstance:
-    """Element costs and the master budget B; requires 0 < cost <= B."""
+    """Element costs and the master budget B; requires 0 < cost <= B < inf."""
 
     costs: tuple[float, ...]
     B: float
@@ -46,8 +46,8 @@ class KnapsackInstance:
     def __init__(self, costs, B: float):
         costs = tuple(float(c) for c in costs)
         B = float(B)
-        if B <= 0:
-            raise ValueError("master budget B must be positive")
+        if not 0 < B < float("inf"):  # NaN fails too
+            raise ValueError(f"master budget B must be positive and finite, got {B}")
         for e, c in enumerate(costs):
             if not (0 < c <= B):
                 raise ValueError(f"cost of element {e} must be in (0, B], got {c}")

@@ -11,10 +11,10 @@ construction; the :class:`CountingOracle` wrapper adds query accounting for
 one thread (parallel sweeps run in worker processes, each with its own).
 
 Batched evaluation: ``eval_ids(ids)`` is the one batched entry point, called
-by the exact enumeration engine and the default candidate scan.  ``ids`` is
-a ``(batch, width)`` integer array; each row lists the distinct ids of one
-selection in any order, padded anywhere with the empty-slot id ``n``.  It
-returns one float per row, equal bit for bit to ``eval`` of that row
+by the exact enumeration engine and the scalar path of weighted
+:class:`Coverage`.  ``ids`` is a ``(batch, width)`` integer array; each row
+lists the distinct ids of one selection in any order, padded anywhere with
+the empty-slot id ``n``.  It returns one float per row, equal bit for bit to ``eval`` of that row
 whatever else is in the batch: each kernel reduces every row on its own in
 the order ``eval`` does, and none uses a matmul, whose row results depend on
 the rows batched with them.  Unweighted :class:`Cut` and
@@ -26,13 +26,17 @@ degrees, adjacency and edge counts and the cover words are built lazily.
 ``_value`` stays the scalar path: a small batch costs tens of microseconds,
 a scalar value a few.
 
-One fold layer serves :class:`Coverage`, :class:`InterferenceCoverage` and
-the facility-location families: a set's rows (cover words; similarities)
-folded by an exact, order-free ``op`` (OR; max), then finished (a covered
-count or weight; a pairwise row sum).  ``eval_ids``, the scans, the
-power-set tables and the exact enumerator (which folds each subset's new
-element onto its prefix's state, see ``_sweep_values``) all fold, so they
-agree bit for bit.
+One fold layer, the :class:`Objective` base, serves every family but
+unweighted :class:`Cut`: a set's rows folded by an exact, order-free ``op``,
+then finished.  By default the rows are one-hot membership words, folded by
+OR and finished as ``_mask_values`` of the membership rows they unpack to:
+weighted Cut's and :class:`Modular`'s pairwise row sums, ``_value`` per row
+for :class:`TableObjective` and any subclass that gives only ``_value``.
+The coverage families fold cover words by OR and finish a covered count or
+weight; the facility-location families fold similarities by max and finish
+a pairwise row sum.  ``eval_ids``, the scans, the power-set tables and the
+exact enumerator (which folds each subset's new element onto its prefix's
+state, see ``_sweep_values``) all fold, so they agree bit for bit.
 
 Power-set tables: :func:`power_set_values` gives ``f`` of every subset of a
 universe, indexed by subset mask, in blocks of masks that share their high
@@ -40,22 +44,19 @@ bits; only one block is held at a time.  The layer that values a family
 builds them: the fold by doubling, ``tab[h:2h] = tab[:h] (+) element j``
 (:class:`Proxy` penalises its facility location's), and the pair layer by
 adding each pair's weight to the masks that hold it, in pair order
-(interference's penalties, unweighted Cut's inner edges).  Weighted Cut,
-:class:`Modular` and :class:`TableObjective` fill membership rows from the
-masks for ``_mask_values``, the hook behind their ``eval_ids``.
+(interference's penalties, unweighted Cut's inner edges).
 
 Candidate scans:
 
 * ``scan()`` opens a :class:`CandidateScan`, the primitive every greedy
   engine runs on.  Over a set ``S`` that starts empty and grows by
   ``add(e)``, ``values(cands)`` returns ``f(S + e)`` for a whole array of
-  candidates, equal bit for bit to ``eval``.  Unweighted :class:`Cut` keeps
-  the edges into ``S``.  The fold families (:class:`Proxy` too, over its
-  facility location) keep ``S``'s folded state and fold each candidate's
-  row onto it.  :class:`InterferenceCoverage` adds ``S``'s membership: each
-  candidate's penalty sums the weights of the pairs with an end in ``S``,
-  in pair order as ``eval`` sums them, for all candidates at once.  The
-  other families value the rows ``S + e`` with one ``eval_ids`` call.
+  candidates, equal bit for bit to ``eval``.  It keeps ``S``'s folded state
+  (:class:`Proxy`'s over its facility location) and folds each candidate's
+  row onto it; unweighted :class:`Cut` keeps the edges into ``S`` instead.
+  :class:`InterferenceCoverage` adds ``S``'s membership: each candidate's
+  penalty sums the weights of the pairs with an end in ``S``, in pair
+  order as ``eval`` sums them, for all candidates at once.
 
 Built-in families:
 
@@ -175,11 +176,22 @@ def _pair_ends(pairs: list) -> np.ndarray:
 
 
 class Objective:
-    """Base value oracle.  Subclasses set ``n`` and ``variant`` and implement ``_value``."""
+    """Base value oracle.  Subclasses set ``n`` and ``variant`` and implement
+    ``_value`` (or ``_mask_values``, or a fold of their own).
+
+    Every batched path folds: ``f(S)`` is ``_finish`` (one value per row of
+    states) of ``_op`` folded over the rows ``_rows[e]`` of ``S``'s
+    elements, from the empty slot's identity row ``_rows[n]``.  ``_op`` is
+    exact and order-free, so every fold of a set gives the same state.  The
+    default fold ORs one-hot membership words and finishes them as
+    membership rows for ``_mask_values``."""
 
     n: int
     variant: str
     integer_valued: bool = False
+    _op: np.ufunc = np.bitwise_or
+    #: the dtype of scan values; ``eval_ids`` returns floats
+    _scan_dtype = float
 
     def eval(self, S: Iterable[int]):
         """Value of the selection ``S``.  Deterministic; non-negative for the
@@ -197,13 +209,37 @@ class Objective:
 
     def eval_ids(self, ids: np.ndarray) -> np.ndarray:
         """One float per row of ``ids``, a (batch, width) array of distinct
-        ids per row padded with ``n``, equal to ``eval`` of the row.  Families
-        with a kernel override this; the default values the rows' membership
-        masks with ``_mask_values``."""
-        ids = np.asarray(ids)
-        M = np.zeros((len(ids), self.n + 1), dtype=bool)  # the empty slot's column last
-        M[np.arange(len(ids))[:, None], ids] = True
-        return _by_blocks(M[:, :self.n], self._mask_width, self._mask_values)
+        ids per row padded with ``n``, equal to ``eval`` of the row."""
+        return self._fold_values(np.asarray(ids))
+
+    def _fold_values(self, ids: np.ndarray, state: np.ndarray | None = None) -> np.ndarray:
+        """``_finish`` of the rows of each row of ``ids`` folded together,
+        and onto ``state`` when given."""
+        rows, op = self._rows, self._op
+        if not ids.shape[1]:  # rows of no ids: the empty slot's identity row
+            ids = np.full((len(ids), 1), self.n)
+
+        def kernel(block):
+            folded = rows[block[:, 0]]
+            for j in range(1, block.shape[1]):
+                op(folded, rows[block[:, j]], out=folded)
+            if state is not None:
+                op(folded, state, out=folded)
+            return self._finish(folded)
+
+        return _by_blocks(ids, rows.shape[1], kernel)
+
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:  # (n + 1, width), C-contiguous
+        """One-hot membership words: row ``e`` sets bit ``e`` alone, and the
+        empty slot's row ``n`` none."""
+        return _cover_words([(e,) for e in range(self.n)], self.n)
+
+    def _finish(self, words: np.ndarray) -> np.ndarray:
+        """``_mask_values`` of the membership rows that one-hot ``words``
+        unpack to, in row blocks as large as ``_mask_width`` allows."""
+        return _by_blocks(words, self._mask_width, lambda block: self._mask_values(
+            np.unpackbits(block.view(np.uint8), axis=1, count=self.n).view(bool)))
 
     _mask_width = property(operator.attrgetter("n"))  # cells a mask row gathers
 
@@ -213,42 +249,40 @@ class Objective:
         return np.fromiter((self._value(frozenset(np.flatnonzero(row).tolist())) for row in M),
                            dtype=float, count=len(M))
 
+    def _value(self, s: frozenset[int]):
+        """``f(s)``: the default is ``_mask_values`` of its one membership row."""
+        if type(self)._mask_values is Objective._mask_values:  # it would call back here
+            raise NotImplementedError(f"{type(self).__name__} implements neither _value "
+                                      "nor _mask_values")
+        row = np.zeros((1, self.n), dtype=bool)
+        row[0, list(s)] = True
+        return float(self._mask_values(row)[0])
+
     def scan(self) -> "CandidateScan":
-        """A candidate scan at the empty set.  Families with a batched scan
-        state override this; the default values candidates through
-        ``eval_ids``."""
+        """A candidate scan at the empty set."""
         return CandidateScan(self)
 
-    #: the fold whose states the exact enumerator extends from each
-    #: subset's prefix (None: it values id rows), and whether
-    #: ``_sweep_values`` reads the id rows too
-    _sweep_fold: "_FoldObjective | None" = None
-    _sweep_ids = True
+    #: the fold whose states the scan and the exact enumerator extend (None:
+    #: the family keeps a state of its own, and the enumerator values id
+    #: rows), and whether ``_sweep_values`` reads the id rows too
+    _fold = property(lambda self: self)
+    _sweep_ids = False
 
     def _sweep_values(self, ids, states, size: int) -> np.ndarray:
         """``f`` of one size's rows as the exact enumerator builds them: their
-        id rows and, under ``_sweep_fold``, their folded states."""
-        return self.eval_ids(ids)
-
-    def _value(self, s: frozenset[int]):
-        raise NotImplementedError
+        folded states under ``_fold``, else their id rows."""
+        return self.eval_ids(ids) if states is None else self._finish(states)
 
     def _power_set(self, universe: list[int], low: int):
-        """The blocks of :func:`power_set_values`.  The default fills each
-        block's membership rows straight from its masks and values them with
-        ``_mask_values``, in row blocks as ``eval_ids`` cuts them."""
-        masks = np.arange(1 << low, dtype="<u4")[:, None].view(np.uint8)
-        low_bits = np.unpackbits(masks, axis=1, count=low, bitorder="little")
-        for high in _power_set_blocks(universe, low):
-            M = np.zeros((1 << low, self.n), dtype=bool)
-            M[:, universe[:low]] = low_bits
-            M[:, high] = True
-            yield _by_blocks(M, self._mask_width, self._mask_values)
-
-    def _kernel_value(self, s: frozenset[int]) -> float:
-        """``f(s)`` as a one-row ``eval_ids`` call: the scalar path of the
-        families whose kernel is as cheap as a scalar formula."""
-        return float(self.eval_ids(np.array([[*s, self.n]]))[0])
+        """The blocks of :func:`power_set_values`, each ``2^(low - sub)``
+        finished sub-blocks of :func:`_folded`: ``sub <= low`` as large as
+        keeps a doubling table within ``2^low`` cells."""
+        rows = self._rows
+        sub = max(0, low - (rows.shape[1] - 1).bit_length())
+        states = _folded(rows[self.n], rows[universe], sub, self._op)
+        for _ in range(1 << (len(universe) - low)):
+            parts = [self._finish(next(states)) for _ in range(1 << (low - sub))]
+            yield parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def to_dict(self) -> dict:
         raise NotImplementedError(f"{type(self).__name__} has no serial form")
@@ -368,65 +402,11 @@ def _covered_count(union: np.ndarray) -> np.ndarray:
     return out
 
 
-class _FoldObjective(Objective):
-    """A family valued by one fold: ``f(S)`` is ``_finish`` (one value per
-    row of states) of ``_op`` folded over the rows ``_rows[e]`` of ``S``'s
-    elements, from the empty slot's identity row ``_rows[n]``.  ``_op`` is
-    exact and order-free, so every fold of a set gives the same state."""
-
-    _rows: np.ndarray  # (n + 1, width), C-contiguous
-    _op: np.ufunc
-    #: the dtype of scan values; ``eval_ids`` returns floats
-    _scan_dtype = float
-
-    def eval_ids(self, ids):
-        return self._fold_values(np.asarray(ids))
-
-    def _fold_values(self, ids: np.ndarray, state: np.ndarray | None = None) -> np.ndarray:
-        """``_finish`` of the rows of each row of ``ids`` folded together,
-        and onto ``state`` when given."""
-        rows, op = self._rows, self._op
-        if not ids.shape[1]:  # rows of no ids: the empty slot's identity row
-            ids = np.full((len(ids), 1), self.n)
-
-        def kernel(block):
-            folded = rows[block[:, 0]]
-            for j in range(1, block.shape[1]):
-                op(folded, rows[block[:, j]], out=folded)
-            if state is not None:
-                op(folded, state, out=folded)
-            return self._finish(folded)
-
-        return _by_blocks(ids, rows.shape[1], kernel)
-
-    def scan(self):
-        return _FoldScan(self)
-
-    _sweep_fold = property(lambda self: self)
-    _sweep_ids = False
-
-    def _sweep_values(self, ids, states, size):
-        return self._finish(states)
-
-    def _power_set(self, universe, low):
-        """Blocks of :func:`power_set_values`, each ``2^(low - sub)``
-        finished sub-blocks of :func:`_folded`: ``sub <= low`` as large as
-        keeps a doubling table within ``2^low`` cells."""
-        rows = self._rows
-        sub = max(0, low - (rows.shape[1] - 1).bit_length())
-        states = _folded(rows[self.n], rows[universe], sub, self._op)
-        for _ in range(1 << (len(universe) - low)):
-            parts = [self._finish(next(states)) for _ in range(1 << (low - sub))]
-            yield parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-class _CoverObjective(_FoldObjective):
+class _CoverObjective(Objective):
     """The cover tables of the coverage families: ``covers[e]`` is the set
     of universe items ``0..m-1`` element ``e`` covers.  The scalar path
     counts from these sets; the fold ORs them packed into words and counts
     the covered items."""
-
-    _op = np.bitwise_or
 
     def __init__(self, covers: Sequence[Iterable[int]], m: int | None):
         if not covers:
@@ -480,7 +460,7 @@ class Coverage(_CoverObjective):
     def _value(self, s):
         if self.weights is None:
             return self._covered(s)
-        return self._kernel_value(s)
+        return float(self.eval_ids(np.array([[*s, self.n]]))[0])  # one-row fold
 
     def _finish(self, union):
         """Unweighted: the covered count.  Weighted: the covered items'
@@ -543,7 +523,7 @@ class Cut(Objective):
 
     def _value(self, s):
         if self._ws is not None:
-            return self._kernel_value(s)
+            return super()._value(s)
         mem = np.zeros(self.n, dtype=bool)
         mem[list(s)] = True
         return int(np.count_nonzero(mem[self._us] != mem[self._vs]))
@@ -565,7 +545,11 @@ class Cut(Objective):
         return indptr, nbrs
 
     def scan(self):
-        return _CutScan(self) if self._ws is None else CandidateScan(self)
+        return _CutScan(self) if self._ws is None else super().scan()
+
+    #: weighted: the one-hot fold; unweighted: none, as the scan keeps the
+    #: edges into ``S`` and the enumerator values id rows
+    _fold = property(lambda self: None if self._ws is None else self)
 
     @functools.cached_property
     def _edge_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -609,7 +593,7 @@ class Cut(Objective):
         }
 
 
-class FacilityLocation(_FoldObjective):
+class FacilityLocation(Objective):
     """f(S) = sum over covered points v of max_{s in S} sim[v, s]; f({}) = 0.
 
     ``sim`` is an (m, n) non-negative similarity matrix: rows are covered
@@ -720,8 +704,7 @@ class Proxy(Objective):
         ids = np.asarray(ids)
         return self._penalised(self.fl.eval_ids(ids), np.count_nonzero(ids < self.n, axis=1))
 
-    _sweep_fold = property(operator.attrgetter("fl"))
-    _sweep_ids = False
+    _fold = property(operator.attrgetter("fl"))
 
     def _sweep_values(self, ids, states, size):
         return self._penalised(self.fl._finish(states), size)
@@ -738,7 +721,7 @@ class Proxy(Objective):
         return np.where(vals < 0.0, 0.0, vals) if self.clamp else vals
 
     def scan(self):
-        return _ProxyScan(self, self.fl)
+        return _ProxyScan(self)
 
     def to_dict(self):
         return {"variant": self.variant, "sim": self.fl.sim.tolist(),
@@ -869,9 +852,6 @@ class Modular(Objective):
         self.n = w.size
         self.integer_valued = bool(np.all(w == np.round(w)))
 
-    def _value(self, s):
-        return self._kernel_value(s)
-
     def _mask_values(self, M):
         """The selected elements' weights summed along each row."""
         return _masked_row_sums(self.weights, M)
@@ -910,8 +890,9 @@ class CandidateScan:
     ``values(cands)`` takes ids in ``0..n-1`` outside ``S`` (unchecked: the
     engines check their pool once) and returns a numeric array with one
     value per candidate, equal bit for bit to ``eval(S + e)``: integers for
-    the integer-valued states, floats otherwise.  This default values the
-    rows ``S + e`` with one ``eval_ids`` call.  With a ``counter`` (see
+    the integer-valued states, floats otherwise.  This default keeps ``S``'s
+    state in the fold ``obj._fold``, ``None`` while ``S`` is empty, and
+    folds it in place onto each candidate's row.  With a ``counter`` (see
     :func:`open_scan`) every value computed, ``f(empty)`` included, is
     recorded there as one query.
     """
@@ -920,6 +901,8 @@ class CandidateScan:
         self.obj = obj
         self.members: frozenset[int] = frozenset()
         self.counter: CountingOracle | None = None
+        self._fold = obj._fold
+        self._state = None
 
     def empty_value(self):
         """``f(empty)``, as ``eval`` returns it."""
@@ -942,13 +925,12 @@ class CandidateScan:
             self.counter.record(queries)
 
     def _values(self, cands: np.ndarray) -> np.ndarray:
-        rows = np.empty((len(cands), len(self.members) + 1), dtype=np.intp)
-        rows[:, :-1] = list(self.members)
-        rows[:, -1] = cands
-        return self.obj.eval_ids(rows)
+        fold = self._fold
+        return fold._fold_values(cands[:, None], self._state).astype(fold._scan_dtype, copy=False)
 
     def _grow(self, e: int) -> None:
-        pass
+        row, state = self._fold._rows[e], self._state
+        self._state = row.copy() if state is None else self._fold._op(state, row, out=state)
 
 
 class _CutScan(CandidateScan):
@@ -969,26 +951,7 @@ class _CutScan(CandidateScan):
         np.add.at(self._inside, nbrs[indptr[e]:indptr[e + 1]], 1)
 
 
-class _FoldScan(CandidateScan):
-    """The scan of the fold family ``fold`` (``obj`` by default): ``S``'s
-    folded state, ``None`` while ``S`` is empty, folded in place onto each
-    candidate's row."""
-
-    def __init__(self, obj: Objective, fold: _FoldObjective | None = None):
-        super().__init__(obj)
-        self._fold = obj if fold is None else fold
-        self._state = None
-
-    def _values(self, cands):
-        fold = self._fold
-        return fold._fold_values(cands[:, None], self._state).astype(fold._scan_dtype, copy=False)
-
-    def _grow(self, e):
-        row, state = self._fold._rows[e], self._state
-        self._state = row.copy() if state is None else self._fold._op(state, row, out=state)
-
-
-class _InterferenceScan(_FoldScan):
+class _InterferenceScan(CandidateScan):
     """Interference coverage: the covered count minus ``lam`` times each
     candidate's pair penalty.  Only a pair with an end in ``S`` can lie
     inside a row ``S + e``: one with both ends in ``S`` lies inside every
@@ -1025,7 +988,7 @@ class _InterferenceScan(_FoldScan):
         self._in[e] = True
 
 
-class _ProxyScan(_FoldScan):
+class _ProxyScan(CandidateScan):
     """The scan of the proxy's facility location, minus the penalty at
     ``|S| + 1``, shifted and clamped as ``Proxy`` does it."""
 

@@ -311,6 +311,20 @@ class TestObjectiveSources:
         assert record["kind"] == "input_parse_error"
         assert "c.csv:3: cost of element 2 must be positive" in record["message"]
 
+    @pytest.mark.parametrize("budget", ["inf", "nan"])
+    def test_non_finite_master_budget_is_config_error(self, tmp_path, capsys, graph_file,
+                                                       budget):
+        costs = tmp_path / "c.csv"
+        costs.write_text("".join(f"{e},0.3\n" for e in range(14)))
+        out = tmp_path / "p.json"
+        assert main(["prune", "--graph", str(graph_file), "--algo", "sdg_density",
+                     "--costs", str(costs), "--budget", budget, "--ell", "2",
+                     "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["kind"] == "config_error"
+        assert record["message"] == f"master budget B must be positive and finite, got {budget}"
+        assert not out.exists()
+
     def test_proxy_from_sim_and_penalty(self, tmp_path):
         sim = tmp_path / "sim.csv"
         sim.write_text("1.0,0.4,0.2\n0.3,0.9,0.1\n0.2,0.2,0.8\n")

@@ -611,9 +611,8 @@ FOLD_FAMILIES = sorted(fold_families(4, 0))
 
 
 class TestFoldPowerSets:
-    """The fold families' doubling tables against the fallback route (the
-    default ``Objective._power_set``, ``_value`` per membership row), their
-    table sizes, and no fallback on the way."""
+    """The fold families' doubling tables against ``_value`` per mask, their
+    table sizes, and no ``_value`` per membership row on the way."""
 
     @pytest.mark.parametrize("name", FOLD_FAMILIES)
     @pytest.mark.parametrize("seed", range(3))
@@ -626,7 +625,9 @@ class TestFoldPowerSets:
             with mock.patch.object(exact, "_CHUNK", chunk):
                 low = exact.block_bits(len(universe))
                 doubled = list(obj._power_set(universe, low))
-                fallback = list(objectives.Objective._power_set(obj, universe, low))
+                fallback = [np.array([obj._value(frozenset(universe[i] for i in _bits_of(mask)))
+                                      for mask in range(b << low, (b + 1) << low)], dtype=float)
+                            for b in range(1 << (len(universe) - low))]
             assert len(doubled) == len(fallback) == 1 << (len(universe) - low)
             for a, b in zip(doubled, fallback):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, chunk)
@@ -654,10 +655,10 @@ class TestFoldPowerSets:
                                       "proxy_clamp"])
     def test_no_lex_batches(self, name):
         # every fold family, unweighted Cut and Proxy value their power
-        # sets through their own layer, never through the fallback
+        # sets through their own layer, never ``_value`` per membership row
         n = 10
         obj = {**fold_families(n, 1), **scan_families(n, 1)}[name]
-        with mock.patch.object(objectives.Objective, "_power_set",
+        with mock.patch.object(objectives.Objective, "_mask_values",
                                side_effect=AssertionError("fallback route")) as spy:
             value_table(obj)
             exact.opt_knapsack(obj, range(n), np.ones(n), [3.0])

@@ -24,6 +24,12 @@ class TestInstance:
         inst = KnapsackInstance([1.0, 2.0], 3.0)
         assert inst.cost({0, 1}) == 3.0
 
+    @pytest.mark.parametrize("B", [float("inf"), float("nan"), -float("inf")])
+    def test_master_budget_must_be_finite(self, B):
+        # an infinite B would be written as the invalid JSON token Infinity
+        with pytest.raises(ValueError, match="master budget B must be positive and finite"):
+            KnapsackInstance([1.0, 2.0], B)
+
     def test_costs_add_left_to_right(self):
         # a compensated sum (the builtin on Python 3.12+) gives 1.0000000000000002
         inst = KnapsackInstance((1.0, 1e-16, 1e-16), 1.0)

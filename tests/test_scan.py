@@ -8,6 +8,7 @@ reproduce their picks, their gains (value and Python type), costs,
 densities, dummy cost and windows on every family.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -17,12 +18,13 @@ from conftest import build_variants, scan_families
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prunekit import objectives, selection
+from prunekit import exact, objectives, selection
 from prunekit.instances import gen_coverage, gen_gnm, gen_interference
+from prunekit.harness import containment_report
 from prunekit.objectives import (CountingOracle, Coverage, Cut, FacilityLocation,
-                                 InterferenceCoverage, Modular, OracleStats, PenaltyCurve,
-                                 Proxy, RestrictedFacilityLocation, counting_wrap,
-                                 open_scan, value_table)
+                                 InterferenceCoverage, Modular, Objective, OracleStats,
+                                 PenaltyCurve, Proxy, RestrictedFacilityLocation,
+                                 add_left_to_right, counting_wrap, open_scan, value_table)
 from prunekit.prune import (prune_fast_budget_range, prune_seq_disjoint,
                             prune_std_greedy, prune_threshold_stream, prune_window,
                             witness)
@@ -313,6 +315,56 @@ class TestMultiWordCovers:
             members.append(e)
 
 
+def one_hot_families(n, seed):
+    """Weighted Cut and ``Modular``, whose batched paths fold one-hot
+    membership words of ``ceil(n / 64)`` words per row."""
+    rng = np.random.default_rng(seed)
+    edges = gen_gnm(n, 3 * n, seed=seed)
+    return {"weighted_cut": Cut(n, edges, weights=rng.uniform(0.5, 2.0, size=len(edges))),
+            "modular": Modular(rng.uniform(-1.0, 2.0, size=n))}
+
+
+class TestOneHotWordBoundaries:
+    """At 63, 64, 65 and 130 ids the membership words of weighted Cut and
+    ``Modular`` span one, one, two and three words: every batched path
+    matches ``eval`` bit for bit across the word boundaries."""
+
+    @pytest.mark.parametrize("name", ["weighted_cut", "modular"])
+    @pytest.mark.parametrize("n", [63, 64, 65, 130])
+    def test_batched_paths_match_eval(self, name, n):
+        obj = one_hot_families(n, n)[name]
+        assert obj._rows.shape == (n + 1, -(-n // 64))
+        rng = np.random.default_rng(n)
+        rows = []
+        for _ in range(40):  # distinct ids padded with n anywhere
+            row = rng.choice(n, size=rng.integers(0, n + 1), replace=False).tolist()
+            rows.append(rng.permutation(row + [n] * (n - len(row))).tolist())
+        assert typed(obj.eval_ids(np.array(rows)).tolist()) == \
+            typed([obj.eval([e for e in row if e < n]) for row in rows])
+
+        new, ref = both(obj)
+        run = greedy(new, range(n), 6)
+        picks, gains = ref_greedy(ref, range(n), 6)
+        assert run.picks == picks and typed(run.gains) == typed(gains)
+
+        prof = exact.opt_cardinality(obj, range(n), 2)
+        by_size = [[(obj.eval(c), c) for c in itertools.combinations(range(n), s)]
+                   for s in range(3)]
+        for j in range(3):
+            cands = [vc for size in by_size[:j + 1] for vc in size]
+            top = max(v for v, _ in cands)
+            assert prof.opt_by_budget[j].hex() == top.hex()
+            assert prof.argmax_by_budget[j] == min(c for v, c in cands if v == top)
+
+        universe = np.linspace(0, n - 1, 12).round().astype(int).tolist()
+        assert universe[-1] // 64 == (n - 1) // 64  # the universe reaches the last word
+        for low in (12, 5):
+            masks = range(1 << 12)
+            got = np.concatenate(list(objectives.power_set_values(obj, universe, low)))
+            want = [obj.eval([universe[i] for i in range(12) if mask >> i & 1]) for mask in masks]
+            assert got.tolist() == want
+
+
 # --------------------------------------------------------------------------
 # the engines against the scalar references
 
@@ -499,3 +551,97 @@ class TestPinnedQueryCounts:
         pruned = prune_threshold_stream(obj, range(self.N), self.K, 6, epsilon=0.2)
         assert pruned.stats.cache_hits == 0 and pruned.stats.queries >= self.N
 
+
+
+# --------------------------------------------------------------------------
+# the extension point: a subclass that implements ``_value`` alone
+
+class SqrtIdSum(Objective):
+    """``f(S) = sqrt(sum of (e + 1) over S)``: a concave function of a
+    modular one, so monotone submodular, given only its ``_value``."""
+
+    variant = "sqrt_id_sum"
+
+    def __init__(self, n):
+        self.n = n
+
+    def _value(self, s):
+        return math.sqrt(sum(e + 1 for e in s))
+
+
+class TestValueOnlySubclass:
+    N, K = 8, 3
+
+    def subsets(self, universe, k):
+        """``(value, set)`` of every subset of ``universe`` with at most ``k``
+        elements, from ``_value``, size by size in lexicographic order."""
+        obj = SqrtIdSum(self.N)
+        return [(obj._value(frozenset(c)), c) for size in range(k + 1)
+                for c in itertools.combinations(universe, size)]
+
+    def test_engines_match_the_scalar_references(self):
+        obj, n, k = SqrtIdSum(self.N), self.N, self.K
+        new, ref = both(obj)
+        run = greedy(new, range(n), k)
+        picks, gains = ref_greedy(ref, range(n), k)
+        assert run.picks == picks and typed(run.gains) == typed(gains)
+        new, ref = both(obj)
+        run = threshold_greedy(new, range(n), k, 0.2)
+        picks, gains = ref_threshold_greedy(ref, range(n), k, 0.2)
+        assert run.picks == picks and typed(run.gains) == typed(gains)
+        costs = np.linspace(0.5, 1.5, n)
+        new, ref = both(obj)
+        drun = density_greedy(new, range(n), costs, 2.0, 3.0)
+        picks, gains, spent, dens, dummy = ref_density_greedy(ref, range(n), costs, 2.0, 3.0)
+        assert drun.picks == picks and typed(drun.gains) == typed(gains)
+        assert typed(drun.densities) == typed(dens) and drun.dummy_cost == dummy
+
+        pruned = prune_seq_disjoint(obj, n, k, ell=2)
+        first = ref_greedy(CountingOracle(obj), range(n), k)[0]
+        second = ref_greedy(CountingOracle(obj), sorted(set(range(n)) - set(first)), k)[0]
+        assert pruned.structure["runs"] == [first, second]
+
+    def test_exact_references_match_value(self):
+        obj, n, k = SqrtIdSum(self.N), self.N, self.K
+        table = value_table(obj)
+        assert table.tolist() == [obj._value(frozenset(i for i in range(n) if mask >> i & 1))
+                                  for mask in range(1 << n)]
+
+        P = [1, 2, 5, 7]
+        prof = exact.opt_cardinality(obj, range(n), k, inside=P)
+        for j in range(k + 1):
+            for got, universe in ((prof, range(n)), (prof.inside, P)):
+                cands = self.subsets(universe, j)
+                top = max(v for v, _ in cands)
+                assert got.opt_by_budget[j] == top
+                assert got.argmax_by_budget[j] == min(c for v, c in cands if v == top)
+
+        pruned = prune_seq_disjoint(obj, n, k, ell=2)
+        report = containment_report(obj, pruned, k)
+        for j, budget in enumerate(report.budgets):
+            opt = max(v for v, _ in self.subsets(range(n), budget))
+            best = max(v for v, _ in self.subsets(sorted(pruned.elements), budget))
+            assert report.denominators[j] == opt and report.best_inside[j] == best
+            assert report.alphas[j] == best / opt
+
+        costs = np.linspace(0.5, 1.5, n)
+        budgets = [1.0, 2.5, 6.0]
+        kprof = exact.opt_knapsack(obj, range(n), costs, budgets)
+        for b, opt, argmax in zip(budgets, kprof.opt_by_budget, kprof.argmax_by_budget):
+            first = None
+            for v, c in self.subsets(range(n), n):  # size ascending, then lexicographic
+                if add_left_to_right(costs[list(c)].tolist()) <= b and (first is None
+                                                                      or v > first[0]):
+                    first = (v, c)
+            assert (opt, tuple(argmax)) == first
+
+    def test_a_subclass_needs_value_or_mask_values(self):
+        class Nothing(Objective):
+            variant = "nothing"
+
+            def __init__(self):
+                self.n = 3
+
+        for call in (lambda obj: obj.eval([0]), lambda obj: obj.eval_ids(np.array([[0, 3]]))):
+            with pytest.raises(NotImplementedError, match="neither _value nor _mask_values"):
+                call(Nothing())
