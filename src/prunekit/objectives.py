@@ -57,6 +57,15 @@ Candidate scans:
   :class:`InterferenceCoverage` adds ``S``'s membership: each candidate's
   penalty sums the weights of the pairs with an end in ``S``, in pair
   order as ``eval`` sums them, for all candidates at once.
+* ``top(cands, base, width)`` ranks: the window of the ``width`` largest
+  gains ``f(S + e) - base``, lower position first on ties, with their
+  exact values.  By default it values every candidate.  The facility
+  location families (not :class:`Proxy`, whose clamp ties candidates the
+  facility location separates) keep approximate gains once a pass spans
+  several kernel blocks, update them from the rows each pick raises, and
+  value exactly only the candidates within a stated rounding bound of the
+  window (see :class:`_FacilityScan`).  Either way a ranking counts one
+  query per candidate.
 
 Built-in families:
 
@@ -97,10 +106,11 @@ class OracleStats:
     """Query accounting snapshot.
 
     ``queries`` counts set values computed: one per
-    :meth:`CountingOracle.eval`, plus every value a greedy engine's
-    :class:`CandidateScan` computes (one per candidate value ``f(S + e)``
-    and one per run for ``f(empty)``).  ``cache_hits`` is always 0; it stays
-    in the serial form so that saved pruned sets keep their bytes.
+    :meth:`CountingOracle.eval`, plus one per candidate a greedy engine's
+    :class:`CandidateScan` values or ranks (``f(S + e)``, whether ``top``
+    values it exactly or screens it out) and one per run for ``f(empty)``.
+    ``cache_hits`` is always 0; it stays in the serial form so that saved
+    pruned sets keep their bytes.
     """
 
     queries: int = 0
@@ -150,10 +160,20 @@ def _finite(values, what: str, copy: bool = True) -> np.ndarray:
 def sorted_ids(ids: Iterable[int], n: int) -> np.ndarray:
     """The distinct ids of ``ids`` ascending, as an intp array.  Each id is
     read with ``operator.index``, so a float or a string raises
-    ``TypeError``; an id outside ``0..n-1`` raises ``IndexError``."""
-    s = sorted({operator.index(e) for e in ids})
-    if s and (s[0] < 0 or s[-1] >= n):
+    ``TypeError``; an id outside ``0..n-1`` raises ``IndexError``.  A
+    ``range`` and a strictly ascending 1-d integer array, whose ids all
+    pass that rule, are read with array operations."""
+    if isinstance(ids, range):
+        s = ids if ids.step > 0 else ids[::-1]
+    elif (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu"
+          and (ids[1:] > ids[:-1]).all()):
+        s = ids
+    else:
+        s = sorted({operator.index(e) for e in ids})
+    if len(s) and (s[0] < 0 or s[-1] >= n):
         raise IndexError(f"element id {s[0] if s[0] < 0 else s[-1]} out of range [0, {n})")
+    if isinstance(s, range):
+        return np.arange(s.start, s.stop, s.step, dtype=np.intp)
     return np.array(s, dtype=np.intp)
 
 
@@ -393,13 +413,13 @@ def _cover_words(covers: Sequence[frozenset[int]], m: int) -> np.ndarray:
 
 
 def _covered_count(union: np.ndarray) -> np.ndarray:
-    """Number of universe items set in each row of union words, as floats:
-    the popcounts of the word columns added one column at a time."""
+    """Number of universe items set in each row of union words, as floats.
+    Rows of several words take the popcounts' product with a ones vector:
+    one BLAS call over small integers, exact in any order of addition."""
     counts = np.bitwise_count(union)
-    out = counts[:, 0].astype(float)
-    for col in range(1, union.shape[1]):
-        out += counts[:, col]
-    return out
+    if union.shape[1] == 1:  # a cast costs a tenth of a matvec here
+        return counts[:, 0].astype(float)
+    return counts @ np.ones(union.shape[1])
 
 
 class _CoverObjective(Objective):
@@ -628,6 +648,22 @@ class FacilityLocation(Objective):
 
     def _finish(self, best):
         return best.sum(axis=1)
+
+    def scan(self):
+        """The screening scan when a pass over every element would span
+        more than one kernel block; otherwise no pass can screen."""
+        return _FacilityScan(self) if self.n * self.m > _KERNEL_CELLS else super().scan()
+
+    @functools.cached_property
+    def _sim_rows(self) -> np.ndarray:
+        """The (m, n) similarities, C-contiguous: the scan's gain updates
+        gather whole rows of them."""
+        return np.ascontiguousarray(self._sim_t[:self.n].T)
+
+    @functools.cached_property
+    def _sim_bound(self) -> float:
+        """``sum_i max_e sim[i, e]``: no value exceeds it."""
+        return float(self._sim_t.max(axis=0).sum())
 
     def to_dict(self):
         return {"variant": self.variant, "sim": self.sim.tolist()}
@@ -892,9 +928,10 @@ class CandidateScan:
     value per candidate, equal bit for bit to ``eval(S + e)``: integers for
     the integer-valued states, floats otherwise.  This default keeps ``S``'s
     state in the fold ``obj._fold``, ``None`` while ``S`` is empty, and
-    folds it in place onto each candidate's row.  With a ``counter`` (see
-    :func:`open_scan`) every value computed, ``f(empty)`` included, is
-    recorded there as one query.
+    folds it in place onto each candidate's row.  :meth:`top` ranks the
+    candidates for the window engines.  With a ``counter`` (see
+    :func:`open_scan`) every value computed or ranked, ``f(empty)``
+    included, is recorded there as one query.
     """
 
     def __init__(self, obj: Objective):
@@ -914,6 +951,14 @@ class CandidateScan:
         self._count(len(cands))
         return self._values(cands)
 
+    def top(self, cands, base, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The window of the ``width`` best candidates: their positions in
+        ``cands`` in rank order (gain ``f(S + e) - base`` descending, the
+        lower position first on ties) and their values, equal bit for bit
+        to :meth:`values`.  Records ``len(cands)`` queries, as ``values``
+        does; this default values every candidate."""
+        return _window(self.values(cands), base, width)
+
     def add(self, e: int) -> None:
         """Add candidate ``e`` to ``S``."""
         e = int(e)
@@ -931,6 +976,106 @@ class CandidateScan:
     def _grow(self, e: int) -> None:
         row, state = self._fold._rows[e], self._state
         self._state = row.copy() if state is None else self._fold._op(state, row, out=state)
+
+
+def _gains(vals: np.ndarray, base) -> np.ndarray:
+    """``f(S + e) - f(S)`` per candidate as floats, for comparisons.  Each
+    is the double the scalar ``eval(S + e) - base`` gives."""
+    return np.asarray(vals, dtype=float) - base
+
+
+def _window(vals: np.ndarray, base, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the ``width`` best gains ``vals - base``, ranked as
+    :meth:`CandidateScan.top` ranks them, and their values.  A window one
+    element wide is the first ``argmax``, which a stable sort would also
+    rank first, at less cost."""
+    gains = _gains(vals, base)
+    ranked = (gains.argmax(keepdims=True) if width == 1
+              else np.argsort(-gains, kind="stable")[:width])
+    return ranked, vals[ranked]
+
+
+class _FacilityScan(CandidateScan):
+    """Facility location's scan: ``top`` values exactly only the candidates
+    that can reach the window.
+
+    An exact pass that spans more than one kernel block also keeps its
+    gains ``G[e] = f(S + e) - base`` for its candidates.  A pick ``e``
+    raises the running best ``old_i`` to ``new_i = sim[i, e]`` on the rows
+    ``R`` where it is larger, and lowers the gain of every ``e'`` by
+    ``sum_{i in R} (clip(sim[i, e'], old_i, new_i) - old_i)``.  When those
+    ``|R| n`` cells cost less than an exact pass over the candidates ``G``
+    still serves, ``add`` subtracts from ``G`` the clipped rows' sums less
+    the sum of the ``old_i``, gathering the rows from a C-contiguous
+    ``(m, n)`` copy of the similarities; otherwise it drops ``G``, and the
+    next ``top`` makes an exact pass.
+
+    With ``G``, ``top`` values exactly, by ``values``' kernel, only the
+    candidates whose ``G`` lies within ``2 delta`` of the window's
+    threshold ``T``, the ``width``-th largest ``G``, and ranks them.  Let
+    ``u = eps / 2``, ``M = sum_i max_e sim[i, e]`` (no value, row sum or
+    gain here exceeds it), ``A`` the additions made to ``G`` since its pass
+    (``2 |R| + 2`` per update: two sums over ``R``, their difference and
+    the subtraction from ``G``), and ``b0``, ``b`` the bases then and now.
+    An exact value adds ``m`` terms, so it is within ``(m - 1) u M`` of
+    the real one; taking the base off adds ``u (M + |b|)``; an update adds
+    at most ``2 |R| u M``.  So, up to a shift common to every candidate
+    (the drift of the base from ``f(S)``), ``G`` is within
+    ``u (2m + A) (M + |b0| + |b|)`` of the gain ``top`` ranks by, and
+    ``delta = 2 eps (m + A + 2) (M + |b0| + |b|)`` bounds that with room
+    for the second-order terms.  The ``width`` candidates with the largest
+    ``G`` then all gain at least ``T - delta``, so every candidate in the
+    window or tied with its last has ``G >= T - 2 delta``: one outside the
+    margin can neither tie nor beat the window, and picks, gains and
+    windows stay those of an exact pass.
+    """
+
+    def __init__(self, obj: FacilityLocation):
+        super().__init__(obj)
+        self._approx = None  # G per id, while it serves the candidates below
+        self._live = None  # its exact pass's candidates, less the ids added since
+        self._adds = 0
+        self._base = 0.0  # |b0|
+
+    def top(self, cands, base, width):
+        cands = np.asarray(cands, dtype=np.intp)
+        obj = self.obj
+        if self._approx is None or not self._live[cands].all():
+            vals = self.values(cands)
+            if len(cands) * obj.m > _KERNEL_CELLS:  # more than one block: screen from here on
+                self._approx = np.empty(obj.n)
+                self._approx[cands] = _gains(vals, base)
+                self._live = np.zeros(obj.n, dtype=bool)
+                self._live[cands] = True
+                self._adds, self._base = 0, abs(base)
+            return _window(vals, base, width)
+        self._count(len(cands))
+        approx = self._approx[cands]
+        last = len(cands) - min(width, len(cands))
+        bar = approx.max() if last == len(cands) - 1 else np.partition(approx, last)[last]
+        delta = (2 * np.finfo(float).eps * (obj.m + self._adds + 2)
+                 * (obj._sim_bound + self._base + abs(base)))
+        near = np.flatnonzero(approx >= bar - 2 * delta)
+        ranked, vals = _window(self._values(cands[near]), base, width)
+        return near[ranked], vals
+
+    def _grow(self, e):
+        if self._approx is not None:
+            obj = self.obj
+            self._live[e] = False
+            new = self._fold._rows[e]
+            old = np.zeros_like(new) if self._state is None else self._state
+            raised = np.flatnonzero(new > old)
+            if len(raised) * obj.n < np.count_nonzero(self._live) * obj.m:
+                sims = obj._sim_rows[raised]
+                lo = old[raised]
+                np.maximum(sims, lo[:, None], out=sims)
+                np.minimum(sims, new[raised, None], out=sims)
+                self._approx -= sims.sum(axis=0) - lo.sum()
+                self._adds += 2 * len(raised) + 2
+            else:
+                self._approx = None
+        super()._grow(e)
 
 
 class _CutScan(CandidateScan):

@@ -15,13 +15,17 @@ Every engine scans candidates through one primitive, the objective's
 a whole array of remaining candidates at once.  A gain is ``f(S + e) - f(S)``
 with ``f(S)`` kept as the running sum of the picked gains, so transcripts
 match a scalar loop over ``eval`` bit for bit, gain types included.  One
-query is one set value a scan computes: each candidate value, plus
-``f(empty)`` once per run.  Pruners pass a CountingOracle, which records
-those queries.
+query is one candidate a scan values or ranks, plus ``f(empty)`` once per
+run.  Pruners pass a CountingOracle, which records those queries.
 
-:func:`greedy` and :func:`window_greedy` share one rank-and-commit loop:
-plain greedy commits the best candidate of a window one element wide.
-:func:`disjoint_runs` is the pruners' one pool-shrinking loop over any engine.
+:func:`greedy` and :func:`window_greedy` share one rank-and-commit loop
+over the scan's ``top``, which returns a round's window with exact values:
+plain greedy commits the best candidate of a window one element wide.  On
+the facility location families ``top`` values exactly only the candidates
+that can reach the window; :func:`threshold_greedy`, :func:`density_greedy`
+and :func:`threshold_stream` read every candidate's value and scan with
+``values``.  :func:`disjoint_runs` is the pruners' one pool-shrinking loop
+over any engine.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .objectives import CandidateScan, add_left_to_right, open_scan, sorted_ids
+from .objectives import CandidateScan, _gains, add_left_to_right, open_scan, sorted_ids
 
 __all__ = ["GreedyRun", "DensityRun", "greedy", "threshold_greedy", "density_greedy",
            "window_greedy", "threshold_stream", "disjoint_runs"]
@@ -74,15 +78,32 @@ class DensityRun(GreedyRun):
         return add_left_to_right(self.costs)
 
 
-def disjoint_runs(engine: Callable[[set[int]], GreedyRun], pool: Iterable[int],
+def disjoint_runs(engine: Callable[[Iterable[int]], GreedyRun], pool: Iterable[int],
                   ell: int) -> list[GreedyRun]:
-    """``ell`` runs of ``engine``, each on ``pool`` minus the picks of the runs before it."""
-    pool = set(pool)
+    """``ell`` runs of ``engine``, each on ``pool`` minus the picks of the
+    runs before it; the later pools go to ``engine`` as ascending arrays."""
+    if not isinstance(pool, (range, np.ndarray)):
+        pool = list(pool)
     runs = []
     for _ in range(ell):
+        if runs:
+            pool = _without(pool, runs[-1].picks)
         runs.append(engine(pool))
-        pool -= set(runs[-1].picks)
     return runs
+
+
+def _without(pool, picks: list[int]) -> np.ndarray:
+    """The ids of ``pool``, which an engine has read by the id rule, less
+    ``picks``, ascending."""
+    if isinstance(pool, range) and pool.step > 0:
+        ids = np.arange(pool.start, pool.stop, pool.step, dtype=np.intp)
+    else:
+        ids = np.asarray(pool, dtype=np.intp)
+        if not (ids[1:] > ids[:-1]).all():
+            ids = np.unique(ids)
+    keep = np.ones(len(ids), dtype=bool)
+    keep[ids.searchsorted(picks)] = False
+    return ids[keep]
 
 
 def greedy(oracle, pool: Iterable[int], size: int, stop_at_zero: bool = False) -> GreedyRun:
@@ -97,7 +118,7 @@ def greedy(oracle, pool: Iterable[int], size: int, stop_at_zero: bool = False) -
     """
     if operator.index(size) < 0:
         raise ValueError("size must be >= 0")
-    return _rank_and_commit(oracle, pool, size, 1, lambda width: 0, stop_at_zero)[0]
+    return _rank_and_commit(oracle, pool, size, 1, None, stop_at_zero)[0]
 
 
 def threshold_greedy(oracle, pool: Iterable[int], size: int, eta: float) -> GreedyRun:
@@ -211,7 +232,14 @@ def window_greedy(oracle, pool: Iterable[int], rounds: int, width: int,
     ``choose(len(window))``.  Returns the committed run and the windows;
     :func:`greedy` is the same loop with windows one element wide.
     Queries: ``f(empty)`` plus ``|pool| - i`` candidate values in round i.
+    A negative ``rounds``, a ``width`` below 1 or a ``choose`` result
+    outside ``0..len(window) - 1`` raises ``ValueError``.
     """
+    rounds, width = operator.index(rounds), operator.index(width)
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
+    if width < 1:
+        raise ValueError("width must be >= 1")
     return _rank_and_commit(oracle, pool, rounds, width, choose)
 
 
@@ -220,8 +248,13 @@ def threshold_stream(oracle, order: Sequence[int], k: int, p: int,
     """One pass over ``order``, tracking the running best singleton value d:
     an element is accepted while fewer than ``p`` are if its marginal
     against the accepted set is at least ``epsilon * d / k``.  Returns the
-    accepted elements in order."""
+    accepted elements in order.  A ``k`` below 1 or a negative ``p`` raises
+    ``ValueError``."""
     k, p = operator.index(k), operator.index(p)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if p < 0:
+        raise ValueError("p must be >= 0")
     scan = open_scan(oracle)
     order = list(order)
     if len(sorted_ids(order, scan.obj.n)) < len(order):
@@ -251,30 +284,26 @@ _FIRST_CHUNK = 64
 
 
 def _rank_and_commit(oracle, pool: Iterable[int], rounds: int, width: int,
-                     choose: Callable[[int], int], stop_at_zero: bool = False
+                     choose: Callable[[int], int] | None, stop_at_zero: bool = False
                      ) -> tuple[GreedyRun, list[list[int]]]:
-    """The loop of :func:`greedy` and :func:`window_greedy`.  A window one
-    element wide is the first ``argmax``, which a stable sort would also
-    rank first, at less cost."""
-    rounds, width = operator.index(rounds), operator.index(width)
+    """The loop of :func:`greedy` and :func:`window_greedy`: each round
+    ranks by the scan's ``top``; a window one element wide commits its one
+    entry without calling ``choose``."""
     scan, remaining = _open(oracle, pool)
     run = GreedyRun([], [])
     windows: list[list[int]] = []
     base = scan.empty_value()
     while len(remaining) and len(run.picks) < rounds:
-        vals = scan.values(remaining)
-        if width == 1:
-            at = int(np.argmax(_gains(vals, base)))
-            window = [int(remaining[at])]
-        else:
-            ranked = np.argsort(-_gains(vals, base), kind="stable")[:width]
-            at = int(ranked[choose(len(ranked))])
-            window = remaining[ranked].tolist()
-        gain = vals[at].item() - base
+        ranked, vals = scan.top(remaining, base, width)
+        i = 0 if width == 1 else operator.index(choose(len(ranked)))
+        if not 0 <= i < len(ranked):
+            raise ValueError(f"choose returned {i} for a window of {len(ranked)}")
+        at = int(ranked[i])
+        e = int(remaining[at])
+        gain = vals[i].item() - base
         if stop_at_zero and gain <= 0:
             break
-        windows.append(window)
-        e = int(remaining[at])
+        windows.append([e] if width == 1 else remaining[ranked].tolist())
         scan.add(e)
         base += gain
         remaining = _drop(remaining, at)
@@ -287,12 +316,6 @@ def _open(oracle, pool: Iterable[int]) -> tuple[CandidateScan, np.ndarray]:
     """A scan at the empty set and the pool as an ascending id array."""
     scan = open_scan(oracle)
     return scan, sorted_ids(pool, scan.obj.n)
-
-
-def _gains(vals: np.ndarray, base) -> np.ndarray:
-    """``f(S + e) - f(S)`` per candidate as floats, for comparisons.  Each
-    is the double the scalar ``eval(S + e) - base`` gives."""
-    return np.asarray(vals, dtype=float) - base
 
 
 def _drop(a: np.ndarray, i: int) -> np.ndarray:

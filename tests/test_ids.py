@@ -8,7 +8,7 @@ import pytest
 
 from prunekit import exact
 from prunekit.knapsack import KnapsackInstance, prune_sdg_density
-from prunekit.objectives import Coverage, Cut, InterferenceCoverage, Modular
+from prunekit.objectives import Coverage, Cut, InterferenceCoverage, Modular, sorted_ids
 from prunekit.prune import (PrunedSet, prune_fast_budget_range, prune_random,
                             prune_seq_disjoint, prune_std_greedy, prune_threshold_stream,
                             prune_window)
@@ -153,3 +153,60 @@ def test_numpy_integer_budget_acts_as_an_int(entry):
     got, want = BUDGETS[entry](np.int64(2)), BUDGETS[entry](2)
     assert (got.to_dict() if hasattr(got, "to_dict") else got) == \
         (want.to_dict() if hasattr(want, "to_dict") else want)
+
+
+# --------------------------------------------------------------------------
+# sorted_ids: a range and a 1-d integer array take array operations, every
+# other input the generic path; both read ids by the same rule
+
+ACCEPTED = {
+    "range": (range(5), [0, 1, 2, 3, 4]),
+    "range_step": (range(1, 8, 3), [1, 4, 7]),
+    "range_descending": (range(6, -1, -2), [0, 2, 4, 6]),
+    "range_empty": (range(4, 2), []),
+    "int64_sorted": (np.array([0, 2, 7]), [0, 2, 7]),
+    "int32_unsorted_repeats": (np.array([7, 0, 2, 7, 0], dtype=np.int32), [0, 2, 7]),
+    "uint8": (np.array([3, 1], dtype=np.uint8), [1, 3]),
+    "uint64": (np.array([1, 7], dtype=np.uint64), [1, 7]),
+    "int_empty": (np.array([], dtype=np.int64), []),
+    "list_repeats": ([3, 1, 3], [1, 3]),
+    "set": ({2, 0}, [0, 2]),
+    "numpy_int_list": ([np.int64(5), np.uint16(1)], [1, 5]),
+    "object_array": (np.array([4, 1], dtype=object), [1, 4]),
+    "two_dim_row": (np.array([[1, 2]])[0], [1, 2]),
+}
+
+
+@pytest.mark.parametrize("ids", ACCEPTED)
+def test_sorted_ids_accepts(ids):
+    given, want = ACCEPTED[ids]
+    got = sorted_ids(given, 8)
+    assert got.dtype == np.intp and got.tolist() == want
+
+
+@pytest.mark.parametrize("ids", [np.array([0.0, 2.0]), np.array([True, False]),
+                                 [np.bool_(True)], [np.float64(1.0)], [1.0], ["1"],
+                                 np.array(["1"]), np.array([[0, 1]])],
+                         ids=["float_array", "bool_array", "numpy_bool", "numpy_float",
+                              "float", "string", "string_array", "two_dim"])
+def test_sorted_ids_rejects_non_integer_ids(ids):
+    with pytest.raises(TypeError):
+        sorted_ids(ids, 8)
+
+
+@pytest.mark.parametrize("ids, bad", [(range(-1, 3), -1), (range(0, 9), 8), (range(9, 0, -1), 9),
+                                      (np.array([3, -2]), -2), (np.array([8, 1]), 8),
+                                      (np.array([2**63], dtype=np.uint64), 2**63),
+                                      ([8, 1], 8), ([-1], -1)],
+                         ids=["range_negative", "range_high", "range_descending_high",
+                              "array_negative", "array_high", "uint64_huge", "list_high",
+                              "list_negative"])
+def test_sorted_ids_out_of_range(ids, bad):
+    with pytest.raises(IndexError, match=f"element id {bad} out of range"):
+        sorted_ids(ids, 8)
+
+
+def test_sorted_ids_returns_a_fresh_array():
+    given = np.array([0, 1, 2])
+    sorted_ids(given, 8)[0] = 5
+    assert given.tolist() == [0, 1, 2]

@@ -512,6 +512,156 @@ class TestThresholdRunPrefixes:
 
 
 # --------------------------------------------------------------------------
+# the ranking primitive: facility location's screened ``top`` against the
+# default, which values every candidate
+
+def near_tie_facilities(m, n, seed):
+    """Facility locations whose gains tie or nearly tie, and the restricted
+    ones, one with a gate that passes no row."""
+    rng = np.random.default_rng(seed)
+    sim = rng.uniform(size=(m, n))
+    half = n // 2
+    dup, ulp, zero = sim.copy(), sim.copy(), sim.copy()
+    dup[:, half:2 * half] = sim[:, :half]  # each column of the first half twice
+    ulp[:, half:2 * half] = np.nextafter(sim[:, :half], 2.0)  # 1 ulp above it
+    zero[:, ::3] = 0.0
+    rel = rng.uniform(size=m)
+    rel[0] = 0.9
+    return {
+        "plain": FacilityLocation(sim),
+        "duplicate_columns": FacilityLocation(dup),
+        "ulp_apart_columns": FacilityLocation(ulp),
+        "zero_columns": FacilityLocation(zero),
+        "rounded": FacilityLocation(np.round(sim, 1)),
+        "restricted": RestrictedFacilityLocation(sim, rel, tau=0.5),
+        "restricted_no_row": RestrictedFacilityLocation(sim, rel, tau=1.0),
+    }
+
+
+def default_top(scan, cands, base, width):
+    return objectives.CandidateScan.top(scan, cands, base, width)
+
+
+def rows_valued():
+    """A spy on the scan kernel: the number of candidates each call values."""
+    calls = []
+    kernel = objectives.CandidateScan._values
+
+    def spy(self, cands):
+        calls.append(len(cands))
+        return kernel(self, cands)
+
+    return calls, mock.patch.object(objectives.CandidateScan, "_values", spy)
+
+
+class TestScreenedTop:
+    """With ``_KERNEL_CELLS`` at 64, an exact pass over more than ``64 // m``
+    candidates spans several blocks, so small instances screen."""
+
+    @pytest.mark.parametrize("name", sorted(near_tie_facilities(2, 4, 0)))
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 12), n=st.integers(1, 40),
+           data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_top_matches_the_default_along_a_growth_path(self, name, seed, m, n, data):
+        obj = near_tie_facilities(m, n, seed)[name]
+        rng = np.random.default_rng(seed)
+        size = data.draw(st.integers(1, n), label="pool size")
+        pool = np.sort(rng.choice(n, size=size, replace=False))
+        with mock.patch.object(objectives, "_KERNEL_CELLS", 64):
+            scan, base = obj.scan(), obj.eval(())
+            while len(pool):
+                width = data.draw(st.integers(1, len(pool) + 1), label="width")
+                want_pos, want_vals = default_top(scan, pool, base, width)
+                got_pos, got_vals = scan.top(pool, base, width)
+                assert got_pos.tolist() == want_pos.tolist()
+                assert typed(got_vals.tolist()) == typed(want_vals.tolist())
+                at = int(got_pos[int(rng.integers(len(got_pos)))])
+                base += obj.eval(scan.members | {int(pool[at])}) - base
+                scan.add(int(pool[at]))
+                pool = np.delete(pool, at)
+
+    @pytest.mark.parametrize("name", sorted(near_tie_facilities(2, 4, 0)))
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 10), n=st.integers(2, 30),
+           size=st.integers(0, 8), data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_engines_match_the_scalar_references(self, name, seed, m, n, size, data):
+        obj = near_tie_facilities(m, n, seed)[name]
+        width = data.draw(st.integers(1, n + 1), label="width")
+        with mock.patch.object(objectives, "_KERNEL_CELLS", 64):
+            new, ref = both(obj)
+            run = greedy(new, range(n), size)
+            picks, gains = ref_greedy(ref, range(n), size)
+            assert run.picks == picks and typed(run.gains) == typed(gains)
+            assert new.stats() == ref.stats()
+            rngs = [np.random.default_rng(seed) for _ in range(2)]
+            new, ref = both(obj)
+            wrun, windows = window_greedy(new, range(n), max(1, size), width,
+                                          lambda w: int(rngs[0].integers(w)))
+            assert (wrun.picks, windows) == ref_window(ref, n, max(1, size), width,
+                                                       lambda w: int(rngs[1].integers(w)))
+
+    def test_ids_outside_the_last_exact_pass_take_the_exact_path(self):
+        obj = FacilityLocation(np.random.default_rng(1).uniform(size=(10, 200)))
+        calls, spy = rows_valued()
+        with mock.patch.object(objectives, "_KERNEL_CELLS", 64), spy:
+            scan, base = obj.scan(), 0.0
+            pool = np.arange(150)  # more than the 6 rows of one block: screens
+            for _ in range(4):
+                calls.clear()
+                ranked, vals = scan.top(pool, base, 1)
+                base = vals[0].item()
+                scan.add(int(pool[ranked[0]]))
+                pool = np.delete(pool, ranked[0])
+            assert calls[0] < len(pool)  # the last pick was screened
+            wider = np.setdiff1d(np.arange(200), list(scan.members))
+            calls.clear()
+            got = scan.top(wider, base, 3)
+            assert calls == [len(wider)]  # ids 150..199 were not in the pass
+            want = default_top(scan, wider, base, 3)
+            assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+
+    @pytest.mark.parametrize("cls", ["facility_location", "restricted_fl"])
+    def test_large_instances_screen_and_keep_their_transcripts(self, cls):
+        rng = np.random.default_rng(11)
+        sim = rng.uniform(size=(300, 1000))
+        obj = (FacilityLocation(sim) if cls == "facility_location"
+               else RestrictedFacilityLocation(sim, rng.uniform(size=300), tau=0.3))
+        calls, spy = rows_valued()
+        with spy:
+            run = greedy(counting_wrap(obj), range(1000), 20)
+            wrun, windows = window_greedy(counting_wrap(obj), range(1000), 8, 20,
+                                          lambda w: w // 3)
+        assert min(calls) < 20  # screened picks valued only a few candidates
+        with mock.patch.object(objectives._FacilityScan, "top", default_top):
+            want = greedy(counting_wrap(obj), range(1000), 20)
+            want_w = window_greedy(counting_wrap(obj), range(1000), 8, 20, lambda w: w // 3)
+        assert run.picks == want.picks and typed(run.gains) == typed(want.gains)
+        assert (wrun.picks, windows) == (want_w[0].picks, want_w[1])
+        assert typed(wrun.gains) == typed(want_w[0].gains)
+
+    def test_benchmark_size_values_few_candidates_per_screened_pick(self):
+        fl = FacilityLocation(np.random.default_rng(5).uniform(size=(300, 1000)))
+        calls, spy = rows_valued()
+        with spy:
+            prune_seq_disjoint(fl, 1000, 10, ell=4)
+        # per run, exact passes at the empty set and after the first pick,
+        # whose update would cost more than a pass
+        exact = [c for c in calls if c > 900]
+        screened = [c for c in calls if c <= 900]
+        assert len(exact) == 8 and len(screened) == 32
+        assert max(screened) <= 3
+
+    def test_small_pools_stay_on_the_exact_path(self):
+        fl = FacilityLocation(np.random.default_rng(5).uniform(size=(300, 1000)))
+        pool = np.arange(0, 1000, 25)  # 40 ids: one kernel block of 218 rows
+        calls, spy = rows_valued()
+        with spy:
+            greedy(counting_wrap(fl), pool, 10)
+            prune_seq_disjoint(FacilityLocation(fl.sim[:40, :22]), 22, 5, ell=3)
+        assert calls == [40 - i for i in range(10)] + [22 - i for i in range(15)]
+
+
+# --------------------------------------------------------------------------
 # query accounting: one query per set value a scan computes
 
 class TestPinnedQueryCounts:
@@ -545,6 +695,15 @@ class TestPinnedQueryCounts:
         pruned = prune_fast_budget_range(obj, self.N, self.K, epsilon=0.2)
         assert pruned.stats == OracleStats(queries=88, cache_hits=0)
         assert pruned.stats.queries <= 50 * (self.N / 0.2) * math.log(self.N / 0.2)
+
+    def test_screened_facility_location_counts_every_candidate(self):
+        # a screened pick values a few candidates exactly but ranks them all
+        fl = FacilityLocation(np.random.default_rng(5).uniform(size=(300, 1000)))
+        runs = prune_seq_disjoint(fl, 1000, 10, ell=4).stats.queries
+        assert runs == sum(1 + sum(1000 - 10 * r - i for i in range(10)) for r in range(4))
+        assert runs == 39224  # as before screening
+        assert prune_std_greedy(fl, 1000, 10).stats.queries == 1 + sum(range(991, 1001))
+        assert prune_window(fl, 1000, 3, omega=2).stats.queries == 1 + 1000 + 999 + 998
 
     def test_threshold_stream_counts_no_memo_hits(self):
         obj = gen_coverage(self.N, 40, seed=2)

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from prunekit.exact import opt_cardinality
 from prunekit.instances import gen_coverage
-from prunekit.objectives import Modular, counting_wrap
-from prunekit.selection import density_greedy, greedy, threshold_greedy
+from prunekit.objectives import Cut, FacilityLocation, Modular, counting_wrap
+from prunekit.prune import prune_threshold_stream
+from prunekit.selection import (density_greedy, disjoint_runs, greedy, threshold_greedy,
+                                threshold_stream, window_greedy)
 
 
 class TestGreedy:
@@ -168,3 +170,67 @@ class TestDensityGreedy:
             if all(g >= 0 for g in run.gains):
                 assert all(a >= b - 1e-9 for a, b in
                            zip(run.densities, run.densities[1:]))
+
+
+CYCLE6 = Cut(6, [(i, (i + 1) % 6) for i in range(6)])
+FL5x8 = FacilityLocation(np.random.default_rng(0).uniform(size=(5, 8)))
+
+
+class TestSizeChecks:
+    """Sizes an engine cannot honour raise ``ValueError`` naming the
+    argument, instead of a numpy error or a silently different run."""
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_window_width_below_one(self, width):
+        # width 0 raised numpy's IndexError; -1 ranked windows of all but
+        # the last candidate (7 and 6 ids on this 5x8 FL)
+        with pytest.raises(ValueError, match="width"):
+            window_greedy(FL5x8, range(8), 2, width, lambda w: 0)
+
+    def test_negative_rounds(self):
+        # returned an empty run, where greedy raises for a negative size
+        with pytest.raises(ValueError, match="rounds"):
+            window_greedy(FL5x8, range(8), -1, 2, lambda w: 0)
+
+    @pytest.mark.parametrize("index", [-1, 3, 5])
+    def test_choose_outside_the_window(self, index):
+        # -1 took the window's last entry; 5 raised a raw IndexError
+        with pytest.raises(ValueError, match="choose"):
+            window_greedy(FL5x8, range(8), 2, 3, lambda w: index)
+
+    def test_choose_inside_the_window_commits_that_entry(self):
+        run, windows = window_greedy(FL5x8, range(8), 2, 3, lambda w: w - 1)
+        assert run.picks == [windows[0][-1], windows[1][-1]]
+
+    def test_stream_k_below_one(self):
+        # k = 0 raised ZeroDivisionError
+        with pytest.raises(ValueError, match="k must"):
+            threshold_stream(CYCLE6, range(6), 0, 3, 0.5)
+
+    def test_stream_pruner_negative_k(self):
+        # a negative threshold kept every element: [0, 1, 2]
+        with pytest.raises(ValueError, match="k must"):
+            prune_threshold_stream(CYCLE6, range(6), -1, 3, 0.5)
+
+    def test_stream_pruner_negative_p(self):
+        # failed with "|P| = 0 exceeds cap -2"
+        with pytest.raises(ValueError, match="p must"):
+            prune_threshold_stream(CYCLE6, range(6), 2, -2, 0.5)
+
+    def test_stream_p_zero_accepts_nothing(self):
+        assert threshold_stream(CYCLE6, range(6), 2, 0, 0.5) == []
+
+
+def test_disjoint_runs_hand_on_ascending_id_arrays():
+    pools = []
+
+    def engine(pool):
+        pools.append(pool)
+        return greedy(FL5x8, pool, 2)
+
+    runs = disjoint_runs(engine, {7, 1, 3, 0, 5}, 3)
+    assert sorted(pools[0]) == [0, 1, 3, 5, 7]  # the first pool as given, listed once
+    for pool, before in zip(pools[1:], runs):
+        assert pool.dtype.kind == "i" and (np.diff(pool) > 0).all()
+        assert not set(pool.tolist()) & set(before.picks)
+    assert sorted(e for run in runs for e in run.picks) == [0, 1, 3, 5, 7]
