@@ -53,19 +53,25 @@ Candidate scans:
   ``add(e)``, ``values(cands)`` returns ``f(S + e)`` for a whole array of
   candidates, equal bit for bit to ``eval``.  It keeps ``S``'s folded state
   (:class:`Proxy`'s over its facility location) and folds each candidate's
-  row onto it; unweighted :class:`Cut` keeps the edges into ``S`` instead.
-  :class:`InterferenceCoverage` adds ``S``'s membership: each candidate's
-  penalty sums the weights of the pairs with an end in ``S``, in pair
-  order as ``eval`` sums them, for all candidates at once.
+  row onto it, reading the singleton values every run starts from from a
+  per-objective cache; unweighted :class:`Cut` keeps the edges into ``S``
+  instead, and unweighted :class:`Coverage` every candidate's gain,
+  exactly (see :class:`_CoverageScan`).  :class:`InterferenceCoverage`
+  adds ``S``'s membership: each candidate's penalty sums the weights of
+  the pairs with an end in ``S``, in pair order as ``eval`` sums them, for
+  all candidates at once.
 * ``top(cands, base, width)`` ranks: the window of the ``width`` largest
   gains ``f(S + e) - base``, lower position first on ties, with their
-  exact values.  By default it values every candidate.  The facility
-  location families (not :class:`Proxy`, whose clamp ties candidates the
-  facility location separates) keep approximate gains once a pass spans
-  several kernel blocks, update them from the rows each pick raises, and
-  value exactly only the candidates within a stated rounding bound of the
-  window (see :class:`_FacilityScan`).  Either way a ranking counts one
-  query per candidate.
+  exact values.  ``screen(cands, base)`` gives upper bounds on the gains
+  from gains the scan keeps, or ``None``.  By default ``top`` values every
+  candidate and ``screen`` keeps nothing.  The facility location families
+  (not :class:`Proxy`, whose clamp ties candidates the facility location
+  separates) keep approximate gains once a pass spans several kernel
+  blocks and bring them up to date from the rows the picks raised when
+  they are next read; ``top`` then values exactly only the candidates
+  within a stated rounding bound of the window, and ``screen`` returns the
+  gains plus that bound (see :class:`_FacilityScan`).  Either way a
+  ranking or a screen counts one query per candidate.
 
 Built-in families:
 
@@ -107,8 +113,10 @@ class OracleStats:
 
     ``queries`` counts set values computed: one per
     :meth:`CountingOracle.eval`, plus one per candidate a greedy engine's
-    :class:`CandidateScan` values or ranks (``f(S + e)``, whether ``top``
-    values it exactly or screens it out) and one per run for ``f(empty)``.
+    :class:`CandidateScan` values, ranks or screens (``f(S + e)``, whether
+    it is valued exactly or screened out) and one per run for ``f(empty)``;
+    a threshold sweep's exact re-read of a screened candidate is not
+    counted again.
     ``cache_hits`` is always 0; it stays in the serial form so that saved
     pruned sets keep their bytes.
     """
@@ -288,6 +296,12 @@ class Objective:
     _fold = property(lambda self: self)
     _sweep_ids = False
 
+    @functools.cached_property
+    def _singles(self) -> tuple[np.ndarray, np.ndarray]:
+        """``f({e})`` per id, as the scan's fold gives it, and which ids are
+        filled in: the scan fills them the first time a run reads them."""
+        return np.zeros(self.n, dtype=self._scan_dtype), np.zeros(self.n, dtype=bool)
+
     def _sweep_values(self, ids, states, size: int) -> np.ndarray:
         """``f`` of one size's rows as the exact enumerator builds them: their
         folded states under ``_fold``, else their id rows."""
@@ -405,11 +419,21 @@ def _cover_words(covers: Sequence[frozenset[int]], m: int) -> np.ndarray:
     """Covers packed into uint64 words, one row per element plus an all-zero
     empty-slot row, in ``np.packbits`` order: ``np.unpackbits`` gives back
     the items ``0..m-1`` in ascending order."""
-    n = len(covers)
-    bits = np.zeros((n + 1, 64 * max(1, -(-m // 64))), dtype=bool)
-    owner = np.repeat(np.arange(n), [len(cov) for cov in covers])
-    bits[owner, np.fromiter(itertools.chain.from_iterable(covers), np.intp, len(owner))] = True
+    bits = np.zeros((len(covers) + 1, _row_bits(m)), dtype=bool)
+    bits[_cover_entries(covers)] = True
     return np.packbits(bits, axis=1).view(np.uint64)
+
+
+def _row_bits(m: int) -> int:
+    """Bits in a row of cover words over ``m`` items: whole uint64 words, at least one."""
+    return 64 * max(1, -(-m // 64))
+
+
+def _cover_entries(covers: Sequence[frozenset[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, item)``: one entry per element and item it covers, by
+    element ascending, each cover's items in its iteration order."""
+    owner = np.repeat(np.arange(len(covers)), [len(cov) for cov in covers])
+    return owner, np.fromiter(itertools.chain.from_iterable(covers), np.intp, len(owner))
 
 
 def _covered_count(union: np.ndarray) -> np.ndarray:
@@ -481,6 +505,45 @@ class Coverage(_CoverObjective):
         if self.weights is None:
             return self._covered(s)
         return float(self.eval_ids(np.array([[*s, self.n]]))[0])  # one-row fold
+
+    def scan(self):
+        """Unweighted: the scan that keeps every gain exactly, when the
+        cover matrix spans more than one kernel block (below that a fold
+        pass is mostly fixed cost, less than building the table) and the
+        table fits; weighted, or otherwise, the fold's."""
+        if (self.weights is None and self.n * self.m > _KERNEL_CELLS
+                and self._incidence is not None):
+            return _CoverageScan(self)
+        return super().scan()
+
+    @functools.cached_property
+    def _incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """``(sizes, pair_ptr, pair_items, pair_owners)``: the cover sizes,
+        and per element ``e``, in the slice ``pair_ptr[e]:pair_ptr[e + 1]``,
+        each item of ``covers[e]`` paired with each element that covers it,
+        read from the item -> element incidence (CSR, by item).  ``None``
+        when the pairs, ``sum_i deg(i)^2`` over the items, would outnumber
+        the bits of the fold's cover words (``n`` rows of whole words): the
+        table stays within 8 bytes per bit of those words, and a pick
+        updates on average no more gains than a row of them holds bits."""
+        owner, item = _cover_entries(self.covers)
+        deg = np.bincount(item, minlength=self.m)
+        spans = deg[item]  # per entry, the elements that cover its item
+        ends = np.cumsum(spans)
+        cap = self.n * _row_bits(self.m)
+        if len(ends) and ends[-1] > cap:
+            return None
+        small = np.int32 if cap < 2**31 else np.intp  # every id and pair position fits
+        item_ptr = np.zeros(self.m + 1, dtype=np.intp)
+        np.cumsum(deg, out=item_ptr[1:])
+        item_owners = owner[np.argsort(item, kind="stable")].astype(small)
+        sizes = np.bincount(owner, minlength=self.n)
+        cover_ptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(sizes, out=cover_ptr[1:])
+        at = np.repeat((item_ptr[item] - ends + spans).astype(small), spans)
+        at += np.arange(len(at), dtype=small)
+        return (sizes.astype(np.int64), np.concatenate(([0], ends))[cover_ptr],
+                np.repeat(item.astype(small), spans), item_owners[at])
 
     def _finish(self, union):
         """Unweighted: the covered count.  Weighted: the covered items'
@@ -928,10 +991,11 @@ class CandidateScan:
     value per candidate, equal bit for bit to ``eval(S + e)``: integers for
     the integer-valued states, floats otherwise.  This default keeps ``S``'s
     state in the fold ``obj._fold``, ``None`` while ``S`` is empty, and
-    folds it in place onto each candidate's row.  :meth:`top` ranks the
-    candidates for the window engines.  With a ``counter`` (see
-    :func:`open_scan`) every value computed or ranked, ``f(empty)``
-    included, is recorded there as one query.
+    folds it in place onto each candidate's row; at the empty set it reads
+    the fold's singleton values, kept per objective (``_singles``).
+    :meth:`top` ranks the candidates for the window engines.  With a
+    ``counter`` (see :func:`open_scan`) every value computed, ranked or
+    screened, ``f(empty)`` included, is recorded there as one query.
     """
 
     def __init__(self, obj: Objective):
@@ -946,9 +1010,13 @@ class CandidateScan:
         self._count(1)
         return self.obj.eval(())
 
-    def values(self, cands) -> np.ndarray:
+    def values(self, cands, counted: bool = True) -> np.ndarray:
+        """``f(S + e)`` per candidate.  ``counted=False`` re-reads
+        candidates whose value at the current set is already recorded (a
+        threshold sweep's screened candidates) and records nothing."""
         cands = np.asarray(cands, dtype=np.intp)
-        self._count(len(cands))
+        if counted:
+            self._count(len(cands))
         return self._values(cands)
 
     def top(self, cands, base, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -958,6 +1026,13 @@ class CandidateScan:
         to :meth:`values`.  Records ``len(cands)`` queries, as ``values``
         does; this default values every candidate."""
         return _window(self.values(cands), base, width)
+
+    def screen(self, cands, base) -> np.ndarray | None:
+        """Upper bounds on the gains ``f(S + e) - base`` of ``cands`` from
+        gains the scan keeps, recording ``len(cands)`` queries, or ``None``,
+        recording nothing, when it keeps none for them.  This default keeps
+        none."""
+        return None
 
     def add(self, e: int) -> None:
         """Add candidate ``e`` to ``S``."""
@@ -971,6 +1046,13 @@ class CandidateScan:
 
     def _values(self, cands: np.ndarray) -> np.ndarray:
         fold = self._fold
+        if self._state is None:  # the values every run starts from, kept per objective
+            vals, known = fold._singles
+            fill = cands[~known[cands]]
+            if len(fill):
+                vals[fill] = fold._fold_values(fill[:, None])
+                known[fill] = True
+            return vals[cands]
         return fold._fold_values(cands[:, None], self._state).astype(fold._scan_dtype, copy=False)
 
     def _grow(self, e: int) -> None:
@@ -996,86 +1078,164 @@ def _window(vals: np.ndarray, base, width: int) -> tuple[np.ndarray, np.ndarray]
 
 
 class _FacilityScan(CandidateScan):
-    """Facility location's scan: ``top`` values exactly only the candidates
-    that can reach the window.
+    """Facility location's scan: ``top`` and ``screen`` value exactly only
+    the candidates that can reach a window or a threshold.
 
-    An exact pass that spans more than one kernel block also keeps its
-    gains ``G[e] = f(S + e) - base`` for its candidates.  A pick ``e``
-    raises the running best ``old_i`` to ``new_i = sim[i, e]`` on the rows
-    ``R`` where it is larger, and lowers the gain of every ``e'`` by
-    ``sum_{i in R} (clip(sim[i, e'], old_i, new_i) - old_i)``.  When those
-    ``|R| n`` cells cost less than an exact pass over the candidates ``G``
-    still serves, ``add`` subtracts from ``G`` the clipped rows' sums less
-    the sum of the ``old_i``, gathering the rows from a C-contiguous
-    ``(m, n)`` copy of the similarities; otherwise it drops ``G``, and the
-    next ``top`` makes an exact pass.
+    An exact ``values`` pass that spans more than one kernel block, over
+    candidates the kept gains do not serve, keeps their gains
+    ``G[e] = f(S + e) - b0``, with ``b0`` the scan's own ``f(S)``.  A pick
+    leaves ``G`` as it is until the next ``top`` or ``screen`` reads it, so
+    the last pick of a run costs nothing.  The read brings ``G`` from the
+    set it was kept at to the current one: each row ``i`` of the rows ``R``
+    whose running best rose from ``old_i`` to ``new_i`` lowers the gain of
+    every ``e'`` by ``clip(sim[i, e'], old_i, new_i) - old_i``, so ``G``
+    loses the clipped rows' sums less the sum of the ``old_i``, gathered
+    a kernel block of rows at a time from a C-contiguous ``(m, n)`` copy of
+    the similarities.  ``top`` does
+    that when its ``|R| n`` cells cost less than an exact pass over the
+    candidates ``G`` still serves, and otherwise drops ``G`` and makes
+    that pass.  ``screen`` always does it: without ``G`` a threshold sweep
+    values about every candidate exactly after each pick, and an update
+    gathers at most ``m n`` cells.
 
-    With ``G``, ``top`` values exactly, by ``values``' kernel, only the
-    candidates whose ``G`` lies within ``2 delta`` of the window's
-    threshold ``T``, the ``width``-th largest ``G``, and ranks them.  Let
-    ``u = eps / 2``, ``M = sum_i max_e sim[i, e]`` (no value, row sum or
-    gain here exceeds it), ``A`` the additions made to ``G`` since its pass
-    (``2 |R| + 2`` per update: two sums over ``R``, their difference and
-    the subtraction from ``G``), and ``b0``, ``b`` the bases then and now.
-    An exact value adds ``m`` terms, so it is within ``(m - 1) u M`` of
-    the real one; taking the base off adds ``u (M + |b|)``; an update adds
-    at most ``2 |R| u M``.  So, up to a shift common to every candidate
-    (the drift of the base from ``f(S)``), ``G`` is within
-    ``u (2m + A) (M + |b0| + |b|)`` of the gain ``top`` ranks by, and
-    ``delta = 2 eps (m + A + 2) (M + |b0| + |b|)`` bounds that with room
-    for the second-order terms.  The ``width`` candidates with the largest
-    ``G`` then all gain at least ``T - delta``, so every candidate in the
-    window or tied with its last has ``G >= T - 2 delta``: one outside the
-    margin can neither tie nor beat the window, and picks, gains and
-    windows stay those of an exact pass.
+    The margin.  Let ``u = eps / 2``, ``M = sum_i max_e sim[i, e]`` (no
+    value, row sum or gain here exceeds it), ``A`` the additions made to
+    ``G`` since its pass (``2 |R| + 2`` per update: two sums over ``R``,
+    their difference and the subtraction from ``G``), and ``b`` the
+    engine's base now.  An exact value adds ``m`` terms, so it is within
+    ``(m - 1) u M`` of the real one, and so is ``b0``; taking ``b0`` off
+    adds ``u (M + |b0|)``, and an update at most ``2 |R| u M``.  The base
+    is the last pick's exact value after two roundings, within
+    ``(m + 2) u M`` of the real ``f(S)``.  So ``G`` is within
+    ``u (4m + A + 1) (M + |b0| + |b|)`` of the gain ``f(S + e) - b`` the
+    engine compares, and ``delta = 2 eps (m + A + 2) (M + |b0| + |b|)``
+    bounds that with room for the second-order terms.  :meth:`_kept`
+    gives ``G`` with the margin ``2 delta``:
+
+    * ``top`` values exactly, by ``values``' kernel, only the candidates
+      whose ``G`` lies within the margin of the window's threshold ``T``,
+      the ``width``-th largest ``G``, and ranks them.  The ``width``
+      candidates with the largest ``G`` all gain at least ``T - delta``,
+      so every candidate in the window or tied with its last has
+      ``G >= T - 2 delta``: picks, gains and windows stay those of an
+      exact pass.
+    * ``screen`` returns ``G`` plus the margin.  A candidate whose bound
+      is below a threshold ``tau`` gains less than ``tau - delta``, so a
+      threshold sweep values exactly only the others, and its first hit
+      stays the same.
     """
 
     def __init__(self, obj: FacilityLocation):
         super().__init__(obj)
         self._approx = None  # G per id, while it serves the candidates below
         self._live = None  # its exact pass's candidates, less the ids added since
+        self._at = None  # the running best that G is at
+        self._behind = False  # whether picks were added since
         self._adds = 0
         self._base = 0.0  # |b0|
 
+    def values(self, cands, counted=True):
+        cands = np.asarray(cands, dtype=np.intp)
+        vals = super().values(cands, counted)
+        obj, state = self.obj, self._state
+        if len(cands) * obj.m > _KERNEL_CELLS and not self._serves(cands):
+            b0 = 0.0 if state is None else float(state.sum())
+            self._approx = np.empty(obj.n)
+            self._approx[cands] = _gains(vals, b0)
+            self._live = np.zeros(obj.n, dtype=bool)
+            self._live[cands] = True
+            self._at = np.zeros(obj.m) if state is None else state.copy()
+            self._behind, self._adds, self._base = False, 0, abs(b0)
+        return vals
+
     def top(self, cands, base, width):
         cands = np.asarray(cands, dtype=np.intp)
-        obj = self.obj
-        if self._approx is None or not self._live[cands].all():
-            vals = self.values(cands)
-            if len(cands) * obj.m > _KERNEL_CELLS:  # more than one block: screen from here on
-                self._approx = np.empty(obj.n)
-                self._approx[cands] = _gains(vals, base)
-                self._live = np.zeros(obj.n, dtype=bool)
-                self._live[cands] = True
-                self._adds, self._base = 0, abs(base)
-            return _window(vals, base, width)
+        kept = self._kept(cands, base, update=False)
+        if kept is None:
+            return _window(self.values(cands), base, width)
         self._count(len(cands))
-        approx = self._approx[cands]
+        approx, margin = kept
         last = len(cands) - min(width, len(cands))
         bar = approx.max() if last == len(cands) - 1 else np.partition(approx, last)[last]
-        delta = (2 * np.finfo(float).eps * (obj.m + self._adds + 2)
-                 * (obj._sim_bound + self._base + abs(base)))
-        near = np.flatnonzero(approx >= bar - 2 * delta)
+        near = np.flatnonzero(approx >= bar - margin)
         ranked, vals = _window(self._values(cands[near]), base, width)
         return near[ranked], vals
 
+    def screen(self, cands, base):
+        cands = np.asarray(cands, dtype=np.intp)
+        kept = self._kept(cands, base, update=True)
+        if kept is None:
+            return None
+        self._count(len(cands))
+        approx, margin = kept
+        return approx + margin
+
+    def _serves(self, cands) -> bool:
+        return self._approx is not None and bool(self._live[cands].all())
+
+    def _kept(self, cands, base, update: bool):
+        """``(G[cands], 2 delta)``, ``G`` brought to the current set first,
+        or ``None`` when ``G`` does not serve ``cands``.  Unless
+        ``update``, a read whose update would cost more cells than an exact
+        pass drops ``G`` instead and gives ``None``."""
+        if not self._serves(cands):
+            return None
+        obj = self.obj
+        if self._behind:
+            new, old = self._state, self._at
+            raised = np.flatnonzero(new > old)
+            if not update and len(raised) * obj.n >= np.count_nonzero(self._live) * obj.m:
+                self._approx = None
+                return None
+            lo, hi = old[raised], new[raised]
+            step = max(1, _KERNEL_CELLS // obj.n)  # rows of one kernel block
+
+            def clipped_sums(at):
+                sims = obj._sim_rows[raised[at:at + step]]
+                np.maximum(sims, lo[at:at + step, None], out=sims)
+                np.minimum(sims, hi[at:at + step, None], out=sims)
+                return sims.sum(axis=0)
+
+            lost = functools.reduce(np.add, map(clipped_sums, range(0, max(1, len(raised)), step)))
+            self._approx -= lost - lo.sum()
+            self._adds += 2 * len(raised) + 2
+            old[raised] = hi
+            self._behind = False
+        delta = (2 * np.finfo(float).eps * (obj.m + self._adds + 2)
+                 * (obj._sim_bound + self._base + abs(base)))
+        return self._approx[cands], 2 * delta
+
     def _grow(self, e):
         if self._approx is not None:
-            obj = self.obj
             self._live[e] = False
-            new = self._fold._rows[e]
-            old = np.zeros_like(new) if self._state is None else self._state
-            raised = np.flatnonzero(new > old)
-            if len(raised) * obj.n < np.count_nonzero(self._live) * obj.m:
-                sims = obj._sim_rows[raised]
-                lo = old[raised]
-                np.maximum(sims, lo[:, None], out=sims)
-                np.minimum(sims, new[raised, None], out=sims)
-                self._approx -= sims.sum(axis=0) - lo.sum()
-                self._adds += 2 * len(raised) + 2
-            else:
-                self._approx = None
+            self._behind = True
         super()._grow(e)
+
+
+class _CoverageScan(CandidateScan):
+    """Unweighted coverage keeps every gain exactly: the covered count and,
+    per element, ``G[e]``, the items of its cover not yet covered, so
+    ``f(S + e)`` is the count plus ``G[e]``, one gather.  A pick ``e`` adds
+    ``G[e]`` to the count and takes one off the gain of every element that
+    covers each item ``e`` newly covers, read from its slice of the
+    objective's pair table."""
+
+    def __init__(self, obj: Coverage):
+        super().__init__(obj)
+        self._total = 0
+        self._gain = obj._incidence[0].copy()
+        self._covered = np.zeros(obj.m, dtype=bool)
+
+    def _values(self, cands):
+        return self._total + self._gain[cands]
+
+    def _grow(self, e):
+        _, pair_ptr, pair_items, pair_owners = self.obj._incidence
+        lo, hi = pair_ptr[e], pair_ptr[e + 1]
+        items = pair_items[lo:hi]
+        self._total += int(self._gain[e])
+        np.subtract.at(self._gain, pair_owners[lo:hi][~self._covered[items]], 1)
+        self._covered[items] = True
 
 
 class _CutScan(CandidateScan):

@@ -20,12 +20,19 @@ run.  Pruners pass a CountingOracle, which records those queries.
 
 :func:`greedy` and :func:`window_greedy` share one rank-and-commit loop
 over the scan's ``top``, which returns a round's window with exact values:
-plain greedy commits the best candidate of a window one element wide.  On
-the facility location families ``top`` values exactly only the candidates
-that can reach the window; :func:`threshold_greedy`, :func:`density_greedy`
-and :func:`threshold_stream` read every candidate's value and scan with
-``values``.  :func:`disjoint_runs` is the pruners' one pool-shrinking loop
-over any engine.
+plain greedy commits the best candidate of a window one element wide.
+:func:`density_greedy` and :func:`threshold_stream` read candidates through
+``values``, and :func:`threshold_greedy` through ``values`` or, where the
+scan keeps gains, their upper bounds from ``screen``.  Scans that keep
+gains spare every engine the candidates a pick cannot have changed:
+unweighted coverage keeps every gain exactly, so its ``values`` is one
+gather, and the facility location families keep approximate gains once a
+pass spans several kernel blocks, so ``top`` and a threshold sweep value
+exactly only the candidates within a derived rounding bound of the window
+or the threshold.  A threshold sweep that finds no hit with every value
+fresh steps over the levels above the best gain without sweeping them.
+:func:`disjoint_runs` is the pruners' one pool-shrinking loop over any
+engine.
 """
 
 from __future__ import annotations
@@ -131,7 +138,13 @@ def threshold_greedy(oracle, pool: Iterable[int], size: int, eta: float) -> Gree
 
     A sweep scans lazily, as a memo would: values taken at the current set
     are kept, and values made stale by an acceptance are rescanned in
-    chunks of ``_FIRST_CHUNK`` elements, doubling, as the sweep reaches them.
+    chunks of ``_FIRST_CHUNK`` elements, doubling, as the sweep reaches them;
+    each chunk records one query per stale candidate.  Where the scan keeps
+    gains (``screen``), a rescan reads their upper bounds instead, and only
+    a candidate whose bound reaches the threshold is valued exactly.  Once
+    a sweep ends with every value fresh, no level above the best gain (or
+    bound) can hit: those levels are stepped over by the same products,
+    without a sweep.
     """
     if not (0 < eta < 1):
         raise ValueError(f"eta must be in (0, 1), got {eta}")
@@ -146,8 +159,9 @@ def threshold_greedy(oracle, pool: Iterable[int], size: int, eta: float) -> Gree
     if d <= 0:
         return run
     base = scan.empty_value()
-    gains = _gains(vals, base)
+    gains = _gains(vals, base)  # exact, or an upper bound where ``bounded``
     fresh = np.ones(len(remaining), dtype=bool)  # scanned at the current set
+    bounded = np.zeros(len(remaining), dtype=bool)
     floor = (eta / len(remaining)) * d
     tau = d
     while tau >= floor and len(run.picks) < size and len(remaining):
@@ -156,9 +170,19 @@ def threshold_greedy(oracle, pool: Iterable[int], size: int, eta: float) -> Gree
             stop = len(remaining) if fresh[start:].all() else start + width
             stale = start + np.flatnonzero(~fresh[start:stop])
             if len(stale):
-                vals[stale] = scan.values(remaining[stale])
-                gains[stale] = _gains(vals[stale], base)
+                bounds = scan.screen(remaining[stale], base)
+                if bounds is None:
+                    vals[stale] = scan.values(remaining[stale])
+                    gains[stale] = _gains(vals[stale], base)
+                else:
+                    gains[stale] = bounds
+                bounded[stale] = bounds is not None
                 fresh[stale] = True
+            near = start + np.flatnonzero(bounded[start:stop] & (gains[start:stop] >= tau))
+            if len(near):  # bounds that reach tau: their exact values, already counted
+                vals[near] = scan.values(remaining[near], counted=False)
+                gains[near] = _gains(vals[near], base)
+                bounded[near] = False
             hits = np.flatnonzero(gains[start:stop] >= tau)
             if not len(hits):
                 start, width = stop, 2 * width
@@ -170,12 +194,23 @@ def threshold_greedy(oracle, pool: Iterable[int], size: int, eta: float) -> Gree
             base += gain
             run.picks.append(e)
             run.gains.append(gain)
-            remaining, vals, gains, fresh = (_drop(a, at)
-                                             for a in (remaining, vals, gains, fresh))
+            remaining, vals, gains, fresh, bounded = (
+                _drop(a, at) for a in (remaining, vals, gains, fresh, bounded))
             fresh[:] = False
             start, width = at, _FIRST_CHUNK
         tau *= 1.0 - eta
+        if len(remaining) and fresh.all():  # no level above the best gain can hit
+            tau = _live_level(tau, gains.max(), eta, floor)
     return run
+
+
+def _live_level(tau, best, eta: float, floor):
+    """The first threshold of the schedule from ``tau`` (``tau *= 1 - eta``,
+    the same products the sweeps make) at or below ``best``, or the first
+    below ``floor``: a sweep at any level above ``best`` finds no hit."""
+    while best < tau >= floor:
+        tau *= 1.0 - eta
+    return tau
 
 
 def density_greedy(oracle, pool: Iterable[int], costs, stop_cost: float,

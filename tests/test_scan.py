@@ -83,6 +83,55 @@ def ref_threshold_greedy(oracle, pool, size, eta):
     return picks, gains
 
 
+def ref_threshold_queries(obj, pool, size, eta, chunk):
+    """``(queries, dead)`` of threshold_greedy's chunked-rescan rule, walked
+    with one ``eval`` per value: the singleton values and ``f(empty)``, then
+    per sweep chunks of ``chunk`` positions, doubling while they hold no
+    hit and reset at each acceptance, each counting its stale candidates.
+    It walks every level; ``dead`` counts the levels after the first that
+    a sweep enters with every value fresh and leaves with no acceptance.
+    Such a level counts nothing, so the engine may step over it."""
+    remaining = sorted(set(int(e) for e in pool))
+    if not remaining or size == 0:
+        return 0, 0
+    singles = [obj.eval((e,)) for e in remaining]
+    d = max(singles)
+    if d <= 0:
+        return len(remaining), 0
+    base = obj.eval(())
+    queries, dead, picks = len(remaining) + 1, 0, 0
+    gains = [v - base for v in singles]
+    fresh = [True] * len(remaining)
+    current = set()
+    floor = (eta / len(remaining)) * d
+    tau = d
+    while tau >= floor and picks < size and remaining:
+        entered_fresh, accepted = all(fresh) and tau < d, False
+        start, width = 0, chunk
+        while start < len(remaining) and picks < size:
+            stop = len(remaining) if all(fresh[start:]) else min(start + width, len(remaining))
+            for i in range(start, stop):
+                if not fresh[i]:
+                    gains[i] = obj.eval(current | {remaining[i]}) - base
+                    fresh[i] = True
+                    queries += 1
+            hits = [i for i in range(start, stop) if gains[i] >= tau]
+            if not hits:
+                start, width = stop, 2 * width
+                continue
+            at = hits[0]
+            current.add(remaining[at])
+            base += gains[at]
+            picks += 1
+            accepted = True
+            del remaining[at], gains[at]
+            fresh = [False] * len(remaining)
+            start, width = at, chunk
+        dead += entered_fresh and not accepted
+        tau *= 1.0 - eta
+    return queries, dead
+
+
 def ref_density_greedy(oracle, pool, costs, stop_cost, keep_cap):
     remaining = sorted(set(int(e) for e in pool))
     cost_of = {e: float(costs[e]) for e in remaining}
@@ -206,6 +255,21 @@ class TestCandidateScan:
         for name, obj in scan_families(6, 1).items():
             assert obj.scan().values([0, 1]).dtype.kind in "if", name
 
+    def test_empty_set_values_are_kept_per_objective(self):
+        obj = FacilityLocation(np.random.default_rng(2).uniform(size=(20, 50)))
+        rows, fold = [], Objective._fold_values
+
+        def spy(self, ids, state=None):
+            rows.append(len(ids))
+            return fold(self, ids, state)
+
+        with mock.patch.object(Objective, "_fold_values", spy):
+            first = obj.scan().values([3, 7, 9]).tolist()
+            again = obj.scan().values([9, 3, 12]).tolist()
+        assert rows == [3, 1]  # the second scan folds only id 12
+        assert typed(first) == typed([obj.eval([e]) for e in (3, 7, 9)])
+        assert typed(again) == typed([obj.eval([e]) for e in (9, 3, 12)])
+
     def test_counting_oracle_records_every_value(self, triangle):
         oracle = counting_wrap(triangle)
         scan = open_scan(oracle)
@@ -315,6 +379,95 @@ class TestMultiWordCovers:
             members.append(e)
 
 
+def kept_gain_coverage(n, m, seed, empty, everyone, twice):
+    """Unweighted coverage over ``m`` items, optionally with an empty
+    cover, an item that every element covers and a cover given twice."""
+    rng = np.random.default_rng(seed)
+    covers = [set(rng.choice(m, size=rng.integers(0, min(m, 5) + 1), replace=False).tolist())
+              for _ in range(n)]
+    if everyone:
+        item = int(rng.integers(m))
+        for cov in covers:
+            cov.add(item)
+    if twice and n > 1:
+        covers[-1] = set(covers[0])
+    if empty:
+        covers[int(rng.integers(n))] = set()
+    return Coverage(covers, m=m)
+
+
+class TestKeptCoverageGains:
+    """Unweighted coverage keeps every gain exactly: values along a growth
+    path equal ``eval`` and the fold scan, as Python ints."""
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 129])
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 12), empty=st.booleans(),
+           everyone=st.booleans(), twice=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_growth_path_matches_eval_and_the_fold(self, m, seed, n, empty, everyone, twice):
+        obj = kept_gain_coverage(n, m, seed, empty, everyone, twice)
+        with mock.patch.object(objectives, "_KERNEL_CELLS", 0):  # every cover matrix spans blocks
+            scan = obj.scan()
+        fold = objectives.CandidateScan(obj)
+        assert type(scan) is objectives._CoverageScan
+        assert typed([scan.empty_value()]) == typed([obj.eval(())])
+        members = []
+        for e in np.random.default_rng(seed).permutation(n).tolist():
+            cands = np.array([c for c in range(n) if c not in members], dtype=np.intp)
+            got = scan.values(cands).tolist()
+            assert typed(got) == typed([obj.eval(members + [c]) for c in cands.tolist()])
+            assert got == fold.values(cands).tolist()
+            scan.add(e)
+            fold.add(e)
+            members.append(e)
+
+    def test_every_engine_gives_python_int_gains(self):
+        obj = gen_coverage(300, 300, seed=3)
+        assert type(obj.scan()) is objectives._CoverageScan
+        runs = [greedy(counting_wrap(obj), range(300), 6),
+                threshold_greedy(counting_wrap(obj), range(300), 6, 0.1),
+                density_greedy(counting_wrap(obj), range(300), np.linspace(0.5, 1.5, 300), 3.0,
+                               4.0),
+                window_greedy(counting_wrap(obj), range(300), 6, 3, lambda w: w - 1)[0]]
+        for run in runs:
+            assert run.gains and all(type(g) is int for g in run.gains)
+
+    def test_the_incidence_is_built_once_per_objective(self):
+        obj = gen_coverage(400, 300, seed=4)
+        with mock.patch.object(objectives, "_cover_entries",
+                               wraps=objectives._cover_entries) as entries:
+            prune_seq_disjoint(obj, 400, 5, ell=3)
+            threshold_greedy(counting_wrap(obj), range(400), 5, 0.1)
+            density_greedy(counting_wrap(obj), range(400), np.ones(400), 4.0, 4.0)
+            threshold_stream(counting_wrap(obj), range(400), 5, 5, 0.2)
+        assert entries.call_count == 1
+        assert type(obj.scan()) is objectives._CoverageScan
+
+    def test_small_cover_matrices_stay_on_the_fold(self):
+        # 22 x 30 cells: one kernel block, where a fold pass is mostly fixed cost
+        assert type(gen_coverage(22, 30, seed=1).scan()) is objectives.CandidateScan
+        assert type(gen_coverage(1000, 500, seed=1).scan()) is objectives._CoverageScan
+
+    def test_other_coverage_scans_keep_their_classes(self):
+        covers = [[0, 1], [1, 2], [2, 3]]
+        assert type(Coverage(covers, weights=[1.0, 2.0, 1.0, 0.5]).scan()) \
+            is objectives.CandidateScan
+        assert type(InterferenceCoverage(covers, {(0, 1): 1.0}, lam=0.5).scan()) \
+            is objectives._InterferenceScan
+
+    def test_a_pair_table_beyond_the_cover_words_falls_back_to_the_fold(self):
+        # 1,200 elements all covering item 0: over 1.4 million pairs against
+        # 1,200 rows of 64 bits, on a cover matrix of 72,000 cells
+        n = 1200
+        obj = Coverage([[0, e % 59 + 1] for e in range(n)], m=60)
+        assert obj._incidence is None
+        assert type(obj.scan()) is objectives.CandidateScan
+        new, ref = both(obj)
+        run = greedy(new, range(n), 3)
+        picks, gains = ref_greedy(ref, range(n), 3)
+        assert run.picks == picks and typed(run.gains) == typed(gains)
+
+
 def one_hot_families(n, seed):
     """Weighted Cut and ``Modular``, whose batched paths fold one-hot
     membership words of ``ceil(n / 64)`` words per row."""
@@ -373,6 +526,23 @@ def both(obj):
     return counting_wrap(obj), CountingOracle(obj)
 
 
+def level_spy():
+    """``(steps, patch)``: while ``patch`` is active, the threshold levels
+    each dead-level skip of threshold_greedy steps over go to ``steps``."""
+    steps = []
+    live = selection._live_level
+
+    def spy(tau, best, eta, floor):
+        out, count = live(tau, best, eta, floor), 0
+        while tau != out:
+            tau *= 1.0 - eta
+            count += 1
+        steps.append(count)
+        return out
+
+    return steps, mock.patch.object(selection, "_live_level", spy)
+
+
 class TestEnginesMatchScalarReference:
     @pytest.mark.parametrize("name", FAMILY_NAMES)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 8),
@@ -418,6 +588,46 @@ class TestEnginesMatchScalarReference:
         new, ref = both(obj)
         assert (threshold_stream(new, order, k, max(1, size), eta)
                 == ref_threshold_stream(ref, order, k, max(1, size), eta))
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 9), size=st.integers(0, 9),
+           eta=st.sampled_from([0.05, 0.2, 0.5]), chunk=st.sampled_from([1, 2, 64]))
+    @settings(max_examples=40, deadline=None)
+    def test_threshold_queries_match_the_counting_reference(self, name, seed, n, size, eta,
+                                                            chunk):
+        obj = scan_families(n, seed)[name]
+        rng = np.random.default_rng(seed)
+        pool = sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+        oracle, skipped = counting_wrap(obj), level_spy()
+        with mock.patch.object(selection, "_FIRST_CHUNK", chunk), skipped[1]:
+            threshold_greedy(oracle, pool, size, eta)
+        queries, dead = ref_threshold_queries(obj, pool, size, eta, chunk)
+        assert oracle.stats().queries == queries
+        assert sum(skipped[0]) == dead  # no family screens at this size
+
+    def test_dead_levels_are_skipped_with_their_products(self):
+        eta, floor = 0.05, 1e-3
+        taus = [1.0]
+        while taus[-1] >= floor:
+            taus.append(taus[-1] * (1.0 - eta))
+        for best in (0.999, taus[7], np.nextafter(taus[7], 0.0), 0.5, 1e-9):
+            got = selection._live_level(1.0, best, eta, floor)
+            want = next(t for t in taus if t <= best or t < floor)
+            assert got.hex() == want.hex()
+        assert selection._live_level(1.0, 2.0, eta, floor) == 1.0
+
+    @pytest.mark.parametrize("family", ["coverage", "facility_location"])
+    def test_large_pools_skip_dead_levels(self, family):
+        obj = {"coverage": gen_coverage(400, 300, seed=7),  # the kept-gain scan
+               "facility_location": FacilityLocation(  # one block: the exact path
+                   np.random.default_rng(5).uniform(size=(60, 400)))}[family]
+        oracle, skipped = counting_wrap(obj), level_spy()
+        with skipped[1]:
+            run = threshold_greedy(oracle, range(400), 40, 0.05)
+        queries, dead = ref_threshold_queries(obj, range(400), 40, 0.05, selection._FIRST_CHUNK)
+        assert oracle.stats().queries == queries and sum(skipped[0]) == dead > 0
+        picks, gains = ref_threshold_greedy(CountingOracle(obj), range(400), 40, 0.05)
+        assert run.picks == picks and typed(run.gains) == typed(gains)
 
     @pytest.mark.parametrize("family", ["cut", "coverage", "facility_location", "proxy"])
     def test_large_pools_with_chunked_rescans(self, family):
@@ -661,6 +871,109 @@ class TestScreenedTop:
         assert calls == [40 - i for i in range(10)] + [22 - i for i in range(15)]
 
 
+def updates_applied():
+    """A spy on the facility-location scan's reads: one flag per read, true
+    when the read brought the kept gains up to the current set."""
+    flags = []
+    kept = objectives._FacilityScan._kept
+
+    def spy(self, cands, base, update):
+        behind = self._behind
+        out = kept(self, cands, base, update)
+        flags.append(behind and out is not None)
+        return out
+
+    return flags, mock.patch.object(objectives._FacilityScan, "_kept", spy)
+
+
+def bounds_read():
+    """A spy on ``screen``: the number of bounds each call returns (0 for ``None``)."""
+    counts = []
+    screen = objectives._FacilityScan.screen
+
+    def spy(self, cands, base):
+        out = screen(self, cands, base)
+        counts.append(0 if out is None else len(out))
+        return out
+
+    return counts, mock.patch.object(objectives._FacilityScan, "screen", spy)
+
+
+class TestScreenedThresholdSweep:
+    """With ``_KERNEL_CELLS`` at 64 the singleton pass of a threshold run
+    spans several blocks on small instances, so its sweeps read kept gains."""
+
+    @pytest.mark.parametrize("name", sorted(near_tie_facilities(2, 4, 0)))
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 12), n=st.integers(2, 40),
+           size=st.integers(0, 10), eta=st.sampled_from([0.05, 0.2, 0.5]),
+           chunk=st.sampled_from([1, 2, 64]))
+    @settings(max_examples=20, deadline=None)
+    def test_transcripts_and_queries_match_the_references(self, name, seed, m, n, size, eta,
+                                                          chunk):
+        obj = near_tie_facilities(m, n, seed)[name]
+        new, ref = both(obj)
+        with mock.patch.object(objectives, "_KERNEL_CELLS", 64), \
+                mock.patch.object(selection, "_FIRST_CHUNK", chunk):
+            run = threshold_greedy(new, range(n), size, eta)
+        picks, gains = ref_threshold_greedy(ref, range(n), size, eta)
+        assert run.picks == picks and typed(run.gains) == typed(gains)
+        assert new.stats().queries == ref_threshold_queries(obj, range(n), size, eta, chunk)[0]
+
+    @pytest.mark.parametrize("name", sorted(near_tie_facilities(2, 4, 0)))
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 12), n=st.integers(8, 40))
+    @settings(max_examples=20, deadline=None)
+    def test_bounds_cover_the_exact_gains_along_a_growth_path(self, name, seed, m, n):
+        # the sweep leaves out a candidate whose bound is below tau, so no
+        # bound may fall below the gain the engine would compute
+        obj = near_tie_facilities(m, n, seed)[name]
+        rng = np.random.default_rng(seed)
+        pool = np.arange(n)
+        with mock.patch.object(objectives, "_KERNEL_CELLS", 64):
+            scan = obj.scan()
+            vals, base = scan.values(pool), obj.eval(())
+            while len(pool):
+                bounds = scan.screen(pool, base)
+                exact = scan.values(pool, counted=False)
+                if bounds is not None:
+                    assert (bounds >= objectives._gains(exact, base)).all()
+                at = int(rng.integers(len(pool)))
+                base += exact[at].item() - base
+                scan.add(int(pool[at]))
+                pool = np.delete(pool, at)
+
+    @pytest.mark.parametrize("name", ["duplicate_columns", "ulp_apart_columns", "zero_columns",
+                                      "restricted"])
+    def test_small_instances_screen(self, name):
+        obj = near_tie_facilities(6, 40, 3)[name]
+        counts, spy = bounds_read()
+        with mock.patch.object(objectives, "_KERNEL_CELLS", 64), spy:
+            run = threshold_greedy(counting_wrap(obj), range(40), 8, 0.05)
+        assert max(counts) > 0
+        picks, gains = ref_threshold_greedy(CountingOracle(obj), range(40), 8, 0.05)
+        assert run.picks == picks and typed(run.gains) == typed(gains)
+
+    def test_benchmark_size_values_few_candidates_per_pick(self):
+        fl = FacilityLocation(np.random.default_rng(5).uniform(size=(300, 1000)))
+        calls, spy = rows_valued()
+        counts, screens = bounds_read()
+        with spy, screens:
+            pruned = prune_fast_budget_range(fl, 1000, 10, epsilon=0.2)
+        assert calls[0] == 1000  # the singleton pass, which keeps the gains
+        assert len(pruned.elements) == 10 and sum(calls[1:]) <= 30
+        assert min(counts) > 0  # every rescan read kept gains
+        assert pruned.stats.queries == 9956
+
+    def test_the_last_pick_of_a_run_updates_nothing(self):
+        # per run: the read after the first pick drops the gains (the update
+        # would cost more than a pass), picks 2..9 are each brought in by the
+        # next read, and no read follows pick 10
+        fl = FacilityLocation(np.random.default_rng(5).uniform(size=(300, 1000)))
+        flags, spy = updates_applied()
+        with spy:
+            prune_seq_disjoint(fl, 1000, 10, ell=4)
+        assert sum(flags) == 4 * 8
+
+
 # --------------------------------------------------------------------------
 # query accounting: one query per set value a scan computes
 
@@ -695,6 +1008,10 @@ class TestPinnedQueryCounts:
         pruned = prune_fast_budget_range(obj, self.N, self.K, epsilon=0.2)
         assert pruned.stats == OracleStats(queries=88, cache_hits=0)
         assert pruned.stats.queries <= 50 * (self.N / 0.2) * math.log(self.N / 0.2)
+        # facility location 300x1000 at k = 10, whose sweeps read kept gains:
+        # 1000 singleton values, f(empty) and 8,955 rescans, as before screening
+        fl = FacilityLocation(np.random.default_rng(5).uniform(size=(300, 1000)))
+        assert prune_fast_budget_range(fl, 1000, 10, epsilon=0.2).stats.queries == 9956
 
     def test_screened_facility_location_counts_every_candidate(self):
         # a screened pick values a few candidates exactly but ranks them all
