@@ -29,15 +29,16 @@ optimum depends on the batching.
 Lexicographic order is the reverse of this order (``A`` precedes ``B`` when
 ``min(A ^ B)`` lies in ``A``), so a size's canonical witness, its
 lexicographically smallest optimum, is its *last* maximum, read back from
-its colex rank; ``collect_ties`` keeps the last ``TIE_CAP`` maxima.  The
-flagged rows give the profile over ``inside`` from the same sweep, so
-:func:`~prunekit.harness.containment_report` enumerates ``N`` once, not
-``N`` and then ``P``.  Memory stays bounded: a size table is whole only up
-to ``_CHUNK`` rows and ``_STATE_CELLS`` folded cells, only the last whole
-table is held, and larger tables come in batches of leaves of at most
-``_GROUP_ROWS`` rows, in two buffers per table kind reused batch after
-batch.  An enumeration of at most ``_GROUP_ROWS`` subsets is one cached id
-batch, padded with the empty-slot id ``n``: one ``eval_ids`` call.
+its colex rank.  The flagged rows give the profile over ``inside`` from the
+same sweep, so :func:`~prunekit.harness.containment_report` enumerates ``N``
+once, not ``N`` and then ``P``.  Memory stays bounded: a size table is whole
+only up to ``_CHUNK`` rows and ``objectives._KERNEL_CELLS`` folded cells,
+only the last whole table is held, and larger tables come in batches of
+leaves of at most ``_GROUP_ROWS`` rows, in two buffers per table kind reused
+batch after batch.  An enumeration of at most ``_GROUP_ROWS`` subsets is one
+cached id batch, padded with the empty-slot id ``n``: one ``eval_ids`` call.
+Its rows come in the sweep's order, so its witnesses are read back the same
+way.
 
 :func:`opt_knapsack` builds no id tables.  It reads two power-set tables
 indexed by the subset mask over the sorted universe (bit ``i`` stands for
@@ -57,10 +58,9 @@ budgets from the largest down: the feasible sets shrink, so a budget keeps
 the last maximum and its tied masks that still fit, and pays a full masked
 pass over the block only when none of them does.
 
-The module constants ``_CHUNK``, ``_GROUP_ROWS``, ``_STATE_CELLS`` and
-:data:`TIE_CAP` (the most optimal sets a ``collect_ties`` profile keeps) are
-read at call time, so tests patch them instead of passing them as
-arguments.
+The module constants ``_CHUNK`` and ``_GROUP_ROWS``, and
+``objectives._KERNEL_CELLS``, are read at call time, so tests patch them
+instead of passing them as arguments.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import objectives
 from .objectives import Objective, power_set_sums, power_set_values, sorted_ids
 
 __all__ = ["GuardExceeded", "enumeration_guard", "cardinality_subset_count",
@@ -88,11 +89,6 @@ _CHUNK = 1 << 17
 #: an enumeration of at most this many subsets is one cached batch, valued
 #: by one kernel call; a table that is not whole comes in batches this large
 _GROUP_ROWS = 1 << 12
-#: most cells (rows x state width) a table of fold states holds: the
-#: tables of a sweep then stay few and small enough to be reused in cache
-_STATE_CELLS = 1 << 16
-#: most optimal sets ``opt_cardinality(..., collect_ties=True)`` keeps
-TIE_CAP = 256
 
 
 class GuardExceeded(RuntimeError):
@@ -140,7 +136,6 @@ class OptProfile:
     opt_by_budget: list[float]
     argmax_by_budget: list[tuple[int, ...]]
     enumerated_count: int
-    ties_at_top: list[tuple[int, ...]] | None = None
     #: the profile over a subset of the universe, read off the same sweep
     inside: "OptProfile | None" = None
 
@@ -233,19 +228,22 @@ def _sweep(u: int, k: int, channels: dict):
     buffers, one holding the prefix table and one for the rest.
 
     A size table comes whole when it holds at most ``_CHUNK`` rows and
-    ``_STATE_CELLS`` folded cells; the last whole table is kept, and each
-    later size grows from its prefixes (:func:`_leaves`).  A larger table
-    comes in batches of leaves, cut to at most ``min(_CHUNK, _GROUP_ROWS)``
-    rows and ``_STATE_CELLS`` cells each.
+    ``objectives._KERNEL_CELLS`` folded cells (so the tables of a sweep stay
+    few and small enough to be reused in cache); the last whole table is
+    kept, and each later size grows from its prefixes (:func:`_leaves`).  A
+    larger table comes in batches of leaves, cut to at most
+    ``min(_CHUNK, _GROUP_ROWS)`` rows and ``objectives._KERNEL_CELLS``
+    cells each.
     """
     base, held = 0, {name: ch.start for name, ch in channels.items()}
     held_buf, spare = (dict.fromkeys(channels, np.empty(0)) for _ in range(2))
     yield 0, 0, held
     cells = sum(ch.cells for ch in channels.values())
-    cap = max(1, min(_CHUNK, _GROUP_ROWS, _STATE_CELLS // max(1, cells)))
+    most = objectives._KERNEL_CELLS
+    cap = max(1, min(_CHUNK, _GROUP_ROWS, most // max(1, cells)))
     for s in range(1, k + 1):
         total = math.comb(u, s)
-        whole = total <= _CHUNK and total * cells <= _STATE_CELLS
+        whole = total <= _CHUNK and total * cells <= most
         rank = 0
         for group, rows in _batches(_leaves(s, u, base), total if whole else cap):
             tables = {}
@@ -288,8 +286,9 @@ def _valued(obj: Objective, to_id: list[int], k: int, inside: set | None):
     slot last): ``batches`` yields ``(size, rank, values, flags)`` in
     :func:`_sweep` order, ``flags`` marking the subsets inside ``inside``
     (None when it is None), and ``subset(size, rank)`` gives the ids of a
-    row."""
+    row by :func:`_colex_set`, on either route."""
     u = len(to_id) - 1
+    subset = functools.partial(_colex_set, to_id=to_id)
     in_pos = None if inside is None else np.array([e in inside for e in to_id[:-1]] + [True])
     if cardinality_subset_count(u, k) <= min(_CHUNK, _GROUP_ROWS):
         pos, runs = _small_batch(u, k)
@@ -297,8 +296,7 @@ def _valued(obj: Objective, to_id: list[int], k: int, inside: set | None):
         vals = np.asarray(obj.eval_ids(ids), dtype=float)
         flags = None if inside is None else in_pos[pos].all(axis=1)
         return ([(size, 0, vals[lo:hi], None if flags is None else flags[lo:hi])
-                 for size, lo, hi in runs],
-                lambda size, rank: tuple(ids[runs[size][1] + rank, :size].tolist()))
+                 for size, lo, hi in runs], subset)
     fold, channels = obj._fold, {}
     if fold is None or obj._sweep_ids:
         channels["ids"] = _IdRows(to_id)
@@ -309,29 +307,22 @@ def _valued(obj: Objective, to_id: list[int], k: int, inside: set | None):
     batches = ((size, rank, np.asarray(obj._sweep_values(t.get("ids"), t.get("states"), size),
                                        dtype=float), None if inside is None else t["flags"][:, 0])
                for size, rank, t in _sweep(u, k, channels))
-    return batches, functools.partial(_colex_set, to_id=to_id)
+    return batches, subset
 
 
 class _SizeBest:
-    """One size's best value so far, the colex rank of its last maximum and,
-    when ties are kept, the ranks of its last ``TIE_CAP`` maxima."""
+    """One size's best value so far and the colex rank of its last maximum."""
 
-    __slots__ = ("value", "rank", "ties")
+    __slots__ = ("value", "rank")
 
     def __init__(self):
         self.value = None
-        self.ties: list[int] = []
 
-    def update(self, vals: np.ndarray, rank: int, ties: bool) -> None:
+    def update(self, vals: np.ndarray, rank: int) -> None:
         last = vals.size - 1 - int(vals[::-1].argmax())
         top = vals.item(last)
-        if self.value is None or top > self.value:
-            self.value, self.ties = top, []
-        elif top < self.value:
-            return
-        self.rank = rank + last
-        if ties:
-            self.ties = (self.ties + (rank + np.flatnonzero(vals == top)).tolist())[-TIE_CAP:]
+        if self.value is None or top >= self.value:
+            self.value, self.rank = top, rank + last
 
 
 def _colex_set(size: int, rank: int, *, to_id: list[int]) -> tuple[int, ...]:
@@ -350,7 +341,7 @@ def _colex_set(size: int, rank: int, *, to_id: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _profile(best: list[_SizeBest], subset, count: int, ties: bool) -> OptProfile:
+def _profile(best: list[_SizeBest], subset, count: int) -> OptProfile:
     """The profile over sizes ``0..len(best) - 1``: per budget the best value
     of any size up to it, witnessed by the lexicographically smallest set
     among the sizes that reach it; ``subset(size, rank)`` reads a set."""
@@ -364,11 +355,7 @@ def _profile(best: list[_SizeBest], subset, count: int, ties: bool) -> OptProfil
             best_set = cand
         profile.append(float(best_val))
         argmax.append(best_set)
-    top = None
-    if ties:
-        top = sorted(subset(size, r) for size, b in enumerate(best)
-                     if b.value == best_val for r in b.ties)[:TIE_CAP]
-    return OptProfile(list(range(len(best))), profile, argmax, count, top)
+    return OptProfile(list(range(len(best))), profile, argmax, count)
 
 
 def check_guard(needed: int) -> None:
@@ -378,16 +365,12 @@ def check_guard(needed: int) -> None:
 
 
 def opt_cardinality(obj: Objective, universe: Sequence[int], k: int, *,
-                    collect_ties: bool = False,
                     inside: Sequence[int] | None = None) -> OptProfile:
     """Exact OPT_j = max_{|T| <= j} f(T) for every j = 0..k, in one sweep.
 
     ``k`` is read with ``operator.index`` (a float or a string raises
     ``TypeError``) and capped at the universe's size.  Deterministic: the
-    recorded argmax is the lexicographically smallest optimal set.  With
-    ``collect_ties`` the profile also retains every optimal set at the top
-    budget (the first ``TIE_CAP`` in lexicographic order), which lets
-    callers test "any optimal set contained" without tie ambiguity.
+    recorded argmax is the lexicographically smallest optimal set.
 
     With ``inside``, a subset of the universe, the same sweep also gives
     the profile over ``inside`` (as ``opt_cardinality(obj, inside, k)``
@@ -412,13 +395,13 @@ def opt_cardinality(obj: Objective, universe: Sequence[int], k: int, *,
     best_in = [] if inside is None else [_SizeBest() for _ in range(k_in + 1)]
     batches, subset = _valued(obj, [*reversed(universe), obj.n], k, inside)
     for size, rank, vals, flags in batches:
-        best[size].update(vals, rank, collect_ties)
+        best[size].update(vals, rank)
         if size < len(best_in) and flags.any():
-            best_in[size].update(np.where(flags, vals, -np.inf), rank, collect_ties)
+            best_in[size].update(np.where(flags, vals, -np.inf), rank)
 
-    profile = _profile(best, subset, total, collect_ties)
+    profile = _profile(best, subset, total)
     if inside is not None:
-        profile.inside = _profile(best_in, subset, inside_total, collect_ties)
+        profile.inside = _profile(best_in, subset, inside_total)
     return profile
 
 

@@ -102,8 +102,9 @@ import numpy as np
 #: comparison tolerance for real-valued objectives; integer-valued ones compare exactly
 REAL_TOL = 1e-9
 
-#: most cells (rows x per-row width) a batched kernel gathers at once; small
-#: enough that its temporaries stay in cache
+#: most cells (rows x per-row width) a batched kernel gathers at once, and
+#: most fold-state cells an exact sweep's size table holds; small enough
+#: that its temporaries stay in cache
 _KERNEL_CELLS = 1 << 16
 
 
@@ -713,9 +714,7 @@ class FacilityLocation(Objective):
         return best.sum(axis=1)
 
     def scan(self):
-        """The screening scan when a pass over every element would span
-        more than one kernel block; otherwise no pass can screen."""
-        return _FacilityScan(self) if self.n * self.m > _KERNEL_CELLS else super().scan()
+        return _FacilityScan(self)
 
     @functools.cached_property
     def _sim_rows(self) -> np.ndarray:

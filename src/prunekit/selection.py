@@ -246,8 +246,9 @@ def density_greedy(oracle, pool: Iterable[int], costs, stop_cost: float,
         best = int(np.argmax(_gains(vals, base) / cost_vec))
         e, cost = int(remaining[best]), cost_vec[best].item()
         gain = vals[best].item() - base
-        remaining, vals, cost_vec = (_drop(a, best) for a in (remaining, vals, cost_vec))
+        remaining, cost_vec = _drop(remaining, best), _drop(cost_vec, best)
         if spent + cost > keep_cap:
+            vals = _drop(vals, best)
             continue  # permanently skipped
         scan.add(e)
         base += gain

@@ -16,6 +16,7 @@ from prunekit.objectives import (REAL_TOL, Coverage, Cut, FacilityLocation,
                                  InterferenceCoverage, Modular, PenaltyCurve, Proxy,
                                  RestrictedFacilityLocation, TableObjective,
                                  counting_wrap, value_table)
+from prunekit.prune import prune_seq_disjoint, prune_std_greedy
 from prunekit.selection import greedy
 
 
@@ -63,11 +64,6 @@ class TestOptCardinality:
         # every pair ties; the canonical witness is the lexicographically least
         prof = exact.opt_cardinality(Modular([1, 1, 1]), range(3), 2)
         assert prof.argmax_by_budget[2] == (0, 1)
-
-    def test_ties_at_top_collects_all_optima(self):
-        prof = exact.opt_cardinality(Modular([1, 1, 1]), range(3), 2,
-                                     collect_ties=True)
-        assert prof.ties_at_top == [(0, 1), (0, 2), (1, 2)]
 
     def test_counts(self):
         prof = exact.opt_cardinality(Modular([1, 1, 1, 1]), range(4), 2)
@@ -248,17 +244,14 @@ class TestEngineAgainstReference:
         ([6, 0, 5, 2, 2], 9), ([4], 1), ([], 2)])
     def test_cardinality(self, name, universe, k):
         obj = dyadic_families(seed=3)[name]
-        opt, argmax, ties, count = reference_cardinality(obj, universe, k)
+        opt, argmax, _, count = reference_cardinality(obj, universe, k)
         for chunk in (exact._CHUNK, 5, 1):
             with mock.patch.object(exact, "_CHUNK", chunk):
-                prof = exact.opt_cardinality(obj, universe, k, collect_ties=True)
+                prof = exact.opt_cardinality(obj, universe, k)
             assert prof.opt_by_budget == opt
             assert prof.argmax_by_budget == argmax
-            assert prof.ties_at_top == ties
             assert prof.enumerated_count == count
             assert prof.budgets == list(range(len(opt)))
-        plain = exact.opt_cardinality(obj, universe, k)
-        assert plain.argmax_by_budget == argmax and plain.ties_at_top is None
 
     def test_families_exercise_shift_clamp_and_gate(self):
         fams = dyadic_families(seed=3)
@@ -266,14 +259,6 @@ class TestEngineAgainstReference:
         assert fams["proxy_clamp"].eval([0]) == 0.0
         assert not value_table(fams["restricted_fl_ungated"]).any()
         assert value_table(fams["restricted_fl"]).any()
-
-    def test_tie_cap_keeps_smallest_sets(self):
-        obj = Modular([1, 1, 1, 1, 1])
-        for chunk in (exact._CHUNK, 3):
-            with mock.patch.object(exact, "_CHUNK", chunk), \
-                    mock.patch.object(exact, "TIE_CAP", 4):
-                prof = exact.opt_cardinality(obj, range(5), 2, collect_ties=True)
-            assert prof.ties_at_top == [(0, 1), (0, 2), (0, 3), (0, 4)]
 
     @pytest.mark.parametrize("name", FAMILIES)
     @pytest.mark.parametrize("universe", [range(7), [0, 2, 3, 6], []])
@@ -319,7 +304,7 @@ class TestEngineAgainstReference:
 
 
 def profile_fields(prof):
-    return prof.opt_by_budget, prof.argmax_by_budget, prof.ties_at_top, prof.enumerated_count
+    return prof.opt_by_budget, prof.argmax_by_budget, prof.enumerated_count
 
 
 class TestInsideProfiles:
@@ -329,9 +314,9 @@ class TestInsideProfiles:
     any chunk size, on sparse universes, at k = 0 and k >= |U|."""
 
     @given(data=st.data(), n=st.integers(2, 8), seed=st.integers(0, 2**16),
-           chunk=st.sampled_from([1, 5, 100, exact._CHUNK]), ties=st.booleans())
+           chunk=st.sampled_from([1, 5, 100, exact._CHUNK]))
     @settings(max_examples=60, deadline=None)
-    def test_inside_equals_separate_calls_and_reference(self, data, n, seed, chunk, ties):
+    def test_inside_equals_separate_calls_and_reference(self, data, n, seed, chunk):
         fams = scan_families(n, seed)
         name = data.draw(st.sampled_from(sorted(fams)), label="family")
         obj = fams[name]
@@ -342,15 +327,14 @@ class TestInsideProfiles:
             st.lists(st.sampled_from(universe), unique=True) if universe else st.just([]),
             label="P")
         with mock.patch.object(exact, "_CHUNK", chunk):
-            prof = exact.opt_cardinality(obj, universe, k, collect_ties=ties, inside=P)
-            alone = exact.opt_cardinality(obj, P, k, collect_ties=ties)
-            full = exact.opt_cardinality(obj, universe, k, collect_ties=ties)
+            prof = exact.opt_cardinality(obj, universe, k, inside=P)
+            alone = exact.opt_cardinality(obj, P, k)
+            full = exact.opt_cardinality(obj, universe, k)
         for got, ground, want in ((prof, universe, full), (prof.inside, P, alone)):
-            opt, argmax, top, count = reference_cardinality(obj, ground, k)
+            opt, argmax, _, count = reference_cardinality(obj, ground, k)
             assert profile_fields(got) == profile_fields(want), name
             assert got.opt_by_budget == opt and got.argmax_by_budget == argmax, name
             assert got.enumerated_count == count, name
-            assert got.ties_at_top == (top if ties else None), name
         assert alone.inside is None and full.inside is None
 
     def test_inside_must_lie_in_the_universe(self):
@@ -364,6 +348,25 @@ class TestInsideProfiles:
         with pytest.raises(exact.GuardExceeded) as err:
             exact.opt_cardinality(Modular(np.ones(8)), range(8), 2, inside=range(6))
         assert err.value.needed == exact.cardinality_subset_count(6, 2)
+
+
+class TestHoldsAnOptimum:
+    """Some optimal set of at most ``k`` elements lies inside ``P`` exactly
+    when ``P``'s exact best value at ``k`` equals ``OPT_k``, the rule by
+    which ``separation_study`` counts its ``*_contain_any`` rates."""
+
+    def test_best_in_p_is_opt_when_a_reference_tie_lies_in_p(self):
+        seen = set()
+        for n, k, seed in itertools.product((14, 17, 20), (3, 4), range(3)):
+            obj = gen_interference(n, 30, seed=seed)
+            opt, argmax, ties, _ = reference_cardinality(obj, range(n), k)
+            for pruned in (prune_std_greedy(obj, n, 2 * k), prune_seq_disjoint(obj, n, k, ell=2)):
+                P = pruned.element_set()
+                holds = exact.opt_cardinality(obj, P, k).opt_by_budget[k] == opt[k]
+                assert holds == any(set(t) <= P for t in ties), (n, k, seed)
+                seen.add((holds, set(argmax[k]) <= P))
+        # held and missed, and once held by a tie other than the canonical witness
+        assert seen == {(True, True), (False, False), (True, False)}
 
 
 def colex_order(universe, k):
@@ -548,11 +551,10 @@ class TestCutPairTable:
 
         by_blocks = objectives._by_blocks
         with mock.patch.object(objectives, "_by_blocks", spy):
-            profile = exact.opt_cardinality(obj, universe, 4, collect_ties=True)
-        opt, argmax, ties, count = reference_cardinality(obj, universe, 4)
+            profile = exact.opt_cardinality(obj, universe, 4)
+        opt, argmax, _, _ = reference_cardinality(obj, universe, 4)
         assert profile.opt_by_budget == opt
         assert profile.argmax_by_budget == argmax
-        assert profile.ties_at_top == ties
         # the universe and the empty slot
         assert max(t["side"] for t in tables) == len(universe) + 1
         assert all(t["table"].size == t["side"] ** 2 for t in tables)

@@ -19,6 +19,7 @@ from prunekit.knapsack import KnapsackInstance, KnapsackPrunedSet, prune_sdg_den
 from prunekit.objectives import Cut, Modular, value_table
 from prunekit.prune import PrunedSet, prune_random, prune_seq_disjoint
 from prunekit.objectives import OracleStats
+from prunekit.selection import greedy
 
 
 def full_universe(n):
@@ -130,6 +131,19 @@ class TestContainmentReport:
         pruned.save(path)
         after = containment_report(obj, PrunedSet.load(path), 3)
         assert before.alphas == after.alphas
+
+    def test_greedy_reference_past_the_guard_reads_greedy_on_p(self, monkeypatch):
+        # C(10, <= 3) = 176 subsets of P exceed the guard: best-in-P falls
+        # back to greedy on P, with no witnesses and nothing enumerated
+        monkeypatch.setenv(exact.GUARD_ENV, "100")
+        obj = gen_coverage(16, 20, seed=5)
+        pruned = prune_random(16, 10, seed=1)
+        report = containment_report(obj, pruned, 3, reference="greedy")
+        assert report.inside_exact is False
+        assert report.best_inside_sets == [[], [], []]
+        assert report.resources["eval_enumerated"] == 0
+        on_p = greedy(obj, pruned.elements, 3)
+        assert report.best_inside == [float(obj.eval(on_p.picks[:j])) for j in (1, 2, 3)]
 
     def test_exact_reference_guard(self, monkeypatch):
         monkeypatch.setenv(exact.GUARD_ENV, "500")
@@ -334,6 +348,7 @@ class TestBootstrap:
         assert ci.lo == pytest.approx(0.092)
         assert ci.hi == pytest.approx(0.092)
         assert ci.mean == pytest.approx(0.092)
+        assert ci.to_dict() == {"lo": ci.lo, "hi": ci.hi, "mean": ci.mean}
 
     def test_balanced_diffs_straddle_zero(self):
         ci = paired_bootstrap([1.0, -1.0] * 25, resamples=2000, seed=2)
@@ -368,6 +383,9 @@ class TestSpeedupProbe:
         obj = Modular(np.ones(30))
         result = speedup_probe(obj, 30, 5, full_universe(30))
         assert result.guard_limited
+        assert json.loads(json.dumps(result.to_dict())) == {
+            "t_full": result.t_full, "t_pruned": result.t_pruned, "ratio": result.ratio,
+            "alpha": result.alpha, "pruned_size": result.pruned_size, "guard_limited": True}
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_budget_below_one_rejected(self, k):

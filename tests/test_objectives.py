@@ -362,6 +362,13 @@ class TestPenaltyCurve:
         with pytest.raises(ValueError):
             PenaltyCurve([0.0, 1.0, 1.5])  # slopes 1.0 then 0.5
 
+    def test_equality_reads_theta(self):
+        curve = PenaltyCurve([0.0, 0.5, 1.5])
+        assert curve == PenaltyCurve(np.array([0.0, 0.5, 1.5]))
+        assert curve != PenaltyCurve([0.0, 0.5, 1.0])
+        assert curve != PenaltyCurve([0.0, 0.5])
+        assert curve != {"theta": [0.0, 0.5, 1.5]}
+
 
 class TestProxy:
     def test_rejects_short_penalty(self):
@@ -420,6 +427,8 @@ class TestSerialization:
                 continue
             clone = objective_from_dict(as_read(obj))
             assert type(clone) is type(obj) and as_read(clone) == as_read(obj), name
+            if isinstance(obj, Proxy):
+                assert clone.penalty == obj.penalty, name
             assert ([clone.eval(row[row < n]) for row in ids]
                     == [obj.eval(row[row < n]) for row in ids]), name
             assert clone.eval_ids(ids).tolist() == obj.eval_ids(ids).tolist(), name
