@@ -73,6 +73,17 @@ Candidate scans:
   gains plus that bound (see :class:`_FacilityScan`).  Either way a
   ranking or a screen counts one query per candidate.
 
+Numeric policies.  Values of one set from any of the paths above are equal
+bit for bit and compare exactly.  ``REAL_TOL`` applies to comparisons
+across code paths that round differently (a penalty curve's shape, a
+proxy's penalty against its facility location, the property checker's
+gaps); integer-valued families compare exactly there too.  Kept gains
+carry derived rounding bounds instead: bounds on the float64 arithmetic of
+the exact pass and on the float32 arithmetic of the gain updates (see
+:class:`_FacilityScan`).  They are not tolerances: they only decide which
+candidates get valued exactly, so no two values are ever taken as equal
+because they lie within one.
+
 Built-in families:
 
 * :class:`Coverage` -- weighted set coverage over a universe of items.
@@ -106,6 +117,10 @@ REAL_TOL = 1e-9
 #: most fold-state cells an exact sweep's size table holds; small enough
 #: that its temporaries stay in cache
 _KERNEL_CELLS = 1 << 16
+
+#: float32's unit roundoff, for the rounding bound of facility location's
+#: float32 gain updates
+_U32 = 2.0 ** -24
 
 
 @dataclass(frozen=True)
@@ -717,15 +732,28 @@ class FacilityLocation(Objective):
         return _FacilityScan(self)
 
     @functools.cached_property
-    def _sim_rows(self) -> np.ndarray:
-        """The (m, n) similarities, C-contiguous: the scan's gain updates
-        gather whole rows of them."""
-        return np.ascontiguousarray(self._sim_t[:self.n].T)
+    def _row_max(self) -> np.ndarray:
+        """``max_e sim[i, e]`` per row ``i``."""
+        return self._sim_t.max(axis=0)
 
     @functools.cached_property
     def _sim_bound(self) -> float:
         """``sum_i max_e sim[i, e]``: no value exceeds it."""
-        return float(self._sim_t.max(axis=0).sum())
+        return float(self._row_max.sum())
+
+    @functools.cached_property
+    def _sim_exp(self) -> int:
+        """The exponent ``x`` with the largest similarity in ``[2^(x-1), 2^x)``."""
+        return int(np.frexp(self._row_max.max())[1])
+
+    @functools.cached_property
+    def _sim_rows(self) -> np.ndarray:
+        """The (m, n) similarities times ``2^-x`` (``x`` is ``_sim_exp``),
+        so none exceeds 1, rounded to float32 and C-contiguous: the scan's
+        gain updates gather whole rows of them."""
+        rows = np.empty((self.m, self.n), dtype=np.float32)
+        np.ldexp(self._sim_t[:self.n].T, -self._sim_exp, out=rows, casting="same_kind")
+        return rows
 
     def to_dict(self):
         return {"variant": self.variant, "sim": self.sim.tolist()}
@@ -1087,29 +1115,60 @@ class _FacilityScan(CandidateScan):
     the last pick of a run costs nothing.  The read brings ``G`` from the
     set it was kept at to the current one: each row ``i`` of the rows ``R``
     whose running best rose from ``old_i`` to ``new_i`` lowers the gain of
-    every ``e'`` by ``clip(sim[i, e'], old_i, new_i) - old_i``, so ``G``
-    loses the clipped rows' sums less the sum of the ``old_i``, gathered
-    a kernel block of rows at a time from a C-contiguous ``(m, n)`` copy of
-    the similarities.  ``top`` does
-    that when its ``|R| n`` cells cost less than an exact pass over the
-    candidates ``G`` still serves, and otherwise drops ``G`` and makes
-    that pass.  ``screen`` always does it: without ``G`` a threshold sweep
-    values about every candidate exactly after each pick, and an update
-    gathers at most ``m n`` cells.
+    every ``e'`` by ``t_i = min(max(sim[i, e'] - old_i, 0), w_i)``, with
+    ``w_i = new_i - old_i``.  The update forms the ``t_i`` in float32 from
+    the C-contiguous float32 copy ``obj._sim_rows``, a kernel block of rows
+    at a time, sums each block's in float32 and takes the sum off ``G`` in
+    float64.  ``top`` does that when its ``|R| n`` cells cost less than an
+    exact pass over the candidates ``G`` still serves, and otherwise drops
+    ``G`` and makes that pass.  ``screen`` always does it: without ``G`` a
+    threshold sweep values about every candidate exactly after each pick,
+    and an update gathers at most ``m n`` cells.
 
-    The margin.  Let ``u = eps / 2``, ``M = sum_i max_e sim[i, e]`` (no
-    value, row sum or gain here exceeds it), ``A`` the additions made to
-    ``G`` since its pass (``2 |R| + 2`` per update: two sums over ``R``,
-    their difference and the subtraction from ``G``), and ``b`` the
-    engine's base now.  An exact value adds ``m`` terms, so it is within
-    ``(m - 1) u M`` of the real one, and so is ``b0``; taking ``b0`` off
-    adds ``u (M + |b0|)``, and an update at most ``2 |R| u M``.  The base
-    is the last pick's exact value after two roundings, within
-    ``(m + 2) u M`` of the real ``f(S)``.  So ``G`` is within
-    ``u (4m + A + 1) (M + |b0| + |b|)`` of the gain ``f(S + e) - b`` the
-    engine compares, and ``delta = 2 eps (m + A + 2) (M + |b0| + |b|)``
-    bounds that with room for the second-order terms.  :meth:`_kept`
-    gives ``G`` with the margin ``2 delta``:
+    The float64 error.  Let ``u = eps / 2``, ``M_i = max_e sim[i, e]``,
+    ``M = sum_i M_i`` (no value, row sum or gain here exceeds it), ``A``
+    the subtractions from ``G`` since its pass (one per block of an
+    update), and ``b`` the engine's base now.  An exact value adds ``m``
+    terms, so it is within ``(m - 1) u M`` of the real one, and so is
+    ``b0``; taking ``b0`` off adds ``u (M + |b0|)``, and so does each
+    subtraction.  The base is the last pick's exact value after two
+    roundings, within ``(m + 2) u M`` of the real ``f(S)``.  So, the
+    float32 work apart, ``G`` is within ``u (4m + A + 1) (M + |b0| + |b|)``
+    of the gain ``f(S + e) - b`` the engine compares, and
+    ``2 eps (m + A + 2) (M + |b0| + |b|)`` bounds that with room for the
+    second-order terms.
+
+    The float32 error.  ``_sim_rows`` holds the similarities times
+    ``2^-x`` (``obj._sim_exp``), so none exceeds 1, rounded once; the
+    update rounds ``old_i`` the same way, and ``w_i``, subtracted in
+    float64, once more.  Each rounding to float32 errs by at most
+    ``u' |v| + eta`` in the similarities' units, with ``u' = 2^-24`` and
+    ``eta`` the larger of ``2^(x - 149)`` (underflow) and float64's least
+    subnormal (bringing a block's sum back by ``2^x``).  As
+    ``sim[i, e'], old_i <= M_i``, the rounded inputs move
+    ``sim[i, e'] - old_i`` by at most ``2 u' M_i + 2 eta`` and ``w_i`` by
+    at most ``(u' + u + u' u) w_i + eta``.  A clamp moves its output by no
+    more than the larger move of its inputs, and rounding the difference,
+    which is monotone and keeps ``0`` and the rounded ``w_i``, moves the
+    clamped value by at most ``u'`` times it.  Summing ``c`` terms in
+    float32 errs by at most ``gamma(c - 1)`` times their sum, with
+    ``gamma(k) = k u' / (1 - k u')`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, section 4.2), and
+    ``(1 + gamma(j)) (1 + gamma(k)) <= 1 + gamma(j + k)`` collects the
+    factors.  So with ``W = sum_R w_i`` and ``c`` the most rows in a
+    block, one update moves ``G`` by at most
+    ``2 u' sum_R M_i + gamma(c + 3) W + 4 |R| eta``: to first order
+    ``u' (2 sum_R M_i + (c + 1) W)``, the rest second order.  ``E`` sums
+    these since the pass, each as
+    ``u' (2 sum_R M_i + k W) / (1 - k u') + 5 |R| eta`` with
+    ``k = c + 4``; the added ``1``, the divisor on the first term and the
+    fifth ``eta`` cover the rounding of these float64 sums.  A block of
+    at most ``_KERNEL_CELLS`` rows keeps ``k u' < 1``.
+
+    The margin.  ``delta = 2 eps (m + A + 2) (M + |b0| + |b|) + E`` bounds
+    ``G``'s distance from the gain the engine compares.  These are derived
+    bounds, not tolerances.  :meth:`_kept` gives ``G`` with the margin
+    ``2 delta``:
 
     * ``top`` values exactly, by ``values``' kernel, only the candidates
       whose ``G`` lies within the margin of the window's threshold ``T``,
@@ -1130,8 +1189,9 @@ class _FacilityScan(CandidateScan):
         self._live = None  # its exact pass's candidates, less the ids added since
         self._at = None  # the running best that G is at
         self._behind = False  # whether picks were added since
-        self._adds = 0
+        self._adds = 0  # A
         self._base = 0.0  # |b0|
+        self._err32 = 0.0  # E
 
     def values(self, cands, counted=True):
         cands = np.asarray(cands, dtype=np.intp)
@@ -1144,7 +1204,7 @@ class _FacilityScan(CandidateScan):
             self._live = np.zeros(obj.n, dtype=bool)
             self._live[cands] = True
             self._at = np.zeros(obj.m) if state is None else state.copy()
-            self._behind, self._adds, self._base = False, 0, abs(b0)
+            self._behind, self._adds, self._base, self._err32 = False, 0, abs(b0), 0.0
         return vals
 
     def top(self, cands, base, width):
@@ -1187,21 +1247,25 @@ class _FacilityScan(CandidateScan):
                 self._approx = None
                 return None
             lo, hi = old[raised], new[raised]
+            x = obj._sim_exp
+            lo32 = np.ldexp(lo, -x).astype(np.float32)
+            width32 = np.ldexp(hi - lo, -x).astype(np.float32)
             step = max(1, _KERNEL_CELLS // obj.n)  # rows of one kernel block
-
-            def clipped_sums(at):
-                sims = obj._sim_rows[raised[at:at + step]]
-                np.maximum(sims, lo[at:at + step, None], out=sims)
-                np.minimum(sims, hi[at:at + step, None], out=sims)
-                return sims.sum(axis=0)
-
-            lost = functools.reduce(np.add, map(clipped_sums, range(0, max(1, len(raised)), step)))
-            self._approx -= lost - lo.sum()
-            self._adds += 2 * len(raised) + 2
+            for at in range(0, len(raised), step):
+                t = obj._sim_rows[raised[at:at + step]]
+                t -= lo32[at:at + step, None]
+                np.maximum(t, 0, out=t)
+                np.minimum(t, width32[at:at + step, None], out=t)
+                self._approx -= np.ldexp(t.sum(axis=0), x, dtype=float)
+                self._adds += 1
+            k = min(step, len(raised)) + 4
+            eta = np.ldexp(1.0, max(x - 149, -1074))
+            self._err32 += ((2 * obj._row_max[raised].sum() + k * (hi - lo).sum())
+                            * _U32 / (1 - k * _U32) + 5 * len(raised) * eta)
             old[raised] = hi
             self._behind = False
         delta = (2 * np.finfo(float).eps * (obj.m + self._adds + 2)
-                 * (obj._sim_bound + self._base + abs(base)))
+                 * (obj._sim_bound + self._base + abs(base)) + self._err32)
         return self._approx[cands], 2 * delta
 
     def _grow(self, e):

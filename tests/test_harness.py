@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import scan_families
 from prunekit import exact
-from prunekit.harness import (PRUNER_NAMES, containment_report, paired_bootstrap,
-                              run_pruner, separation_study, speedup_probe, sweep)
+from prunekit.harness import (PRUNER_NAMES, BootstrapCI, SpeedupResult, containment_report,
+                              paired_bootstrap, run_pruner, separation_study, speedup_probe,
+                              sweep)
 from prunekit.instances import GenSpec, gen_coverage, gen_gnm, gen_interference
 from prunekit.knapsack import KnapsackInstance, KnapsackPrunedSet, prune_sdg_density
 from prunekit.objectives import Cut, Modular, value_table
@@ -144,6 +145,9 @@ class TestContainmentReport:
         assert report.resources["eval_enumerated"] == 0
         on_p = greedy(obj, pruned.elements, 3)
         assert report.best_inside == [float(obj.eval(on_p.picks[:j])) for j in (1, 2, 3)]
+        on_n = greedy(obj, range(16), 3)
+        assert report.denominators == [float(obj.eval(on_n.picks[:j])) for j in (1, 2, 3)]
+        assert report.alphas == [v / d for v, d in zip(report.best_inside, report.denominators)]
 
     def test_exact_reference_guard(self, monkeypatch):
         monkeypatch.setenv(exact.GUARD_ENV, "500")
@@ -349,6 +353,7 @@ class TestBootstrap:
         assert ci.hi == pytest.approx(0.092)
         assert ci.mean == pytest.approx(0.092)
         assert ci.to_dict() == {"lo": ci.lo, "hi": ci.hi, "mean": ci.mean}
+        assert BootstrapCI(**json.loads(json.dumps(ci.to_dict()))) == ci
 
     def test_balanced_diffs_straddle_zero(self):
         ci = paired_bootstrap([1.0, -1.0] * 25, resamples=2000, seed=2)
@@ -386,6 +391,7 @@ class TestSpeedupProbe:
         assert json.loads(json.dumps(result.to_dict())) == {
             "t_full": result.t_full, "t_pruned": result.t_pruned, "ratio": result.ratio,
             "alpha": result.alpha, "pruned_size": result.pruned_size, "guard_limited": True}
+        assert SpeedupResult(**result.to_dict()) == result
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_budget_below_one_rejected(self, k):

@@ -726,8 +726,9 @@ class TestThresholdRunPrefixes:
 # default, which values every candidate
 
 def near_tie_facilities(m, n, seed):
-    """Facility locations whose gains tie or nearly tie, and the restricted
-    ones, one with a gate that passes no row."""
+    """Facility locations whose gains tie or nearly tie, two whose
+    similarities lie beyond float32's range, and the restricted ones, one
+    with a gate that passes no row."""
     rng = np.random.default_rng(seed)
     sim = rng.uniform(size=(m, n))
     half = n // 2
@@ -743,6 +744,8 @@ def near_tie_facilities(m, n, seed):
         "ulp_apart_columns": FacilityLocation(ulp),
         "zero_columns": FacilityLocation(zero),
         "rounded": FacilityLocation(np.round(sim, 1)),
+        "huge": FacilityLocation(sim * 2.0 ** 1000),
+        "tiny": FacilityLocation(sim * 2.0 ** -1000),
         "restricted": RestrictedFacilityLocation(sim, rel, tau=0.5),
         "restricted_no_row": RestrictedFacilityLocation(sim, rel, tau=1.0),
     }
@@ -972,6 +975,60 @@ class TestScreenedThresholdSweep:
         with spy:
             prune_seq_disjoint(fl, 1000, 10, ell=4)
         assert sum(flags) == 4 * 8
+
+
+def reads_checked():
+    """Spies on the facility-location scan that check every read against
+    exact values: ``top`` against :func:`default_top`, and every bound
+    ``screen`` returns against the exact gain.  Records, per read that used
+    kept gains, how many rows its update raised (0 for none)."""
+    raised = []
+    top, screen, kept = (objectives._FacilityScan.top, objectives._FacilityScan.screen,
+                         objectives._FacilityScan._kept)
+
+    def check_top(self, cands, base, width):
+        got = top(self, cands, base, width)
+        want = default_top(self, cands, base, width)
+        assert got[0].tolist() == want[0].tolist()
+        assert typed(got[1].tolist()) == typed(want[1].tolist())
+        return got
+
+    def check_screen(self, cands, base):
+        bounds = screen(self, cands, base)
+        if bounds is not None:
+            exact = self.values(cands, counted=False)
+            assert (bounds >= objectives._gains(exact, base)).all()
+        return bounds
+
+    def count_rows(self, cands, base, update):
+        rows = np.count_nonzero(self._state > self._at) if self._behind else 0
+        out = kept(self, cands, base, update)
+        if out is not None:
+            raised.append(rows)
+        return out
+
+    return raised, mock.patch.multiple(objectives._FacilityScan, top=check_top,
+                                       screen=check_screen, _kept=count_rows)
+
+
+class TestKeptGainsAtBenchmarkScale:
+    """At 300x1000 and the default ``_KERNEL_CELLS`` an update raises up to
+    300 rows, summed in float32 in blocks of 65, over similarities whose
+    row maxima sum to about 300: the float32 term of the margin is as large
+    as on the benchmark's instance."""
+
+    @pytest.mark.parametrize("cls", ["facility_location", "restricted_fl"])
+    def test_every_read_bounds_the_exact_gains(self, cls):
+        rng = np.random.default_rng(5)
+        sim = rng.uniform(size=(300, 1000))
+        obj = (FacilityLocation(sim) if cls == "facility_location"
+               else RestrictedFacilityLocation(sim, rng.uniform(size=300), tau=0.3))
+        raised, spy = reads_checked()
+        with spy:
+            prune_seq_disjoint(obj, 1000, 10, ell=2)  # greedy: top at width 1
+            window_greedy(counting_wrap(obj), range(1000), 8, 20, lambda w: w // 3)
+            prune_fast_budget_range(obj, 1000, 10, epsilon=0.2)  # threshold: screen
+        assert len(raised) > 40 and max(raised) > 65  # updates that span several blocks
 
 
 # --------------------------------------------------------------------------
