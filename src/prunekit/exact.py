@@ -16,15 +16,19 @@ in colex order (Knuth, *TAOCP* 4A, 7.2.1.3): the ``s``-subsets whose
 largest position is ``j`` are the first ``C(j, s-1)`` rows of the
 ``(s-1)``-table plus ``j``.  So one generator,
 :func:`_sweep`, grows each size table from prefixes of the last whole one,
-one broadcast per block (:func:`_leaves`): the fold states of the family's
-``_fold`` (its own, :class:`~prunekit.objectives.Proxy`'s facility
-location), extended by the fold's exact ``op``; ascending id rows (the new
-id comes first) for unweighted Cut, which has no fold, and for
+one broadcast per block (:func:`_leaves`), in channels that each fill a
+batch's table from the held one: the states of the family's
+``_sweep_states``, by default the fold states of its ``_fold`` (its own,
+:class:`~prunekit.objectives.Proxy`'s facility location) extended by the
+fold's exact ``op``, and for unweighted Cut each row's positions and
+integer cut value, extended by one step per new position,
+``cut(T + j) = cut(T) + deg(j) - 2 * (edges from j into T)``, over the
+whole batch; ascending id rows (the new id comes first) for
 interference's pair penalties; and the flags of the rows inside an
 ``inside`` set, extended by ``and``.  A family names what it reads
-(``_fold``, ``_sweep_ids``) and values it in ``_sweep_values``, bit for
-bit as ``eval`` (the contract in :mod:`prunekit.objectives`), so no
-optimum depends on the batching.
+(``_sweep_states``, ``_sweep_ids``) and values it in ``_sweep_values``,
+bit for bit as ``eval`` (the contract in :mod:`prunekit.objectives`), so
+no optimum depends on the batching.
 
 Lexicographic order is the reverse of this order (``A`` precedes ``B`` when
 ``min(A ^ B)`` lies in ``A``), so a size's canonical witness, its
@@ -36,9 +40,13 @@ only up to ``_CHUNK`` rows and ``objectives._KERNEL_CELLS`` folded cells,
 only the last whole table is held, and larger tables come in batches of
 leaves of at most ``_GROUP_ROWS`` rows, in two buffers per table kind reused
 batch after batch.  An enumeration of at most ``_GROUP_ROWS`` subsets is one
-cached id batch, padded with the empty-slot id ``n``: one ``eval_ids`` call.
-Its rows come in the sweep's order, so its witnesses are read back the same
-way.
+cached batch of position rows, padded with the empty slot's position ``u``,
+and one ``_position_values`` call values it: by default ``eval_ids`` of
+its ids; unweighted Cut sums a table over each row's position pairs.  Its
+rows come in the sweep's order, so its witnesses are read back the same
+way.  Unweighted Cut's table over the universe's positions (``(u + 1)^2``
+small integers) is built only for a row of two positions, so an
+enumeration of single ids reads the degrees alone.
 
 :func:`opt_knapsack` builds no id tables.  It reads two power-set tables
 indexed by the subset mask over the sorted universe (bit ``i`` stands for
@@ -75,7 +83,7 @@ from typing import Sequence
 import numpy as np
 
 from . import objectives
-from .objectives import Objective, power_set_sums, power_set_values, sorted_ids
+from .objectives import Objective, _Folded, power_set_sums, power_set_values, sorted_ids
 
 __all__ = ["GuardExceeded", "enumeration_guard", "cardinality_subset_count",
            "OptProfile", "opt_cardinality", "opt_knapsack", "check_guard"]
@@ -167,9 +175,9 @@ def _leaves(s: int, m: int, base: int, tail: tuple[int, ...] = ()):
 
 
 def _batches(leaves, cap: int):
-    """Consecutive leaves in groups ``[(start, stop, tail), ...]`` of at most
-    ``cap`` rows: the prefix rows ``start:stop`` of each leaf, a larger leaf
-    cut into slices."""
+    """Consecutive leaves in groups ``[(lo, hi, start, stop, tail), ...]`` of
+    at most ``cap`` rows: the prefix rows ``start:stop`` of each leaf, a
+    larger leaf cut into slices, at the batch's rows ``lo:hi``."""
     group, rows = [], 0
     for count, tail in leaves:
         for start in range(0, count, cap):
@@ -177,7 +185,7 @@ def _batches(leaves, cap: int):
             if rows + stop - start > cap:
                 yield group, rows
                 group, rows = [], 0
-            group.append((start, stop, tail))
+            group.append((rows, rows + stop - start, start, stop, tail))
             rows += stop - start
     if group:
         yield group, rows
@@ -195,28 +203,10 @@ class _IdRows:
     def width(self, s: int) -> int:
         return s
 
-    def fill(self, out, prefix, tail):
-        out[:, :len(tail)] = [self.to_id[p] for p in reversed(tail)]
-        out[:, len(tail):] = prefix
-
-
-class _Folded:
-    """Per subset, ``op`` folded over the rows of its positions (``rows[p]``,
-    the identity row last): a leaf's prefix states folded with its tail's
-    rows, one broadcast per leaf.  Fold states, and with ``logical_and``
-    the flags of the subsets inside a set."""
-
-    def __init__(self, rows: np.ndarray, op: np.ufunc):
-        self.rows, self.op, self.start, self.cells = rows, op, rows[-1:], rows.shape[1]
-
-    def width(self, s: int) -> int:
-        return self.cells
-
-    def fill(self, out, prefix, tail):
-        row = self.rows[tail[0]]
-        for p in tail[1:]:
-            row = self.op(row, self.rows[p])
-        self.op(prefix, row, out=out)
+    def fill(self, out, held, group):
+        for lo, hi, start, stop, tail in group:
+            out[lo:hi, :len(tail)] = [self.to_id[p] for p in reversed(tail)]
+            out[lo:hi, len(tail):] = held[start:stop]
 
 
 def _sweep(u: int, k: int, channels: dict):
@@ -226,6 +216,13 @@ def _sweep(u: int, k: int, channels: dict):
     whose first row has colex rank ``rank`` within its size.  A table is
     valid until the next batch is drawn: each channel writes into two
     buffers, one holding the prefix table and one for the rest.
+
+    A channel gives ``start``, the empty set's one-row table (its dtype is
+    the channel's), ``cells``, the folded cells per row that bound a
+    table, ``width(s)``, a row's width at size ``s``, and ``fill(out, held,
+    group)``, which fills the batch's table ``out`` from the held table and
+    the batch's leaves ``(lo, hi, start, stop, tail)``: rows ``lo:hi``
+    extend the held rows ``start:stop`` by the positions ``tail``.
 
     A size table comes whole when it holds at most ``_CHUNK`` rows and
     ``objectives._KERNEL_CELLS`` folded cells (so the tables of a sweep stay
@@ -252,12 +249,7 @@ def _sweep(u: int, k: int, channels: dict):
                 if spare[name].size < size:
                     spare[name] = np.empty(size, dtype=ch.start.dtype)
                 tables[name] = spare[name][:size].reshape(rows, -1)
-            lo = 0
-            for start, stop, tail in group:
-                hi = lo + stop - start
-                for name, ch in channels.items():
-                    ch.fill(tables[name][lo:hi], held[name][start:stop], tail)
-                lo = hi
+                ch.fill(tables[name], held[name], group)
             yield s, rank, tables
             rank += rows
         if whole:
@@ -268,9 +260,9 @@ def _sweep(u: int, k: int, channels: dict):
 @functools.lru_cache(maxsize=16)
 def _small_batch(u: int, k: int):
     """The one batch of an enumeration of at most ``_GROUP_ROWS`` subsets:
-    the position rows of every size, padded with ``u``, and each size's
-    ``(size, start, stop)`` row range."""
-    pos = np.full((cardinality_subset_count(u, k), max(1, k)), u, dtype=np.intp)
+    the position rows of every size, padded with ``u`` and laid out column
+    by column, and each size's ``(size, start, stop)`` row range."""
+    pos = np.full((cardinality_subset_count(u, k), max(1, k)), u, dtype=np.intp, order="F")
     runs, row = [], 0
     for s, _, tables in _sweep(u, k, {"ids": _IdRows(list(range(u)))}):
         pos[row:row + len(tables["ids"]), :s] = tables["ids"]
@@ -292,19 +284,16 @@ def _valued(obj: Objective, to_id: list[int], k: int, inside: set | None):
     in_pos = None if inside is None else np.array([e in inside for e in to_id[:-1]] + [True])
     if cardinality_subset_count(u, k) <= min(_CHUNK, _GROUP_ROWS):
         pos, runs = _small_batch(u, k)
-        ids = np.array(to_id, dtype=np.intp)[pos]
-        vals = np.asarray(obj.eval_ids(ids), dtype=float)
+        vals = np.asarray(obj._position_values(to_id, pos), dtype=float)
         flags = None if inside is None else in_pos[pos].all(axis=1)
         return ([(size, 0, vals[lo:hi], None if flags is None else flags[lo:hi])
                  for size, lo, hi in runs], subset)
-    fold, channels = obj._fold, {}
-    if fold is None or obj._sweep_ids:
+    channels = {"states": obj._sweep_states(to_id)}
+    if obj._sweep_ids:
         channels["ids"] = _IdRows(to_id)
-    if fold is not None:
-        channels["states"] = _Folded(fold._rows[to_id], fold._op)
     if inside is not None:
         channels["flags"] = _Folded(in_pos[:, None], np.logical_and)
-    batches = ((size, rank, np.asarray(obj._sweep_values(t.get("ids"), t.get("states"), size),
+    batches = ((size, rank, np.asarray(obj._sweep_values(t.get("ids"), t["states"], size),
                                        dtype=float), None if inside is None else t["flags"][:, 0])
                for size, rank, t in _sweep(u, k, channels))
     return batches, subset
@@ -345,14 +334,13 @@ def _profile(best: list[_SizeBest], subset, count: int) -> OptProfile:
     """The profile over sizes ``0..len(best) - 1``: per budget the best value
     of any size up to it, witnessed by the lexicographically smallest set
     among the sizes that reach it; ``subset(size, rank)`` reads a set."""
-    sets = [subset(size, b.rank) for size, b in enumerate(best)]
     profile: list[float] = []
     argmax: list[tuple[int, ...]] = []
-    for size_best, cand in zip(best, sets):
+    for size, size_best in enumerate(best):  # a size below the best reads no set
         if not profile or size_best.value > best_val:
-            best_val, best_set = size_best.value, cand
-        elif size_best.value == best_val and cand < best_set:
-            best_set = cand
+            best_val, best_set = size_best.value, subset(size, size_best.rank)
+        elif size_best.value == best_val:
+            best_set = min(best_set, subset(size, size_best.rank))
         profile.append(float(best_val))
         argmax.append(best_set)
     return OptProfile(list(range(len(best))), profile, argmax, count)

@@ -11,25 +11,32 @@ construction; the :class:`CountingOracle` wrapper adds query accounting for
 one thread (parallel sweeps run in worker processes, each with its own).
 
 Batched evaluation: ``eval_ids(ids)`` is the one batched entry point, called
-by the exact enumeration engine and the scalar path of weighted
-:class:`Coverage`.  ``ids`` is a ``(batch, width)`` integer array; each row
-lists the distinct ids of one selection in any order, padded anywhere with
-the empty-slot id ``n``.  It returns one float per row, equal bit for bit to ``eval`` of that row
+by the exact enumeration engine's small batches (``_position_values``, but
+for unweighted Cut) and the scalar path of weighted :class:`Coverage`.
+``ids`` is a ``(batch, width)`` integer array; each row lists the distinct
+ids of one selection in any order, padded anywhere with the empty-slot id
+``n``.  It returns one float per row, equal bit for bit to ``eval`` of that row
 whatever else is in the batch: each kernel reduces every row on its own in
 the order ``eval`` does, and none uses a matmul, whose row results depend on
-the rows batched with them.  Unweighted :class:`Cut` and
-:class:`InterferenceCoverage` share one pair kernel, :class:`_PairTable`: a
-flat table of pair weights (edge counts, intensities) over the ranks of the
-ids the batch uses, so it grows with those ids, not with ``n``, read over a
-row's column pairs in triu order, which is ascending pair order.  Cut's
-degrees, adjacency and edge counts and the cover words are built lazily.
+the rows batched with them.  Unweighted :class:`Cut` values rows from a
+table of small integers over the ids the batch uses (:meth:`Cut._among`),
+and :class:`InterferenceCoverage` its penalties from :class:`_PairTable`, a
+flat table of pair intensities over the ranks of those ids; both grow with
+those ids, not with ``n``.  The pair table is read over a row's column
+pairs in triu order, which is ascending pair order.  Cut's degrees,
+adjacency and edge counts and the cover words are built lazily.
 ``_value`` stays the scalar path: a small batch costs tens of microseconds,
 a scalar value a few.
 
 One fold layer, the :class:`Objective` base, serves every family but
-unweighted :class:`Cut`: a set's rows folded by an exact, order-free ``op``,
-then finished.  By default the rows are one-hot membership words, folded by
-OR and finished as ``_mask_values`` of the membership rows they unpack to:
+unweighted :class:`Cut`, which extends an integer state of its own by the
+step ``cut(S + j) = cut(S) + deg(j) - 2 * (edges from j into S)``: the scan
+keeps the edges into ``S`` (:class:`_CutScan`), and the exact enumerator
+and the power set extend cut values from a table over the universe's
+positions (:class:`_CutRows`, :meth:`Cut._among`).  The fold: a set's rows
+folded by an exact, order-free ``op``, then finished.  By default the rows
+are one-hot membership words, folded by OR and finished as
+``_mask_values`` of the membership rows they unpack to:
 weighted Cut's and :class:`Modular`'s pairwise row sums, ``_value`` per row
 for :class:`TableObjective` and any subclass that gives only ``_value``.
 The coverage families fold cover words by OR and finish a covered count or
@@ -42,9 +49,11 @@ Power-set tables: :func:`power_set_values` gives ``f`` of every subset of a
 universe, indexed by subset mask, in blocks of masks that share their high
 bits; only one block is held at a time.  The layer that values a family
 builds them: the fold by doubling, ``tab[h:2h] = tab[:h] (+) element j``
-(:class:`Proxy` penalises its facility location's), and the pair layer by
-adding each pair's weight to the masks that hold it, in pair order
-(interference's penalties, unweighted Cut's inner edges).
+(:class:`Proxy` penalises its facility location's), unweighted Cut by
+doubling its step, ``tab[h:2h] = tab[:h] + deg(j) - 2 *
+bitwise_count(mask & adj_j)``, and the pair layer by adding each pair's
+weight to the masks that hold it, in pair order (interference's
+penalties).
 
 Candidate scans:
 
@@ -306,9 +315,9 @@ class Objective:
         """A candidate scan at the empty set."""
         return CandidateScan(self)
 
-    #: the fold whose states the scan and the exact enumerator extend (None:
-    #: the family keeps a state of its own, and the enumerator values id
-    #: rows), and whether ``_sweep_values`` reads the id rows too
+    #: the fold whose states the scan and, by default, the exact enumerator
+    #: extend (None: the family keeps states of its own), and whether
+    #: ``_sweep_values`` reads the id rows too
     _fold = property(lambda self: self)
     _sweep_ids = False
 
@@ -318,10 +327,25 @@ class Objective:
         filled in: the scan fills them the first time a run reads them."""
         return np.zeros(self.n, dtype=self._scan_dtype), np.zeros(self.n, dtype=bool)
 
+    def _sweep_states(self, to_id: list[int]) -> "_Folded":
+        """The states the exact enumerator extends over the positions whose
+        ids are ``to_id`` (the empty slot last): by default the rows of
+        ``_fold``, folded by its ``op``."""
+        fold = self._fold
+        return _Folded(fold._rows[to_id], fold._op)
+
+    def _position_values(self, to_id: list[int], pos: np.ndarray) -> np.ndarray:
+        """``f`` of each row of ``pos``, the positions of a set over the
+        universe whose position ``p`` holds the id ``to_id[p]`` (the empty
+        slot last), padded with the empty slot's.  By default, ``eval_ids``
+        of their ids."""
+        return self.eval_ids(np.array(to_id, dtype=np.intp)[pos])
+
     def _sweep_values(self, ids, states, size: int) -> np.ndarray:
-        """``f`` of one size's rows as the exact enumerator builds them: their
-        folded states under ``_fold``, else their id rows."""
-        return self.eval_ids(ids) if states is None else self._finish(states)
+        """``f`` of one size's rows as the exact enumerator builds them, from
+        their states under ``_sweep_states`` (and their id rows, when
+        ``_sweep_ids``)."""
+        return self._finish(states)
 
     def _power_set(self, universe: list[int], low: int):
         """The blocks of :func:`power_set_values`, each ``2^(low - sub)``
@@ -336,6 +360,29 @@ class Objective:
 
     def to_dict(self) -> dict:
         raise NotImplementedError(f"{type(self).__name__} has no serial form")
+
+
+class _Folded:
+    """An exact sweep's channel (see :func:`~prunekit.exact._sweep`): per
+    subset, ``op`` folded over the rows of its positions (``rows[p]``, the
+    identity row last), a leaf's prefix states folded with its tail's rows,
+    one broadcast per leaf.  Fold states, and with ``logical_and`` the flags
+    of the subsets inside a set."""
+
+    def __init__(self, rows: np.ndarray, op: np.ufunc):
+        self.rows, self.op, self.start, self.cells = rows, op, rows[-1:], rows.shape[1]
+
+    def width(self, s: int) -> int:
+        return self.cells
+
+    def fill(self, out, held, group):
+        """Fill ``out`` with the batch ``group`` of leaves ``(lo, hi, start,
+        stop, tail)``: rows ``lo:hi`` extend ``held[start:stop]`` by ``tail``."""
+        for lo, hi, start, stop, tail in group:
+            row = self.rows[tail[0]]
+            for p in tail[1:]:
+                row = self.op(row, self.rows[p])
+            self.op(held[start:stop], row, out=out[lo:hi])
 
 
 def _by_blocks(ids: np.ndarray, per_row: int, kernel) -> np.ndarray:
@@ -375,20 +422,22 @@ class _PairTable:
     pairs in ascending pair order.  So each row adds its pairs' weights in
     ``eval``'s order, and 0.0 for the rest; the partial sums are never
     negative, so the zeros change no bit.  The ranks are laid out one
-    contiguous row per column.  The last table is kept and serves the next
-    batch over the same ids."""
+    contiguous row per column.  The last table is kept, keyed by the bytes
+    of the mask of the ids the batch uses, and serves the next batch over
+    the same ids."""
 
     def __init__(self, n: int, pi: np.ndarray, pj: np.ndarray, pw: np.ndarray):
         self.n, self.pi, self.pj, self.pw = n, pi, pj, pw
-        self._last = (np.zeros(0, dtype=bool), None, 0, None)  # (used, rank, side, table)
+        self._last = (b"", None, 0, None)  # (used mask bytes, rank, side, table)
 
     def sums(self, ids: np.ndarray) -> np.ndarray:
         if ids.shape[1] < 2:  # no pairs inside a row
             return np.zeros(len(ids))
         used = np.zeros(self.n + 1, dtype=bool)
-        used[ids.reshape(-1)] = True
-        _, rank, side, table = last = self._last
-        if not np.array_equal(last[0], used):
+        used[ids.ravel("K")] = True  # in memory order: a view in either layout
+        key = used.tobytes()
+        last, rank, side, table = self._last
+        if key != last:
             ranked = np.flatnonzero(used)
             rank = np.zeros(self.n + 1, dtype=np.intp)
             rank[ranked] = np.arange(len(ranked))
@@ -396,7 +445,7 @@ class _PairTable:
             inside = used[self.pi] & used[self.pj]
             table = np.zeros(side * side)
             table[rank[self.pi[inside]] * side + rank[self.pj[inside]]] = self.pw[inside]
-            self._last = used, rank, side, table
+            self._last = key, rank, side, table
         pairs = _pairs(ids.shape[1])
 
         def kernel(block):
@@ -647,28 +696,93 @@ class Cut(Objective):
         return _CutScan(self) if self._ws is None else super().scan()
 
     #: weighted: the one-hot fold; unweighted: none, as the scan keeps the
-    #: edges into ``S`` and the enumerator values id rows
+    #: edges into ``S`` and the exact enumerator extends cut values
+    #: (:class:`_CutRows`)
     _fold = property(lambda self: None if self._ws is None else self)
 
     @functools.cached_property
     def _edge_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(lo, hi, count)``: the distinct edges ascending, ``lo < hi``,
-        with their multiplicities as floats."""
+        with their multiplicities."""
         codes, counts = np.unique(np.minimum(self._us, self._vs) * self.n
                                   + np.maximum(self._us, self._vs), return_counts=True)
-        return codes // self.n, codes % self.n, counts.astype(float)
+        return codes // self.n, codes % self.n, counts
 
     @functools.cached_property
-    def _pair_table(self) -> _PairTable:
-        return _PairTable(self.n, *self._edge_pairs)
+    def _among_dtype(self) -> np.dtype:
+        """The smallest signed dtype that holds every entry of an
+        :meth:`_among` table: each degree and -2 times each multiplicity
+        (one past the largest, as a signed type holds one more negative
+        value than positive ones)."""
+        big = max(1, int(self._degrees.max()), 2 * int(self._edge_pairs[2].max(initial=0)))
+        return np.min_scalar_type(-big - 1)
+
+    #: the last ids ``_among`` read and their table
+    _last_among = (None, None)
+
+    def _among(self, ids: list[int]) -> np.ndarray:
+        """The ``(u, u)`` table ``W`` over the positions of the ``u``
+        distinct ``ids`` (the empty slot ``n`` may be one) whose entries
+        ``W[i, j]``, ``i <= j``, sum to the cut of any set of positions:
+        each id's degree on the diagonal (an edge to an id outside ``ids``
+        counts there only) and, off it, -2 times the multiplicity of the
+        edge between two positions, symmetric; in ``_among_dtype``.  The
+        last table is kept and serves the next call over the same ids."""
+        key = tuple(ids)
+        if self._last_among[0] != key:
+            lo, hi, count = self._edge_pairs
+            at = np.full(self.n + 1, -1)
+            at[ids] = np.arange(len(ids))
+            a, b = at[lo], at[hi]
+            both = (a >= 0) & (b >= 0)
+            a, b, count = a[both], b[both], count[both]
+            table = np.zeros((len(ids), len(ids)), dtype=self._among_dtype)
+            table[a, b] = table[b, a] = -2 * count
+            np.fill_diagonal(table, self._degrees[ids])
+            self._last_among = key, table
+        return self._last_among[1]
 
     def eval_ids(self, ids):
-        """Unweighted cut of each row: its degree sum minus twice the edges
-        inside it (small integers, exact in any order)."""
+        """Unweighted: each row's positions among the ids the batch uses and
+        the empty slot, valued by ``_position_values`` in blocks."""
         if self._ws is not None:
             return super().eval_ids(ids)
         ids = np.asarray(ids)
-        return self._degrees[ids].sum(axis=1) - 2 * self._pair_table.sums(ids)
+        if not ids.shape[1]:  # rows of no ids: empty sets
+            return np.zeros(len(ids))
+        used = np.union1d(ids, self.n)  # ascending: the empty slot last
+        to_id, width = used.tolist(), ids.shape[1]
+        return _by_blocks(np.searchsorted(used, ids), width * (width + 1) // 2,
+                          lambda block: self._position_values(to_id, block))
+
+    def _sweep_states(self, to_id):
+        return super()._sweep_states(to_id) if self._ws is not None else _CutRows(self, to_id)
+
+    def _sweep_values(self, ids, states, size):
+        return super()._sweep_values(ids, states, size) if self._ws is not None else states[:, -1]
+
+    #: the last position rows ``_position_values`` read, by identity, their
+    #: side and pair indices; kept on the class, as the enumerator's small
+    #: batches are cached arrays that serve every graph
+    _last_pairs = (None, 0, None)
+
+    def _position_values(self, to_id, pos):
+        """Unweighted: the sum of ``W[a, b]`` over each row's position pairs
+        ``a <= b`` (:meth:`_among`; the empty slot's entries are 0), read at
+        flat indices ``a * side + b`` and summed in floats: small integers,
+        exact in any order.  Rows of one position read the degrees alone
+        and build no table."""
+        if self._ws is not None:
+            return super()._position_values(to_id, pos)
+        if pos.shape[1] < 2:
+            return self._degrees[np.array(to_id, dtype=np.intp)[pos[:, 0]]].astype(float)
+        last, side, pairs = Cut._last_pairs
+        if last is not pos or side != len(to_id):
+            cols, side = pos.T, len(to_id)
+            firsts, seconds = np.triu_indices(len(cols))
+            pairs = cols[firsts] * side + cols[seconds]
+            Cut._last_pairs = pos, side, pairs
+        return self._among(to_id).reshape(-1)[pairs].sum(axis=0, dtype=float)
 
     _mask_width = property(lambda self: max(self.n, len(self._us)))
 
@@ -677,11 +791,38 @@ class Cut(Objective):
         return _masked_row_sums(self._ws, M[:, self._us] != M[:, self._vs])
 
     def _power_set(self, universe, low):
-        """Unweighted: degree sums less twice the edges inside, as ``eval_ids``."""
+        """Unweighted: by doubling, each element ``j`` adding ``deg(j) - 2 *
+        (edges from j into the mask)`` (:class:`_CutRows`' step).  Within a
+        block the mask of the low bits is the index, and the edges into it
+        are ``bitwise_count(mask & adj)`` summed over the binary digits of
+        the multiplicities, weighted ``2^b``: the word ``adj`` of digit
+        ``b`` sets the low bits of the neighbours whose multiplicity has
+        bit ``b`` set."""
         if self._ws is not None:
-            return super()._power_set(universe, low)
-        return (deg - 2 * inside for deg, inside in zip(power_set_sums(
-            self._degrees[universe], low), self._pair_table.power_set(universe, low)))
+            yield from super()._power_set(universe, low)
+            return
+        w = self._among(universe)
+        deg, counts = w.diagonal(), np.minimum(w, 0) // -2
+        bits = np.left_shift(1, np.arange(low, dtype=np.uint64))
+        digits = [np.bitwise_or.reduce(np.where(counts[:, :low] >> b & 1, bits, 0), axis=1)
+                  for b in range(int(counts.max(initial=0)).bit_length())]
+        masks = np.arange(1 << low, dtype=np.uint64)
+
+        def step(j, h, inside=0):  # the gain of adding j to the masks below h
+            edges = np.full(h, inside, dtype=np.int64)
+            for b, adj in enumerate(digits):
+                edges += np.bitwise_count(masks[:h] & adj[j]).astype(np.int64) << b
+            return deg[j] - 2 * edges
+
+        table = np.zeros(1 << low)
+        for j in range(low):
+            h = 1 << j
+            np.add(table[:h], step(j, h), out=table[h:2 * h])
+        for high in _power_set_blocks(list(range(len(universe))), low):
+            block = table.copy()
+            for i, j in enumerate(high):
+                block += step(j, 1 << low, int(counts[j, high[:i]].sum()))
+            yield block
 
     def to_dict(self):
         return {
@@ -1317,6 +1458,50 @@ class _CutScan(CandidateScan):
         self._cut += int(self.obj._degrees[e] - 2 * self._inside[e])
         indptr, nbrs = self.obj._adjacency
         np.add.at(self._inside, nbrs[indptr[e]:indptr[e + 1]], 1)
+
+
+class _CutRows:
+    """The exact sweep's channel for unweighted Cut (see
+    :func:`~prunekit.exact._sweep`): per subset its positions, the new ones
+    first, then its cut value.  A batch copies each leaf's prefix rows after
+    its new positions, two broadcasts per leaf as for id rows; then, over
+    the whole batch, it adds the new positions' columns one at a time, the
+    last first, as :class:`_CutScan` adds a pick: ``cut(T + j) = cut(T) +
+    deg(j) - 2 * (edges from j into T)``, that is ``deg(j)`` plus
+    ``W[j, t]`` for each ``t`` in ``T``, read from :meth:`Cut._among`'s
+    table with one gather per column.  The table is built for the first
+    row of two positions, so a sweep of single ids reads degrees alone.
+    Small integers: exact in any order."""
+
+    cells = 0
+
+    def __init__(self, cut: Cut, to_id: list[int]):
+        # a position, a cut and every partial gain lie within +-max(u, |E|)
+        dtype = np.result_type(cut._among_dtype,
+                               np.min_scalar_type(-max(len(to_id), len(cut._us)) - 1))
+        self.cut, self.to_id, self.side = cut, to_id, len(to_id)
+        self.deg = cut._degrees[np.array(to_id, dtype=np.intp)].astype(dtype)
+        self.start = np.zeros((1, 1), dtype=dtype)  # the empty set: no position, cut 0
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        return self.cut._among(self.to_id).reshape(-1)
+
+    def width(self, s: int) -> int:
+        return s + 1
+
+    def fill(self, out, held, group):
+        for lo, hi, start, stop, tail in group:
+            out[lo:hi, :len(tail)] = tail
+            out[lo:hi, len(tail):] = held[start:stop]
+        cols = out.T
+        at = np.empty(len(out), dtype=np.intp)
+        for i in reversed(range(len(group[0][-1]))):
+            firsts = np.multiply(cols[i], self.side, dtype=np.intp)
+            gain = self.deg[cols[i]]
+            for col in cols[i + 1:-1]:
+                gain += self.table[np.add(firsts, col, out=at)]
+            cols[-1] += gain
 
 
 class _InterferenceScan(CandidateScan):

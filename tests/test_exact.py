@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 import itertools
 import math
 from unittest import mock
@@ -350,6 +349,127 @@ class TestInsideProfiles:
         assert err.value.needed == exact.cardinality_subset_count(6, 2)
 
 
+def multigraph_cut(n, seed):
+    """Unweighted Cut on G(n, 3n) with n of its edges repeated reversed and
+    n // 2 repeated as given: multiplicities up to 3, in both orientations."""
+    base = gen_gnm(n, 3 * n, seed=seed)
+    return Cut(n, base + [e[::-1] for e in base[:n]] + base[:n // 2])
+
+
+class TestCutSweep:
+    """Unweighted Cut's step in the exact sweep, ``cut(T + j) = cut(T) +
+    deg(j) - 2 * (edges from j into T)``, against brute force over
+    ``eval``: multi-edges count with their multiplicity, and edges to ids
+    outside the universe in ``deg`` only."""
+
+    @staticmethod
+    def profile(obj, universe, k, inside, chunk, group):
+        """The profile, and the most new positions one batch of the sweep
+        added at once (0 when the cached small batch valued it)."""
+        tails, fill = [0], objectives._CutRows.fill
+
+        def spy(self, out, held, group):
+            tails.append(len(group[0][-1]))
+            return fill(self, out, held, group)
+
+        with mock.patch.object(exact, "_CHUNK", chunk), \
+                mock.patch.object(exact, "_GROUP_ROWS", group), \
+                mock.patch.object(objectives._CutRows, "fill", spy):
+            prof = exact.opt_cardinality(obj, universe, k, inside=inside)
+        return prof, max(tails)
+
+    @pytest.mark.parametrize("chunk,group,tails", [
+        (exact._CHUNK, exact._GROUP_ROWS, 0),  # one cached batch
+        (exact._CHUNK, 64, 1),  # whole tables, each size from the last
+        (60, 16, 3),  # tables beyond 60 rows from the size-2 table
+        (12, 5, 4),  # from the size-1 table, in batches of at most 5 rows
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multigraph_with_inside(self, chunk, group, tails, seed):
+        n = 14
+        obj = multigraph_cut(n, seed)
+        assert len(obj.edges) > len(obj._edge_pairs[0])  # repeated edges
+        rng = np.random.default_rng(seed)
+        universe = sorted(rng.choice(n, size=11, replace=False).tolist())
+        assert any((u in universe) != (v in universe) for u, v in obj.edges)
+        inside = universe[seed::2]
+        prof, most = self.profile(obj, universe, 5, inside, chunk, group)
+        assert most == tails
+        for got, ground in ((prof, universe), (prof.inside, inside)):
+            opt, argmax, _, count = reference_cardinality(obj, ground, 5)
+            assert got.opt_by_budget == opt
+            assert got.argmax_by_budget == argmax
+            assert got.enumerated_count == count
+
+    @pytest.mark.parametrize("group", [exact._GROUP_ROWS, 256])
+    def test_universe_wider_than_a_mask_word(self, group):
+        # 70 of 80 ids at k = 2: one cached batch, or the sweep in batches
+        obj = multigraph_cut(80, 4)
+        universe = list(range(5, 75))
+        prof, most = self.profile(obj, universe, 2, universe[::3], exact._CHUNK, group)
+        assert most == (group < exact._GROUP_ROWS)
+        for got, ground in ((prof, universe), (prof.inside, universe[::3])):
+            opt, argmax, _, _ = reference_cardinality(obj, ground, 2)
+            assert got.opt_by_budget == opt
+            assert got.argmax_by_budget == argmax
+
+    def test_star_past_the_int8_range(self):
+        # the centre's degree, 128, is one past int8's largest value: the
+        # degrees alone, one cached batch of pairs, the sweep, the power set
+        star = Cut(129, [(0, leaf) for leaf in range(1, 129)])
+        for universe, k in ((range(129), 1), (range(61), 2), (range(129), 2)):
+            prof = exact.opt_cardinality(star, universe, k)
+            opt, argmax, _, count = reference_cardinality(star, universe, k)
+            assert prof.opt_by_budget == opt and opt[1] == 128.0
+            assert prof.argmax_by_budget == argmax
+            assert prof.enumerated_count == count
+        universe = list(range(13))
+        want = [float(star.eval([universe[i] for i in range(13) if mask >> i & 1]))
+                for mask in range(1 << 13)]
+        got = np.concatenate(list(objectives.power_set_values(star, universe, 10)))
+        assert got.tolist() == want
+
+    def test_cut_values_past_the_int8_range(self):
+        # K_{8,16}: degrees 16 and 8, but 128 edges, all cut by the left
+        # side; the sweep's states must hold 128.  A set of x left and y
+        # right ids cuts 16x + 8y - 2xy edges, so each size's best is known.
+        left, right = range(8), range(8, 24)
+        obj = Cut(24, [(a, b) for a in left for b in right])
+        prof = exact.opt_cardinality(obj, range(24), 8)
+        best = [max(16 * x + 8 * (s - x) - 2 * x * (s - x)
+                    for x in range(max(0, s - 16), min(s, 8) + 1)) for s in range(9)]
+        assert prof.opt_by_budget == [float(max(best[:b + 1])) for b in range(9)]
+        assert prof.opt_by_budget[8] == 128.0 and prof.argmax_by_budget[8] == tuple(left)
+        assert [obj.eval(a) for a in prof.argmax_by_budget] == prof.opt_by_budget
+        assert prof.enumerated_count == exact.cardinality_subset_count(24, 8)
+
+    def test_swept_single_ids_build_no_table(self):
+        # k = 1 over more ids than one cached batch reads the degrees alone
+        # (TestCutPairTable checks the cached batch)
+        n = 6000
+        edges = gen_gnm(n, 18000, seed=5)
+        obj = Cut(n, edges)
+        degrees = np.bincount(np.ravel(edges), minlength=n)
+        assert exact.cardinality_subset_count(n, 1) > exact._GROUP_ROWS
+        profile = exact.opt_cardinality(obj, range(n), 1)
+        assert profile.opt_by_budget == [0.0, float(degrees.max())]
+        assert profile.argmax_by_budget[1] == (int(degrees.argmax()),)
+        assert "_last_among" not in vars(obj)
+
+    def test_values_equal_eval_row_by_row(self):
+        # every row of a sweep that adds several positions per batch
+        obj = multigraph_cut(12, 7)
+        to_id = [*reversed(range(1, 11)), 12]
+        with mock.patch.object(exact, "_CHUNK", 30), mock.patch.object(exact, "_GROUP_ROWS", 7):
+            for size, rank, tables in exact._sweep(10, 6, {"states": obj._sweep_states(to_id)}):
+                rows = tables["states"]
+                want = [float(obj.eval(exact._colex_set(size, rank + r, to_id=to_id)))
+                        for r in range(len(rows))]
+                assert obj._sweep_values(None, rows, size).tolist() == want
+                assert sorted(to_id[p] for p in rows[0, :size]) == sorted(
+                    exact._colex_set(size, rank, to_id=to_id))
+
+
 class TestHoldsAnOptimum:
     """Some optimal set of at most ``k`` elements lies inside ``P`` exactly
     when ``P``'s exact best value at ``k`` equals ``OPT_k``, the rule by
@@ -538,26 +658,23 @@ class TestKernels:
 
 class TestCutPairTable:
     def test_table_spans_the_universe_not_n(self):
-        # the shared pair kernel's rank table, read from the closure of the
-        # row kernel it hands to ``_by_blocks``
+        # the table over positions that Cut's batched paths read spans the
+        # ids they value and the empty slot, not n: the exact enumerator's
+        # universe, and under ``eval_ids`` the ids the batch uses
         n = 5000
         obj = Cut(n, gen_gnm(n, 20000, seed=2))
         universe = sorted(np.random.default_rng(3).choice(n, size=12, replace=False).tolist())
-        tables = []
-
-        def spy(ids, per_row, kernel):
-            tables.append(inspect.getclosurevars(kernel).nonlocals)
-            return by_blocks(ids, per_row, kernel)
-
-        by_blocks = objectives._by_blocks
-        with mock.patch.object(objectives, "_by_blocks", spy):
-            profile = exact.opt_cardinality(obj, universe, 4)
+        profile = exact.opt_cardinality(obj, universe, 4)
         opt, argmax, _, _ = reference_cardinality(obj, universe, 4)
         assert profile.opt_by_budget == opt
         assert profile.argmax_by_budget == argmax
+        assert obj._last_among[1].shape == (len(universe) + 1,) * 2
+        ids = np.array([*universe, n])[exact._small_batch(len(universe), 4)[0]]
+        vals = obj.eval_ids(ids)
+        assert vals.tolist() == [obj.eval(row[row < n]) for row in ids]
         # the universe and the empty slot
-        assert max(t["side"] for t in tables) == len(universe) + 1
-        assert all(t["table"].size == t["side"] ** 2 for t in tables)
+        assert obj._last_among[0] == (*universe, n)
+        assert obj._last_among[1].shape == (len(universe) + 1,) * 2
 
     def test_single_vertex_rows_read_degrees(self):
         n = 3000
@@ -567,6 +684,7 @@ class TestCutPairTable:
         profile = exact.opt_cardinality(obj, range(n), 1)
         assert profile.opt_by_budget == [0.0, float(degrees.max())]
         assert profile.argmax_by_budget[1] == (int(degrees.argmax()),)
+        assert "_last_among" not in vars(obj)  # no table over the positions
 
     def test_table_larger_than_the_batch_matches_eval(self):
         obj = Cut(40, gen_gnm(40, 100, seed=1))
